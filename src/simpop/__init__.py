@@ -45,11 +45,9 @@ from .evaluator import (
 from .model import (
     EmbeddingModel,
     ModelParams,
-    connection_probability,
     derive_squared_distance,
     generate_synthetic_network,
     read_model,
-    regime_check,
     write_model,
 )
 from .recommender import (
@@ -102,7 +100,6 @@ __all__ = [
     "anchor_item",
     "build_affinity_graph",
     "compute_popularity",
-    "connection_probability",
     "cosine_cooccurrence",
     "derive_squared_distance",
     "evaluate",
@@ -120,7 +117,6 @@ __all__ = [
     "read_model",
     "recommend",
     "reciprocal_rank",
-    "regime_check",
     "subsample_sessions",
     "write_corpus",
     "write_model",

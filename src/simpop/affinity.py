@@ -62,12 +62,7 @@ def compute_popularity(corpus: SessionCorpus) -> PopularityTable:
     """
     if corpus.role is not Role.TRAIN:
         raise ValidationError("compute_popularity expects a TRAIN corpus")
-    counts = Counter(
-        a.item_ref
-        for acts in corpus.sessions.values()
-        for a in acts
-        if a.item_ref is not None
-    )
+    counts = interaction_counts(corpus)
     return PopularityTable(
         {item: float(max(counts.get(item, 0), 1)) for item in corpus.item_vocabulary}
     )
@@ -271,11 +266,21 @@ def read_affinity_graph(
             if len(fields) != 3:
                 raise ParseError(f"malformed pair line in {pairs_path}", n)
             pairs[(fields[0], fields[1])] = float(fields[2])
+    return AffinityGraph.from_pairs(pairs, read_popularity(popularity_path))
+
+
+def read_popularity(path: str | Path) -> PopularityTable:
+    """Read a popularity TSV as written by ``write_affinity_graph``."""
     kappa: dict[str, float] = {}
-    with open(popularity_path, "r", encoding="utf-8") as stream:
+    with open(path, "r", encoding="utf-8") as stream:
         for n, line in enumerate(stream, start=1):
             fields = line.rstrip("\n").split("\t")
-            if len(fields) != 2:
-                raise ParseError(f"malformed popularity line in {popularity_path}", n)
-            kappa[fields[0]] = float(fields[1])
-    return AffinityGraph.from_pairs(pairs, PopularityTable(kappa))
+            try:
+                if len(fields) != 2:
+                    raise ValueError(f"{len(fields)} tab-separated fields, expected 2")
+                kappa[fields[0]] = float(fields[1])
+            except ValueError as exc:
+                raise ParseError(
+                    f"malformed popularity line in {path}: {exc}", n
+                ) from None
+    return PopularityTable(kappa)

@@ -21,8 +21,9 @@ from pathlib import Path
 
 from . import __version__
 from .affinity import (
-    PopularityTable,
     build_affinity_graph,
+    compute_popularity,
+    read_popularity,
     write_affinity_graph,
 )
 from .baselines import (
@@ -206,14 +207,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         raise SimpopError(
             f"{args.session} holds {corpus.n_sessions} sessions; pass --session-id"
         )
-    popularity = None
-    if args.popularity:
-        kappa = {}
-        with open(args.popularity, "r", encoding="utf-8") as stream:
-            for line in stream:
-                item, _, value = line.rstrip("\n").partition("\t")
-                kappa[item] = float(value)
-        popularity = PopularityTable(kappa)
+    popularity = read_popularity(args.popularity) if args.popularity else None
     ranker = NextItemRecommender(
         model, popularity=popularity, anchor_mode=args.anchor_mode
     )
@@ -241,8 +235,6 @@ def _build_ranker(args: argparse.Namespace):
         popularity = None
         if args.train_corpus:
             train = parse_session_log(args.train_corpus, role=Role.TRAIN)
-            from .affinity import compute_popularity
-
             popularity = compute_popularity(train)
         return NextItemRecommender(
             model, popularity=popularity, anchor_mode=args.anchor_mode
@@ -266,8 +258,6 @@ def _build_ranker(args: argparse.Namespace):
             )
         if not args.metadata:
             raise SimpopError("--ranker imknn requires --metadata")
-        from .affinity import compute_popularity
-
         return MetadataKnnRanker(
             load_metadata(args.metadata),
             k=args.k,

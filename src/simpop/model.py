@@ -9,7 +9,7 @@ so p grows with the popularity product at fixed distance and shrinks with
 squared distance at fixed popularity. Only squared distances ever enter the
 law, and its exact inverse recovers the squared distance a given probability
 prescribes. Both directions live here, together with a Bernoulli-graph
-sampler that treats the law generatively and a numerical monotonicity gate.
+sampler that treats the law generatively.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -118,16 +118,12 @@ class EmbeddingModel:
         return float(self.kappa[self.index_of(item)])
 
 
-def connection_probability(model: EmbeddingModel, i: str, j: str) -> float:
-    """Probability that items i and j connect under the model's law."""
-    xi, xj = model.coords_of(i), model.coords_of(j)
-    d2 = float(np.dot(xi - xj, xi - xj))
-    kk = model.kappa_of(i) * model.kappa_of(j)
-    return _law(d2, kk, model.params.alpha)
-
-
-def _law(d2: float, kappa_product: float, alpha: float) -> float:
-    return (1.0 + d2 / kappa_product) ** (-alpha)
+def _law(model: EmbeddingModel, a: int, idx: np.ndarray | slice) -> np.ndarray:
+    """The connection law from item index ``a`` to the items at ``idx``."""
+    diff = model.coords[idx] - model.coords[a]
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    kk = model.kappa[idx] * model.kappa[a]
+    return (1.0 + d2 / kk) ** (-model.params.alpha)
 
 
 def connection_probabilities(
@@ -136,10 +132,7 @@ def connection_probabilities(
     """Vectorized connection probabilities from ``anchor`` to ``items``."""
     a = model.index_of(anchor)
     idx = np.fromiter((model.index_of(i) for i in items), dtype=np.intp, count=len(items))
-    diff = model.coords[idx] - model.coords[a]
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    kk = model.kappa[idx] * model.kappa[a]
-    return (1.0 + d2 / kk) ** (-model.params.alpha)
+    return _law(model, a, idx)
 
 
 def derive_squared_distance(
@@ -167,71 +160,10 @@ def generate_synthetic_network(
     edges: list[tuple[str, str]] = []
     n = len(model)
     for a in range(n - 1):
-        diff = model.coords[a + 1 :] - model.coords[a]
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        kk = model.kappa[a + 1 :] * model.kappa[a]
-        p = (1.0 + d2 / kk) ** (-model.params.alpha)
+        p = _law(model, a, slice(a + 1, None))
         hits = np.nonzero(rng.random(n - a - 1) < p)[0]
         edges.extend((model.ids[a], model.ids[a + 1 + int(h)]) for h in hits)
     return edges
-
-
-@dataclass(frozen=True)
-class RegimeReport:
-    """Outcome of the monotonicity sanity gate over sampled model pairs."""
-
-    pairs_checked: int
-    violations: tuple[str, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def regime_check(model: EmbeddingModel, max_pairs: int = 200) -> RegimeReport:
-    """Verify the law's monotone behavior numerically on model pairs.
-
-    Checks, per sampled pair: doubling the popularity product raises p,
-    doubling the squared distance lowers p, and raising alpha lowers p
-    (all at d^2 > 0). Analytically no violation can exist; this gate catches
-    numeric degradation on extreme magnitudes.
-    """
-    if len(model) == 0:
-        raise ValidationError("regime_check expects a non-empty model")
-    alpha = model.params.alpha
-    violations: list[str] = []
-    checked = 0
-    for a, b in _pair_stream(len(model), max_pairs):
-        diff = model.coords[a] - model.coords[b]
-        d2 = float(np.dot(diff, diff))
-        kk = float(model.kappa[a] * model.kappa[b])
-        p = _law(d2, kk, alpha)
-        checked += 1
-        pair = f"({model.ids[a]}, {model.ids[b]})"
-        if not 0.0 < p <= 1.0:
-            violations.append(f"{pair}: p={p} outside (0, 1]")
-            continue
-        if d2 == 0.0:
-            if p != 1.0:
-                violations.append(f"{pair}: zero distance but p={p} != 1")
-            continue
-        if not _law(d2, 2.0 * kk, alpha) > p:
-            violations.append(f"{pair}: p not increasing in popularity product")
-        if not _law(2.0 * d2, kk, alpha) < p:
-            violations.append(f"{pair}: p not decreasing in squared distance")
-        if not _law(d2, kk, alpha + 1.0) < p:
-            violations.append(f"{pair}: p not decreasing in alpha")
-    return RegimeReport(pairs_checked=checked, violations=tuple(violations))
-
-
-def _pair_stream(n: int, max_pairs: int) -> Iterator[tuple[int, int]]:
-    emitted = 0
-    for a in range(n - 1):
-        for b in range(a + 1, n):
-            if emitted >= max_pairs:
-                return
-            emitted += 1
-            yield a, b
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +192,17 @@ def read_model(path: str | Path) -> EmbeddingModel:
         kappa: list[float] = []
         for n, line in enumerate(stream, start=2):
             fields = line.rstrip("\n").split("\t")
-            if len(fields) != 3:
-                raise ParseError(f"malformed model line in {path}", n)
+            try:
+                if len(fields) != 3:
+                    raise ValueError(f"{len(fields)} tab-separated fields, expected 3")
+                row = [float(tok) for tok in fields[2].split(" ")]
+                if len(row) != params.dim:
+                    raise ValueError(f"{len(row)} coordinates, expected {params.dim}")
+                kappa.append(float(fields[1]))
+            except ValueError as exc:
+                raise ParseError(f"malformed model line in {path}: {exc}", n) from None
             ids.append(fields[0])
-            kappa.append(float(fields[1]))
-            coords.append([float(tok) for tok in fields[2].split(" ")])
+            coords.append(row)
     matrix = np.array(coords, dtype=np.float64) if ids else np.empty((0, params.dim))
     return EmbeddingModel(params, ids, matrix, np.array(kappa, dtype=np.float64))
 

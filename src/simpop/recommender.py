@@ -9,7 +9,7 @@ session with no scorable item at all falls back to a pure popularity ranking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 from .affinity import PopularityTable
 from .errors import NoAnchorError, ValidationError
@@ -70,7 +70,7 @@ def order_candidates(
 def anchor_item(
     session: Sequence[Action],
     popularity: PopularityTable,
-    universe: Iterable[str] | None = None,
+    universe: Container[str] | None = None,
     mode: str = "global",
 ) -> str:
     """Pick the session's anchor: its most popular interacted item.
@@ -78,20 +78,20 @@ def anchor_item(
     ``mode='global'`` ranks by table popularity; ``mode='session'`` by
     in-session interaction count. Ties prefer the most recently touched item,
     then the lexicographically smallest id. ``universe`` optionally restricts
-    eligibility (e.g. to items a model can score).
+    eligibility (e.g. to items a model can score); it is only tested for
+    membership, so pass the model itself rather than a copy of its ids.
 
     Raises NoAnchorError when no action references an eligible item.
     """
     if mode not in ("global", "session"):
         raise ValueError(f"unknown anchor mode {mode!r}")
-    allowed = set(universe) if universe is not None else None
     weight: dict[str, float] = {}
     last_seen: dict[str, int] = {}
     for pos, action in enumerate(session):
         item = action.item_ref
         if item is None or item not in popularity:
             continue
-        if allowed is not None and item not in allowed:
+        if universe is not None and item not in universe:
             continue
         if mode == "global":
             weight[item] = popularity[item]
@@ -148,7 +148,7 @@ def recommend(
         raise ValueError("t must be >= 1")
     pop = popularity if popularity is not None else _model_popularity(model)
     try:
-        anchor = anchor_item(session, pop, universe=model.ids, mode=anchor_mode)
+        anchor = anchor_item(session, pop, universe=model, mode=anchor_mode)
     except NoAnchorError:
         pool = candidates if candidates is not None else model.ids
         unique = dict.fromkeys(pool)

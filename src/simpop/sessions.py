@@ -21,7 +21,8 @@ import gzip
 import io
 import logging
 import math
-from dataclasses import dataclass, replace
+import re
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
@@ -37,6 +38,10 @@ log = logging.getLogger(__name__)
 CLICKOUT = "clickout item"
 
 MAX_IMPRESSIONS = 25
+
+#: Characters an item id must not contain: the model and affinity files are
+#: tab-separated and line-based, and their readers use universal newlines.
+_ID_BREAKS = re.compile("[\t\n\r]")
 
 #: Default mapping from Action field to column name (the canonical layout).
 DEFAULT_SCHEMA: dict[str, str] = {
@@ -87,13 +92,23 @@ class SessionCorpus:
     """Immutable collection of validated sessions.
 
     ``sessions`` maps session_id to the step-ordered action tuple;
-    ``item_vocabulary`` contains every item seen as a reference or inside an
-    impression list.
+    ``item_vocabulary`` is derived from them: every item seen as a reference
+    or inside an impression list.
     """
 
     sessions: dict[str, tuple[Action, ...]]
-    item_vocabulary: frozenset[str]
     role: Role
+    item_vocabulary: frozenset[str] = field(init=False)
+
+    def __post_init__(self):
+        vocab: set[str] = set()
+        for acts in self.sessions.values():
+            for a in acts:
+                if a.item_ref is not None:
+                    vocab.add(a.item_ref)
+                if a.impressions:
+                    vocab.update(a.impressions)
+        object.__setattr__(self, "item_vocabulary", frozenset(vocab))
 
     @property
     def n_sessions(self) -> int:
@@ -115,7 +130,7 @@ class SessionCorpus:
         sessions = {
             sid: _validate_session(sid, acts) for sid, acts in grouped.items()
         }
-        return cls(sessions=sessions, item_vocabulary=_vocabulary(sessions), role=role)
+        return cls(sessions, role)
 
 
 def _validate_session(sid: str, actions: list[Action]) -> tuple[Action, ...]:
@@ -146,17 +161,6 @@ def _validate_session(sid: str, actions: list[Action]) -> tuple[Action, ...]:
                     f"not in its impression list"
                 )
     return tuple(actions)
-
-
-def _vocabulary(sessions: Mapping[str, Sequence[Action]]) -> frozenset[str]:
-    vocab: set[str] = set()
-    for acts in sessions.values():
-        for a in acts:
-            if a.item_ref is not None:
-                vocab.add(a.item_ref)
-            if a.impressions:
-                vocab.update(a.impressions)
-    return frozenset(vocab)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +210,10 @@ def parse_session_log(
 
         actions: list[Action] = []
         n_cols = len(header)
+        end = reader.line_num
         for row in reader:
-            line = reader.line_num
+            # a quoted field may span lines; name the line the row starts on
+            line, end = end + 1, reader.line_num
             if not row:
                 continue
             if len(row) != n_cols:
@@ -228,6 +234,13 @@ def _row_to_action(row: list[str], col: Mapping[str, int], line: int) -> Action:
 
     ref = row[col["item_ref"]].strip()
     imp_raw = row[col["impressions"]].strip()
+    for name, raw in (("item_ref", ref), ("impressions", imp_raw)):
+        if _ID_BREAKS.search(raw):
+            raise ParseError(
+                f"{name} {raw!r} holds a tab or line break, which the "
+                f"tab-separated model and graph files cannot carry",
+                line,
+            )
     impressions = (
         tuple(tok for tok in imp_raw.split("|") if tok) if imp_raw else None
     )
@@ -341,9 +354,7 @@ def filter_bookable_sessions(corpus: SessionCorpus) -> SessionCorpus:
     dropped = len(corpus.sessions) - len(kept)
     if dropped:
         log.info("dropped %d sessions without a clickout (%d kept)", dropped, len(kept))
-    return SessionCorpus(
-        sessions=kept, item_vocabulary=_vocabulary(kept), role=corpus.role
-    )
+    return SessionCorpus(kept, corpus.role)
 
 
 def hide_test_targets(
@@ -371,12 +382,7 @@ def hide_test_targets(
         truth[sid] = target.item_ref
         hidden = replace(target, item_ref=None)
         blinded[sid] = acts[:target_idx] + (hidden,) + acts[target_idx + 1 :]
-    return (
-        SessionCorpus(
-            sessions=blinded, item_vocabulary=_vocabulary(blinded), role=corpus.role
-        ),
-        truth,
-    )
+    return SessionCorpus(blinded, corpus.role), truth
 
 
 def _last_clickout_index(acts: Sequence[Action]) -> int | None:
@@ -401,10 +407,7 @@ def prepare_holdout(
         if idx is not None and acts[idx].item_ref is not None:
             usable[sid] = acts
     dropped = len(corpus.sessions) - len(usable)
-    holdout = SessionCorpus(
-        sessions=usable, item_vocabulary=_vocabulary(usable), role=Role.TEST
-    )
-    blinded, truth = hide_test_targets(holdout)
+    blinded, truth = hide_test_targets(SessionCorpus(usable, Role.TEST))
     return blinded, truth, dropped
 
 
@@ -435,9 +438,7 @@ def subsample_sessions(
             picked = rng.choice(len(sids), size=quota, replace=False)
             chosen.extend(sids[i] for i in sorted(picked))
     kept = {sid: corpus.sessions[sid] for sid in chosen}
-    return SessionCorpus(
-        sessions=kept, item_vocabulary=_vocabulary(kept), role=corpus.role
-    )
+    return SessionCorpus(kept, corpus.role)
 
 
 def split_by_time(
@@ -458,8 +459,6 @@ def split_by_time(
 
     def _sub(ids: list[str]) -> SessionCorpus:
         kept = {sid: corpus.sessions[sid] for sid in ids}
-        return SessionCorpus(
-            sessions=kept, item_vocabulary=_vocabulary(kept), role=corpus.role
-        )
+        return SessionCorpus(kept, corpus.role)
 
     return _sub(head_ids), _sub(tail_ids)

@@ -198,6 +198,34 @@ class TestRecommendAndEvaluate:
         assert len(out) == 3
         assert out[1].startswith("1,")
 
+    def _recommend_with_popularity(self, workdir, model_path, popularity):
+        session_file = workdir / "active.csv"
+        session_file.write_text(
+            f"{HEADER}\nu7,live1,100,1,interaction item info,A,\n"
+        )
+        return main(
+            [
+                "recommend", "--model", str(model_path),
+                "--session", str(session_file), "--candidates", "B|C|D",
+                "--popularity", str(popularity),
+            ]
+        )
+
+    def test_recommend_reads_train_popularity(self, workdir, trained, capsys):
+        _, model_path = trained
+        popularity = workdir / "model.txt.popularity.tsv"
+        assert self._recommend_with_popularity(workdir, model_path, popularity) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
+
+    def test_recommend_popularity_line_without_tab_exits_2(
+        self, workdir, trained, capsys
+    ):
+        _, model_path = trained
+        popularity = workdir / "bad_popularity.tsv"
+        popularity.write_text("A\t3.0\nB 2.0\n")
+        assert self._recommend_with_popularity(workdir, model_path, popularity) == 2
+        assert "line 2" in capsys.readouterr().err
+
     def test_evaluate_baseline_and_proposed(self, workdir, trained, capsys):
         corpus, model_path = trained
         test_corpus = workdir / "test_corpus.csv"

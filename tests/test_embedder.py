@@ -13,7 +13,7 @@ from simpop.embedder import (
     write_trace,
 )
 from simpop.errors import MissingItemError, ValidationError
-from simpop.model import ModelParams, connection_probability
+from simpop.model import ModelParams, connection_probabilities
 
 
 def numerical_gradient(coords, targets, lam, h=1e-6):
@@ -291,7 +291,7 @@ class TestFit:
             gradient_tolerance=1e-12,
         )
         model, _ = fit_embedding(graph, config)
-        assert connection_probability(model, "a", "b") == pytest.approx(
+        assert connection_probabilities(model, "a", ["b"])[0] == pytest.approx(
             graph.pairs[("a", "b")], rel=1e-5
         )
 

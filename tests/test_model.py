@@ -10,13 +10,16 @@ from simpop.model import (
     EmbeddingModel,
     ModelParams,
     connection_probabilities,
-    connection_probability,
     derive_squared_distance,
     generate_synthetic_network,
     read_model,
-    regime_check,
     write_model,
 )
+
+
+def pair_probability(model, i, j):
+    """One pair's connection probability, through the vectorised law."""
+    return float(connection_probabilities(model, i, [j])[0])
 
 
 def two_item_model(d=2.0, kappa=(1.0, 1.0), alpha=2.0, dim=1):
@@ -45,27 +48,27 @@ class TestParams:
 class TestConnectionLaw:
     def test_coincident_items_connect_surely(self):
         model = two_item_model(d=0.0, kappa=(3.0, 7.0), alpha=4.0)
-        assert connection_probability(model, "a", "b") == 1.0
+        assert pair_probability(model, "a", "b") == 1.0
 
     def test_distance_equal_to_kappa_product(self):
         # d^2 = kappa_i * kappa_j and alpha = 2 gives (1+1)^-2
         model = two_item_model(d=2.0, kappa=(2.0, 2.0), alpha=2.0)
-        assert connection_probability(model, "a", "b") == pytest.approx(0.25)
+        assert pair_probability(model, "a", "b") == pytest.approx(0.25)
 
     def test_hand_value_alpha_one(self):
         model = two_item_model(d=2.0, kappa=(2.0, 2.0), alpha=1.0)
-        assert connection_probability(model, "a", "b") == pytest.approx(0.5)
+        assert pair_probability(model, "a", "b") == pytest.approx(0.5)
 
     def test_symmetry(self):
         model = two_item_model(d=1.7, kappa=(2.0, 5.0), alpha=2.5)
-        assert connection_probability(model, "a", "b") == connection_probability(
+        assert pair_probability(model, "a", "b") == pair_probability(
             model, "b", "a"
         )
 
     def test_unknown_item_raises(self):
         model = two_item_model()
         with pytest.raises(MissingItemError):
-            connection_probability(model, "a", "zzz")
+            pair_probability(model, "a", "zzz")
 
     def test_range_on_random_models(self):
         rng = np.random.default_rng(0)
@@ -79,7 +82,7 @@ class TestConnectionLaw:
             )
             for i in range(n):
                 for j in range(i + 1, n):
-                    p = connection_probability(model, f"i{i}", f"i{j}")
+                    p = pair_probability(model, f"i{i}", f"i{j}")
                     assert 0.0 < p <= 1.0
                     d2 = float(((model.coords[i] - model.coords[j]) ** 2).sum())
                     assert (p == 1.0) == (d2 == 0.0)
@@ -87,16 +90,18 @@ class TestConnectionLaw:
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(1)
         n = 8
+        coords = rng.normal(size=(n, 3))
+        kappa = rng.uniform(1, 5, size=n)
         model = EmbeddingModel(
-            ModelParams(alpha=2.0, dim=3),
-            [f"i{k}" for k in range(n)],
-            rng.normal(size=(n, 3)),
-            rng.uniform(1, 5, size=n),
+            ModelParams(alpha=2.0, dim=3), [f"i{k}" for k in range(n)], coords, kappa
         )
         others = [f"i{k}" for k in range(1, n)]
         vec = connection_probabilities(model, "i0", others)
-        for item, p in zip(others, vec):
-            assert p == pytest.approx(connection_probability(model, "i0", item))
+        # the law as the README writes it: (1 + |x_i - x_j|^2 / (k_i k_j))^-alpha
+        for k, p in enumerate(vec, start=1):
+            d2 = float(np.sum((coords[0] - coords[k]) ** 2))
+            expected = (1.0 + d2 / (kappa[0] * kappa[k])) ** -2.0
+            assert p == pytest.approx(expected, rel=1e-12)
 
 
 class TestInversion:
@@ -111,7 +116,7 @@ class TestInversion:
         p = 0.37
         d2 = derive_squared_distance(p, 2.0, 5.0, 1.5)
         model = two_item_model(d=math.sqrt(d2), kappa=(2.0, 5.0), alpha=1.5)
-        assert connection_probability(model, "a", "b") == pytest.approx(p, rel=1e-12)
+        assert pair_probability(model, "a", "b") == pytest.approx(p, rel=1e-12)
 
     def test_domain_errors(self):
         for bad in (0.0, -0.1, 1.0001):
@@ -161,35 +166,18 @@ class TestSyntheticNetwork:
 
 
 class TestRegimeCheck:
-    def test_passes_on_random_model(self):
-        rng = np.random.default_rng(2)
-        model = EmbeddingModel(
-            ModelParams(alpha=2.0, dim=2),
-            [f"i{k}" for k in range(12)],
-            rng.normal(scale=3.0, size=(12, 2)),
-            rng.uniform(1, 8, size=12),
-        )
-        report = regime_check(model)
-        assert report.passed
-        assert report.pairs_checked == min(66, 200)
-
-    def test_empty_model_rejected(self):
-        model = EmbeddingModel(
-            ModelParams(alpha=2.0, dim=2), [], np.empty((0, 2)), np.empty(0)
-        )
-        with pytest.raises(ValidationError):
-            regime_check(model)
+    """The law's monotone regime, probed one direction at a time."""
 
     def test_directional_probes(self):
         # doubling popularity raises p; doubling distance or alpha lowers it
         model = two_item_model(d=2.0, kappa=(2.0, 2.0), alpha=2.0)
-        p = connection_probability(model, "a", "b")
+        p = pair_probability(model, "a", "b")
         heavier = two_item_model(d=2.0, kappa=(4.0, 2.0), alpha=2.0)
         farther = two_item_model(d=2.0 * math.sqrt(2), kappa=(2.0, 2.0), alpha=2.0)
         sharper = two_item_model(d=2.0, kappa=(2.0, 2.0), alpha=3.0)
-        assert connection_probability(heavier, "a", "b") > p
-        assert connection_probability(farther, "a", "b") < p
-        assert connection_probability(sharper, "a", "b") < p
+        assert pair_probability(heavier, "a", "b") > p
+        assert pair_probability(farther, "a", "b") < p
+        assert pair_probability(sharper, "a", "b") < p
 
 
 class TestModelFile:
@@ -229,6 +217,24 @@ class TestModelFile:
         path = tmp_path / "bad.txt"
         path.write_text("not a model file\n")
         with pytest.raises(ParseError):
+            read_model(path)
+
+    def test_ragged_line_names_it(self, tmp_path):
+        path = tmp_path / "ragged.txt"
+        write_model(self._random_model(), path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[3] = lines[3].rsplit(" ", 1)[0] + "\n"  # one coordinate short
+        path.write_text("".join(lines))
+        with pytest.raises(ParseError, match="line 4: .*2 coordinates, expected 3"):
+            read_model(path)
+
+    def test_non_float_token_names_it(self, tmp_path):
+        path = tmp_path / "token.txt"
+        write_model(self._random_model(), path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = lines[2].replace("\t", "\tabc ", 1)
+        path.write_text("".join(lines))
+        with pytest.raises(ParseError, match="line 3: .*abc"):
             read_model(path)
 
 

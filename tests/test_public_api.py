@@ -1,0 +1,27 @@
+"""The package's export list matches what its ``__init__`` imports."""
+
+import ast
+from pathlib import Path
+
+import simpop
+
+
+def _imported_public_names():
+    tree = ast.parse(Path(simpop.__file__).read_text(encoding="utf-8"))
+    return {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if not (alias.asname or alias.name).startswith("_")
+    }
+
+
+def test_all_is_exactly_the_imported_public_names():
+    assert set(simpop.__all__) == _imported_public_names()
+    assert len(simpop.__all__) == len(set(simpop.__all__))
+
+
+def test_every_export_resolves():
+    for name in simpop.__all__:
+        assert getattr(simpop, name, None) is not None, name

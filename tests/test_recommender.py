@@ -6,7 +6,7 @@ import pytest
 
 from simpop.affinity import PopularityTable
 from simpop.errors import MissingItemError, NoAnchorError, ValidationError
-from simpop.model import EmbeddingModel, ModelParams, connection_probability
+from simpop.model import EmbeddingModel, ModelParams
 from simpop.recommender import (
     NextItemRecommender,
     RankedList,
@@ -78,6 +78,14 @@ class TestAnchor:
         pop = PopularityTable({"A": 9.0, "B": 2.0})
         assert anchor_item(session_of("A", "B"), pop, universe={"B"}) == "B"
 
+    def test_model_as_universe(self):
+        # a model is a membership test over its ids, not an iterable of them
+        model = EmbeddingModel(
+            ModelParams(alpha=2.0, dim=1), ["B"], np.zeros((1, 1)), np.ones(1)
+        )
+        pop = PopularityTable({"A": 9.0, "B": 2.0})
+        assert anchor_item(session_of("A", "B"), pop, universe=model) == "B"
+
     def test_session_mode_counts_interactions(self):
         pop = PopularityTable({"A": 1.0, "B": 9.0})
         session = session_of("A", "B", "A")
@@ -147,9 +155,20 @@ class TestRankCandidates:
             anchor = ids[0]
             cands = list(rng.permutation(ids[1:]))
             ranked = rank_candidates(model, anchor, cands, len(cands))
-            # independent oracle: score everything, sort by the tie policy
+            # independent oracle: score everything by the written-out law,
+            # then sort by the tie policy
+            a = model.coords_of(anchor)
             scored = [
-                (c, connection_probability(model, anchor, c)) for c in cands
+                (
+                    c,
+                    (
+                        1.0
+                        + float(np.sum((model.coords_of(c) - a) ** 2))
+                        / (model.kappa_of(anchor) * model.kappa_of(c))
+                    )
+                    ** -2.0,
+                )
+                for c in cands
             ]
             expected = [
                 c

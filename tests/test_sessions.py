@@ -88,6 +88,17 @@ class TestParsing:
         with pytest.raises(ParseError, match="timestamp"):
             corpus_from_text(text)
 
+    def test_id_with_tab_or_line_break_names_line(self):
+        # the CSV quotes these ids, but the model and graph files cannot hold them
+        for bad in ("B\tX", "B\nX", "B\rX"):
+            for row in (
+                f'u1,s1,1001,2,interaction item info,"{bad}",',
+                f'u1,s1,1001,2,clickout item,A,"A|{bad}"',
+            ):
+                text = f"{HEADER}\nu1,s1,1000,1,interaction item info,A,\n{row}\n"
+                with pytest.raises(ParseError, match="line 3.*tab or line break"):
+                    corpus_from_text(text)
+
     def test_missing_column_rejected(self):
         with pytest.raises(ParseError, match="reference"):
             corpus_from_text("user_id,session_id,timestamp,step,action_type,impressions\n")
