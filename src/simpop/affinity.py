@@ -263,9 +263,14 @@ def read_affinity_graph(
     with open(pairs_path, "r", encoding="utf-8") as stream:
         for n, line in enumerate(stream, start=1):
             fields = line.rstrip("\n").split("\t")
-            if len(fields) != 3:
-                raise ParseError(f"malformed pair line in {pairs_path}", n)
-            pairs[(fields[0], fields[1])] = float(fields[2])
+            try:
+                if len(fields) != 3:
+                    raise ValueError(f"{len(fields)} tab-separated fields, expected 3")
+                pairs[(fields[0], fields[1])] = float(fields[2])
+            except ValueError as exc:
+                raise ParseError(
+                    f"malformed pair line in {pairs_path}: {exc}", n
+                ) from None
     return AffinityGraph.from_pairs(pairs, read_popularity(popularity_path))
 
 

@@ -15,6 +15,13 @@ point matters: an all-equal initialization (e.g. all zeros) is a stationary
 point with exactly zero gradient, so coordinates must be randomized. Descent
 is limited-memory quasi-Newton (two-loop recursion) with Armijo backtracking,
 degrading to plain gradient steps whenever no valid curvature pairs are held.
+
+Each line-search trial gathers its pair differences once; the accepted
+trial's gradient is scattered from that same gather, with one flat
+``bincount`` per pair side, so an iteration whose line search takes its
+first step gathers the pairs once for value and gradient together. The fit
+trace records, per accepted iterate, the objective, the gradient norm and the
+number of objective evaluations the line search spent on it.
 """
 
 from __future__ import annotations
@@ -65,6 +72,9 @@ class FitTrace:
 
     objectives: list[float] = field(default_factory=list)
     grad_norms: list[float] = field(default_factory=list)
+    #: objective evaluations per accepted iterate: 1 for the start and for a
+    #: line search that takes its first step, plus one per backtrack
+    evaluations: list[int] = field(default_factory=list)
     iterations: int = 0
     final_grad_norm: float = float("nan")
     wall_time_s: float = 0.0
@@ -137,31 +147,56 @@ def build_targets(
 
 
 class _PairObjective:
-    """Vectorized f and grad-f over flattened coordinates."""
+    """Vectorized f and grad-f over flattened coordinates.
+
+    ``value(x)`` keeps the pair differences and residuals of the point it
+    evaluated, and ``grad()`` differentiates at that point, so a line search
+    gathers each accepted iterate once. Each ``value`` drops the previous
+    point's arrays before it gathers, and ``grad`` consumes them, so no
+    pairs-by-dim array outlives one evaluation.
+    """
 
     def __init__(self, n: int, dim: int, ii, jj, d2, lam: float):
         self.n, self.dim = n, dim
         self.ii, self.jj, self.d2 = ii, jj, d2
         self.lam = lam
+        self._point = None
 
     def value(self, x: np.ndarray) -> float:
+        self._point = None
         coords = x.reshape(self.n, self.dim)
-        diff = coords[self.ii] - coords[self.jj]
-        r = np.einsum("ij,ij->i", diff, diff) - self.d2
-        return float(r @ r + self.lam * np.einsum("ij,ij->", coords, coords))
-
-    def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        coords = x.reshape(self.n, self.dim)
-        diff = coords[self.ii] - coords[self.jj]
+        diff = coords.take(self.ii, axis=0)
+        diff -= coords.take(self.jj, axis=0)
         r = np.einsum("ij,ij->i", diff, diff) - self.d2
         f = float(r @ r + self.lam * np.einsum("ij,ij->", coords, coords))
-        pull = diff * (4.0 * r)[:, None]
-        grad = np.zeros_like(coords)
-        for d in range(self.dim):
-            grad[:, d] = np.bincount(self.ii, pull[:, d], minlength=self.n)
-            grad[:, d] -= np.bincount(self.jj, pull[:, d], minlength=self.n)
-        grad += (2.0 * self.lam) * coords
-        return f, grad.ravel()
+        self._point = coords, diff, r
+        return f
+
+    def grad(self) -> np.ndarray:
+        """Gradient at the point the last ``value`` call evaluated; each
+        evaluated point gives one gradient."""
+        if self._point is None:
+            raise RuntimeError("grad() needs a point evaluated by value() first")
+        coords, pull, r = self._point
+        self._point = None
+        pull *= (4.0 * r)[:, None]
+        # one flat bincount per side over bin i*dim+d adds each bin's pairs
+        # in pair order, exactly as a per-dimension bincount would
+        size = self.n * self.dim
+        offsets = np.arange(self.dim)
+        weights = pull.ravel()
+        grad = np.bincount(
+            (self.ii[:, None] * self.dim + offsets).ravel(), weights, minlength=size
+        )
+        grad -= np.bincount(
+            (self.jj[:, None] * self.dim + offsets).ravel(), weights, minlength=size
+        )
+        grad += (2.0 * self.lam) * coords.ravel()
+        return grad
+
+    def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        f = self.value(x)
+        return f, self.grad()
 
 
 def fit_embedding(
@@ -211,6 +246,7 @@ def _minimize(problem: _PairObjective, x: np.ndarray, config: FitConfig):
     threshold = config.gradient_tolerance * gnorm
     trace.objectives.append(f)
     trace.grad_norms.append(gnorm)
+    trace.evaluations.append(1)
 
     history: deque = deque(maxlen=config.memory)
     if gnorm <= threshold:
@@ -226,12 +262,13 @@ def _minimize(problem: _PairObjective, x: np.ndarray, config: FitConfig):
                 # quasi-Newton direction lost descent; fall back to steepest
                 direction = -g
                 slope = -float(g @ g)
-            step, f_new = _backtrack(problem, x, f, direction, slope, not history)
-            if step is None:
+            x_new, f_new, evaluations = _backtrack(
+                problem, x, f, direction, slope, not history
+            )
+            if x_new is None:
                 trace.stop_reason = "line_search_failed"
                 break
-            x_new = x + step * direction
-            f_new, g_new = problem.value_and_grad(x_new)
+            g_new = problem.grad()
             trace.iterations = iteration
             _require_finite(f_new, g_new, iteration, trace)
 
@@ -245,6 +282,7 @@ def _minimize(problem: _PairObjective, x: np.ndarray, config: FitConfig):
             gnorm = float(np.linalg.norm(g))
             trace.objectives.append(f)
             trace.grad_norms.append(gnorm)
+            trace.evaluations.append(evaluations)
             if gnorm <= threshold:
                 trace.converged = True
                 trace.stop_reason = "converged"
@@ -273,18 +311,21 @@ def _two_loop_direction(g: np.ndarray, history: deque) -> np.ndarray:
 
 
 def _backtrack(problem, x, f, direction, slope, first_iteration: bool):
-    """Armijo backtracking; returns (step, value) or (None, None)."""
+    """Armijo backtracking; returns (accepted point, its value, evaluations
+    made) or (None, None, evaluations made). The problem holds the accepted
+    point's evaluation, so its gradient is ``problem.grad()``."""
     if first_iteration:
         # scale the very first steepest-descent step to unit length
         step = min(1.0, 1.0 / max(float(np.linalg.norm(direction)), 1e-12))
     else:
         step = 1.0
-    for _ in range(_MAX_BACKTRACKS):
-        f_new = problem.value(x + step * direction)
+    for evaluations in range(1, _MAX_BACKTRACKS + 1):
+        x_new = x + step * direction
+        f_new = problem.value(x_new)
         if np.isfinite(f_new) and f_new <= f + _ARMIJO_C1 * step * slope:
-            return step, f_new
+            return x_new, f_new, evaluations
         step *= 0.5
-    return None, None
+    return None, None, _MAX_BACKTRACKS
 
 
 def _require_finite(f: float, g: np.ndarray, iteration: int, trace: FitTrace):
@@ -297,6 +338,7 @@ def _require_finite(f: float, g: np.ndarray, iteration: int, trace: FitTrace):
 def write_trace(trace: FitTrace, path: str | Path) -> None:
     """Dump the per-iteration history as CSV."""
     with open(path, "w", encoding="utf-8", newline="") as out:
-        out.write("iteration,objective,grad_norm\n")
-        for k, (obj, gn) in enumerate(zip(trace.objectives, trace.grad_norms)):
-            out.write(f"{k},{obj!r},{gn!r}\n")
+        out.write("iteration,objective,grad_norm,evaluations\n")
+        rows = zip(trace.objectives, trace.grad_norms, trace.evaluations)
+        for k, (obj, gn, ev) in enumerate(rows):
+            out.write(f"{k},{obj!r},{gn!r},{ev}\n")

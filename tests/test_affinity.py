@@ -20,6 +20,7 @@ from simpop.affinity import (
 )
 from simpop.errors import (
     MissingItemError,
+    ParseError,
     UndefinedSimilarityError,
     ValidationError,
 )
@@ -226,3 +227,13 @@ class TestGraphExport:
         again = read_affinity_graph(tmp_path / "pairs.tsv", tmp_path / "pop.tsv")
         assert again.pairs == graph.pairs
         assert again.popularity.kappa == graph.popularity.kappa
+
+    @pytest.mark.parametrize(
+        "bad_line", ["a\tc\tnotafloat", "a\tc", "a\tc\t0.5\t1"]
+    )
+    def test_malformed_pair_line_names_it(self, tmp_path, bad_line):
+        (tmp_path / "pairs.tsv").write_text(f"a\tb\t0.5\n{bad_line}\n")
+        (tmp_path / "pop.tsv").write_text("a\t1.0\nb\t1.0\nc\t1.0\n")
+        with pytest.raises(ParseError, match="^line 2: malformed pair line") as err:
+            read_affinity_graph(tmp_path / "pairs.tsv", tmp_path / "pop.tsv")
+        assert err.value.line_number == 2

@@ -6,6 +6,7 @@ import pytest
 from simpop.affinity import AffinityGraph, PopularityTable
 from simpop.embedder import (
     FitConfig,
+    _PairObjective,
     build_targets,
     fit_embedding,
     gradient,
@@ -116,8 +117,6 @@ class TestGradient:
         rng = np.random.default_rng(3)
         graph = _random_graph(rng, n=6)
         ids, ii, jj, d2 = build_targets(graph, alpha=2.0)
-        from simpop.embedder import _PairObjective
-
         X = rng.normal(size=(len(ids), 2))
         problem = _PairObjective(len(ids), 2, ii, jj, d2, lam=0.05)
         f_vec, g_vec = problem.value_and_grad(X.ravel().copy())
@@ -130,6 +129,76 @@ class TestGradient:
         g_vec = g_vec.reshape(len(ids), 2)
         for k, item in enumerate(ids):
             np.testing.assert_allclose(g_vec[k], g_ref[item], rtol=1e-10)
+
+
+class TestKernel:
+    """The fitter's kernel, bit for bit against a per-dimension scatter."""
+
+    def _problem(self, dim=4, lam=0.05):
+        rng = np.random.default_rng(23)
+        graph = _random_graph(rng, n=9)
+        ids, ii, jj, d2 = build_targets(graph, alpha=2.0)
+        n = len(ids)
+        # sorted pairs put the first item only in ii and the last only in jj
+        assert set(ii.tolist()) != set(range(n))
+        assert set(jj.tolist()) != set(range(n))
+        x = rng.normal(scale=2.0, size=n * dim)
+        return _PairObjective(n, dim, ii, jj, d2, lam), x
+
+    def test_gradient_equals_per_dimension_scatter_bitwise(self):
+        problem, x = self._problem()
+        n, dim, ii, jj = problem.n, problem.dim, problem.ii, problem.jj
+        coords = x.reshape(n, dim)
+        diff = coords[ii] - coords[jj]
+        r = np.einsum("ij,ij->i", diff, diff) - problem.d2
+        pull = diff * (4.0 * r)[:, None]
+        expected = np.zeros_like(coords)
+        for d in range(dim):
+            expected[:, d] = np.bincount(ii, pull[:, d], minlength=n)
+            expected[:, d] -= np.bincount(jj, pull[:, d], minlength=n)
+        expected += (2.0 * problem.lam) * coords
+        problem.value(x)
+        assert np.array_equal(problem.grad(), expected.ravel())
+
+    def test_value_and_grad_equals_value_then_grad(self):
+        problem, x = self._problem()
+        f, g = problem.value_and_grad(x)
+        assert problem.value(x) == f
+        assert np.array_equal(problem.grad(), g)
+
+    def test_grad_is_at_the_last_evaluated_point(self):
+        problem, x = self._problem()
+        problem.value(x)
+        problem.value(2.0 * x)
+        assert np.array_equal(problem.grad(), problem.value_and_grad(2.0 * x)[1])
+
+    def test_grad_without_evaluated_point_raises(self):
+        problem, x = self._problem()
+        with pytest.raises(RuntimeError):
+            problem.grad()
+        problem.value(x)
+        problem.grad()
+        with pytest.raises(RuntimeError):
+            problem.grad()
+
+    def test_input_point_is_not_modified(self):
+        problem, x = self._problem()
+        before = x.copy()
+        problem.value_and_grad(x)
+        assert np.array_equal(x, before)
+
+
+def _count_gathers(monkeypatch) -> list[int]:
+    """Count the kernel's pair gathers: every evaluation goes through value."""
+    calls = [0]
+    value = _PairObjective.value
+
+    def counting(self, x):
+        calls[0] += 1
+        return value(self, x)
+
+    monkeypatch.setattr(_PairObjective, "value", counting)
+    return calls
 
 
 def _random_graph(rng, n=6):
@@ -304,8 +373,34 @@ class TestTrace:
         path = tmp_path / "trace.csv"
         write_trace(trace, path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "iteration,objective,grad_norm"
+        assert lines[0] == "iteration,objective,grad_norm,evaluations"
         assert len(lines) == len(trace.objectives) + 1
+        assert [int(line.split(",")[3]) for line in lines[1:]] == trace.evaluations
+
+    def test_no_backtracking_means_one_evaluation_per_iteration(self, monkeypatch):
+        # an instance whose line search accepts every first step: each
+        # iterate is gathered once, not once by the line search and again
+        # for its gradient
+        graph = _random_graph(np.random.default_rng(20), n=8)
+        config = FitConfig(
+            params=ModelParams(alpha=2.0, dim=3, lam=0.01), seed=20, max_iterations=20
+        )
+        gathers = _count_gathers(monkeypatch)
+        _, trace = fit_embedding(graph, config)
+        assert trace.iterations == 20
+        assert trace.evaluations == [1] * 21
+        assert gathers[0] == 21
+
+    def test_evaluations_count_backtracks(self, monkeypatch):
+        graph = _random_graph(np.random.default_rng(27), n=8)
+        config = FitConfig(
+            params=ModelParams(alpha=2.0, dim=3, lam=0.01), seed=27, max_iterations=20
+        )
+        gathers = _count_gathers(monkeypatch)
+        _, trace = fit_embedding(graph, config)
+        assert len(trace.evaluations) == len(trace.objectives)
+        assert max(trace.evaluations) > 1
+        assert sum(trace.evaluations) == gathers[0]
 
     def test_config_validation(self):
         params = ModelParams(alpha=2.0, dim=2)
