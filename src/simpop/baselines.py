@@ -17,7 +17,7 @@ import numpy as np
 
 from .affinity import AffinityGraph, PopularityTable, interaction_counts
 from .errors import ParseError
-from .recommender import RankedList, order_candidates
+from .recommender import RankedList, _by_popularity, order_candidates
 from .sessions import Action, SessionCorpus
 
 
@@ -83,8 +83,7 @@ class _CountRanker:
         self.counts = dict(counts)
 
     def rank(self, session, candidates, t) -> RankedList:
-        scored = [(c, float(self.counts.get(c, 0))) for c in _dedupe(candidates)]
-        return order_candidates(scored, t, None, anchor=None, fallback_used=False)
+        return _by_popularity(candidates, self.counts, t, fallback_used=False)
 
 
 class InteractionPopularityRanker(_CountRanker):
@@ -123,13 +122,13 @@ class CooccurrenceKnnRanker:
         self.clickout_only = clickout_only
 
     def rank(self, session, candidates, t) -> RankedList:
-        unique = _dedupe(candidates)
         prev = _previous_item(session, self.clickout_only)
         if prev is None:
-            scored = [(c, self.graph.popularity.get(c, 0.0)) for c in unique]
-            return order_candidates(scored, t, None, anchor=None, fallback_used=True)
+            return _by_popularity(
+                candidates, self.graph.popularity, t, fallback_used=True
+            )
         near = dict(self.graph.neighbors(prev)[: self.k])
-        scored = [(c, near.get(c, 0.0)) for c in unique]
+        scored = [(c, near.get(c, 0.0)) for c in _dedupe(candidates)]
         return order_candidates(
             scored, t, self.graph.popularity, anchor=prev, fallback_used=False
         )
@@ -160,17 +159,12 @@ class MetadataKnnRanker:
         self.clickout_only = clickout_only
 
     def rank(self, session, candidates, t) -> RankedList:
-        unique = _dedupe(candidates)
         prev = _previous_item(session, self.clickout_only)
         if prev is None or prev not in self.metadata:
-            pop = self.popularity
-            scored = [
-                (c, pop.get(c, 0.0) if pop is not None else 0.0) for c in unique
-            ]
-            return order_candidates(scored, t, None, anchor=None, fallback_used=True)
+            return _by_popularity(candidates, self.popularity, t, fallback_used=True)
         props = self.metadata[prev]
         scored = sorted(
-            ((c, self._cosine(props, c)) for c in unique),
+            ((c, self._cosine(props, c)) for c in _dedupe(candidates)),
             key=lambda cs: (-cs[1], cs[0]),
         )
         trimmed = [

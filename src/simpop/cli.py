@@ -14,7 +14,6 @@ import argparse
 import hashlib
 import json
 import logging
-import os
 import sys
 import time
 from pathlib import Path
@@ -165,7 +164,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         init_scale=args.init_scale,
         max_iterations=args.max_iterations,
         gradient_tolerance=args.gradient_tolerance,
-        memory=args.memory,
     )
     try:
         model, trace = fit_embedding(graph, config)
@@ -307,7 +305,6 @@ def cmd_gridsearch(args: argparse.Namespace) -> int:
         max_pairs_per_item=args.max_pairs_per_item,
         max_iterations=args.max_iterations,
         gradient_tolerance=args.gradient_tolerance,
-        n_jobs=args.threads,
     )
     write_grid_table(table, args.out)
     failed = sum(1 for c in table if c.failed)
@@ -426,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iterations", type=int, default=500)
     p.add_argument("--gradient-tolerance", type=float, default=1e-4)
     p.add_argument("--init-scale", type=float, default=1.0)
-    p.add_argument("--memory", type=int, default=10)
     p.add_argument("--pairs-out")
     p.add_argument("--popularity-out")
     p.add_argument("--trace-out")
@@ -475,12 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-pairs-per-item", type=int, default=500)
     p.add_argument("--max-iterations", type=int, default=300)
     p.add_argument("--gradient-tolerance", type=float, default=1e-4)
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("SIMPOP_THREADS", "1")),
-        help="parallel grid cells (default $SIMPOP_THREADS or 1)",
-    )
     p.set_defaults(func=cmd_gridsearch)
 
     p = sub.add_parser("synth", help="generate synthetic artifacts")

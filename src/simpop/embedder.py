@@ -39,6 +39,8 @@ from .errors import DivergenceError, MissingItemError, ValidationError
 from .model import EmbeddingModel, ModelParams, derive_squared_distance
 
 _ARMIJO_C1 = 1e-4
+#: curvature pairs the two-loop recursion keeps
+_MEMORY = 10
 _MAX_BACKTRACKS = 60
 _CURVATURE_EPS = 1e-10
 
@@ -53,7 +55,6 @@ class FitConfig:
     init_scale: float = 1.0
     max_iterations: int = 500
     gradient_tolerance: float = 1e-4
-    memory: int = 10
 
     def __post_init__(self):
         if not self.init_scale > 0:
@@ -62,8 +63,6 @@ class FitConfig:
             raise ValueError("gradient_tolerance must be > 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.memory < 1:
-            raise ValueError("memory must be >= 1")
 
 
 @dataclass
@@ -248,7 +247,7 @@ def _minimize(problem: _PairObjective, x: np.ndarray, config: FitConfig):
     trace.grad_norms.append(gnorm)
     trace.evaluations.append(1)
 
-    history: deque = deque(maxlen=config.memory)
+    history: deque = deque(maxlen=_MEMORY)
     if gnorm <= threshold:
         # covers the all-equal start, where the gradient is exactly zero
         trace.converged = True

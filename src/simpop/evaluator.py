@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -169,27 +168,24 @@ class GridCell:
     error: str = ""
 
 
-@dataclass(frozen=True)
-class _CellJob:
-    graph: AffinityGraph
-    holdout: SessionCorpus
-    truth: dict[str, str]
-    config: FitConfig
-
-
-def _run_cell(job: _CellJob) -> GridCell:
-    cfg = job.config
+def _run_cell(
+    graph: AffinityGraph,
+    holdout: SessionCorpus,
+    truth: Mapping[str, str],
+    config: FitConfig,
+) -> GridCell:
+    params = config.params
     cell = GridCell(
-        dim=cfg.params.dim, lam=cfg.params.lam, alpha=cfg.params.alpha, seed=cfg.seed
+        dim=params.dim, lam=params.lam, alpha=params.alpha, seed=config.seed
     )
     try:
-        model, trace = fit_embedding(job.graph, cfg)
+        model, trace = fit_embedding(graph, config)
     except DivergenceError as exc:
         cell.failed = True
         cell.error = str(exc)
         return cell
-    ranker = NextItemRecommender(model, popularity=job.graph.popularity)
-    report = evaluate(ranker, job.holdout, job.truth)
+    ranker = NextItemRecommender(model, popularity=graph.popularity)
+    report = evaluate(ranker, holdout, truth)
     cell.mrr = report.mrr
     cell.iterations = trace.iterations
     cell.objective = trace.objectives[-1]
@@ -206,17 +202,15 @@ def grid_search(
     max_pairs_per_item: int = 500,
     max_iterations: int = 500,
     gradient_tolerance: float = 1e-4,
-    init_scale: float = 1.0,
-    memory: int = 10,
-    n_jobs: int = 1,
 ) -> tuple[FitConfig, list[GridCell]]:
     """Fit one embedding per grid cell and score validation MRR.
 
     Train and validation must be disjoint session sets. Each cell is fitted
-    once per seed; a cell's row keeps its best seed. Failed (diverged) cells
-    stay in the table with ``failed=True``. The best configuration is the
-    highest validation MRR, ties broken toward smaller dimension, then larger
-    regularization, then smaller alpha.
+    once per seed, one fit after another in the calling process; a cell's row
+    keeps its best seed. Failed (diverged) cells stay in the table with
+    ``failed=True``. The best configuration is the highest validation MRR,
+    ties broken toward smaller dimension, then larger regularization, then
+    smaller alpha.
     """
     if set(train.sessions) & set(validation.sessions):
         raise ValidationError("train and validation sessions overlap")
@@ -231,29 +225,21 @@ def grid_search(
     if holdout.n_sessions == 0:
         raise ValidationError("validation corpus has no usable sessions")
 
-    jobs = [
-        _CellJob(
-            graph=graph,
-            holdout=holdout,
-            truth=truth,
-            config=FitConfig(
-                params=ModelParams(alpha=alpha, dim=dim, lam=lam),
-                seed=seed,
-                init_scale=init_scale,
-                max_iterations=max_iterations,
-                gradient_tolerance=gradient_tolerance,
-                memory=memory,
-            ),
+    def config(dim: int, lam: float, alpha: float, seed: int) -> FitConfig:
+        return FitConfig(
+            params=ModelParams(alpha=alpha, dim=dim, lam=lam),
+            seed=seed,
+            max_iterations=max_iterations,
+            gradient_tolerance=gradient_tolerance,
         )
+
+    # every configuration is checked before the first fit starts
+    configs = [
+        config(dim, lam, alpha, seed)
         for dim, lam, alpha in grid.cells()
         for seed in seeds
     ]
-
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(_run_cell, jobs))
-    else:
-        results = [_run_cell(job) for job in jobs]
+    results = [_run_cell(graph, holdout, truth, cfg) for cfg in configs]
 
     # one row per grid cell: the best seed wins
     by_cell: dict[tuple[int, float, float], GridCell] = {}
@@ -268,14 +254,7 @@ def grid_search(
     if not usable:
         raise SimpopError("every grid cell failed")
     winner = min(usable, key=lambda c: (-c.mrr, c.dim, -c.lam, c.alpha, c.seed))
-    best_config = FitConfig(
-        params=ModelParams(alpha=winner.alpha, dim=winner.dim, lam=winner.lam),
-        seed=winner.seed,
-        init_scale=init_scale,
-        max_iterations=max_iterations,
-        gradient_tolerance=gradient_tolerance,
-        memory=memory,
-    )
+    best_config = config(winner.dim, winner.lam, winner.alpha, winner.seed)
     log.info(
         "grid search winner: dim=%d lambda=%g alpha=%g (MRR %.4f)",
         winner.dim,

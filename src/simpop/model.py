@@ -17,7 +17,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -85,19 +85,6 @@ class EmbeddingModel:
         self.coords = coords[order]
         self.kappa = kappa[order]
         self._index = {item: k for k, item in enumerate(self.ids)}
-
-    @classmethod
-    def from_items(
-        cls,
-        params: ModelParams,
-        items: Mapping[str, tuple[Sequence[float], float]],
-    ) -> "EmbeddingModel":
-        ids = sorted(items)
-        coords = np.array([items[i][0] for i in ids], dtype=np.float64)
-        kappa = np.array([items[i][1] for i in ids], dtype=np.float64)
-        if coords.size == 0:
-            coords = coords.reshape(0, params.dim)
-        return cls(params, ids, coords, kappa)
 
     def __len__(self) -> int:
         return len(self.ids)

@@ -9,7 +9,7 @@ session with no scorable item at all falls back to a pure popularity ranking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, Iterable, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 from .affinity import PopularityTable
 from .errors import NoAnchorError, ValidationError
@@ -63,6 +63,24 @@ def order_candidates(
     return RankedList(
         items=tuple(ordered[: max(t, 0)]),
         anchor=anchor,
+        fallback_used=fallback_used,
+    )
+
+
+def _by_popularity(
+    candidates: Iterable[str],
+    popularity: Mapping[str, float] | PopularityTable | None,
+    t: int,
+    fallback_used: bool,
+) -> RankedList:
+    """Candidates, each once, ordered by popularity (unknown items and a
+    missing table count 0), then id."""
+    get = popularity.get if popularity is not None else (lambda item, d: d)
+    return order_candidates(
+        ((c, float(get(c, 0))) for c in dict.fromkeys(candidates)),
+        t,
+        None,
+        anchor=None,
         fallback_used=fallback_used,
     )
 
@@ -147,19 +165,11 @@ def recommend(
     if t < 1:
         raise ValueError("t must be >= 1")
     pop = popularity if popularity is not None else _model_popularity(model)
+    pool = candidates if candidates is not None else model.ids
     try:
         anchor = anchor_item(session, pop, universe=model, mode=anchor_mode)
     except NoAnchorError:
-        pool = candidates if candidates is not None else model.ids
-        unique = dict.fromkeys(pool)
-        return order_candidates(
-            ((c, pop.get(c, 0.0)) for c in unique),
-            t,
-            None,
-            anchor=None,
-            fallback_used=True,
-        )
-    pool = candidates if candidates is not None else model.ids
+        return _by_popularity(pool, pop, t, fallback_used=True)
     return rank_candidates(model, anchor, pool, t, popularity=pop)
 
 
@@ -179,24 +189,22 @@ class NextItemRecommender:
         model: EmbeddingModel,
         popularity: PopularityTable | None = None,
         anchor_mode: str = "global",
-        t: int = 25,
     ):
         self.model = model
         self.popularity = popularity if popularity is not None else _model_popularity(model)
         self.anchor_mode = anchor_mode
-        self.default_t = t
 
     def rank(
         self,
         session: Sequence[Action],
-        candidates: Sequence[str] | None = None,
-        t: int | None = None,
+        candidates: Sequence[str] | None,
+        t: int,
     ) -> RankedList:
         return recommend(
             self.model,
             session,
             candidates=candidates,
-            t=t if t is not None else self.default_t,
+            t=t,
             popularity=self.popularity,
             anchor_mode=self.anchor_mode,
         )

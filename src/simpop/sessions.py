@@ -16,6 +16,7 @@ with the default schema; extra columns are ignored.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import gzip
 import io
@@ -25,7 +26,7 @@ import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -172,9 +173,8 @@ def parse_session_log(
     source: str | Path | IO,
     schema: Mapping[str, str] | None = None,
     role: Role = Role.TRAIN,
-    delimiter: str = ",",
 ) -> SessionCorpus:
-    """Parse a delimiter-separated session log into a validated corpus.
+    """Parse a comma-separated session log into a validated corpus.
 
     Args:
         source: path to a (optionally ``.gz``) file, or an open stream.
@@ -183,21 +183,20 @@ def parse_session_log(
             ``impressions``) to column names; defaults to the canonical
             layout.
         role: corpus role to stamp on the result.
-        delimiter: field separator, comma by default.
 
     Raises:
-        ParseError: wrong column count, unknown required column, or a
-            non-integer step/timestamp, with the offending line number.
+        ParseError: wrong column count, unknown required column, a
+            non-integer step/timestamp, or a row the CSV reader rejects
+            (e.g. an over-long field), with the offending line number.
         ValidationError: duplicate or non-contiguous steps, or a clickout
             violating the impression invariants.
     """
     schema = dict(DEFAULT_SCHEMA, **(schema or {}))
     with _open_text(source) as stream:
-        reader = csv.reader(stream, delimiter=delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty input, expected a header row", 1) from None
+        rows = _numbered_rows(stream)
+        _, header = next(rows, (1, None))
+        if header is None:
+            raise ParseError("empty input, expected a header row", 1)
         col_index: dict[str, int] = {}
         for field, column in schema.items():
             try:
@@ -210,10 +209,7 @@ def parse_session_log(
 
         actions: list[Action] = []
         n_cols = len(header)
-        end = reader.line_num
-        for row in reader:
-            # a quoted field may span lines; name the line the row starts on
-            line, end = end + 1, reader.line_num
+        for line, row in rows:
             if not row:
                 continue
             if len(row) != n_cols:
@@ -222,6 +218,22 @@ def parse_session_log(
                 )
             actions.append(_row_to_action(row, col_index, line))
     return SessionCorpus.from_actions(actions, role)
+
+
+def _numbered_rows(stream: IO) -> Iterator[tuple[int, list[str]]]:
+    """CSV rows, each with the line it starts on (a quoted field may span
+    lines). A row the reader rejects raises ParseError naming that line."""
+    reader = csv.reader(stream)
+    line = 1
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ParseError(f"unreadable CSV row: {exc}", line) from None
+        yield line, row
+        line = reader.line_num + 1
 
 
 def _row_to_action(row: list[str], col: Mapping[str, int], line: int) -> Action:
@@ -261,22 +273,12 @@ def _open_text(source: str | Path | IO) -> IO:
         if path.suffix == ".gz":
             return gzip.open(path, "rt", encoding="utf-8", newline="")
         return open(path, "r", encoding="utf-8", newline="")
+    # a caller-owned stream stays open
     if isinstance(source, io.TextIOBase):
-        return _nonclosing(source)
-    return _nonclosing(io.TextIOWrapper(source, encoding="utf-8", newline=""))
-
-
-class _nonclosing:
-    """Context wrapper that leaves caller-owned streams open."""
-
-    def __init__(self, stream: IO):
-        self.stream = stream
-
-    def __enter__(self) -> IO:
-        return self.stream
-
-    def __exit__(self, *exc) -> None:
-        pass
+        return contextlib.nullcontext(source)
+    return contextlib.nullcontext(
+        io.TextIOWrapper(source, encoding="utf-8", newline="")
+    )
 
 
 def write_corpus(corpus: SessionCorpus, path: str | Path) -> None:
@@ -329,12 +331,22 @@ def write_truth(truth: Mapping[str, str], path: str | Path) -> None:
 
 
 def read_truth(path: str | Path) -> dict[str, str]:
+    """Read a hidden-target map written by ``write_truth``."""
     with open(path, "r", encoding="utf-8", newline="") as stream:
-        reader = csv.reader(stream)
-        header = next(reader, None)
-        if header != ["session_id", "item_id"]:
+        rows = _numbered_rows(stream)
+        if next(rows, (1, None))[1] != ["session_id", "item_id"]:
             raise ParseError("expected header 'session_id,item_id'", 1)
-        return {row[0]: row[1] for row in reader if row}
+        truth: dict[str, str] = {}
+        for line, row in rows:
+            if not row:
+                continue
+            if len(row) != 2:
+                raise ParseError(
+                    f"malformed truth row in {path}: {len(row)} fields, expected 2",
+                    line,
+                )
+            truth[row[0]] = row[1]
+        return truth
 
 
 # ---------------------------------------------------------------------------
@@ -415,21 +427,19 @@ def subsample_sessions(
     corpus: SessionCorpus,
     fraction: float,
     seed: int = 0,
-    stratify_by_length: bool = True,
 ) -> SessionCorpus:
     """Draw a deterministic session subsample.
 
-    With ``stratify_by_length`` the draw preserves the session-length
-    distribution: sessions are bucketed by action count and sampled
-    independently, rounding each bucket's quota.
+    The draw preserves the session-length distribution: sessions are
+    bucketed by action count and sampled independently, rounding each
+    bucket's quota.
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     rng = np.random.default_rng(seed)
     buckets: dict[int, list[str]] = {}
     for sid in sorted(corpus.sessions):
-        key = len(corpus.sessions[sid]) if stratify_by_length else 0
-        buckets.setdefault(key, []).append(sid)
+        buckets.setdefault(len(corpus.sessions[sid]), []).append(sid)
     chosen: list[str] = []
     for key in sorted(buckets):
         sids = buckets[key]

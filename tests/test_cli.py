@@ -76,10 +76,16 @@ class TestIngest:
 
     def test_malformed_row_exits_2(self, workdir, capsys):
         bad = workdir / "bad.csv"
-        bad.write_text(f"{HEADER}\nu1,s1,notatime,1,interaction item info,A,\n")
-        code = main(["ingest", "--input", str(bad), "--out", str(workdir / "o.csv")])
-        assert code == 2
-        assert "error" in capsys.readouterr().err
+        rows = (
+            "u1,s1,notatime,1,interaction item info,A,",
+            # a field beyond the csv module's 131,072-character limit
+            f"u1,s1,1000,1,clickout item,A,A|{'B' * 140_000}",
+        )
+        for row in rows:
+            bad.write_text(f"{HEADER}\n{row}\n")
+            code = main(["ingest", "--input", str(bad), "--out", str(workdir / "o.csv")])
+            assert code == 2
+            assert "line 2" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, workdir):
         code = main(
@@ -270,6 +276,20 @@ class TestRecommendAndEvaluate:
         )
         assert code == 2
 
+    def test_truth_row_without_two_fields_exits_2(self, workdir, trained, capsys):
+        corpus, model_path = trained
+        truth = workdir / "truth.csv"
+        truth.write_text("session_id,item_id\nt000000\n")
+        code = main(
+            [
+                "evaluate", "--ranker", "proposed", "--model", str(model_path),
+                "--test-corpus", str(corpus), "--truth", str(truth),
+                "--out", str(workdir / "r.csv"),
+            ]
+        )
+        assert code == 2
+        assert "line 2" in capsys.readouterr().err
+
 
 class TestSynthCommands:
     def test_synth_sessions_then_full_pipeline(self, tmp_path, capsys):
@@ -331,3 +351,18 @@ class TestGridsearchCommand:
         lines = table_path.read_text().splitlines()
         assert len(lines) == 3
         assert "best:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gridsearch", "--corpus", "c.csv", "--out", "g.csv", "--threads", "2"],
+        ["train", "--corpus", "c.csv", "--out", "m.txt", "--memory", "5"],
+    ],
+    ids=["gridsearch-threads", "train-memory"],
+)
+def test_removed_flags_are_unknown(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -410,5 +410,3 @@ class TestTrace:
             FitConfig(params=params, gradient_tolerance=0.0)
         with pytest.raises(ValueError):
             FitConfig(params=params, max_iterations=0)
-        with pytest.raises(ValueError):
-            FitConfig(params=params, memory=0)

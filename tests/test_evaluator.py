@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from simpop.affinity import build_affinity_graph
 from simpop.baselines import RandomRanker
+from simpop.embedder import FitConfig, fit_embedding
 from simpop.errors import ValidationError
 from simpop.evaluator import (
     SearchGrid,
@@ -16,8 +18,15 @@ from simpop.evaluator import (
     write_grid_table,
     write_report,
 )
-from simpop.recommender import RankedList
-from simpop.sessions import Role, SessionCorpus, hide_test_targets, split_by_time
+from simpop.model import ModelParams
+from simpop.recommender import NextItemRecommender, RankedList
+from simpop.sessions import (
+    Role,
+    SessionCorpus,
+    hide_test_targets,
+    prepare_holdout,
+    split_by_time,
+)
 from simpop.synth import SynthConfig, generate
 
 from conftest import clickout, make_action
@@ -234,6 +243,29 @@ class TestGridSearch:
             expected.lam,
             expected.alpha,
         )
+
+    def test_cells_match_direct_fits(self, small_world):
+        train, validation = small_world
+        grid = SearchGrid(dims=(2, 3), lambdas=(0.01,), alphas=(2.0,))
+        _, table = grid_search(train, validation, grid=grid, max_iterations=30)
+        assert len(table) == 2
+        graph = build_affinity_graph(train, 2, 500)
+        holdout, truth, _ = prepare_holdout(validation)
+        for cell, dim in zip(table, (2, 3)):
+            config = FitConfig(
+                params=ModelParams(alpha=2.0, dim=dim, lam=0.01),
+                seed=0,
+                max_iterations=30,
+            )
+            model, trace = fit_embedding(graph, config)
+            ranker = NextItemRecommender(model, popularity=graph.popularity)
+            report = evaluate(ranker, holdout, truth)
+            assert (cell.dim, cell.lam, cell.alpha, cell.seed) == (dim, 0.01, 2.0, 0)
+            assert not cell.failed
+            assert cell.mrr == report.mrr
+            assert cell.iterations == trace.iterations
+            assert cell.objective == trace.objectives[-1]
+            assert cell.converged == trace.converged
 
     def test_overlapping_split_rejected(self, small_world):
         train, _ = small_world
