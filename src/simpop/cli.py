@@ -79,6 +79,7 @@ def _write_manifest(
     outputs: list[Path],
     seeds: list[int],
     started: float,
+    counts: dict[str, int] | None = None,
 ) -> None:
     flags = {
         k: (str(v) if isinstance(v, Path) else v)
@@ -94,6 +95,8 @@ def _write_manifest(
         "outputs": [str(p) for p in outputs],
         "wall_time_s": round(time.perf_counter() - started, 3),
     }
+    if counts is not None:
+        manifest["counts"] = counts
     path = Path(str(primary_out) + ".manifest.json")
     with open(path, "w", encoding="utf-8") as out:
         json.dump(manifest, out, indent=2, sort_keys=True)
@@ -193,6 +196,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_recommend(args: argparse.Namespace) -> int:
+    started = time.perf_counter()
     model = read_model(args.model)
     corpus = parse_session_log(args.session, role=Role.TEST)
     if args.session_id:
@@ -219,6 +223,12 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
+        inputs = [args.model, args.session]
+        if args.popularity:
+            inputs.append(Path(args.popularity))
+        _write_manifest(
+            "recommend", args, args.out, inputs, [Path(args.out)], [], started
+        )
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -276,7 +286,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     print(
         f"{report.ranker_name}: MRR {report.mrr:.4f}  "
         + "  ".join(f"MAP@{n} {report.map_at[n]:.4f}" for n in cutoffs)
-        + f"  ({report.n_sessions} sessions, {report.n_skipped} skipped)"
+        + f"  ({report.n_sessions} sessions, {report.n_skipped} skipped, "
+        f"{report.n_fallback} by popularity fallback)"
     )
     inputs = [args.test_corpus, Path(args.truth)]
     if args.model:
@@ -284,7 +295,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.train_corpus:
         inputs.append(Path(args.train_corpus))
     _write_manifest(
-        "evaluate", args, args.out, inputs, [args.out], [args.seed], started
+        "evaluate", args, args.out, inputs, [args.out], [args.seed], started,
+        counts={"fallback": report.n_fallback},
     )
     return EXIT_OK
 

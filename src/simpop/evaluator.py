@@ -56,6 +56,7 @@ class EvalReport:
     map_at: dict[int, float]
     n_sessions: int
     n_skipped: int
+    n_fallback: int
     hyperparameters: dict | None = None
 
 
@@ -71,11 +72,13 @@ def evaluate(
     Sessions without a target clickout carrying impressions, or without an
     entry in the truth map, are skipped and counted separately. A truth item
     missing from its own impression list is a retained miss (rank None).
+    Sessions the ranker ordered by its popularity fallback are counted too.
     """
     per_session: list[tuple[str, int | None]] = []
     rr_sum = 0.0
     hit_sums = {n: 0.0 for n in ns}
     skipped = 0
+    fallback = 0
     for sid in sorted(test.sessions):
         actions = test.sessions[sid]
         target = _target_clickout(actions)
@@ -85,6 +88,7 @@ def evaluate(
         candidates = list(target.impressions)
         ranked = ranker.rank(actions, candidates, len(candidates))
         rank = ranked.rank_of(truth[sid])
+        fallback += ranked.fallback_used
         per_session.append((sid, rank))
         if rank is not None:
             rr_sum += 1.0 / rank
@@ -101,6 +105,7 @@ def evaluate(
         map_at={n: hit_sums[n] / (n * n_eval) if n_eval else 0.0 for n in ns},
         n_sessions=n_eval,
         n_skipped=skipped,
+        n_fallback=fallback,
         hyperparameters=hyperparameters,
     )
 

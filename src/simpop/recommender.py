@@ -11,9 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Container, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .affinity import PopularityTable
 from .errors import NoAnchorError, ValidationError
-from .model import EmbeddingModel, connection_probabilities
+from .model import EmbeddingModel, _law, connection_probabilities
 from .sessions import Action
 
 
@@ -170,7 +172,36 @@ def recommend(
         anchor = anchor_item(session, pop, universe=model, mode=anchor_mode)
     except NoAnchorError:
         return _by_popularity(pool, pop, t, fallback_used=True)
+    if candidates is None:
+        return _catalog_top(model, anchor, t, pop)
     return rank_candidates(model, anchor, pool, t, popularity=pop)
+
+
+def _catalog_top(
+    model: EmbeddingModel, anchor: str, t: int, popularity: PopularityTable
+) -> RankedList:
+    """The catalog ranked against ``anchor``, cut to ``t``: equal to
+    ``rank_candidates`` over every model id, without sorting the catalog.
+
+    Only the items scoring at least the t-th largest score reach
+    ``order_candidates``; every item tied at that boundary goes with them, so
+    popularity and id still break the ties.
+    """
+    a = model.index_of(anchor)
+    scores = _law(model, a, slice(None))
+    scores[a] = -np.inf
+    k = min(t, len(model) - 1)
+    top: list[int] = []
+    if k:
+        kth = np.partition(scores, -k)[-k]
+        top = np.flatnonzero(scores >= kth).tolist()
+    return order_candidates(
+        ((model.ids[i], float(scores[i])) for i in top),
+        t,
+        popularity,
+        anchor=anchor,
+        fallback_used=False,
+    )
 
 
 def _model_popularity(model: EmbeddingModel) -> PopularityTable:

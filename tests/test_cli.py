@@ -232,6 +232,61 @@ class TestRecommendAndEvaluate:
         assert self._recommend_with_popularity(workdir, model_path, popularity) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_recommend_out_writes_manifest(self, workdir, trained, capsys):
+        _, model_path = trained
+        popularity = workdir / "model.txt.popularity.tsv"
+        assert self._recommend_with_popularity(workdir, model_path, popularity) == 0
+        before = sorted(workdir.glob("*.manifest.json"))
+        out = workdir / "ranked.csv"
+        code = main(
+            [
+                "recommend", "--model", str(model_path),
+                "--session", str(workdir / "active.csv"),
+                "--popularity", str(popularity), "--out", str(out),
+            ]
+        )
+        assert code == 0
+        manifest = json.loads((workdir / "ranked.csv.manifest.json").read_text())
+        assert manifest["command"] == "recommend"
+        assert set(manifest["inputs"]) == {
+            str(model_path), str(workdir / "active.csv"), str(popularity)
+        }
+        assert manifest["outputs"] == [str(out)]
+        # printing to stdout writes no manifest
+        assert sorted(workdir.glob("*.manifest.json")) == sorted(
+            before + [workdir / "ranked.csv.manifest.json"]
+        )
+
+    def test_evaluate_counts_popularity_fallback(self, workdir, trained, capsys):
+        _, model_path = trained
+        (workdir / "raw_test.csv").write_text(
+            RAW_TEST
+            + "u8,t2,8000,1,interaction item info,Z,\n"
+            + "u8,t2,8001,2,clickout item,B,B|C|Z\n"
+        )
+        test_corpus, truth = workdir / "test_corpus.csv", workdir / "truth.csv"
+        main(
+            [
+                "ingest", "--input", str(workdir / "raw_test.csv"),
+                "--out", str(test_corpus), "--role", "test",
+                "--truth-out", str(truth),
+            ]
+        )
+        report = workdir / "report.csv"
+        code = main(
+            [
+                "evaluate", "--ranker", "proposed", "--model", str(model_path),
+                "--test-corpus", str(test_corpus), "--truth", str(truth),
+                "--out", str(report),
+            ]
+        )
+        assert code == 0
+        assert "(2 sessions, 0 skipped, 1 by popularity fallback)" in (
+            capsys.readouterr().out
+        )
+        manifest = json.loads((workdir / "report.csv.manifest.json").read_text())
+        assert manifest["counts"] == {"fallback": 1}
+
     def test_evaluate_baseline_and_proposed(self, workdir, trained, capsys):
         corpus, model_path = trained
         test_corpus = workdir / "test_corpus.csv"

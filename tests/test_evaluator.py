@@ -3,6 +3,7 @@ and the hyperparameter grid."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from simpop.affinity import build_affinity_graph
@@ -18,7 +19,7 @@ from simpop.evaluator import (
     write_grid_table,
     write_report,
 )
-from simpop.model import ModelParams
+from simpop.model import EmbeddingModel, ModelParams
 from simpop.recommender import NextItemRecommender, RankedList
 from simpop.sessions import (
     Role,
@@ -117,7 +118,28 @@ class TestEvaluateProtocol:
         assert report.map_at[10] == pytest.approx(float(Fraction(3, 3)) / 10)
         assert report.n_sessions == 3
         assert report.n_skipped == 0
+        assert report.n_fallback == 0
         assert dict(report.per_session) == {"u1": 1, "u2": 2, "u3": 4}
+
+    def test_counts_popularity_fallback_sessions(self):
+        imps = ["c1", "c2", "c3"]
+        model = EmbeddingModel(
+            ModelParams(alpha=2.0, dim=1), imps, np.arange(3.0)[:, None], np.ones(3)
+        )
+        corpus = SessionCorpus.from_actions(
+            [
+                make_action("u1", 1, item="c1"),
+                clickout("u1", 2, "c2", imps),
+                # no item of this session is in the model
+                make_action("u2", 1, item="zz"),
+                clickout("u2", 2, "c3", imps),
+            ],
+            Role.TEST,
+        )
+        blinded, truth = hide_test_targets(corpus)
+        report = evaluate(NextItemRecommender(model), blinded, truth)
+        assert report.n_sessions == 2
+        assert report.n_fallback == 1
 
     def test_perfect_ranker_reaches_upper_bounds(self):
         blinded, truth = three_session_fixture()

@@ -1,16 +1,18 @@
-"""Anchor selection, candidate ranking, rerank/fallback modes, and the
-exhaustive score-and-sort oracle."""
+"""Anchor selection, candidate ranking, rerank/fallback modes, the
+exhaustive score-and-sort oracle, and catalog top-k against a full sort."""
 
 import numpy as np
 import pytest
 
 from simpop.affinity import PopularityTable
 from simpop.errors import MissingItemError, NoAnchorError, ValidationError
-from simpop.model import EmbeddingModel, ModelParams
+from simpop import recommender
+from simpop.model import EmbeddingModel, ModelParams, connection_probabilities
 from simpop.recommender import (
     NextItemRecommender,
     RankedList,
     anchor_item,
+    order_candidates,
     rank_candidates,
     recommend,
 )
@@ -229,6 +231,99 @@ class TestRecommend:
         ranked = recommend(model, session, candidates=["item0", "item2"], t=5, popularity=pop)
         assert ranked.anchor == "item1"
         assert not ranked.fallback_used
+
+
+def tie_model(n=300, seed=0):
+    """Integer grid coordinates and kappa in {1, 2}: many scores tie."""
+    rng = np.random.default_rng(seed)
+    ids = [f"t{k:03d}" for k in range(n)]
+    coords = rng.integers(-2, 3, size=(n, 2)).astype(float)
+    kappa = rng.integers(1, 3, size=n).astype(float)
+    return EmbeddingModel(ModelParams(alpha=2.0, dim=2), ids, coords, kappa)
+
+
+def full_sort(model, anchor, t, popularity):
+    """Today's catalog ranking: every non-anchor item scored, then ordered."""
+    rest = [i for i in model.ids if i != anchor]
+    scores = connection_probabilities(model, anchor, rest)
+    return order_candidates(
+        zip(rest, map(float, scores)), t, popularity, anchor=anchor, fallback_used=False
+    )
+
+
+class TestCatalogTopK:
+    def kappa_table(self, model):
+        return PopularityTable(dict(zip(model.ids, map(float, model.kappa))))
+
+    def test_equals_full_sort_with_ties(self):
+        model = tie_model()
+        n = len(model)
+        table = self.kappa_table(model)
+        for anchor in model.ids[::37]:
+            ref = full_sort(model, anchor, n, table)
+            scores = [s for _, s in ref.items]
+            assert len(set(scores[:10])) < 10  # the fixture ties near the top
+            for t in (1, 10, n - 1, n, n + 5):
+                got = recommend(model, session_of(anchor), t=t)
+                assert got.items == full_sort(model, anchor, t, table).items
+                assert got.anchor == anchor and not got.fallback_used
+                assert anchor not in got.item_ids()
+                assert len(got) == min(t, n - 1)
+
+    def test_popularity_table_breaks_ties(self):
+        model = tie_model()
+        n = len(model)
+        # an order unrelated to kappa, so the table and not kappa breaks ties
+        rng = np.random.default_rng(1)
+        table = PopularityTable(
+            {item: float(rng.integers(1, 6)) for item in model.ids}
+        )
+        differs = False
+        for anchor in model.ids[::37]:
+            for t in (1, 10, n - 1, n, n + 5):
+                got = recommend(model, session_of(anchor), t=t, popularity=table)
+                assert got.items == full_sort(model, anchor, t, table).items
+                assert anchor not in got.item_ids()
+                differs |= got.items != full_sort(
+                    model, anchor, t, self.kappa_table(model)
+                ).items
+        assert differs
+
+    def test_one_item_model_gives_empty_list(self):
+        model = grid_model(1)
+        for t in (1, 10):
+            ranked = recommend(model, session_of("item0"), t=t)
+            assert ranked.items == ()
+            assert ranked.anchor == "item0"
+            assert not ranked.fallback_used
+
+    def test_orders_only_top_t(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        n = 2000
+        model = EmbeddingModel(
+            ModelParams(alpha=2.0, dim=3),
+            [f"d{k:04d}" for k in range(n)],
+            rng.normal(size=(n, 3)),
+            rng.uniform(1, 10, size=n),
+        )
+        anchor = model.ids[5]
+        rest = [i for i in model.ids if i != anchor]
+        assert len(set(connection_probabilities(model, anchor, rest))) == n - 1
+        received = []
+
+        def spy(scored, *args, **kwargs):
+            scored = list(scored)
+            received.append(len(scored))
+            return order_candidates(scored, *args, **kwargs)
+
+        monkeypatch.setattr(recommender, "order_candidates", spy)
+        for t in (1, 10, 200):
+            ranked = recommend(model, session_of(anchor), t=t)
+            # distinct scores leave no boundary ties
+            assert received[-1] == t
+            assert ranked.items == full_sort(
+                model, anchor, t, self.kappa_table(model)
+            ).items
 
 
 class TestRankerInterface:
