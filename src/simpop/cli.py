@@ -79,7 +79,7 @@ def _write_manifest(
     outputs: list[Path],
     seeds: list[int],
     started: float,
-    counts: dict[str, int] | None = None,
+    counts: dict[str, int | str] | None = None,
 ) -> None:
     flags = {
         k: (str(v) if isinstance(v, Path) else v)
@@ -164,7 +164,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = FitConfig(
         params=ModelParams(alpha=args.alpha, dim=args.dim, lam=args.lam),
         seed=args.seed,
-        init_scale=args.init_scale,
         max_iterations=args.max_iterations,
         gradient_tolerance=args.gradient_tolerance,
     )
@@ -180,8 +179,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     print(
         f"trained {len(model)} items (dim={args.dim}, alpha={args.alpha}, "
         f"lambda={args.lam}): {trace.iterations} iterations, "
-        f"objective {trace.objectives[-1]:.6g}, "
-        f"{'converged' if trace.converged else trace.stop_reason}"
+        f"objective {trace.objectives[-1]:.6g}, {trace.stop_reason}"
     )
     _write_manifest(
         "train",
@@ -191,6 +189,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         [args.out, Path(pairs_out), Path(popularity_out), Path(trace_out)],
         [args.seed],
         started,
+        counts={"iterations": trace.iterations, "stop_reason": trace.stop_reason},
     )
     return EXIT_OK
 
@@ -434,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-pairs-per-item", type=int, default=500)
     p.add_argument("--max-iterations", type=int, default=500)
     p.add_argument("--gradient-tolerance", type=float, default=1e-4)
-    p.add_argument("--init-scale", type=float, default=1.0)
     p.add_argument("--pairs-out")
     p.add_argument("--popularity-out")
     p.add_argument("--trace-out")

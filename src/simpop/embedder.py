@@ -12,9 +12,25 @@ whose gradient at item i is
 
 The objective is non-convex, so only a local minimum is found and the start
 point matters: an all-equal initialization (e.g. all zeros) is a stationary
-point with exactly zero gradient, so coordinates must be randomized. Descent
-is limited-memory quasi-Newton (two-loop recursion) with Armijo backtracking,
-degrading to plain gradient steps whenever no valid curvature pairs are held.
+point with exactly zero gradient, so coordinates must be randomized. They
+start uniform in [-s, s] per component with s = sqrt(3 median(t) / (2 D)),
+the scale at which a pair's expected squared distance, 2 D s^2 / 3, equals
+the median target. Descent is limited-memory quasi-Newton (two-loop
+recursion) with Armijo backtracking, degrading to plain gradient steps
+whenever no valid curvature pairs are held.
+
+Two rules stop the fit before its iteration cap. The gradient rule stops
+once the gradient norm falls to the configured fraction of its start
+(``stop_reason`` "gradient_tolerance"). The objective rule stops once ten
+iterations lowered f by at most 1e-5 of its value, f[k-10] - f[k] <=
+1e-5 f[k] (``stop_reason`` "objective_decrease"), the ``ftol`` test of
+L-BFGS-B: least squares on squared distances flattens out long before its
+gradient reaches a small relative tolerance.
+
+Every reduction the fit makes to a scalar (the objective, inner products
+and norms) runs through numpy's own einsum loops rather than BLAS, whose
+threaded dot products sum in an order that depends on the thread count; so a
+seed gives the same coordinates under any ``OPENBLAS_NUM_THREADS``.
 
 Each line-search trial gathers its pair differences once; the accepted
 trial's gradient is scattered from that same gather, with one flat
@@ -39,6 +55,9 @@ from .errors import DivergenceError, MissingItemError, ValidationError
 from .model import EmbeddingModel, ModelParams, derive_squared_distance
 
 _ARMIJO_C1 = 1e-4
+#: the objective rule: stop once f[k - _FTOL_WINDOW] - f[k] <= _FTOL * f[k]
+_FTOL_WINDOW = 10
+_FTOL = 1e-5
 #: curvature pairs the two-loop recursion keeps
 _MEMORY = 10
 _MAX_BACKTRACKS = 60
@@ -52,13 +71,10 @@ class FitConfig:
 
     params: ModelParams
     seed: int = 0
-    init_scale: float = 1.0
     max_iterations: int = 500
     gradient_tolerance: float = 1e-4
 
     def __post_init__(self):
-        if not self.init_scale > 0:
-            raise ValueError("init_scale must be > 0")
         if not self.gradient_tolerance > 0:
             raise ValueError("gradient_tolerance must be > 0")
         if self.max_iterations < 1:
@@ -78,6 +94,9 @@ class FitTrace:
     final_grad_norm: float = float("nan")
     wall_time_s: float = 0.0
     converged: bool = False
+    #: the rule that ended the fit: "gradient_tolerance", "objective_decrease"
+    #: and "stationary_start" set ``converged``; "max_iterations" and
+    #: "line_search_failed" do not
     stop_reason: str = ""
 
 
@@ -167,7 +186,7 @@ class _PairObjective:
         diff = coords.take(self.ii, axis=0)
         diff -= coords.take(self.jj, axis=0)
         r = np.einsum("ij,ij->i", diff, diff) - self.d2
-        f = float(r @ r + self.lam * np.einsum("ij,ij->", coords, coords))
+        f = _dot(r, r) + self.lam * float(np.einsum("ij,ij->", coords, coords))
         self._point = coords, diff, r
         return f
 
@@ -205,11 +224,14 @@ def fit_embedding(
 ) -> tuple[EmbeddingModel, FitTrace]:
     """Fit item coordinates to the targets derived from an affinity graph.
 
-    Coordinates start uniform in [-init_scale, init_scale] per component from
-    the configured seed; ``initial_coords`` (an (n_items, dim) array aligned
-    with the graph's sorted item order) overrides that for warm starts and
-    diagnostics. Raises DivergenceError, with the partial trace attached, if
-    the objective or gradient turns non-finite on an accepted iterate.
+    Coordinates start uniform in [-s, s] per component from the configured
+    seed, with s = sqrt(3 median(targets) / (2 dim)) so that the start's
+    expected pair squared distance equals the median target (the mean
+    target when more than half are zero); ``initial_coords`` (an
+    (n_items, dim) array aligned with the graph's sorted item order)
+    overrides that for warm starts and diagnostics. Raises DivergenceError,
+    with the partial trace attached, if the objective or gradient turns
+    non-finite on an accepted iterate.
     """
     if graph.n_pairs == 0:
         raise ValidationError("cannot fit an empty affinity graph")
@@ -218,8 +240,10 @@ def fit_embedding(
     n = len(ids)
 
     if initial_coords is None:
+        typical = float(np.median(d2)) or float(np.mean(d2))
+        scale = float(np.sqrt(3.0 * typical / (2.0 * params.dim)))
         rng = np.random.default_rng(config.seed)
-        x0 = rng.uniform(-config.init_scale, config.init_scale, size=(n, params.dim))
+        x0 = rng.uniform(-scale, scale, size=(n, params.dim))
     else:
         x0 = np.asarray(initial_coords, dtype=np.float64)
         if x0.shape != (n, params.dim):
@@ -241,7 +265,7 @@ def _minimize(problem: _PairObjective, x: np.ndarray, config: FitConfig):
 
     f, g = problem.value_and_grad(x)
     _require_finite(f, g, 0, trace)
-    gnorm = float(np.linalg.norm(g))
+    gnorm = _norm(g)
     threshold = config.gradient_tolerance * gnorm
     trace.objectives.append(f)
     trace.grad_norms.append(gnorm)
@@ -251,16 +275,16 @@ def _minimize(problem: _PairObjective, x: np.ndarray, config: FitConfig):
     if gnorm <= threshold:
         # covers the all-equal start, where the gradient is exactly zero
         trace.converged = True
-        trace.stop_reason = "stationary_start" if gnorm == 0.0 else "converged"
+        trace.stop_reason = "stationary_start" if gnorm == 0.0 else "gradient_tolerance"
     else:
         trace.stop_reason = "max_iterations"
         for iteration in range(1, config.max_iterations + 1):
             direction = _two_loop_direction(g, history)
-            slope = float(g @ direction)
+            slope = _dot(g, direction)
             if slope >= 0.0:
                 # quasi-Newton direction lost descent; fall back to steepest
                 direction = -g
-                slope = -float(g @ g)
+                slope = -_dot(g, g)
             x_new, f_new, evaluations = _backtrack(
                 problem, x, f, direction, slope, not history
             )
@@ -273,18 +297,25 @@ def _minimize(problem: _PairObjective, x: np.ndarray, config: FitConfig):
 
             s = x_new - x
             y = g_new - g
-            sy = float(s @ y)
-            if sy > _CURVATURE_EPS * np.linalg.norm(s) * np.linalg.norm(y):
+            sy = _dot(s, y)
+            if sy > _CURVATURE_EPS * _norm(s) * _norm(y):
                 history.append((s, y, 1.0 / sy))
 
             x, f, g = x_new, f_new, g_new
-            gnorm = float(np.linalg.norm(g))
+            gnorm = _norm(g)
             trace.objectives.append(f)
             trace.grad_norms.append(gnorm)
             trace.evaluations.append(evaluations)
             if gnorm <= threshold:
                 trace.converged = True
-                trace.stop_reason = "converged"
+                trace.stop_reason = "gradient_tolerance"
+                break
+            if (
+                iteration >= _FTOL_WINDOW
+                and trace.objectives[-1 - _FTOL_WINDOW] - f <= _FTOL * f
+            ):
+                trace.converged = True
+                trace.stop_reason = "objective_decrease"
                 break
 
     trace.final_grad_norm = gnorm
@@ -298,13 +329,13 @@ def _two_loop_direction(g: np.ndarray, history: deque) -> np.ndarray:
     q = g.copy()
     alphas = []
     for s, y, rho in reversed(history):
-        a = rho * float(s @ q)
+        a = rho * _dot(s, q)
         q -= a * y
         alphas.append(a)
     s_last, y_last, _ = history[-1]
-    q *= float(s_last @ y_last) / float(y_last @ y_last)
+    q *= _dot(s_last, y_last) / _dot(y_last, y_last)
     for (s, y, rho), a in zip(history, reversed(alphas)):
-        b = rho * float(y @ q)
+        b = rho * _dot(y, q)
         q += (a - b) * s
     return -q
 
@@ -315,7 +346,7 @@ def _backtrack(problem, x, f, direction, slope, first_iteration: bool):
     point's evaluation, so its gradient is ``problem.grad()``."""
     if first_iteration:
         # scale the very first steepest-descent step to unit length
-        step = min(1.0, 1.0 / max(float(np.linalg.norm(direction)), 1e-12))
+        step = min(1.0, 1.0 / max(_norm(direction), 1e-12))
     else:
         step = 1.0
     for evaluations in range(1, _MAX_BACKTRACKS + 1):
@@ -325,6 +356,19 @@ def _backtrack(problem, x, f, direction, slope, first_iteration: bool):
             return x_new, f_new, evaluations
         step *= 0.5
     return None, None, _MAX_BACKTRACKS
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product of two vectors, summed in an order fixed by their length.
+
+    ``a @ b`` reaches BLAS, whose threaded dot products sum in an order that
+    depends on the thread count; einsum without ``optimize`` never does.
+    """
+    return float(np.einsum("i,i->", a, b))
+
+
+def _norm(a: np.ndarray) -> float:
+    return float(np.sqrt(_dot(a, a)))
 
 
 def _require_finite(f: float, g: np.ndarray, iteration: int, trace: FitTrace):

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .affinity import PopularityTable
 from .errors import MissingItemError, ParseError, ValidationError
 
 MODEL_FORMAT_HEADER = "simpop-model v1"
@@ -103,6 +105,12 @@ class EmbeddingModel:
 
     def kappa_of(self, item: str) -> float:
         return float(self.kappa[self.index_of(item)])
+
+    @cached_property
+    def popularity(self) -> PopularityTable:
+        """The model's own popularities as a table, built on first use and
+        kept: ranking's default tie and tail order."""
+        return PopularityTable({item: float(k) for item, k in zip(self.ids, self.kappa)})
 
 
 def _law(model: EmbeddingModel, a: int, idx: np.ndarray | slice) -> np.ndarray:

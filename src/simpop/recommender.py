@@ -137,7 +137,7 @@ def rank_candidates(
     defaults to the model's own table and supplies tie/tail ordering.
     """
     model.index_of(anchor)  # raises MissingItemError for unknown anchors
-    pop = popularity if popularity is not None else _model_popularity(model)
+    pop = popularity if popularity is not None else model.popularity
     unique = list(dict.fromkeys(c for c in candidates if c != anchor))
     known = [c for c in unique if c in model]
     scores = dict.fromkeys(unique, 0.0)
@@ -166,7 +166,7 @@ def recommend(
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    pop = popularity if popularity is not None else _model_popularity(model)
+    pop = popularity if popularity is not None else model.popularity
     pool = candidates if candidates is not None else model.ids
     try:
         anchor = anchor_item(session, pop, universe=model, mode=anchor_mode)
@@ -204,12 +204,6 @@ def _catalog_top(
     )
 
 
-def _model_popularity(model: EmbeddingModel) -> PopularityTable:
-    return PopularityTable(
-        {item: float(k) for item, k in zip(model.ids, model.kappa)}
-    )
-
-
 class NextItemRecommender:
     """Ranking interface over a fitted model, for evaluation harnesses."""
 
@@ -222,7 +216,7 @@ class NextItemRecommender:
         anchor_mode: str = "global",
     ):
         self.model = model
-        self.popularity = popularity if popularity is not None else _model_popularity(model)
+        self.popularity = popularity if popularity is not None else model.popularity
         self.anchor_mode = anchor_mode
 
     def rank(

@@ -1,9 +1,14 @@
 """Command-line surface: subcommand happy paths, error exit codes, manifests."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import simpop
 from simpop.cli import main
 from simpop.model import read_model
 from simpop.sessions import Role, parse_session_log, read_truth
@@ -140,6 +145,28 @@ class TestTrain:
         assert (workdir / "model.txt.popularity.tsv").exists()
         assert (workdir / "model.txt.manifest.json").exists()
 
+    def test_reports_its_stop_rule(self, workdir, capsys):
+        # the printed line and the manifest name the rule that stopped the
+        # fit, whichever it was, not just whether it converged
+        corpus = ingest_train(workdir)
+        model_path = workdir / "model.txt"
+        base = [
+            "train", "--corpus", str(corpus), "--out", str(model_path),
+            "--dim", "2", "--min-sessions", "1",
+        ]
+        for extra, reason in (
+            (["--max-iterations", "3"], "max_iterations"),
+            (["--max-iterations", "500", "--gradient-tolerance", "1e-4"],
+             "gradient_tolerance"),
+        ):
+            assert main(base + extra) == 0
+            out = capsys.readouterr().out
+            assert out.rstrip().endswith(f", {reason}")
+            manifest = json.loads((workdir / "model.txt.manifest.json").read_text())
+            iterations = len((workdir / "model.txt.trace.csv").read_text().splitlines()) - 2
+            assert manifest["counts"] == {"iterations": iterations, "stop_reason": reason}
+            assert f": {iterations} iterations," in out
+
     def test_same_seed_byte_identical_models(self, workdir):
         corpus = ingest_train(workdir)
         args = [
@@ -149,6 +176,40 @@ class TestTrain:
         assert main(args + ["--out", str(workdir / "m1.txt")]) == 0
         assert main(args + ["--out", str(workdir / "m2.txt")]) == 0
         assert (workdir / "m1.txt").read_bytes() == (workdir / "m2.txt").read_bytes()
+
+    def test_model_bytes_independent_of_blas_threads(self, tmp_path):
+        # a desk-like fit (27,578 pairs at dim 20) is large enough that BLAS
+        # would split its dot products over threads; the fit's reductions
+        # avoid BLAS, so one and two threads write the same model
+        world = tmp_path / "world"
+        assert main(
+            [
+                "synth", "sessions", "--out-dir", str(world), "--items", "800",
+                "--train-sessions", "1500", "--test-sessions", "10", "--seed", "2",
+            ]
+        ) == 0
+        corpus = tmp_path / "corpus.csv"
+        assert main(["ingest", "--input", str(world / "train.csv"), "--out", str(corpus)]) == 0
+        src = str(Path(simpop.__file__).resolve().parent.parent)
+        models = []
+        for threads in ("1", "2"):
+            model = tmp_path / f"model{threads}.txt"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            subprocess.run(
+                [
+                    sys.executable, "-c",
+                    "import sys; from simpop.cli import main; sys.exit(main(sys.argv[1:]))",
+                    "train", "--corpus", str(corpus), "--out", str(model),
+                    "--dim", "20", "--max-iterations", "100", "--gradient-tolerance", "1e-5",
+                ],
+                env=env,
+                check=True,
+                capture_output=True,
+                timeout=300,
+            )
+            models.append(model.read_bytes())
+        assert models[0] == models[1]
 
     def test_empty_graph_exits_2(self, workdir):
         corpus = ingest_train(workdir)
@@ -413,8 +474,9 @@ class TestGridsearchCommand:
     [
         ["gridsearch", "--corpus", "c.csv", "--out", "g.csv", "--threads", "2"],
         ["train", "--corpus", "c.csv", "--out", "m.txt", "--memory", "5"],
+        ["train", "--corpus", "c.csv", "--out", "m.txt", "--init-scale", "1"],
     ],
-    ids=["gridsearch-threads", "train-memory"],
+    ids=["gridsearch-threads", "train-memory", "train-init-scale"],
 )
 def test_removed_flags_are_unknown(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:

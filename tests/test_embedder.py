@@ -5,6 +5,8 @@ import pytest
 
 from simpop.affinity import AffinityGraph, PopularityTable
 from simpop.embedder import (
+    _FTOL,
+    _FTOL_WINDOW,
     FitConfig,
     _PairObjective,
     build_targets,
@@ -233,6 +235,7 @@ class TestFit:
         gap = float(model.coords_of("a")[0] - model.coords_of("b")[0])
         assert gap**2 == pytest.approx(4.0, abs=1e-6)
         assert trace.converged
+        assert trace.stop_reason == "gradient_tolerance"
 
     def test_unit_square_recovered(self):
         # four items with unit-square pairwise distances; residual ~ 0 at the
@@ -385,8 +388,11 @@ class TestTrace:
         config = FitConfig(
             params=ModelParams(alpha=2.0, dim=3, lam=0.01), seed=20, max_iterations=20
         )
+        # the unit-scale start this instance was chosen with
+        n = len(graph.items())
+        start = np.random.default_rng(20).uniform(-1.0, 1.0, size=(n, 3))
         gathers = _count_gathers(monkeypatch)
-        _, trace = fit_embedding(graph, config)
+        _, trace = fit_embedding(graph, config, initial_coords=start)
         assert trace.iterations == 20
         assert trace.evaluations == [1] * 21
         assert gathers[0] == 21
@@ -405,8 +411,113 @@ class TestTrace:
     def test_config_validation(self):
         params = ModelParams(alpha=2.0, dim=2)
         with pytest.raises(ValueError):
-            FitConfig(params=params, init_scale=0.0)
-        with pytest.raises(ValueError):
             FitConfig(params=params, gradient_tolerance=0.0)
         with pytest.raises(ValueError):
             FitConfig(params=params, max_iterations=0)
+
+
+def _start_of(graph, config, monkeypatch) -> np.ndarray:
+    """The start point a fit draws: the first point its kernel evaluates."""
+    seen = []
+    value = _PairObjective.value
+
+    def recording(self, x):
+        if not seen:
+            seen.append(x.reshape(self.n, self.dim).copy())
+        return value(self, x)
+
+    monkeypatch.setattr(_PairObjective, "value", recording)
+    fit_embedding(graph, config)
+    return seen[0]
+
+
+def _pair_d2(graph, coords) -> tuple[np.ndarray, np.ndarray]:
+    """(start squared distance, target) for every pair of the graph."""
+    ids, ii, jj, d2 = build_targets(graph, alpha=2.0)
+    diff = coords[ii] - coords[jj]
+    return np.einsum("ij,ij->i", diff, diff), d2
+
+
+class TestStart:
+    def test_mean_pair_distance_matches_median_target(self, monkeypatch):
+        # targets in the thousands, far from the unit box a fixed scale gives
+        rng = np.random.default_rng(31)
+        items = [f"i{k:03d}" for k in range(300)]
+        pairs = {}
+        for a in range(len(items)):
+            for b in rng.choice(len(items), size=6, replace=False):
+                if a < b:
+                    pairs[(items[a], items[b])] = float(rng.uniform(0.01, 0.9))
+        kappa = {item: float(rng.uniform(5.0, 60.0)) for item in items}
+        graph = AffinityGraph.from_pairs(pairs, PopularityTable(kappa))
+        for dim in (2, 20):
+            config = FitConfig(
+                params=ModelParams(alpha=2.0, dim=dim, lam=0.01), max_iterations=1
+            )
+            start_d2, targets = _pair_d2(graph, _start_of(graph, config, monkeypatch))
+            monkeypatch.undo()
+            # one pair's squared distance has a relative spread of about
+            # 1.2 / sqrt(dim); pairs sharing an item are correlated, so count
+            # each item once and allow four standard errors of the mean. The
+            # unit start would miss by two orders of magnitude.
+            tolerance = 4 * 1.2 / np.sqrt(dim * len(items))
+            assert np.median(targets) > 100.0
+            assert start_d2.mean() == pytest.approx(np.median(targets), rel=tolerance)
+
+    def test_mostly_zero_targets_still_give_a_spread_start(self, monkeypatch):
+        # items that always co-occur have p = 1 and target 0; with more than
+        # half the targets zero the median is 0, and a zero-width start would
+        # be the stationary all-equal point, so the mean target sets the scale
+        items = [f"i{k}" for k in range(8)]
+        pairs = {(a, b): 1.0 for a, b in zip(items, items[1:])}
+        pairs[("i0", "i7")] = 0.05
+        graph = AffinityGraph.from_pairs(
+            pairs, PopularityTable({item: 2.0 for item in items})
+        )
+        config = FitConfig(params=ModelParams(alpha=2.0, dim=2), max_iterations=30)
+        start = _start_of(graph, config, monkeypatch)
+        _, targets = _pair_d2(graph, start)
+        assert np.median(targets) == 0.0
+        scale = np.sqrt(3.0 * targets.mean() / (2.0 * 2))
+        assert 0.5 * scale < np.abs(start).max() <= scale
+        _, trace = fit_embedding(graph, config)
+        assert trace.stop_reason != "stationary_start"
+        assert trace.objectives[-1] < trace.objectives[0]
+
+
+class TestStopRules:
+    def test_objective_rule_stops_a_fit_the_gradient_rule_never_would(self):
+        # random targets in one dimension cannot be embedded, and a gradient
+        # tolerance of 1e-300 is out of reach: only the objective rule stops
+        graph = _random_graph(np.random.default_rng(41), n=12)
+        config = FitConfig(
+            params=ModelParams(alpha=2.0, dim=1, lam=0.01),
+            seed=4,
+            max_iterations=5000,
+            gradient_tolerance=1e-300,
+        )
+        _, trace = fit_embedding(graph, config)
+        assert trace.converged
+        assert trace.stop_reason == "objective_decrease"
+        assert _FTOL_WINDOW <= trace.iterations < config.max_iterations
+        assert trace.final_grad_norm > 1e-300 * trace.grad_norms[0]
+        f = trace.objectives
+        fired = [
+            k
+            for k in range(_FTOL_WINDOW, len(f))
+            if f[k - _FTOL_WINDOW] - f[k] <= _FTOL * f[k]
+        ]
+        # it fires at the first iterate that meets it, and not before
+        assert fired and fired[0] == trace.iterations
+
+    def test_objective_rule_never_fires_within_its_window(self):
+        graph = _random_graph(np.random.default_rng(41), n=12)
+        config = FitConfig(
+            params=ModelParams(alpha=2.0, dim=1, lam=0.01),
+            seed=4,
+            max_iterations=_FTOL_WINDOW - 1,
+            gradient_tolerance=1e-300,
+        )
+        _, trace = fit_embedding(graph, config)
+        assert trace.stop_reason == "max_iterations"
+        assert not trace.converged

@@ -232,6 +232,31 @@ class TestRecommend:
         assert ranked.anchor == "item1"
         assert not ranked.fallback_used
 
+    def test_model_popularity_table_built_once(self, monkeypatch):
+        # without a popularity table every call ranks by the model's kappa;
+        # the table over the whole catalog is built on the first call only
+        built = [0]
+        post_init = PopularityTable.__post_init__
+
+        def counting(self):
+            built[0] += 1
+            post_init(self)
+
+        monkeypatch.setattr(PopularityTable, "__post_init__", counting)
+        model = grid_model(5, kappa=[9.0, 1.0, 2.0, 1.0, 1.0])
+        first = recommend(model, session_of("item0"), candidates=["item1", "item3"])
+        assert built[0] == 1
+        for _ in range(3):
+            assert recommend(
+                model, session_of("item0"), candidates=["item1", "item3"]
+            ) == first
+            recommend(model, session_of("item0"), t=2)
+            recommend(model, session_of("Z"), t=2)
+            rank_candidates(model, "item0", ["item2", "item4"], t=2)
+            NextItemRecommender(model).rank(session_of("item0"), ["item1"], 1)
+        assert built[0] == 1
+        assert model.popularity["item2"] == 2.0
+
 
 def tie_model(n=300, seed=0):
     """Integer grid coordinates and kappa in {1, 2}: many scores tie."""
