@@ -13,7 +13,6 @@ from .affinity import (
     PopularityTable,
     build_affinity_graph,
     compute_popularity,
-    cosine_cooccurrence,
     item_session_incidence,
 )
 from .baselines import (
@@ -100,7 +99,6 @@ __all__ = [
     "anchor_item",
     "build_affinity_graph",
     "compute_popularity",
-    "cosine_cooccurrence",
     "derive_squared_distance",
     "evaluate",
     "filter_bookable_sessions",

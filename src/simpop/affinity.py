@@ -119,7 +119,6 @@ class AffinityGraph:
 
     pairs: dict[tuple[str, str], float]
     popularity: PopularityTable
-    n_items: int
     _adjacency: dict[str, tuple[tuple[str, float], ...]] = field(
         init=False, repr=False, compare=False, default=None
     )
@@ -152,8 +151,7 @@ class AffinityGraph:
             if key in canonical and not math.isclose(canonical[key], p):
                 raise ValidationError(f"conflicting values for pair {key}")
             canonical[key] = p
-        items = {i for pair in canonical for i in pair}
-        return cls(pairs=canonical, popularity=popularity, n_items=len(items))
+        return cls(pairs=canonical, popularity=popularity)
 
     @property
     def n_pairs(self) -> int:
@@ -218,11 +216,7 @@ def build_affinity_graph(
         len(items_in_pairs),
         len(eligible),
     )
-    return AffinityGraph(
-        pairs=pairs,
-        popularity=compute_popularity(corpus),
-        n_items=len(items_in_pairs),
-    )
+    return AffinityGraph(pairs=pairs, popularity=compute_popularity(corpus))
 
 
 def _prune_top_pairs(

@@ -105,13 +105,10 @@ def objective(
     targets: Mapping[tuple[str, str], float],
     lam: float,
 ) -> float:
-    """Evaluate f at a coordinate assignment given sparse distance targets."""
-    total = 0.0
-    for (i, j), t in targets.items():
-        diff = _coord(coords, i) - _coord(coords, j)
-        total += (float(np.dot(diff, diff)) - t) ** 2
-    reg = sum(float(np.dot(x, x)) for x in map(np.asarray, coords.values()))
-    return total + lam * reg
+    """Evaluate f at a coordinate assignment given sparse distance targets,
+    with the fit's own kernel."""
+    problem, x, _ = _keyed_problem(coords, targets, lam)
+    return problem.value(x)
 
 
 def gradient(
@@ -120,20 +117,27 @@ def gradient(
     lam: float,
 ) -> dict[str, np.ndarray]:
     """Analytic gradient of ``objective``, one vector per item."""
-    grads = {item: 2.0 * lam * _coord(coords, item) for item in coords}
-    for (i, j), t in targets.items():
-        diff = _coord(coords, i) - _coord(coords, j)
-        pull = 4.0 * diff * (float(np.dot(diff, diff)) - t)
-        grads[i] = grads[i] + pull
-        grads[j] = grads[j] - pull
-    return grads
+    problem, x, items = _keyed_problem(coords, targets, lam)
+    problem.value(x)
+    grad = problem.grad().reshape(len(items), problem.dim)
+    return {item: grad[k] for k, item in enumerate(items)}
 
 
-def _coord(coords: Mapping[str, Sequence[float]], item: str) -> np.ndarray:
+def _keyed_problem(coords, targets, lam: float):
+    """The fit's kernel over item-keyed coordinates and pair targets: returns
+    the problem, the flattened coordinates and the item order of their rows.
+    Raises MissingItemError naming a target item without coordinates."""
+    items = list(coords)
+    index = {item: k for k, item in enumerate(items)}
     try:
-        return np.asarray(coords[item], dtype=np.float64)
-    except KeyError:
-        raise MissingItemError(f"no coordinates for item {item!r}") from None
+        ii = np.fromiter((index[i] for i, _ in targets), np.intp, len(targets))
+        jj = np.fromiter((index[j] for _, j in targets), np.intp, len(targets))
+    except KeyError as missing:
+        raise MissingItemError(f"no coordinates for item {missing.args[0]!r}") from None
+    d2 = np.fromiter(targets.values(), np.float64, len(targets))
+    rows = np.array([np.asarray(coords[item], dtype=np.float64) for item in items])
+    problem = _PairObjective(len(items), rows.shape[-1], ii, jj, d2, lam)
+    return problem, rows.ravel(), items
 
 
 def build_targets(

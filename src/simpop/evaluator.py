@@ -57,7 +57,6 @@ class EvalReport:
     n_sessions: int
     n_skipped: int
     n_fallback: int
-    hyperparameters: dict | None = None
 
 
 def evaluate(
@@ -65,7 +64,6 @@ def evaluate(
     test: SessionCorpus,
     truth: Mapping[str, str],
     ns: Sequence[int] = DEFAULT_MAP_CUTOFFS,
-    hyperparameters: dict | None = None,
 ) -> EvalReport:
     """Rerank each test session's impression list and aggregate the metrics.
 
@@ -106,7 +104,6 @@ def evaluate(
         n_sessions=n_eval,
         n_skipped=skipped,
         n_fallback=fallback,
-        hyperparameters=hyperparameters,
     )
 
 

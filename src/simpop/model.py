@@ -77,8 +77,8 @@ class EmbeddingModel:
             raise ValidationError("kappa must align with ids")
         if not np.all(np.isfinite(coords)):
             raise ValidationError("coordinates must be finite")
-        if not np.all(kappa > 0):
-            raise ValidationError("popularities must be positive")
+        if not np.all(kappa >= 1.0):
+            raise ValidationError("popularities must be >= 1")
         order = np.argsort(np.asarray(ids, dtype=object))
         self.params = params
         self.ids: tuple[str, ...] = tuple(ids[int(k)] for k in order)

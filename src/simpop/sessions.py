@@ -119,9 +119,6 @@ class SessionCorpus:
     def n_actions(self) -> int:
         return sum(len(a) for a in self.sessions.values())
 
-    def session_ids(self) -> list[str]:
-        return sorted(self.sessions)
-
     @classmethod
     def from_actions(cls, actions: Iterable[Action], role: Role) -> "SessionCorpus":
         """Group actions by session, order by step, and validate invariants."""

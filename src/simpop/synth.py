@@ -2,8 +2,8 @@
 
 The generator plants items in a low-dimensional space, clustered the way
 hotels cluster into destinations, with heavy-tailed popularities. A session
-is a short random walk whose transition kernel decays with squared distance
-and tilts mildly toward popular items, so co-occurrence reflects geometry.
+is a short random walk from an item drawn by popularity, whose transition
+kernel decays with squared distance, so co-occurrence reflects geometry.
 The booked item is drawn near the walk's centroid, tilted by a per-item
 attractiveness that correlates with popularity but is observable only
 through clickouts. Impression lists mix globally attractive items,
@@ -36,6 +36,36 @@ _INTERACTION_KINDS = (
 
 _EPOCH = 1_500_000_000
 
+# The planted world's shape. SynthConfig sets its size, seed, session
+# length, popularity range and clickout rate; these fix the rest.
+_MAX_INTERACTIONS = 16
+_CLUSTER_SPREAD = 1.5
+_CLUSTER_SEPARATION = 12.0
+# session walk: p(i -> j) ~ (1 + d2/scale^2)^-alpha from a start drawn with
+# weight kappa^_START_POP_WEIGHT, with excursions returning to the session's
+# pivot item
+_WALK_ALPHA = 2.0
+_WALK_SCALE = 1.5
+_START_POP_WEIGHT = 2.0
+_PIVOT_RETURN = 0.5
+#: stray-interaction rate; the _END share ramps quadratically with step
+#: position, concentrating tab-hopping noise late in the session
+_WALK_TELEPORT = 0.05
+_WALK_TELEPORT_END = 0.35
+# booked item: w(j) ~ beta_j * (1 + d2(centroid, j)/scale^2)^-alpha
+_TARGET_ALPHA = 2.0
+_TARGET_SCALE = 0.7
+# attractiveness beta: kappa^exp * lognormal noise
+_BETA_KAPPA_EXP = 0.35
+_BETA_NOISE_SIGMA = 0.8
+_N_IMPRESSIONS = 25
+#: distractor pools: (attractiveness-weighted, same-cluster, uniform)
+_IMPRESSION_MIX = (0.40, 0.15, 0.45)
+_IMPRESSION_POP_EXP = 0.7
+_METADATA_CELL = 3.0
+_METADATA_NOISE_TOKENS = 3
+_METADATA_NOISE_POOL = 30
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -47,41 +77,14 @@ class SynthConfig:
     n_test_sessions: int = 1000
     seed: int = 0
     mean_interactions: float = 8.0
-    max_interactions: int = 16
-    cluster_spread: float = 1.5
-    cluster_separation: float = 12.0
     kappa_max: float = 8.0
-    # session walk: p(i -> j) ~ kappa_j^pop_weight * (1 + d2/scale^2)^-alpha,
-    # with excursions returning to the session's pivot item
-    walk_alpha: float = 2.0
-    walk_scale: float = 1.5
-    walk_pop_weight: float = 0.0
-    start_pop_weight: float = 2.0
-    pivot_return: float = 0.5
-    #: stray-interaction rate; the _end share ramps quadratically with step
-    #: position, concentrating tab-hopping noise late in the session
-    walk_teleport: float = 0.05
-    walk_teleport_end: float = 0.35
-    # booked item: w(j) ~ beta_j * (1 + d2(centroid, j)/scale^2)^-alpha
-    target_alpha: float = 2.0
-    target_scale: float = 0.7
-    # attractiveness beta: kappa^exp * lognormal noise
-    beta_kappa_exp: float = 0.35
-    beta_noise_sigma: float = 0.8
     clickout_rate: float = 0.9
-    n_impressions: int = 25
-    #: distractor pools: (attractiveness-weighted, same-cluster, uniform)
-    impression_mix: tuple[float, float, float] = (0.40, 0.15, 0.45)
-    impression_pop_exp: float = 0.7
-    metadata_cell: float = 3.0
-    metadata_noise_tokens: int = 3
-    metadata_noise_pool: int = 30
 
     def __post_init__(self):
-        if self.n_items < self.n_impressions:
+        if self.n_items < _N_IMPRESSIONS:
             raise ValueError("need at least as many items as impression slots")
-        if abs(sum(self.impression_mix) - 1.0) > 1e-9:
-            raise ValueError("impression_mix must sum to 1")
+        if not self.kappa_max >= 1.0:
+            raise ValueError(f"kappa_max must be >= 1, got {self.kappa_max}")
 
 
 @dataclass(frozen=True)
@@ -106,22 +109,20 @@ def build_world(config: SynthConfig) -> SynthWorld:
 
     angles = np.linspace(0.0, 2.0 * math.pi, config.n_clusters, endpoint=False)
     centers = np.zeros((config.n_clusters, dim))
-    centers[:, 0] = config.cluster_separation * np.cos(angles)
+    centers[:, 0] = _CLUSTER_SEPARATION * np.cos(angles)
     if dim > 1:
-        centers[:, 1] = config.cluster_separation * np.sin(angles)
+        centers[:, 1] = _CLUSTER_SEPARATION * np.sin(angles)
 
     clusters = rng.integers(0, config.n_clusters, size=n)
-    coords = centers[clusters] + rng.normal(0.0, config.cluster_spread, size=(n, dim))
+    coords = centers[clusters] + rng.normal(0.0, _CLUSTER_SPREAD, size=(n, dim))
     kappa = np.exp(rng.uniform(0.0, math.log(config.kappa_max), size=n))
-    attractiveness = kappa**config.beta_kappa_exp * np.exp(
-        rng.normal(0.0, config.beta_noise_sigma, size=n)
+    attractiveness = kappa**_BETA_KAPPA_EXP * np.exp(
+        rng.normal(0.0, _BETA_NOISE_SIGMA, size=n)
     )
     ids = tuple(f"i{k:05d}" for k in range(n))
 
     d2 = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2)
-    transition = kappa[None, :] ** config.walk_pop_weight * (
-        1.0 + d2 / config.walk_scale**2
-    ) ** (-config.walk_alpha)
+    transition = (1.0 + d2 / _WALK_SCALE**2) ** (-_WALK_ALPHA)
     np.fill_diagonal(transition, 0.0)
     transition_cdf = np.cumsum(transition, axis=1)
 
@@ -131,7 +132,7 @@ def build_world(config: SynthConfig) -> SynthWorld:
     model = EmbeddingModel(
         ModelParams(alpha=config.alpha, dim=dim), list(ids), coords, kappa
     )
-    metadata = _build_metadata(config, ids, coords, clusters, rng)
+    metadata = _build_metadata(ids, coords, clusters, rng)
     return SynthWorld(
         config=config,
         model=model,
@@ -146,16 +147,15 @@ def build_world(config: SynthConfig) -> SynthWorld:
     )
 
 
-def _build_metadata(config, ids, coords, clusters, rng) -> dict[str, frozenset[str]]:
-    cell = config.metadata_cell
-    pool = [f"tag{k:02d}" for k in range(config.metadata_noise_pool)]
+def _build_metadata(ids, coords, clusters, rng) -> dict[str, frozenset[str]]:
+    pool = [f"tag{k:02d}" for k in range(_METADATA_NOISE_POOL)]
     metadata = {}
     for k, item in enumerate(ids):
         tokens = {f"dst{int(clusters[k]):02d}"}
-        tokens.add(f"gx{int(math.floor(coords[k, 0] / cell))}")
+        tokens.add(f"gx{int(math.floor(coords[k, 0] / _METADATA_CELL))}")
         if coords.shape[1] > 1:
-            tokens.add(f"gy{int(math.floor(coords[k, 1] / cell))}")
-        noise = rng.choice(len(pool), size=config.metadata_noise_tokens, replace=False)
+            tokens.add(f"gy{int(math.floor(coords[k, 1] / _METADATA_CELL))}")
+        noise = rng.choice(len(pool), size=_METADATA_NOISE_TOKENS, replace=False)
         tokens.update(pool[i] for i in noise)
         metadata[item] = frozenset(tokens)
     return metadata
@@ -169,17 +169,17 @@ def _sample_from_cdf(cdf_row: np.ndarray, rng) -> int:
 def _walk(world: SynthWorld, rng, length: int) -> list[int]:
     """Pivot-return walk: excursions from a sticky item of interest."""
     cfg = world.config
-    start_weights = world.kappa**cfg.start_pop_weight
+    start_weights = world.kappa**_START_POP_WEIGHT
     start_weights /= start_weights.sum()
     pivot = cur = int(rng.choice(cfg.n_items, p=start_weights))
     items = [pivot]
     for k in range(1, length):
         ramp = (k / (length - 1)) ** 2 if length > 1 else 0.0
-        stray_p = cfg.walk_teleport + cfg.walk_teleport_end * ramp
-        if stray_p and rng.random() < stray_p:
+        stray_p = _WALK_TELEPORT + _WALK_TELEPORT_END * ramp
+        if rng.random() < stray_p:
             # stray interaction anywhere in the catalog (tab-hopping noise)
             cur = int(rng.integers(cfg.n_items))
-        elif cur != pivot and rng.random() < cfg.pivot_return:
+        elif cur != pivot and rng.random() < _PIVOT_RETURN:
             cur = pivot
         else:
             cur = _sample_from_cdf(world.transition_cdf[cur], rng)
@@ -197,9 +197,7 @@ def _draw_target(world: SynthWorld, rng, visited: list[int]) -> int:
     core = [i for i in visited if world.clusters[i] == majority]
     centroid = world.coords[core].mean(axis=0)
     d2 = ((world.coords - centroid) ** 2).sum(axis=1)
-    weights = world.attractiveness * (1.0 + d2 / cfg.target_scale**2) ** (
-        -cfg.target_alpha
-    )
+    weights = world.attractiveness * (1.0 + d2 / _TARGET_SCALE**2) ** (-_TARGET_ALPHA)
     weights[list(set(visited))] = 0.0
     return int(rng.choice(cfg.n_items, p=weights / weights.sum()))
 
@@ -207,19 +205,19 @@ def _draw_target(world: SynthWorld, rng, visited: list[int]) -> int:
 def _draw_impressions(world: SynthWorld, rng, target: int) -> list[int]:
     cfg = world.config
     n = cfg.n_items
-    popular = world.attractiveness**cfg.impression_pop_exp
+    popular = world.attractiveness**_IMPRESSION_POP_EXP
     popular = popular / popular.sum()
     cluster = np.zeros(n)
     members = world.cluster_members[int(world.clusters[target])]
     cluster[members] = 1.0 / len(members)
     mix = (
-        cfg.impression_mix[0] * popular
-        + cfg.impression_mix[1] * cluster
-        + cfg.impression_mix[2] / n
+        _IMPRESSION_MIX[0] * popular
+        + _IMPRESSION_MIX[1] * cluster
+        + _IMPRESSION_MIX[2] / n
     )
     mix[target] = 0.0
     mix /= mix.sum()
-    distractors = rng.choice(n, size=cfg.n_impressions - 1, replace=False, p=mix)
+    distractors = rng.choice(n, size=_N_IMPRESSIONS - 1, replace=False, p=mix)
     slots = np.concatenate(([target], distractors))
     return [int(i) for i in rng.permutation(slots)]
 
@@ -228,7 +226,7 @@ def _session_actions(
     world: SynthWorld, rng, sid: str, uid: str, t0: int, with_clickout: bool
 ) -> Iterator[Action]:
     cfg = world.config
-    length = min(1 + int(rng.geometric(1.0 / cfg.mean_interactions)), cfg.max_interactions)
+    length = min(1 + int(rng.geometric(1.0 / cfg.mean_interactions)), _MAX_INTERACTIONS)
     visited = _walk(world, rng, length)
     step = 0
     for item in visited:
@@ -261,21 +259,17 @@ def generate_corpus(
     n_sessions: int,
     role: Role,
     seed,
-    clickout_rate: float | None = None,
-    session_prefix: str = "s",
+    clickout_rate: float,
+    session_prefix: str,
 ) -> SessionCorpus:
-    """Generate a validated corpus of walk sessions from the planted world."""
+    """Generate a validated corpus of walk sessions from the planted world;
+    each session ends in a clickout with probability ``clickout_rate``."""
     rng = np.random.default_rng(seed)
-    rate = (
-        clickout_rate
-        if clickout_rate is not None
-        else (1.0 if role is Role.TEST else world.config.clickout_rate)
-    )
     actions: list[Action] = []
     for k in range(n_sessions):
         sid = f"{session_prefix}{k:06d}"
         uid = f"u_{session_prefix}{k:06d}"
-        with_clickout = rng.random() < rate
+        with_clickout = rng.random() < clickout_rate
         actions.extend(
             _session_actions(world, rng, sid, uid, _EPOCH + 100 * k, with_clickout)
         )
@@ -299,6 +293,7 @@ def generate(config: SynthConfig) -> SynthData:
         config.n_train_sessions,
         Role.TRAIN,
         seed=train_seed,
+        clickout_rate=config.clickout_rate,
         session_prefix="s",
     )
     test = generate_corpus(

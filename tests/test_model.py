@@ -15,6 +15,7 @@ from simpop.model import (
     read_model,
     write_model,
 )
+from simpop.synth import SynthConfig
 
 
 def pair_probability(model, i, j):
@@ -248,14 +249,20 @@ class TestModelValidation:
                 np.array([1.0]),
             )
 
-    def test_non_positive_kappa_rejected(self):
+    @pytest.mark.parametrize("kappa", [0.0, 0.5])
+    def test_non_positive_kappa_rejected(self, kappa):
+        # a model's popularities follow the PopularityTable's rule, kappa >= 1
         with pytest.raises(ValidationError):
             EmbeddingModel(
                 ModelParams(alpha=2.0, dim=1),
                 ["a"],
                 np.array([[0.0]]),
-                np.array([0.0]),
+                np.array([kappa]),
             )
+
+    def test_synth_kappa_max_below_one_rejected(self):
+        with pytest.raises(ValueError, match="kappa_max"):
+            SynthConfig(kappa_max=0.5)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError):
