@@ -33,14 +33,7 @@ from .errors import (
     UndefinedSimilarityError,
     ValidationError,
 )
-from .evaluator import (
-    EvalReport,
-    SearchGrid,
-    evaluate,
-    grid_search,
-    map_at_n,
-    reciprocal_rank,
-)
+from .evaluator import EvalReport, SearchGrid, evaluate, grid_search
 from .model import (
     EmbeddingModel,
     ModelParams,
@@ -108,13 +101,11 @@ __all__ = [
     "grid_search",
     "hide_test_targets",
     "item_session_incidence",
-    "map_at_n",
     "objective",
     "parse_session_log",
     "rank_candidates",
     "read_model",
     "recommend",
-    "reciprocal_rank",
     "subsample_sessions",
     "write_corpus",
     "write_model",

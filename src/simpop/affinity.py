@@ -29,14 +29,16 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class PopularityTable:
-    """Per-item popularity (hidden degree), always >= 1 for known items."""
+    """Per-item popularity (hidden degree), finite and >= 1 for known items."""
 
     kappa: dict[str, float]
 
     def __post_init__(self):
         for item, k in self.kappa.items():
-            if not k >= 1.0:
-                raise ValidationError(f"popularity of {item} is {k}, must be >= 1")
+            if not 1.0 <= k < math.inf:
+                raise ValidationError(
+                    f"popularity of {item} is {k}, must be finite and >= 1"
+                )
 
     def __getitem__(self, item: str) -> float:
         try:
@@ -183,12 +185,14 @@ def build_affinity_graph(
     scales with co-occurrence volume, never with vocabulary squared. Items in
     fewer than ``min_sessions`` sessions are excluded; when
     ``max_pairs_per_item`` > 0 each item keeps only its strongest pairs and
-    the kept sets are unioned, which preserves symmetry.
+    the kept sets are unioned, which preserves symmetry; 0 keeps every pair.
     """
     if corpus.role is not Role.TRAIN:
         raise ValidationError("build_affinity_graph expects a TRAIN corpus")
     if min_sessions < 1:
         raise ValueError("min_sessions must be >= 1")
+    if max_pairs_per_item < 0:
+        raise ValueError("max_pairs_per_item must be >= 0 (0 keeps every pair)")
 
     incidence = item_session_incidence(corpus)
     eligible = {

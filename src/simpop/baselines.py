@@ -20,6 +20,9 @@ from .errors import ParseError
 from .recommender import RankedList, _by_popularity, order_candidates
 from .sessions import Action, SessionCorpus
 
+#: how many of the previous item's nearest neighbors a KNN ranker scores
+_NEIGHBORS = 100
+
 
 class Ranker(Protocol):
     name: str
@@ -33,14 +36,11 @@ def _dedupe(candidates: Sequence[str]) -> list[str]:
     return list(dict.fromkeys(candidates))
 
 
-def _previous_item(session: Sequence[Action], clickout_only: bool) -> str | None:
-    """Most recent action with a revealed item, optionally clickouts only."""
+def _previous_item(session: Sequence[Action]) -> str | None:
+    """The item of the most recent action that reveals one."""
     for action in reversed(session):
-        if action.item_ref is None:
-            continue
-        if clickout_only and not action.is_clickout:
-            continue
-        return action.item_ref
+        if action.item_ref is not None:
+            return action.item_ref
     return None
 
 
@@ -107,27 +107,23 @@ class ClickoutPopularityRanker(_CountRanker):
 class CooccurrenceKnnRanker:
     """Score candidates by session co-occurrence with the previous item.
 
-    Only the ``k`` strongest neighbors of the previous item can receive a
+    Only the 100 strongest neighbors of the previous item can receive a
     similarity score; everything else tails out by popularity. Sessions with
     no usable previous item fall back to popularity ordering.
     """
 
     name = "icknn"
 
-    def __init__(self, graph: AffinityGraph, k: int = 100, clickout_only: bool = False):
-        if k < 1:
-            raise ValueError("k must be >= 1")
+    def __init__(self, graph: AffinityGraph):
         self.graph = graph
-        self.k = k
-        self.clickout_only = clickout_only
 
     def rank(self, session, candidates, t) -> RankedList:
-        prev = _previous_item(session, self.clickout_only)
+        prev = _previous_item(session)
         if prev is None:
             return _by_popularity(
                 candidates, self.graph.popularity, t, fallback_used=True
             )
-        near = dict(self.graph.neighbors(prev)[: self.k])
+        near = dict(self.graph.neighbors(prev)[:_NEIGHBORS])
         scored = [(c, near.get(c, 0.0)) for c in _dedupe(candidates)]
         return order_candidates(
             scored, t, self.graph.popularity, anchor=prev, fallback_used=False
@@ -138,28 +134,21 @@ class MetadataKnnRanker:
     """Score candidates by metadata cosine against the previous item.
 
     Item metadata is a set of property tokens; similarity is the cosine of
-    the binary property vectors. ``k`` caps how many candidates may carry a
-    similarity score, mirroring the co-occurrence variant.
+    the binary property vectors. At most 100 candidates carry a similarity
+    score, mirroring the co-occurrence variant; ``popularity`` orders ties,
+    the tail and the fallback.
     """
 
     name = "imknn"
 
     def __init__(
-        self,
-        metadata: Mapping[str, frozenset[str]],
-        k: int = 100,
-        popularity: PopularityTable | None = None,
-        clickout_only: bool = False,
+        self, metadata: Mapping[str, frozenset[str]], popularity: PopularityTable
     ):
-        if k < 1:
-            raise ValueError("k must be >= 1")
         self.metadata = dict(metadata)
-        self.k = k
         self.popularity = popularity
-        self.clickout_only = clickout_only
 
     def rank(self, session, candidates, t) -> RankedList:
-        prev = _previous_item(session, self.clickout_only)
+        prev = _previous_item(session)
         if prev is None or prev not in self.metadata:
             return _by_popularity(candidates, self.popularity, t, fallback_used=True)
         props = self.metadata[prev]
@@ -168,7 +157,7 @@ class MetadataKnnRanker:
             key=lambda cs: (-cs[1], cs[0]),
         )
         trimmed = [
-            (c, s if pos < self.k else 0.0) for pos, (c, s) in enumerate(scored)
+            (c, s if pos < _NEIGHBORS else 0.0) for pos, (c, s) in enumerate(scored)
         ]
         return order_candidates(
             trimmed, t, self.popularity, anchor=prev, fallback_used=False

@@ -103,18 +103,6 @@ def _write_manifest(
         out.write("\n")
 
 
-def _parse_schema(spec: str | None) -> dict[str, str] | None:
-    if not spec:
-        return None
-    mapping = {}
-    for token in spec.split(","):
-        key, sep, value = token.partition("=")
-        if not sep or not key or not value:
-            raise ValueError(f"bad schema entry {token!r}, expected field=column")
-        mapping[key.strip()] = value.strip()
-    return mapping
-
-
 def _floats(spec: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in spec.split(",") if tok)
 
@@ -131,11 +119,10 @@ def _ints(spec: str) -> tuple[int, ...]:
 def cmd_ingest(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     role = Role(args.role)
-    corpus = parse_session_log(args.input, schema=_parse_schema(args.schema), role=role)
+    corpus = parse_session_log(args.input, role=role)
     outputs = [args.out]
     if role is Role.TRAIN:
-        if not args.keep_unbookable:
-            corpus = filter_bookable_sessions(corpus)
+        corpus = filter_bookable_sessions(corpus)
         write_corpus(corpus, args.out)
     else:
         corpus, truth = hide_test_targets(corpus)
@@ -154,6 +141,13 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     started = time.perf_counter()
+    # the fit's settings are checked before any work starts
+    config = FitConfig(
+        params=ModelParams(alpha=args.alpha, dim=args.dim, lam=args.lam),
+        seed=args.seed,
+        max_iterations=args.max_iterations,
+        gradient_tolerance=args.gradient_tolerance,
+    )
     corpus = parse_session_log(args.corpus, role=Role.TRAIN)
     graph = build_affinity_graph(corpus, args.min_sessions, args.max_pairs_per_item)
     pairs_out = args.pairs_out or str(args.out) + ".pairs.tsv"
@@ -161,12 +155,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     trace_out = args.trace_out or str(args.out) + ".trace.csv"
     write_affinity_graph(graph, pairs_out, popularity_out)
 
-    config = FitConfig(
-        params=ModelParams(alpha=args.alpha, dim=args.dim, lam=args.lam),
-        seed=args.seed,
-        max_iterations=args.max_iterations,
-        gradient_tolerance=args.gradient_tolerance,
-    )
     try:
         model, trace = fit_embedding(graph, config)
     except DivergenceError as exc:
@@ -209,9 +197,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
             f"{args.session} holds {corpus.n_sessions} sessions; pass --session-id"
         )
     popularity = read_popularity(args.popularity) if args.popularity else None
-    ranker = NextItemRecommender(
-        model, popularity=popularity, anchor_mode=args.anchor_mode
-    )
+    ranker = NextItemRecommender(model, popularity=popularity)
     candidates = args.candidates.split("|") if args.candidates else None
     ranked = ranker.rank(session, candidates, args.top)
     lines = ["rank,item,score,anchor,fallback"]
@@ -243,9 +229,7 @@ def _build_ranker(args: argparse.Namespace):
         if args.train_corpus:
             train = parse_session_log(args.train_corpus, role=Role.TRAIN)
             popularity = compute_popularity(train)
-        return NextItemRecommender(
-            model, popularity=popularity, anchor_mode=args.anchor_mode
-        )
+        return NextItemRecommender(model, popularity=popularity)
     if name == "random":
         return RandomRanker(seed=args.seed)
     if name in ("ipop", "icpop", "icknn", "imknn"):
@@ -260,16 +244,11 @@ def _build_ranker(args: argparse.Namespace):
             graph = build_affinity_graph(
                 train, args.min_sessions, args.max_pairs_per_item
             )
-            return CooccurrenceKnnRanker(
-                graph, k=args.k, clickout_only=args.clickout_only
-            )
+            return CooccurrenceKnnRanker(graph)
         if not args.metadata:
             raise SimpopError("--ranker imknn requires --metadata")
         return MetadataKnnRanker(
-            load_metadata(args.metadata),
-            k=args.k,
-            popularity=compute_popularity(train),
-            clickout_only=args.clickout_only,
+            load_metadata(args.metadata), popularity=compute_popularity(train)
         )
     raise SimpopError(f"unknown ranker {name!r}")
 
@@ -404,21 +383,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="parse and validate a raw session log")
+    p = sub.add_parser(
+        "ingest",
+        help="parse and validate a raw session log; a train log loses its "
+        "sessions without a clickout",
+    )
     p.add_argument("--input", type=Path, required=True, help="raw CSV (or .gz)")
     p.add_argument("--out", type=Path, required=True, help="canonical corpus path")
     p.add_argument("--role", choices=["train", "test"], default="train")
     p.add_argument(
-        "--schema",
-        help="comma-separated field=column overrides, e.g. item_ref=reference",
-    )
-    p.add_argument(
         "--truth-out", help="hidden-target CSV for --role test (default <out>.truth.csv)"
-    )
-    p.add_argument(
-        "--keep-unbookable",
-        action="store_true",
-        help="keep train sessions that contain no clickout",
     )
     p.set_defaults(func=cmd_ingest)
 
@@ -444,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--session-id")
     p.add_argument("--candidates", help="pipe-separated candidate list")
     p.add_argument("--top", type=int, default=10)
-    p.add_argument("--anchor-mode", choices=["global", "session"], default="global")
     p.add_argument("--popularity", help="popularity TSV for cold items")
     p.add_argument("--out", help="write CSV here instead of stdout")
     p.set_defaults(func=cmd_recommend)
@@ -462,11 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-corpus", help="train corpus (baselines, popularity)")
     p.add_argument("--metadata", help="item properties TSV (imknn)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k", type=int, default=100, help="neighbor cap for KNN rankers")
-    p.add_argument("--clickout-only", action="store_true")
     p.add_argument("--min-sessions", type=int, default=2)
     p.add_argument("--max-pairs-per-item", type=int, default=500)
-    p.add_argument("--anchor-mode", choices=["global", "session"], default="global")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("gridsearch", help="hyperparameter grid over a train corpus")

@@ -216,10 +216,6 @@ class _PairObjective:
         grad += (2.0 * self.lam) * coords.ravel()
         return grad
 
-    def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        f = self.value(x)
-        return f, self.grad()
-
 
 def fit_embedding(
     graph: AffinityGraph,
@@ -267,7 +263,8 @@ def _minimize(problem: _PairObjective, x: np.ndarray, config: FitConfig):
     start = time.perf_counter()
     trace = FitTrace()
 
-    f, g = problem.value_and_grad(x)
+    f = problem.value(x)
+    g = problem.grad()
     _require_finite(f, g, 0, trace)
     gnorm = _norm(g)
     threshold = config.gradient_tolerance * gnorm

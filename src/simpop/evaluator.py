@@ -24,26 +24,13 @@ from .baselines import Ranker
 from .embedder import FitConfig, fit_embedding
 from .errors import DivergenceError, SimpopError, ValidationError
 from .model import ModelParams
-from .recommender import NextItemRecommender, RankedList
-from .sessions import SessionCorpus, prepare_holdout
+from .recommender import NextItemRecommender
+from .sessions import SessionCorpus, _last_clickout_index, prepare_holdout
 
 log = logging.getLogger(__name__)
 
-DEFAULT_MAP_CUTOFFS = (1, 3, 5, 10)
-
-
-def reciprocal_rank(ranked: RankedList, truth: str) -> float:
-    """1 / position of the truth item, 0 when it is absent from the list."""
-    pos = ranked.rank_of(truth)
-    return 1.0 / pos if pos is not None else 0.0
-
-
-def map_at_n(ranked: RankedList, truth: str, n: int) -> float:
-    """hit-within-top-n indicator divided by n (so the ceiling is 1/n)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    pos = ranked.rank_of(truth)
-    return 1.0 / n if pos is not None and pos <= n else 0.0
+#: the N of every MAP@N a report holds
+_MAP_CUTOFFS = (1, 3, 5, 10)
 
 
 @dataclass(frozen=True)
@@ -63,34 +50,35 @@ def evaluate(
     ranker: Ranker,
     test: SessionCorpus,
     truth: Mapping[str, str],
-    ns: Sequence[int] = DEFAULT_MAP_CUTOFFS,
 ) -> EvalReport:
-    """Rerank each test session's impression list and aggregate the metrics.
+    """Rerank each test session's impression list and aggregate MRR and
+    MAP@1, 3, 5 and 10.
 
-    Sessions without a target clickout carrying impressions, or without an
-    entry in the truth map, are skipped and counted separately. A truth item
-    missing from its own impression list is a retained miss (rank None).
+    Sessions without a clickout (whose impressions are the candidates), or
+    without an entry in the truth map, are skipped and counted separately. A
+    truth item missing from its own impression list is a retained miss (rank
+    None).
     Sessions the ranker ordered by its popularity fallback are counted too.
     """
     per_session: list[tuple[str, int | None]] = []
     rr_sum = 0.0
-    hit_sums = {n: 0.0 for n in ns}
+    hit_sums = {n: 0.0 for n in _MAP_CUTOFFS}
     skipped = 0
     fallback = 0
     for sid in sorted(test.sessions):
         actions = test.sessions[sid]
-        target = _target_clickout(actions)
+        target = _last_clickout_index(actions)
         if target is None or sid not in truth:
             skipped += 1
             continue
-        candidates = list(target.impressions)
+        candidates = list(actions[target].impressions)
         ranked = ranker.rank(actions, candidates, len(candidates))
         rank = ranked.rank_of(truth[sid])
         fallback += ranked.fallback_used
         per_session.append((sid, rank))
         if rank is not None:
             rr_sum += 1.0 / rank
-            for n in ns:
+            for n in _MAP_CUTOFFS:
                 if rank <= n:
                     hit_sums[n] += 1.0
     n_eval = len(per_session)
@@ -100,18 +88,13 @@ def evaluate(
         ranker_name=ranker.name,
         per_session=tuple(per_session),
         mrr=rr_sum / n_eval if n_eval else 0.0,
-        map_at={n: hit_sums[n] / (n * n_eval) if n_eval else 0.0 for n in ns},
+        map_at={
+            n: hit_sums[n] / (n * n_eval) if n_eval else 0.0 for n in _MAP_CUTOFFS
+        },
         n_sessions=n_eval,
         n_skipped=skipped,
         n_fallback=fallback,
     )
-
-
-def _target_clickout(actions):
-    for action in reversed(actions):
-        if action.is_clickout and action.impressions:
-            return action
-    return None
 
 
 def write_report(report: EvalReport, path: str | Path) -> None:

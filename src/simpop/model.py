@@ -14,6 +14,7 @@ sampler that treats the law generatively.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -37,8 +38,8 @@ class ModelParams:
     lam: float = 0.0
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
         if self.alpha < 1:
             warnings.warn(
                 f"alpha={self.alpha} < 1 weakens the distance penalty; "
@@ -47,8 +48,8 @@ class ModelParams:
             )
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
 
 
 class EmbeddingModel:
@@ -77,8 +78,8 @@ class EmbeddingModel:
             raise ValidationError("kappa must align with ids")
         if not np.all(np.isfinite(coords)):
             raise ValidationError("coordinates must be finite")
-        if not np.all(kappa >= 1.0):
-            raise ValidationError("popularities must be >= 1")
+        if not np.all((kappa >= 1.0) & (kappa < np.inf)):
+            raise ValidationError("popularities must be finite and >= 1")
         order = np.argsort(np.asarray(ids, dtype=object))
         self.params = params
         self.ids: tuple[str, ...] = tuple(ids[int(k)] for k in order)

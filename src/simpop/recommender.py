@@ -71,15 +71,14 @@ def order_candidates(
 
 def _by_popularity(
     candidates: Iterable[str],
-    popularity: Mapping[str, float] | PopularityTable | None,
+    popularity: Mapping[str, float] | PopularityTable,
     t: int,
     fallback_used: bool,
 ) -> RankedList:
-    """Candidates, each once, ordered by popularity (unknown items and a
-    missing table count 0), then id."""
-    get = popularity.get if popularity is not None else (lambda item, d: d)
+    """Candidates, each once, ordered by popularity (unknown items count 0),
+    then id."""
     return order_candidates(
-        ((c, float(get(c, 0))) for c in dict.fromkeys(candidates)),
+        ((c, float(popularity.get(c, 0))) for c in dict.fromkeys(candidates)),
         t,
         None,
         anchor=None,
@@ -91,21 +90,16 @@ def anchor_item(
     session: Sequence[Action],
     popularity: PopularityTable,
     universe: Container[str] | None = None,
-    mode: str = "global",
 ) -> str:
-    """Pick the session's anchor: its most popular interacted item.
+    """Pick the session's anchor: the interacted item of highest popularity.
 
-    ``mode='global'`` ranks by table popularity; ``mode='session'`` by
-    in-session interaction count. Ties prefer the most recently touched item,
-    then the lexicographically smallest id. ``universe`` optionally restricts
-    eligibility (e.g. to items a model can score); it is only tested for
-    membership, so pass the model itself rather than a copy of its ids.
+    Ties prefer the most recently touched item, then the lexicographically
+    smallest id. ``universe`` optionally restricts eligibility (e.g. to items
+    a model can score); it is only tested for membership, so pass the model
+    itself rather than a copy of its ids.
 
     Raises NoAnchorError when no action references an eligible item.
     """
-    if mode not in ("global", "session"):
-        raise ValueError(f"unknown anchor mode {mode!r}")
-    weight: dict[str, float] = {}
     last_seen: dict[str, int] = {}
     for pos, action in enumerate(session):
         item = action.item_ref
@@ -113,14 +107,10 @@ def anchor_item(
             continue
         if universe is not None and item not in universe:
             continue
-        if mode == "global":
-            weight[item] = popularity[item]
-        else:
-            weight[item] = weight.get(item, 0.0) + 1.0
         last_seen[item] = pos
-    if not weight:
+    if not last_seen:
         raise NoAnchorError("session has no item eligible as anchor")
-    return min(weight, key=lambda i: (-weight[i], -last_seen[i], i))
+    return min(last_seen, key=lambda i: (-popularity[i], -last_seen[i], i))
 
 
 def rank_candidates(
@@ -155,7 +145,6 @@ def recommend(
     candidates: Sequence[str] | None = None,
     t: int = 10,
     popularity: PopularityTable | None = None,
-    anchor_mode: str = "global",
 ) -> RankedList:
     """Rank next-item candidates for an active session.
 
@@ -169,7 +158,7 @@ def recommend(
     pop = popularity if popularity is not None else model.popularity
     pool = candidates if candidates is not None else model.ids
     try:
-        anchor = anchor_item(session, pop, universe=model, mode=anchor_mode)
+        anchor = anchor_item(session, pop, universe=model)
     except NoAnchorError:
         return _by_popularity(pool, pop, t, fallback_used=True)
     if candidates is None:
@@ -213,11 +202,9 @@ class NextItemRecommender:
         self,
         model: EmbeddingModel,
         popularity: PopularityTable | None = None,
-        anchor_mode: str = "global",
     ):
         self.model = model
         self.popularity = popularity if popularity is not None else model.popularity
-        self.anchor_mode = anchor_mode
 
     def rank(
         self,
@@ -231,5 +218,4 @@ class NextItemRecommender:
             candidates=candidates,
             t=t,
             popularity=self.popularity,
-            anchor_mode=self.anchor_mode,
         )

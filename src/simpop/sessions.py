@@ -11,7 +11,7 @@ or when a test target has been hidden), and ``impressions`` is a
 pipe-separated candidate list of at most 25 items, attached to clickout rows.
 Files ending in ``.gz`` are read and written gzip-compressed. The column
 layout mirrors the public Trivago/RecSys-2019 session logs, so those load
-with the default schema; extra columns are ignored.
+as they are; extra columns are ignored.
 """
 
 from __future__ import annotations
@@ -43,17 +43,6 @@ MAX_IMPRESSIONS = 25
 #: Characters an item id must not contain: the model and affinity files are
 #: tab-separated and line-based, and their readers use universal newlines.
 _ID_BREAKS = re.compile("[\t\n\r]")
-
-#: Default mapping from Action field to column name (the canonical layout).
-DEFAULT_SCHEMA: dict[str, str] = {
-    "user_id": "user_id",
-    "session_id": "session_id",
-    "timestamp": "timestamp",
-    "step": "step",
-    "action_type": "action_type",
-    "item_ref": "reference",
-    "impressions": "impressions",
-}
 
 _CANONICAL_COLUMNS = (
     "user_id",
@@ -168,17 +157,13 @@ def _validate_session(sid: str, actions: list[Action]) -> tuple[Action, ...]:
 
 def parse_session_log(
     source: str | Path | IO,
-    schema: Mapping[str, str] | None = None,
     role: Role = Role.TRAIN,
 ) -> SessionCorpus:
     """Parse a comma-separated session log into a validated corpus.
 
     Args:
-        source: path to a (optionally ``.gz``) file, or an open stream.
-        schema: mapping from Action field names (``user_id``, ``session_id``,
-            ``timestamp``, ``step``, ``action_type``, ``item_ref``,
-            ``impressions``) to column names; defaults to the canonical
-            layout.
+        source: path to a (optionally ``.gz``) file, or an open stream, with
+            the canonical columns in any order.
         role: corpus role to stamp on the result.
 
     Raises:
@@ -188,20 +173,18 @@ def parse_session_log(
         ValidationError: duplicate or non-contiguous steps, or a clickout
             violating the impression invariants.
     """
-    schema = dict(DEFAULT_SCHEMA, **(schema or {}))
     with _open_text(source) as stream:
         rows = _numbered_rows(stream)
         _, header = next(rows, (1, None))
         if header is None:
             raise ParseError("empty input, expected a header row", 1)
         col_index: dict[str, int] = {}
-        for field, column in schema.items():
+        for column in _CANONICAL_COLUMNS:
             try:
-                col_index[field] = header.index(column)
+                col_index[column] = header.index(column)
             except ValueError:
                 raise ParseError(
-                    f"required column {column!r} (for field {field!r}) "
-                    f"not in header", 1
+                    f"required column {column!r} not in header", 1
                 ) from None
 
         actions: list[Action] = []
@@ -241,9 +224,9 @@ def _row_to_action(row: list[str], col: Mapping[str, int], line: int) -> Action:
         except ValueError:
             raise ParseError(f"non-integer {field} {raw!r}", line) from None
 
-    ref = row[col["item_ref"]].strip()
+    ref = row[col["reference"]].strip()
     imp_raw = row[col["impressions"]].strip()
-    for name, raw in (("item_ref", ref), ("impressions", imp_raw)):
+    for name, raw in (("reference", ref), ("impressions", imp_raw)):
         if _ID_BREAKS.search(raw):
             raise ParseError(
                 f"{name} {raw!r} holds a tab or line break, which the "

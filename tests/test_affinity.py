@@ -65,6 +65,11 @@ class TestPopularity:
         with pytest.raises(ValidationError):
             PopularityTable({"A": 0.5})
 
+    @pytest.mark.parametrize("kappa", [math.inf, math.nan])
+    def test_non_finite_kappa_rejected(self, kappa):
+        with pytest.raises(ValidationError, match="finite"):
+            PopularityTable({"A": kappa})
+
     def test_lookup_of_unknown_item(self):
         table = PopularityTable({"A": 2.0})
         assert table.get("Z") == 0.0
@@ -185,6 +190,12 @@ class TestGraphBuild:
         }
         for i, j in pruned.pairs:
             assert pruned.similarity(i, j) == pruned.similarity(j, i)
+
+    def test_negative_pair_cap_rejected(self):
+        # 0 means no cap; a negative cap is an error, not a second spelling of 0
+        corpus = corpus_of_sessions([["A", "B"], ["A", "B"]])
+        with pytest.raises(ValueError, match="max_pairs_per_item"):
+            build_affinity_graph(corpus, max_pairs_per_item=-3)
 
     def test_bounds_hold_on_random_corpora(self):
         rng = np.random.default_rng(3)

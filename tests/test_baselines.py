@@ -145,29 +145,28 @@ class TestCooccurrenceKnn:
         assert ranked.items[1][1] == pytest.approx(1 / math.sqrt(3))
 
     def test_neighbor_cap_limits_scored_items(self):
-        corpus = corpus_of_sessions(
-            [["A", "B"], ["A", "B"], ["A", "C"], ["A", "D"], ["C", "D"]]
-        )
+        # A has 105 neighbors: n104 (two shared sessions) is the strongest,
+        # the rest tie and are ordered by id, so the 100 strongest are n104
+        # and n000..n098
+        others = [f"n{k:03d}" for k in range(105)]
+        corpus = corpus_of_sessions([["A", n] for n in others] + [["A", "n104"]])
         graph = build_affinity_graph(corpus, min_sessions=1, max_pairs_per_item=0)
-        ranker = CooccurrenceKnnRanker(graph, k=1)
-        ranked = ranker.rank(session_of("A"), ["B", "C", "D"], 3)
-        # only the strongest neighbor keeps a similarity score
-        assert ranked.items[0][0] == "B"
-        assert ranked.items[1][1] == 0.0
+        assert len(graph.neighbors("A")) == 105
+        ranked = CooccurrenceKnnRanker(graph).rank(session_of("A"), others, 105)
+        scored = {item for item, score in ranked.items if score > 0.0}
+        assert scored == {"n104", *others[:99]}
+        assert len(ranked) == 105
 
-    def test_clickout_only_previous_item(self):
+    def test_previous_item_is_the_latest_revealed_item(self):
+        # a later interaction, not the earlier clickout, is the previous item
         corpus = corpus_of_sessions([["A", "B"], ["A", "B"], ["B", "C"]])
         graph = build_affinity_graph(corpus, min_sessions=1, max_pairs_per_item=0)
         session = [
             clickout("s", 1, "B", ["A", "B"]),
             make_action("s", 2, item="C"),
+            make_action("s", 3),
         ]
-        default = CooccurrenceKnnRanker(graph).rank(session, ["A", "B"], 2)
-        strict = CooccurrenceKnnRanker(graph, clickout_only=True).rank(
-            session, ["A", "B"], 2
-        )
-        assert default.anchor == "C"
-        assert strict.anchor == "B"
+        assert CooccurrenceKnnRanker(graph).rank(session, ["A", "B"], 2).anchor == "C"
 
 
 class TestMetadataKnn:
@@ -177,25 +176,25 @@ class TestMetadataKnn:
         "half": frozenset({"b", "c"}),
         "other": frozenset({"x", "y"}),
     }
+    POPULARITY = PopularityTable({"twin": 5.0, "half": 2.0})
 
     def test_identical_properties_score_one(self):
-        ranker = MetadataKnnRanker(self.METADATA)
+        ranker = MetadataKnnRanker(self.METADATA, self.POPULARITY)
         ranked = ranker.rank(session_of("prev"), ["twin", "other"], 2)
         assert ranked.items[0] == ("twin", pytest.approx(1.0))
 
     def test_disjoint_properties_score_zero(self):
-        ranker = MetadataKnnRanker(self.METADATA)
+        ranker = MetadataKnnRanker(self.METADATA, self.POPULARITY)
         ranked = ranker.rank(session_of("prev"), ["other"], 1)
         assert ranked.items[0][1] == 0.0
 
     def test_half_overlap(self):
-        ranker = MetadataKnnRanker(self.METADATA)
+        ranker = MetadataKnnRanker(self.METADATA, self.POPULARITY)
         ranked = ranker.rank(session_of("prev"), ["half"], 1)
         assert ranked.items[0][1] == pytest.approx(0.5)
 
     def test_unknown_previous_item_falls_back(self):
-        pop = PopularityTable({"twin": 5.0, "half": 2.0})
-        ranker = MetadataKnnRanker(self.METADATA, popularity=pop)
+        ranker = MetadataKnnRanker(self.METADATA, self.POPULARITY)
         ranked = ranker.rank(session_of("mystery"), ["half", "twin"], 2)
         assert ranked.fallback_used
         assert ranked.item_ids() == ("twin", "half")
@@ -214,7 +213,7 @@ class TestOutputContract:
             InteractionPopularityRanker(toy_train),
             ClickoutPopularityRanker(toy_train),
             CooccurrenceKnnRanker(graph),
-            MetadataKnnRanker({"A": frozenset({"t"})}),
+            MetadataKnnRanker({"A": frozenset({"t"})}, graph.popularity),
         ]
         session = session_of("A", "B")
         cands = ["C", "D", "E", "A"]

@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import simpop
-from simpop.cli import main
+from simpop.cli import build_parser, main
 from simpop.model import read_model
 from simpop.sessions import Role, parse_session_log, read_truth
 
@@ -105,18 +107,6 @@ class TestIngest:
         assert str(workdir / "raw_train.csv") in manifest["inputs"]
         assert len(next(iter(manifest["inputs"].values()))) == 64
 
-    def test_schema_flag(self, workdir):
-        raw = workdir / "renamed.csv"
-        raw.write_text(
-            "user_id,session_id,timestamp,step,action_type,item,impressions\n"
-            "u1,s1,1000,1,clickout item,A,A|B\n"
-        )
-        out = workdir / "out.csv"
-        code = main(
-            ["ingest", "--input", str(raw), "--out", str(out), "--schema", "item_ref=item"]
-        )
-        assert code == 0
-
 
 class TestTrain:
     def test_writes_model_trace_and_artifacts(self, workdir):
@@ -199,7 +189,7 @@ class TestTrain:
             subprocess.run(
                 [
                     sys.executable, "-c",
-                    "import sys; from simpop.cli import main; sys.exit(main(sys.argv[1:]))",
+                    "import sys; from simpop.cli import build_parser, main; sys.exit(main(sys.argv[1:]))",
                     "train", "--corpus", str(corpus), "--out", str(model),
                     "--dim", "20", "--max-iterations", "100", "--gradient-tolerance", "1e-5",
                 ],
@@ -210,6 +200,16 @@ class TestTrain:
             )
             models.append(model.read_bytes())
         assert models[0] == models[1]
+
+    @pytest.mark.parametrize(
+        "flags", [["--lambda", "nan"], ["--max-pairs-per-item", "-3"]]
+    )
+    def test_bad_setting_exits_2_before_writing(self, workdir, flags):
+        corpus = ingest_train(workdir)
+        model_path = workdir / "m.txt"
+        code = main(["train", "--corpus", str(corpus), "--out", str(model_path)] + flags)
+        assert code == 2
+        assert not list(workdir.glob("m.txt*"))
 
     def test_empty_graph_exits_2(self, workdir):
         corpus = ingest_train(workdir)
@@ -469,17 +469,48 @@ class TestGridsearchCommand:
         assert "best:" in capsys.readouterr().out
 
 
+EVALUATE = ["evaluate", "--ranker", "icknn", "--test-corpus", "t.csv", "--truth",
+            "truth.csv", "--out", "r.csv"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["gridsearch", "--corpus", "c.csv", "--out", "g.csv", "--threads", "2"],
         ["train", "--corpus", "c.csv", "--out", "m.txt", "--memory", "5"],
         ["train", "--corpus", "c.csv", "--out", "m.txt", "--init-scale", "1"],
+        ["ingest", "--input", "l.csv", "--out", "c.csv", "--schema", "item_ref=item"],
+        ["ingest", "--input", "l.csv", "--out", "c.csv", "--keep-unbookable"],
+        ["recommend", "--model", "m.txt", "--session", "s.csv",
+         "--anchor-mode", "global"],
+        EVALUATE + ["--anchor-mode", "global"],
+        EVALUATE + ["--k", "100"],
+        EVALUATE + ["--clickout-only"],
     ],
-    ids=["gridsearch-threads", "train-memory", "train-init-scale"],
+    ids=[
+        "gridsearch-threads", "train-memory", "train-init-scale", "ingest-schema",
+        "ingest-keep-unbookable", "recommend-anchor-mode", "evaluate-anchor-mode",
+        "evaluate-k", "evaluate-clickout-only",
+    ],
 )
 def test_removed_flags_are_unknown(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_readme_commands_parse():
+    # every simpop command in README's bash blocks names only flags that exist
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"```bash\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    commands = [
+        shlex.split(line, comments=True)
+        for block in blocks
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("simpop ")
+    ]
+    assert len(commands) >= 9
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])

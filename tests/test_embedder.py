@@ -124,7 +124,8 @@ class TestGradient:
         n, dim, h = len(ids), 4, 1e-6
         problem = _PairObjective(n, dim, ii, jj, d2, lam=0.05)
         x = rng.normal(size=n * dim)
-        analytic = problem.value_and_grad(x.copy())[1].reshape(n, dim)
+        problem.value(x.copy())
+        analytic = problem.grad().reshape(n, dim)
         numeric = np.empty(n * dim)
         for k in range(n * dim):
             step = np.zeros(n * dim)
@@ -166,17 +167,13 @@ class TestKernel:
         problem.value(x)
         assert np.array_equal(problem.grad(), expected.ravel())
 
-    def test_value_and_grad_equals_value_then_grad(self):
-        problem, x = self._problem()
-        f, g = problem.value_and_grad(x)
-        assert problem.value(x) == f
-        assert np.array_equal(problem.grad(), g)
-
     def test_grad_is_at_the_last_evaluated_point(self):
         problem, x = self._problem()
         problem.value(x)
         problem.value(2.0 * x)
-        assert np.array_equal(problem.grad(), problem.value_and_grad(2.0 * x)[1])
+        at_last = problem.grad()
+        problem.value(2.0 * x)
+        assert np.array_equal(at_last, problem.grad())
 
     def test_grad_without_evaluated_point_raises(self):
         problem, x = self._problem()
@@ -190,7 +187,8 @@ class TestKernel:
     def test_input_point_is_not_modified(self):
         problem, x = self._problem()
         before = x.copy()
-        problem.value_and_grad(x)
+        problem.value(x)
+        problem.grad()
         assert np.array_equal(x, before)
 
 

@@ -14,8 +14,6 @@ from simpop.evaluator import (
     SearchGrid,
     evaluate,
     grid_search,
-    map_at_n,
-    reciprocal_rank,
     write_grid_table,
     write_report,
 )
@@ -52,38 +50,54 @@ class LexicographicRanker:
         return ranked_of(*ordered[:t])
 
 
+class AsShownRanker:
+    """Stand-in ranker: candidates in the order they were shown."""
+
+    name = "shown"
+
+    def rank(self, session, candidates, t):
+        return ranked_of(*list(dict.fromkeys(candidates))[:t])
+
+
+def one_session_report(shown, truth):
+    """``evaluate`` over one session whose impressions are ``shown``, ranked
+    as shown, with ``truth`` as its hidden item."""
+    corpus = SessionCorpus.from_actions(
+        [make_action("u1", 1, item="x"), clickout("u1", 2, shown[0], shown)],
+        Role.TEST,
+    )
+    blinded, _ = hide_test_targets(corpus)
+    return evaluate(AsShownRanker(), blinded, {"u1": truth})
+
+
 class TestReciprocalRank:
     def test_first_position_is_one(self):
-        assert reciprocal_rank(ranked_of("hit", "b", "c"), "hit") == 1.0
+        assert one_session_report(["hit", "b", "c"], "hit").mrr == 1.0
 
     def test_last_position_of_length_t(self):
-        ranked = ranked_of(*[f"c{k}" for k in range(7)], "hit")
-        assert reciprocal_rank(ranked, "hit") == pytest.approx(1 / 8)
+        report = one_session_report([*(f"c{k}" for k in range(7)), "hit"], "hit")
+        assert report.mrr == pytest.approx(1 / 8)
 
     def test_absent_truth_is_zero(self):
-        assert reciprocal_rank(ranked_of("a", "b"), "missing") == 0.0
+        assert one_session_report(["a", "b"], "missing").mrr == 0.0
 
 
 class TestMapAtN:
     def test_inside_cutoff_scales_by_n(self):
-        ranked = ranked_of("a", "hit", "c")
-        assert map_at_n(ranked, "hit", 3) == pytest.approx(1 / 3)
+        report = one_session_report(["a", "hit", "c"], "hit")
+        assert report.map_at[3] == pytest.approx(1 / 3)
 
     def test_outside_cutoff_is_zero(self):
-        ranked = ranked_of("a", "hit")
-        assert map_at_n(ranked, "hit", 1) == 0.0
+        assert one_session_report(["a", "hit"], "hit").map_at[1] == 0.0
 
     def test_top_one_hit(self):
-        assert map_at_n(ranked_of("hit"), "hit", 1) == 1.0
+        assert one_session_report(["hit"], "hit").map_at[1] == 1.0
 
     def test_bounded_by_one_over_n(self):
-        ranked = ranked_of("hit", "b")
-        for n in (1, 2, 3, 10):
-            assert map_at_n(ranked, "hit", n) <= 1 / n
-
-    def test_rejects_bad_cutoff(self):
-        with pytest.raises(ValueError):
-            map_at_n(ranked_of("a"), "a", 0)
+        report = one_session_report(["hit", "b"], "hit")
+        assert sorted(report.map_at) == [1, 3, 5, 10]
+        for n, value in report.map_at.items():
+            assert value <= 1 / n
 
 
 def three_session_fixture():

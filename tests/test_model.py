@@ -41,6 +41,14 @@ class TestParams:
         with pytest.raises(ValueError):
             ModelParams(alpha=1.0, dim=2, lam=-0.1)
 
+    @pytest.mark.parametrize(
+        "alpha, lam",
+        [(math.inf, 0.0), (math.nan, 0.0), (2.0, math.nan), (2.0, math.inf)],
+    )
+    def test_non_finite_values_rejected(self, alpha, lam):
+        with pytest.raises(ValueError, match="finite"):
+            ModelParams(alpha=alpha, dim=2, lam=lam)
+
     def test_alpha_below_one_warns(self):
         with pytest.warns(UserWarning):
             ModelParams(alpha=0.5, dim=2)
@@ -259,6 +267,23 @@ class TestModelValidation:
                 np.array([[0.0]]),
                 np.array([kappa]),
             )
+
+    @pytest.mark.parametrize("kappa", [math.inf, math.nan])
+    def test_non_finite_kappa_rejected(self, kappa, tmp_path):
+        # an infinite kappa would give every candidate probability 1
+        with pytest.raises(ValidationError, match="finite"):
+            EmbeddingModel(
+                ModelParams(alpha=2.0, dim=1),
+                ["a"],
+                np.array([[0.0]]),
+                np.array([kappa]),
+            )
+        path = tmp_path / "model.txt"
+        path.write_text(
+            f"simpop-model v1 dim=1 alpha=2.0 lambda=0.0\na\t{kappa!r}\t0.0\n"
+        )
+        with pytest.raises(ValidationError, match="finite"):
+            read_model(path)
 
     def test_synth_kappa_max_below_one_rejected(self):
         with pytest.raises(ValueError, match="kappa_max"):

@@ -88,16 +88,6 @@ class TestAnchor:
         pop = PopularityTable({"A": 9.0, "B": 2.0})
         assert anchor_item(session_of("A", "B"), pop, universe=model) == "B"
 
-    def test_session_mode_counts_interactions(self):
-        pop = PopularityTable({"A": 1.0, "B": 9.0})
-        session = session_of("A", "B", "A")
-        assert anchor_item(session, pop, mode="session") == "A"
-        assert anchor_item(session, pop, mode="global") == "B"
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            anchor_item(session_of("A"), PopularityTable({"A": 1.0}), mode="wat")
-
 
 class TestRankCandidates:
     def test_closer_item_ranks_first(self):

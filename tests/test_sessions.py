@@ -25,8 +25,8 @@ from conftest import clickout, make_action
 HEADER = "user_id,session_id,timestamp,step,action_type,reference,impressions"
 
 
-def corpus_from_text(text, role=Role.TRAIN, **kwargs):
-    return parse_session_log(io.BytesIO(text.encode()), role=role, **kwargs)
+def corpus_from_text(text, role=Role.TRAIN):
+    return parse_session_log(io.BytesIO(text.encode()), role=role)
 
 
 class TestParsing:
@@ -116,25 +116,6 @@ class TestParsing:
         text = f"{HEADER}\nu1,s1,1000,1,clickout item,Z,A|B\n"
         with pytest.raises(ValidationError, match="Z"):
             corpus_from_text(text)
-
-    def test_schema_override_maps_columns(self):
-        text = (
-            "uid,sid,ts,n,kind,item,shown\n"
-            "u1,s1,1000,1,clickout item,A,A|B\n"
-        )
-        corpus = corpus_from_text(
-            text,
-            schema={
-                "user_id": "uid",
-                "session_id": "sid",
-                "timestamp": "ts",
-                "step": "n",
-                "action_type": "kind",
-                "item_ref": "item",
-                "impressions": "shown",
-            },
-        )
-        assert corpus.sessions["s1"][0].item_ref == "A"
 
     def test_extra_columns_ignored(self):
         text = (
