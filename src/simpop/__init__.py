@@ -13,7 +13,6 @@ from .affinity import (
     PopularityTable,
     build_affinity_graph,
     compute_popularity,
-    item_session_incidence,
 )
 from .baselines import (
     ClickoutPopularityRanker,
@@ -100,7 +99,6 @@ __all__ = [
     "gradient",
     "grid_search",
     "hide_test_targets",
-    "item_session_incidence",
     "objective",
     "parse_session_log",
     "rank_candidates",

@@ -8,13 +8,15 @@ vectors, which lies in (0, 1] whenever the items co-occur at least once.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping
+
+import numpy as np
 
 from .errors import (
     MissingItemError,
@@ -121,12 +123,8 @@ class AffinityGraph:
 
     pairs: dict[tuple[str, str], float]
     popularity: PopularityTable
-    _adjacency: dict[str, tuple[tuple[str, float], ...]] = field(
-        init=False, repr=False, compare=False, default=None
-    )
 
     def __post_init__(self):
-        adjacency: dict[str, list[tuple[str, float]]] = {}
         for (i, j), p in self.pairs.items():
             if i == j:
                 raise ValidationError(f"self-pair on item {i!r}")
@@ -134,13 +132,6 @@ class AffinityGraph:
                 raise ValidationError(f"pair ({i!r}, {j!r}) not canonically ordered")
             if not 0.0 < p <= 1.0:
                 raise ValidationError(f"pair ({i}, {j}) has p={p}, not in (0, 1]")
-            adjacency.setdefault(i, []).append((j, p))
-            adjacency.setdefault(j, []).append((i, p))
-        frozen = {
-            item: tuple(sorted(nbrs, key=lambda np_: (-np_[1], np_[0])))
-            for item, nbrs in adjacency.items()
-        }
-        object.__setattr__(self, "_adjacency", frozen)
 
     @classmethod
     def from_pairs(
@@ -161,7 +152,7 @@ class AffinityGraph:
 
     def items(self) -> list[str]:
         """Items incident to at least one pair, sorted."""
-        return sorted(self._adjacency)
+        return sorted({item for pair in self.pairs for item in pair})
 
     def similarity(self, i: str, j: str) -> float:
         if i == j:
@@ -173,6 +164,18 @@ class AffinityGraph:
         """Neighbors of ``item`` sorted by decreasing similarity."""
         return self._adjacency.get(item, ())
 
+    @cached_property
+    def _adjacency(self) -> dict[str, tuple[tuple[str, float], ...]]:
+        """Every item's neighbour list, sorted on the first ``neighbors`` call."""
+        adjacency: dict[str, list[tuple[str, float]]] = {}
+        for (i, j), p in self.pairs.items():
+            adjacency.setdefault(i, []).append((j, p))
+            adjacency.setdefault(j, []).append((i, p))
+        return {
+            item: tuple(sorted(nbrs, key=lambda np_: (-np_[1], np_[0])))
+            for item, nbrs in adjacency.items()
+        }
+
 
 def build_affinity_graph(
     corpus: SessionCorpus,
@@ -181,11 +184,13 @@ def build_affinity_graph(
 ) -> AffinityGraph:
     """Estimate all positive pairwise connection probabilities from sessions.
 
-    Pairs are enumerated through an inverted index over sessions, so cost
-    scales with co-occurrence volume, never with vocabulary squared. Items in
-    fewer than ``min_sessions`` sessions are excluded; when
-    ``max_pairs_per_item`` > 0 each item keeps only its strongest pairs and
-    the kept sets are unioned, which preserves symmetry; 0 keeps every pair.
+    Items are coded by their position in the sorted vocabulary, so code order
+    is id order. Each session's distinct items are paired in numpy and the
+    pairs counted as codes ``i * n + j``, so cost scales with co-occurrence
+    volume, never with vocabulary squared. Items in fewer than
+    ``min_sessions`` sessions are excluded; when ``max_pairs_per_item`` > 0
+    each item keeps only its strongest pairs (ties to the smaller id) and the
+    kept sets are unioned, which preserves symmetry; 0 keeps every pair.
     """
     if corpus.role is not Role.TRAIN:
         raise ValidationError("build_affinity_graph expects a TRAIN corpus")
@@ -194,48 +199,75 @@ def build_affinity_graph(
     if max_pairs_per_item < 0:
         raise ValueError("max_pairs_per_item must be >= 0 (0 keeps every pair)")
 
-    incidence = item_session_incidence(corpus)
-    eligible = {
-        item: sess for item, sess in incidence.items() if len(sess) >= min_sessions
-    }
+    vocab = sorted(corpus.item_vocabulary)
+    n = len(vocab)
+    code = {item: k for k, item in enumerate(vocab)}
+    rows = [
+        s * n + code[a.item_ref]
+        for s, acts in enumerate(corpus.sessions.values())
+        for a in acts
+        if a.item_ref is not None
+    ]
+    # distinct (session, item) rows, by session and then item
+    rows = np.unique(np.array(rows, dtype=np.int64))
+    session, item = np.divmod(rows, n)
+    n_sessions = np.bincount(item, minlength=n)
+    eligible = n_sessions >= min_sessions
+    keep = eligible[item]
+    session, item = session[keep], item[keep]
 
-    co_counts: Counter = Counter()
-    for sid, acts in corpus.sessions.items():
-        members = sorted({a.item_ref for a in acts if a.item_ref in eligible})
-        for i, j in itertools.combinations(members, 2):
-            co_counts[(i, j)] += 1
-
-    pairs = {
-        (i, j): min(1.0, c / math.sqrt(len(eligible[i]) * len(eligible[j])))
-        for (i, j), c in co_counts.items()
-    }
+    ii, jj = _session_pairs(session, item)
+    codes, counts = np.unique(ii * n + jj, return_counts=True)
+    ii, jj = np.divmod(codes, n)
+    product = n_sessions[ii] * n_sessions[jj]
+    p = np.minimum(1.0, counts / np.sqrt(product.astype(float)))
 
     if max_pairs_per_item > 0:
-        pairs = _prune_top_pairs(pairs, max_pairs_per_item)
+        kept = _top_pairs(ii, jj, p, max_pairs_per_item)
+        ii, jj, p = ii[kept], jj[kept], p[kept]
 
-    items_in_pairs = {i for pair in pairs for i in pair}
+    pairs = dict(
+        zip(
+            zip([vocab[k] for k in ii.tolist()], [vocab[k] for k in jj.tolist()]),
+            p.tolist(),
+        )
+    )
     log.info(
         "affinity graph: %d pairs over %d items (%d items eligible)",
         len(pairs),
-        len(items_in_pairs),
-        len(eligible),
+        len(np.union1d(ii, jj)),
+        int(np.count_nonzero(eligible)),
     )
     return AffinityGraph(pairs=pairs, popularity=compute_popularity(corpus))
 
 
-def _prune_top_pairs(
-    pairs: Mapping[tuple[str, str], float], k: int
-) -> dict[tuple[str, str], float]:
-    by_item: dict[str, list[tuple[float, str]]] = {}
-    for (i, j), p in pairs.items():
-        by_item.setdefault(i, []).append((p, j))
-        by_item.setdefault(j, []).append((p, i))
-    kept: set[tuple[str, str]] = set()
-    for item, nbrs in by_item.items():
-        nbrs.sort(key=lambda pn: (-pn[0], pn[1]))
-        for p, other in nbrs[:k]:
-            kept.add((item, other) if item <= other else (other, item))
-    return {pair: pairs[pair] for pair in kept}
+def _session_pairs(
+    session: np.ndarray, item: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every within-session pair of rows sorted by (session, item), as item
+    codes (i, j) with i < j."""
+    starts = np.flatnonzero(np.r_[True, session[1:] != session[:-1]])
+    ends = np.r_[starts[1:], len(session)]
+    # row r pairs with every later row of its session
+    later = np.repeat(ends, ends - starts) - np.arange(len(session)) - 1
+    first = np.repeat(np.arange(len(session)), later)
+    offset = np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    return item[first], item[first + 1 + offset]
+
+
+def _top_pairs(ii: np.ndarray, jj: np.ndarray, p: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the pairs among some item's ``k`` strongest, ties to the
+    smaller other item."""
+    pair = np.arange(len(p))
+    item, other = np.r_[ii, jj], np.r_[jj, ii]
+    both, pair = np.r_[p, p], np.r_[pair, pair]
+    order = np.lexsort((other, -both, item))
+    item = item[order]
+    starts = np.flatnonzero(np.r_[True, item[1:] != item[:-1]])
+    rank = np.arange(len(item)) - np.repeat(starts, np.diff(np.r_[starts, len(item)]))
+    kept = np.zeros(len(p), dtype=bool)
+    kept[pair[order][rank < k]] = True
+    return kept
 
 
 # ---------------------------------------------------------------------------

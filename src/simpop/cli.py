@@ -3,7 +3,8 @@
 Every command that writes files also writes a JSON manifest next to its
 primary output (``<output>.manifest.json``) holding the resolved flags,
 seeds, SHA-256 digests of the inputs, and wall time, so any artifact can be
-traced back to its exact inputs.
+traced back to its exact inputs. ``ingest`` adds the sessions it dropped,
+and ``train`` the wall time of each of its stages.
 
 Exit codes: 0 success, 2 input or validation error, 3 numerical failure.
 """
@@ -80,6 +81,7 @@ def _write_manifest(
     seeds: list[int],
     started: float,
     counts: dict[str, int | str] | None = None,
+    timings: dict[str, float] | None = None,
 ) -> None:
     flags = {
         k: (str(v) if isinstance(v, Path) else v)
@@ -97,10 +99,19 @@ def _write_manifest(
     }
     if counts is not None:
         manifest["counts"] = counts
+    if timings is not None:
+        manifest["timings"] = timings
     path = Path(str(primary_out) + ".manifest.json")
     with open(path, "w", encoding="utf-8") as out:
         json.dump(manifest, out, indent=2, sort_keys=True)
         out.write("\n")
+
+
+def _lap(timings: dict[str, float], stage: str, mark: float) -> float:
+    """Record the seconds since ``mark`` as ``stage``; returns the new mark."""
+    now = time.perf_counter()
+    timings[stage] = round(now - mark, 3)
+    return now
 
 
 def _floats(spec: str) -> tuple[float, ...]:
@@ -120,6 +131,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     role = Role(args.role)
     corpus = parse_session_log(args.input, role=role)
+    parsed = corpus.n_sessions
     outputs = [args.out]
     if role is Role.TRAIN:
         corpus = filter_bookable_sessions(corpus)
@@ -135,7 +147,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         f"ingested {corpus.n_sessions} sessions, {corpus.n_actions} actions, "
         f"{len(corpus.item_vocabulary)} items -> {args.out}"
     )
-    _write_manifest("ingest", args, args.out, [args.input], outputs, [], started)
+    _write_manifest(
+        "ingest", args, args.out, [args.input], outputs, [], started,
+        counts={"dropped_sessions": parsed - corpus.n_sessions},
+    )
     return EXIT_OK
 
 
@@ -148,12 +163,17 @@ def cmd_train(args: argparse.Namespace) -> int:
         max_iterations=args.max_iterations,
         gradient_tolerance=args.gradient_tolerance,
     )
-    corpus = parse_session_log(args.corpus, role=Role.TRAIN)
-    graph = build_affinity_graph(corpus, args.min_sessions, args.max_pairs_per_item)
     pairs_out = args.pairs_out or str(args.out) + ".pairs.tsv"
     popularity_out = args.popularity_out or str(args.out) + ".popularity.tsv"
     trace_out = args.trace_out or str(args.out) + ".trace.csv"
+    timings: dict[str, float] = {}
+    mark = time.perf_counter()
+    corpus = parse_session_log(args.corpus, role=Role.TRAIN)
+    mark = _lap(timings, "parse_s", mark)
+    graph = build_affinity_graph(corpus, args.min_sessions, args.max_pairs_per_item)
+    mark = _lap(timings, "affinity_s", mark)
     write_affinity_graph(graph, pairs_out, popularity_out)
+    mark = _lap(timings, "pairs_write_s", mark)
 
     try:
         model, trace = fit_embedding(graph, config)
@@ -162,8 +182,10 @@ def cmd_train(args: argparse.Namespace) -> int:
             write_trace(exc.trace, trace_out)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    mark = _lap(timings, "fit_s", mark)
     write_trace(trace, trace_out)
     write_model(model, args.out)
+    _lap(timings, "model_write_s", mark)
     print(
         f"trained {len(model)} items (dim={args.dim}, alpha={args.alpha}, "
         f"lambda={args.lam}): {trace.iterations} iterations, "
@@ -178,6 +200,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         [args.seed],
         started,
         counts={"iterations": trace.iterations, "stop_reason": trace.stop_reason},
+        timings=timings,
     )
     return EXIT_OK
 

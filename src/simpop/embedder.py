@@ -52,7 +52,7 @@ import numpy as np
 
 from .affinity import AffinityGraph
 from .errors import DivergenceError, MissingItemError, ValidationError
-from .model import EmbeddingModel, ModelParams, derive_squared_distance
+from .model import EmbeddingModel, ModelParams, _inverse_law
 
 _ARMIJO_C1 = 1e-4
 #: the objective rule: stop once f[k - _FTOL_WINDOW] - f[k] <= _FTOL * f[k]
@@ -153,19 +153,9 @@ def build_targets(
     pairs = sorted(graph.pairs)
     ii = np.fromiter((index[i] for i, _ in pairs), dtype=np.intp, count=len(pairs))
     jj = np.fromiter((index[j] for _, j in pairs), dtype=np.intp, count=len(pairs))
-    d2 = np.array(
-        [
-            derive_squared_distance(
-                graph.pairs[pair],
-                graph.popularity[pair[0]],
-                graph.popularity[pair[1]],
-                alpha,
-            )
-            for pair in pairs
-        ],
-        dtype=np.float64,
-    )
-    return ids, ii, jj, d2
+    p = np.fromiter((graph.pairs[pair] for pair in pairs), np.float64, len(pairs))
+    kappa = np.array([graph.popularity[item] for item in ids], dtype=np.float64)
+    return ids, ii, jj, _inverse_law(p, kappa[ii], kappa[jj], alpha)
 
 
 class _PairObjective:

@@ -141,7 +141,20 @@ def derive_squared_distance(
         raise ValueError("popularities must be positive")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    return kappa_i * kappa_j * (p ** (-1.0 / alpha) - 1.0)
+    d2 = _inverse_law(np.array([p], dtype=np.float64), kappa_i, kappa_j, alpha)
+    return float(d2[0])
+
+
+def _inverse_law(p: np.ndarray, kappa_i, kappa_j, alpha: float) -> np.ndarray:
+    """The squared distances that yield the probabilities ``p``, unvalidated.
+
+    The power is taken per element with Python floats, that is with libm's
+    ``pow``: numpy's SIMD power loop rounds some results differently, which
+    would make the targets, and so the fitted model, depend on the CPU.
+    """
+    e = -1.0 / alpha
+    powered = np.array([x**e for x in p.tolist()], dtype=np.float64)
+    return kappa_i * kappa_j * (powered - 1.0)
 
 
 def generate_synthetic_network(

@@ -124,7 +124,7 @@ def _validate_session(sid: str, actions: list[Action]) -> tuple[Action, ...]:
     actions = sorted(actions, key=lambda a: a.step)
     prev = 0
     for a in actions:
-        if a.step == prev:
+        if prev and a.step == prev:
             raise ValidationError(f"session {sid}: duplicate step {a.step}")
         if a.step != prev + 1:
             raise ValidationError(

@@ -24,7 +24,8 @@ from simpop.errors import (
     UndefinedSimilarityError,
     ValidationError,
 )
-from simpop.sessions import Role, SessionCorpus
+from simpop.sessions import Role, SessionCorpus, filter_bookable_sessions
+from simpop.synth import SynthConfig, generate
 
 from conftest import make_action
 
@@ -206,6 +207,78 @@ class TestGraphBuild:
         graph = build_affinity_graph(corpus_of_sessions(sessions), min_sessions=1)
         for p in graph.pairs.values():
             assert 0.0 < p <= 1.0
+
+
+def oracle_pairs(corpus, min_sessions, max_pairs_per_item):
+    """The graph's pairs by brute force: the cosine of every eligible pair's
+    session sets, then each item's top ``max_pairs_per_item`` by decreasing
+    p, ties to the smaller id, unioned; sorted by pair."""
+    incidence = item_session_incidence(corpus)
+    eligible = sorted(i for i, s in incidence.items() if len(s) >= min_sessions)
+    pairs = {}
+    for i, j in itertools.combinations(eligible, 2):
+        p = cosine_cooccurrence(incidence, i, j)
+        if p > 0.0:
+            pairs[(i, j)] = p
+    if max_pairs_per_item == 0:
+        return pairs
+    by_item = {}
+    for (i, j), p in pairs.items():
+        by_item.setdefault(i, []).append((p, j))
+        by_item.setdefault(j, []).append((p, i))
+    kept = set()
+    for item, ranked in by_item.items():
+        ranked.sort(key=lambda po: (-po[0], po[1]))
+        for _, other in ranked[:max_pairs_per_item]:
+            kept.add((min(item, other), max(item, other)))
+    return {pair: p for pair, p in pairs.items() if pair in kept}
+
+
+class TestGraphOracle:
+    """``build_affinity_graph``, with ``==``, against the brute-force oracle."""
+
+    @pytest.mark.parametrize("min_sessions", [1, 2, 3])
+    @pytest.mark.parametrize("cap", [0, 1, 2, 3])
+    def test_tie_heavy_random_corpora(self, min_sessions, cap):
+        # few items, short sessions drawn with replacement: repeated items
+        # within a session and many equal cosines
+        rng = np.random.default_rng(100 * min_sessions + cap)
+        for _ in range(25):
+            items = [f"i{k}" for k in range(rng.integers(1, 8))]
+            sessions = [
+                list(rng.choice(items, size=rng.integers(1, 5)))
+                for _ in range(rng.integers(1, 12))
+            ]
+            corpus = corpus_of_sessions(sessions)
+            graph = build_affinity_graph(corpus, min_sessions, cap)
+            expected = oracle_pairs(corpus, min_sessions, cap)
+            assert graph.pairs == expected, sessions
+            assert list(graph.pairs) == sorted(expected)
+
+    def test_one_item_corpus_gives_empty_graph(self):
+        corpus = corpus_of_sessions([["A", "A"], ["A"], ["A", "A", "A"]])
+        for min_sessions in (1, 2, 3):
+            graph = build_affinity_graph(corpus, min_sessions, 2)
+            assert graph.pairs == {}
+            assert graph.items() == []
+
+    def test_synth_corpus(self):
+        data = generate(
+            SynthConfig(n_items=300, n_clusters=6, n_train_sessions=600,
+                        n_test_sessions=30, seed=4)
+        )
+        corpus = filter_bookable_sessions(data.train)
+        assert len(corpus.item_vocabulary) >= 250
+        graph = build_affinity_graph(corpus, 2, 3)
+        assert graph.n_pairs > 300
+        assert graph.pairs == oracle_pairs(corpus, 2, 3)
+
+    def test_neighbors_and_items_come_from_pairs(self):
+        corpus = corpus_of_sessions([["A", "B"], ["A", "B"], ["B", "C"], ["C", "D"]])
+        graph = build_affinity_graph(corpus, min_sessions=1, max_pairs_per_item=0)
+        assert graph.items() == ["A", "B", "C", "D"]
+        assert [n for n, _ in graph.neighbors("B")] == ["A", "C"]
+        assert graph.neighbors("Z") == ()
 
 
 class TestGraphValidation:

@@ -106,6 +106,16 @@ class TestIngest:
         assert manifest["command"] == "ingest"
         assert str(workdir / "raw_train.csv") in manifest["inputs"]
         assert len(next(iter(manifest["inputs"].values()))) == 64
+        # s4 has no clickout
+        assert manifest["counts"] == {"dropped_sessions": 1}
+
+    def test_test_manifest_drops_nothing(self, workdir):
+        out = workdir / "test_corpus.csv"
+        argv = ["ingest", "--input", str(workdir / "raw_test.csv"), "--out", str(out),
+                "--role", "test"]
+        assert main(argv) == 0
+        manifest = json.loads((workdir / "test_corpus.csv.manifest.json").read_text())
+        assert manifest["counts"] == {"dropped_sessions": 0}
 
 
 class TestTrain:
@@ -133,7 +143,16 @@ class TestTrain:
         assert (workdir / "model.txt.trace.csv").exists()
         assert (workdir / "model.txt.pairs.tsv").exists()
         assert (workdir / "model.txt.popularity.tsv").exists()
-        assert (workdir / "model.txt.manifest.json").exists()
+        manifest = json.loads((workdir / "model.txt.manifest.json").read_text())
+        timings = manifest["timings"]
+        assert list(timings) == [
+            "affinity_s", "fit_s", "model_write_s", "pairs_write_s", "parse_s"
+        ]
+        assert all(t >= 0.0 for t in timings.values())
+        # each stage rounds to the millisecond
+        assert sum(timings.values()) <= manifest["wall_time_s"] + 0.005
+        # the stage timings are outputs, not flags
+        assert "timings" not in manifest["flags"]
 
     def test_reports_its_stop_rule(self, workdir, capsys):
         # the printed line and the manifest name the rule that stopped the

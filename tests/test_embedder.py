@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from simpop.affinity import AffinityGraph, PopularityTable
+from simpop.affinity import AffinityGraph, PopularityTable, build_affinity_graph
 from simpop.embedder import (
     _FTOL,
     _FTOL_WINDOW,
@@ -16,7 +16,9 @@ from simpop.embedder import (
     write_trace,
 )
 from simpop.errors import MissingItemError, ValidationError
-from simpop.model import ModelParams, connection_probabilities
+from simpop.model import ModelParams, connection_probabilities, derive_squared_distance
+from simpop.sessions import filter_bookable_sessions
+from simpop.synth import SynthConfig, generate
 
 
 def numerical_gradient(coords, targets, lam, h=1e-6):
@@ -136,6 +138,33 @@ class TestGradient:
             scale = max(1.0, float(np.linalg.norm(numeric[k])))
             err = float(np.linalg.norm(analytic[k] - numeric[k])) / scale
             assert err < 1e-5, ids[k]
+
+
+@pytest.fixture(scope="module")
+def synth_graph():
+    data = generate(
+        SynthConfig(n_items=300, n_clusters=6, n_train_sessions=600,
+                    n_test_sessions=30, seed=4)
+    )
+    return build_affinity_graph(filter_bookable_sessions(data.train), 2, 3)
+
+
+class TestTargets:
+    @pytest.mark.parametrize("alpha", [0.7, 1.0, 2.0, 3.0])
+    def test_array_inverse_equals_scalar_bitwise(self, synth_graph, alpha):
+        # the scalar law with Python floats (libm pow) is the oracle; a SIMD
+        # power loop rounds some targets differently
+        ids, ii, jj, d2 = build_targets(synth_graph, alpha)
+        assert len(d2) == synth_graph.n_pairs > 300
+        kappa = synth_graph.popularity
+        scalar, written_out = [], []
+        for i, j in zip(ii.tolist(), jj.tolist()):
+            p, k_i, k_j = synth_graph.pairs[(ids[i], ids[j])], kappa[ids[i]], kappa[ids[j]]
+            scalar.append(derive_squared_distance(p, k_i, k_j, alpha))
+            written_out.append(k_i * k_j * (p ** (-1.0 / alpha) - 1.0))
+        bits = d2.view(np.uint64)
+        assert np.array_equal(bits, np.array(scalar).view(np.uint64))
+        assert np.array_equal(bits, np.array(written_out).view(np.uint64))
 
 
 class TestKernel:

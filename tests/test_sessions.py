@@ -68,6 +68,24 @@ class TestParsing:
         with pytest.raises(ValidationError, match="s1"):
             corpus_from_text(text)
 
+    def test_duplicate_step_names_it(self):
+        text = (
+            f"{HEADER}\n"
+            "u1,s1,1000,1,interaction item info,A,\n"
+            "u1,s1,1001,1,interaction item info,B,\n"
+        )
+        with pytest.raises(ValidationError, match="s1: duplicate step 1$"):
+            corpus_from_text(text)
+
+    def test_step_zero_is_a_contiguity_error(self):
+        # steps count from 1, so a first step 0 is out of sequence, not a
+        # duplicate of anything
+        text = f"{HEADER}\nu1,s1,1000,0,interaction item info,A,\n"
+        with pytest.raises(
+            ValidationError, match="steps must be contiguous from 1, found 0 after 0$"
+        ):
+            corpus_from_text(text)
+
     def test_non_contiguous_steps_rejected(self):
         text = f"{HEADER}\nu1,s1,1000,2,interaction item info,A,\n"
         with pytest.raises(ValidationError, match="contiguous"):
