@@ -29,7 +29,6 @@ from .errors import (
     NoAnchorError,
     ParseError,
     SimpopError,
-    UndefinedSimilarityError,
     ValidationError,
 )
 from .evaluator import EvalReport, SearchGrid, evaluate, grid_search
@@ -86,7 +85,6 @@ __all__ = [
     "SearchGrid",
     "SessionCorpus",
     "SimpopError",
-    "UndefinedSimilarityError",
     "ValidationError",
     "anchor_item",
     "build_affinity_graph",

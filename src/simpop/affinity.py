@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -18,12 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import (
-    MissingItemError,
-    ParseError,
-    UndefinedSimilarityError,
-    ValidationError,
-)
+from .errors import MissingItemError, ParseError, ValidationError
 from .sessions import Role, SessionCorpus
 
 log = logging.getLogger(__name__)
@@ -82,56 +78,45 @@ def interaction_counts(corpus: SessionCorpus, clickout_only: bool = False) -> Co
     )
 
 
-def item_session_incidence(corpus: SessionCorpus) -> dict[str, frozenset[str]]:
-    """Map each item to the set of sessions it was interacted with in.
-
-    Incidence is binary per (item, session): repeats within one session count
-    once. Impression-list appearances do not count.
-    """
-    seen: dict[str, set[str]] = {}
-    for sid, acts in corpus.sessions.items():
-        for a in acts:
-            if a.item_ref is not None:
-                seen.setdefault(a.item_ref, set()).add(sid)
-    return {item: frozenset(s) for item, s in seen.items()}
-
-
-def cosine_cooccurrence(
-    incidence: Mapping[str, frozenset[str]], i: str, j: str
-) -> float:
-    """Cosine of the binary session-incidence vectors of items i and j."""
-    if i == j:
-        raise ValueError("cosine co-occurrence is defined for distinct items")
-    s_i, s_j = incidence.get(i), incidence.get(j)
-    if not s_i:
-        raise UndefinedSimilarityError(f"item {i!r} has no sessions")
-    if not s_j:
-        raise UndefinedSimilarityError(f"item {j!r} has no sessions")
-    shared = len(s_i & s_j)
-    if shared == 0:
-        return 0.0
-    return min(1.0, shared / math.sqrt(len(s_i) * len(s_j)))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffinityGraph:
-    """Sparse symmetric set of item pairs with positive connection estimates.
+    """Sparse symmetric set of item pairs with positive connection estimates,
+    held as code arrays.
 
-    ``pairs`` keys are canonically ordered (min, max) tuples; lookups accept
-    either orientation.
+    ``ids`` are the items in at least one pair, sorted. Pair k joins
+    ``ids[ii[k]]`` and ``ids[jj[k]]``, with ``ii[k] < jj[k]``, at estimate
+    ``p[k]``; pairs run in (ii, jj) order, which is id order.
     """
 
-    pairs: dict[tuple[str, str], float]
+    ids: tuple[str, ...]
+    ii: np.ndarray
+    jj: np.ndarray
+    p: np.ndarray
     popularity: PopularityTable
 
     def __post_init__(self):
-        for (i, j), p in self.pairs.items():
-            if i == j:
-                raise ValidationError(f"self-pair on item {i!r}")
-            if i > j:
-                raise ValidationError(f"pair ({i!r}, {j!r}) not canonically ordered")
-            if not 0.0 < p <= 1.0:
-                raise ValidationError(f"pair ({i}, {j}) has p={p}, not in (0, 1]")
+        for name, dtype in (("ii", np.intp), ("jj", np.intp), ("p", np.float64)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype))
+        ids, ii, jj, p, n = self.ids, self.ii, self.jj, self.p, len(self.ids)
+        for a, b in zip(ids, ids[1:]):
+            if not a < b:
+                raise ValidationError(f"ids not sorted and unique at {b!r}")
+        if not ii.shape == jj.shape == p.shape == (len(p),):
+            raise ValidationError("ii, jj and p must be vectors of one length")
+        # each loop below raises for the first offending pair, if any
+        for k in np.flatnonzero((ii < 0) | (ii >= n) | (jj < 0) | (jj >= n))[:1]:
+            raise ValidationError(f"pair {k} codes ({ii[k]}, {jj[k]}) not in [0, {n})")
+        unordered = np.diff(ii * n + jj, prepend=-1) <= 0
+        for bad, msg in (
+            (ii == jj, "self-pair on item {i!r}"),
+            (ii > jj, "pair ({i!r}, {j!r}) not canonically ordered"),
+            (unordered, "pair ({i!r}, {j!r}) repeated or out of order"),
+            (~((p > 0.0) & (p <= 1.0)), "pair ({i}, {j}) has p={p}, not in (0, 1]"),
+        ):
+            for k in np.flatnonzero(bad)[:1]:
+                raise ValidationError(msg.format(i=ids[ii[k]], j=ids[jj[k]], p=p[k]))
+        for k in np.flatnonzero(np.bincount(np.r_[ii, jj], minlength=n) == 0)[:1]:
+            raise ValidationError(f"item {ids[k]!r} is in no pair")
 
     @classmethod
     def from_pairs(
@@ -144,37 +129,42 @@ class AffinityGraph:
             if key in canonical and not math.isclose(canonical[key], p):
                 raise ValidationError(f"conflicting values for pair {key}")
             canonical[key] = p
-        return cls(pairs=canonical, popularity=popularity)
+        keys = sorted(canonical)
+        ids = sorted({item for key in keys for item in key})
+        code = {item: k for k, item in enumerate(ids)}
+        ii = [code[i] for i, _ in keys]
+        jj = [code[j] for _, j in keys]
+        return cls(tuple(ids), ii, jj, [canonical[key] for key in keys], popularity)
 
     @property
     def n_pairs(self) -> int:
-        return len(self.pairs)
+        return len(self.p)
 
     def items(self) -> list[str]:
         """Items incident to at least one pair, sorted."""
-        return sorted({item for pair in self.pairs for item in pair})
-
-    def similarity(self, i: str, j: str) -> float:
-        if i == j:
-            return 0.0
-        key = (i, j) if i <= j else (j, i)
-        return self.pairs.get(key, 0.0)
-
-    def neighbors(self, item: str) -> tuple[tuple[str, float], ...]:
-        """Neighbors of ``item`` sorted by decreasing similarity."""
-        return self._adjacency.get(item, ())
+        return list(self.ids)
 
     @cached_property
-    def _adjacency(self) -> dict[str, tuple[tuple[str, float], ...]]:
-        """Every item's neighbour list, sorted on the first ``neighbors`` call."""
-        adjacency: dict[str, list[tuple[str, float]]] = {}
-        for (i, j), p in self.pairs.items():
-            adjacency.setdefault(i, []).append((j, p))
-            adjacency.setdefault(j, []).append((i, p))
-        return {
-            item: tuple(sorted(nbrs, key=lambda np_: (-np_[1], np_[0])))
-            for item, nbrs in adjacency.items()
-        }
+    def kappa(self) -> np.ndarray:
+        """Popularity of each of ``ids``, gathered on first use."""
+        return np.array([self.popularity[item] for item in self.ids], np.float64)
+
+    def neighbors(self, item: str) -> tuple[tuple[str, float], ...]:
+        """Neighbors of ``item`` sorted by decreasing similarity, ties to the
+        smaller id."""
+        k = bisect_left(self.ids, item)
+        if k == len(self.ids) or self.ids[k] != item:
+            return ()
+        other, p, starts = self._neighbor_lists
+        run = slice(starts[k], starts[k + 1])
+        return tuple(zip([self.ids[o] for o in other[run].tolist()], p[run].tolist()))
+
+    @cached_property
+    def _neighbor_lists(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every item's neighbour codes and estimates, strongest first, with
+        CSR starts: built on the first ``neighbors`` call."""
+        order, starts = _strongest_first(self.ii, self.jj, self.p, len(self.ids))
+        return np.r_[self.jj, self.ii][order], np.r_[self.p, self.p][order], starts
 
 
 def build_affinity_graph(
@@ -223,22 +213,23 @@ def build_affinity_graph(
     p = np.minimum(1.0, counts / np.sqrt(product.astype(float)))
 
     if max_pairs_per_item > 0:
-        kept = _top_pairs(ii, jj, p, max_pairs_per_item)
+        kept = _top_pairs(ii, jj, p, max_pairs_per_item, n)
         ii, jj, p = ii[kept], jj[kept], p[kept]
 
-    pairs = dict(
-        zip(
-            zip([vocab[k] for k in ii.tolist()], [vocab[k] for k in jj.tolist()]),
-            p.tolist(),
-        )
-    )
+    used = np.union1d(ii, jj)
     log.info(
         "affinity graph: %d pairs over %d items (%d items eligible)",
-        len(pairs),
-        len(np.union1d(ii, jj)),
+        len(p),
+        len(used),
         int(np.count_nonzero(eligible)),
     )
-    return AffinityGraph(pairs=pairs, popularity=compute_popularity(corpus))
+    return AffinityGraph(
+        tuple(vocab[k] for k in used.tolist()),
+        np.searchsorted(used, ii),
+        np.searchsorted(used, jj),
+        p,
+        compute_popularity(corpus),
+    )
 
 
 def _session_pairs(
@@ -255,18 +246,26 @@ def _session_pairs(
     return item[first], item[first + 1 + offset]
 
 
-def _top_pairs(ii: np.ndarray, jj: np.ndarray, p: np.ndarray, k: int) -> np.ndarray:
-    """Mask of the pairs among some item's ``k`` strongest, ties to the
-    smaller other item."""
-    pair = np.arange(len(p))
-    item, other = np.r_[ii, jj], np.r_[jj, ii]
-    both, pair = np.r_[p, p], np.r_[pair, pair]
-    order = np.lexsort((other, -both, item))
-    item = item[order]
-    starts = np.flatnonzero(np.r_[True, item[1:] != item[:-1]])
-    rank = np.arange(len(item)) - np.repeat(starts, np.diff(np.r_[starts, len(item)]))
+def _strongest_first(
+    ii: np.ndarray, jj: np.ndarray, p: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both ends of every pair, each of the ``n`` items' pairs strongest
+    first with ties to the smaller other item: the order into
+    ``np.r_[pairs, pairs]`` and each item's start in it (n + 1 of them)."""
+    item = np.r_[ii, jj]
+    order = np.lexsort((np.r_[jj, ii], -np.r_[p, p], item))
+    starts = np.r_[0, np.cumsum(np.bincount(item, minlength=n))]
+    return order, starts
+
+
+def _top_pairs(
+    ii: np.ndarray, jj: np.ndarray, p: np.ndarray, k: int, n: int
+) -> np.ndarray:
+    """Mask of the pairs among some item's ``k`` strongest."""
+    order, starts = _strongest_first(ii, jj, p, n)
+    rank = np.arange(len(order)) - np.repeat(starts[:-1], np.diff(starts))
     kept = np.zeros(len(p), dtype=bool)
-    kept[pair[order][rank < k]] = True
+    kept[order[rank < k] % len(p)] = True
     return kept
 
 
@@ -279,8 +278,9 @@ def write_affinity_graph(
     graph: AffinityGraph, pairs_path: str | Path, popularity_path: str | Path
 ) -> None:
     with open(pairs_path, "w", encoding="utf-8") as out:
-        for i, j in sorted(graph.pairs):
-            out.write(f"{i}\t{j}\t{graph.pairs[(i, j)]!r}\n")
+        ids = graph.ids
+        for i, j, p in zip(graph.ii.tolist(), graph.jj.tolist(), graph.p.tolist()):
+            out.write(f"{ids[i]}\t{ids[j]}\t{p!r}\n")
     with open(popularity_path, "w", encoding="utf-8") as out:
         for item in sorted(graph.popularity.kappa):
             out.write(f"{item}\t{graph.popularity.kappa[item]!r}\n")

@@ -142,20 +142,14 @@ def _keyed_problem(coords, targets, lam: float):
 
 def build_targets(
     graph: AffinityGraph, alpha: float
-) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:
     """Invert every stored pair estimate into a squared-distance target.
 
     Returns (sorted item ids, pair index arrays ii/jj, target array), the
-    vectorized problem layout the fitter consumes.
+    vectorized problem layout the fitter consumes: the graph's own arrays.
     """
-    ids = graph.items()
-    index = {item: k for k, item in enumerate(ids)}
-    pairs = sorted(graph.pairs)
-    ii = np.fromiter((index[i] for i, _ in pairs), dtype=np.intp, count=len(pairs))
-    jj = np.fromiter((index[j] for _, j in pairs), dtype=np.intp, count=len(pairs))
-    p = np.fromiter((graph.pairs[pair] for pair in pairs), np.float64, len(pairs))
-    kappa = np.array([graph.popularity[item] for item in ids], dtype=np.float64)
-    return ids, ii, jj, _inverse_law(p, kappa[ii], kappa[jj], alpha)
+    ii, jj, kappa = graph.ii, graph.jj, graph.kappa
+    return graph.ids, ii, jj, _inverse_law(graph.p, kappa[ii], kappa[jj], alpha)
 
 
 class _PairObjective:
@@ -244,8 +238,7 @@ def fit_embedding(
     problem = _PairObjective(n, params.dim, ii, jj, d2, params.lam)
     x, trace = _minimize(problem, x0.ravel().copy(), config)
 
-    kappa = np.array([graph.popularity[item] for item in ids], dtype=np.float64)
-    model = EmbeddingModel(params, ids, x.reshape(n, params.dim), kappa)
+    model = EmbeddingModel(params, ids, x.reshape(n, params.dim), graph.kappa)
     return model, trace
 
 

@@ -19,10 +19,6 @@ class ValidationError(SimpopError):
     """Parsed data violates a corpus or graph invariant."""
 
 
-class UndefinedSimilarityError(SimpopError):
-    """Co-occurrence similarity requested for an item with no sessions."""
-
-
 class MissingItemError(SimpopError, KeyError):
     """Item id absent from a model or popularity table."""
 

@@ -104,9 +104,6 @@ class EmbeddingModel:
     def coords_of(self, item: str) -> np.ndarray:
         return self.coords[self.index_of(item)]
 
-    def kappa_of(self, item: str) -> float:
-        return float(self.kappa[self.index_of(item)])
-
     @cached_property
     def popularity(self) -> PopularityTable:
         """The model's own popularities as a table, built on first use and

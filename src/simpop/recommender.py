@@ -38,9 +38,6 @@ class RankedList:
                 raise ValidationError("ranked list scores must be non-increasing")
             prev = score
 
-    def item_ids(self) -> tuple[str, ...]:
-        return tuple(item for item, _ in self.items)
-
     def rank_of(self, item: str) -> int | None:
         """1-based position of ``item``, or None when absent."""
         for pos, (candidate, _) in enumerate(self.items, start=1):

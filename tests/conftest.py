@@ -31,6 +31,20 @@ def clickout(sid, step, item, impressions, ts=None):
     )
 
 
+def ids_of(ranked):
+    """A ranked list's item ids, in rank order."""
+    return tuple(item for item, _ in ranked.items)
+
+
+def pair_dict(graph):
+    """An affinity graph's pairs as ``{(i, j): p}`` in the graph's pair order."""
+    ids = graph.ids
+    return {
+        (ids[i], ids[j]): p
+        for i, j, p in zip(graph.ii.tolist(), graph.jj.tolist(), graph.p.tolist())
+    }
+
+
 @pytest.fixture
 def toy_train():
     """Three sessions over items A..E; two sessions end in clickouts."""

@@ -12,22 +12,15 @@ from simpop.affinity import (
     PopularityTable,
     build_affinity_graph,
     compute_popularity,
-    cosine_cooccurrence,
     interaction_counts,
-    item_session_incidence,
     read_affinity_graph,
     write_affinity_graph,
 )
-from simpop.errors import (
-    MissingItemError,
-    ParseError,
-    UndefinedSimilarityError,
-    ValidationError,
-)
+from simpop.errors import MissingItemError, ParseError, ValidationError
 from simpop.sessions import Role, SessionCorpus, filter_bookable_sessions
 from simpop.synth import SynthConfig, generate
 
-from conftest import make_action
+from conftest import make_action, pair_dict
 
 
 def corpus_of_sessions(session_items, role=Role.TRAIN):
@@ -84,7 +77,38 @@ class TestPopularity:
             assert count <= all_counts[item]
 
 
+def item_session_incidence(corpus):
+    """Map each item to the set of sessions it was interacted with in.
+
+    Incidence is binary per (item, session): repeats within one session count
+    once. Impression-list appearances do not count.
+    """
+    seen = {}
+    for sid, acts in corpus.sessions.items():
+        for a in acts:
+            if a.item_ref is not None:
+                seen.setdefault(a.item_ref, set()).add(sid)
+    return {item: frozenset(s) for item, s in seen.items()}
+
+
+def cosine_cooccurrence(incidence, i, j):
+    """Cosine of the binary session-incidence vectors of items i and j."""
+    if i == j:
+        raise ValueError("cosine co-occurrence is defined for distinct items")
+    s_i, s_j = incidence.get(i), incidence.get(j)
+    if not s_i:
+        raise ValueError(f"item {i!r} has no sessions")
+    if not s_j:
+        raise ValueError(f"item {j!r} has no sessions")
+    shared = len(s_i & s_j)
+    if shared == 0:
+        return 0.0
+    return min(1.0, shared / math.sqrt(len(s_i) * len(s_j)))
+
+
 class TestCosine:
+    """The session-incidence cosine the graph builder is checked against."""
+
     def test_identical_singleton_sets(self):
         incidence = {"A": frozenset({"s1"}), "B": frozenset({"s1"})}
         assert cosine_cooccurrence(incidence, "A", "B") == 1.0
@@ -102,12 +126,12 @@ class TestCosine:
 
     def test_empty_session_set_is_error(self):
         incidence = {"A": frozenset(), "B": frozenset({"s1"})}
-        with pytest.raises(UndefinedSimilarityError):
+        with pytest.raises(ValueError, match="'A' has no sessions"):
             cosine_cooccurrence(incidence, "A", "B")
 
     def test_self_pair_rejected(self):
         incidence = {"A": frozenset({"s1"})}
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="distinct items"):
             cosine_cooccurrence(incidence, "A", "A")
 
     def test_repeats_within_session_count_once(self):
@@ -120,9 +144,10 @@ class TestGraphBuild:
     def test_two_session_example(self):
         corpus = corpus_of_sessions([["A", "B"], ["B", "C"]])
         graph = build_affinity_graph(corpus, min_sessions=1, max_pairs_per_item=0)
-        assert graph.similarity("A", "B") == pytest.approx(1 / math.sqrt(2))
-        assert graph.similarity("B", "C") == pytest.approx(1 / math.sqrt(2))
-        assert graph.similarity("A", "C") == 0.0
+        assert pair_dict(graph) == {
+            ("A", "B"): pytest.approx(1 / math.sqrt(2)),
+            ("B", "C"): pytest.approx(1 / math.sqrt(2)),
+        }
         assert graph.n_pairs == 2
 
     def test_single_session_no_pairs(self):
@@ -134,13 +159,15 @@ class TestGraphBuild:
         corpus = corpus_of_sessions([["A", "B"], ["A", "B"], ["A", "C"]])
         graph = build_affinity_graph(corpus, min_sessions=2, max_pairs_per_item=0)
         # C appears in one session only, so no (A, C) pair
-        assert graph.similarity("A", "C") == 0.0
-        assert graph.similarity("A", "B") > 0.0
+        assert list(pair_dict(graph)) == [("A", "B")]
+        assert graph.items() == ["A", "B"]
 
     def test_symmetry_of_lookup(self):
         corpus = corpus_of_sessions([["A", "B"], ["B", "A"]])
         graph = build_affinity_graph(corpus, min_sessions=1)
-        assert graph.similarity("A", "B") == graph.similarity("B", "A") == 1.0
+        assert pair_dict(graph) == {("A", "B"): 1.0}
+        assert graph.neighbors("A") == (("B", 1.0),)
+        assert graph.neighbors("B") == (("A", 1.0),)
 
     def test_matches_brute_force_on_small_corpora(self):
         rng = np.random.default_rng(42)
@@ -152,11 +179,12 @@ class TestGraphBuild:
             ]
             corpus = corpus_of_sessions(sessions)
             graph = build_affinity_graph(corpus, min_sessions=1, max_pairs_per_item=0)
+            pairs = pair_dict(graph)
             incidence = item_session_incidence(corpus)
             present = sorted(incidence)
             for i, j in itertools.combinations(present, 2):
                 expected = cosine_cooccurrence(incidence, i, j)
-                assert graph.similarity(i, j) == pytest.approx(expected), (i, j)
+                assert pairs.get((i, j), 0.0) == pytest.approx(expected), (i, j)
 
     def test_monotonicity_adding_shared_session(self):
         base = [["A", "B"], ["A", "C"], ["B", "C"]]
@@ -169,7 +197,7 @@ class TestGraphBuild:
         co1 = len(inc1["A"] & inc1["B"])
         co2 = len(inc2["A"] & inc2["B"])
         assert co2 >= co1
-        assert g2.similarity("A", "B") > 0.0
+        assert pair_dict(g2)[("A", "B")] > 0.0
         assert g1.n_pairs <= g2.n_pairs
 
     def test_top_pair_pruning_keeps_union(self):
@@ -186,11 +214,10 @@ class TestGraphBuild:
             pair = tuple(sorted((item, best[0])))
             expected.add(pair)
         # every kept pair is someone's top pair and lookups stay symmetric
-        assert set(pruned.pairs) == {
-            p for p in full.pairs if p in expected or tuple(p) in expected
-        }
-        for i, j in pruned.pairs:
-            assert pruned.similarity(i, j) == pruned.similarity(j, i)
+        kept = pair_dict(pruned)
+        assert set(kept) == {p for p in pair_dict(full) if p in expected}
+        for (i, j), p in kept.items():
+            assert dict(pruned.neighbors(i))[j] == dict(pruned.neighbors(j))[i] == p
 
     def test_negative_pair_cap_rejected(self):
         # 0 means no cap; a negative cap is an error, not a second spelling of 0
@@ -205,7 +232,7 @@ class TestGraphBuild:
             list(rng.choice(items, size=4, replace=False)) for _ in range(20)
         ]
         graph = build_affinity_graph(corpus_of_sessions(sessions), min_sessions=1)
-        for p in graph.pairs.values():
+        for p in pair_dict(graph).values():
             assert 0.0 < p <= 1.0
 
 
@@ -234,6 +261,18 @@ def oracle_pairs(corpus, min_sessions, max_pairs_per_item):
     return {pair: p for pair, p in pairs.items() if pair in kept}
 
 
+def oracle_neighbors(pairs, item):
+    """``item``'s neighbours in ``pairs`` by brute force: decreasing p, ties
+    to the smaller id."""
+    nbrs = [(j if i == item else i, p) for (i, j), p in pairs.items() if item in (i, j)]
+    return tuple(sorted(nbrs, key=lambda op: (-op[1], op[0])))
+
+
+def assert_neighbors_match(graph, corpus, pairs):
+    for item in sorted(corpus.item_vocabulary):
+        assert graph.neighbors(item) == oracle_neighbors(pairs, item), item
+
+
 class TestGraphOracle:
     """``build_affinity_graph``, with ``==``, against the brute-force oracle."""
 
@@ -252,15 +291,17 @@ class TestGraphOracle:
             corpus = corpus_of_sessions(sessions)
             graph = build_affinity_graph(corpus, min_sessions, cap)
             expected = oracle_pairs(corpus, min_sessions, cap)
-            assert graph.pairs == expected, sessions
-            assert list(graph.pairs) == sorted(expected)
+            assert pair_dict(graph) == expected, sessions
+            assert list(pair_dict(graph)) == sorted(expected)
+            assert_neighbors_match(graph, corpus, expected)
 
     def test_one_item_corpus_gives_empty_graph(self):
         corpus = corpus_of_sessions([["A", "A"], ["A"], ["A", "A", "A"]])
         for min_sessions in (1, 2, 3):
             graph = build_affinity_graph(corpus, min_sessions, 2)
-            assert graph.pairs == {}
+            assert pair_dict(graph) == {}
             assert graph.items() == []
+            assert graph.neighbors("A") == ()
 
     def test_synth_corpus(self):
         data = generate(
@@ -271,7 +312,9 @@ class TestGraphOracle:
         assert len(corpus.item_vocabulary) >= 250
         graph = build_affinity_graph(corpus, 2, 3)
         assert graph.n_pairs > 300
-        assert graph.pairs == oracle_pairs(corpus, 2, 3)
+        expected = oracle_pairs(corpus, 2, 3)
+        assert pair_dict(graph) == expected
+        assert_neighbors_match(graph, corpus, expected)
 
     def test_neighbors_and_items_come_from_pairs(self):
         corpus = corpus_of_sessions([["A", "B"], ["A", "B"], ["B", "C"], ["C", "D"]])
@@ -294,7 +337,7 @@ class TestGraphValidation:
         graph = AffinityGraph.from_pairs(
             {("B", "A"): 0.4}, PopularityTable({"A": 1.0, "B": 2.0})
         )
-        assert graph.similarity("A", "B") == 0.4
+        assert pair_dict(graph) == {("A", "B"): 0.4}
 
     def test_neighbors_sorted_by_similarity(self):
         graph = AffinityGraph.from_pairs(
@@ -304,12 +347,69 @@ class TestGraphValidation:
         assert [n for n, _ in graph.neighbors("A")] == ["C", "B", "D"]
 
 
+def three_pair_graph(ids=("A", "B", "C"), ii=(0, 0, 1), jj=(1, 2, 2), p=(0.5,) * 3):
+    """A graph built straight from code arrays: every pair of A, B and C."""
+    return AffinityGraph(
+        ids, np.array(ii), np.array(jj), np.array(p), PopularityTable({})
+    )
+
+
+class TestGraphInvariants:
+    """The array invariants ``AffinityGraph`` checks on construction."""
+
+    def test_valid_arrays_accepted(self):
+        graph = three_pair_graph()
+        assert pair_dict(graph) == {("A", "B"): 0.5, ("A", "C"): 0.5, ("B", "C"): 0.5}
+        assert graph.ii.dtype == graph.jj.dtype == np.intp
+
+    @pytest.mark.parametrize(
+        "arrays, message",
+        [
+            (dict(ii=(0, 0, 2), jj=(1, 2, 2)), "self-pair on item 'C'"),
+            (dict(ii=(0, 0, 2), jj=(1, 2, 1)), r"pair \('C', 'B'\) not canonically"),
+            (
+                dict(ii=(0, 0, 0, 1), jj=(1, 2, 2, 2), p=(0.5,) * 4),
+                r"pair \('A', 'C'\) repeated or out of order",
+            ),
+            (dict(ii=(0, 1, 0), jj=(1, 2, 2)), r"pair \('A', 'C'\) repeated or out"),
+            (dict(p=(0.5, 0.0, 0.5)), r"pair \(A, C\) has p=0.0"),
+            (dict(p=(0.5, 0.5, 1.5)), r"pair \(B, C\) has p=1.5"),
+            (dict(p=(0.5, math.nan, 0.5)), r"pair \(A, C\) has p=nan"),
+            (dict(jj=(1, 2, 3)), r"pair 2 codes \(1, 3\) not in \[0, 3\)"),
+            (dict(ii=(-1, 0, 1)), r"pair 0 codes \(-1, 1\) not in \[0, 3\)"),
+            (dict(ids=("B", "A", "C")), "ids not sorted and unique at 'A'"),
+            (dict(ids=("A", "A", "C")), "ids not sorted and unique at 'A'"),
+            (dict(ids=("A", "B", "C", "D")), "item 'D' is in no pair"),
+            (dict(p=(0.5, 0.5)), "vectors of one length"),
+        ],
+        ids=[
+            "self_pair", "reversed_pair", "repeated_pair", "pairs_out_of_order",
+            "p_zero", "p_above_one", "p_nan", "code_too_large", "code_negative",
+            "unsorted_ids", "repeated_ids", "id_in_no_pair", "misaligned",
+        ],
+    )
+    def test_broken_arrays_rejected(self, arrays, message):
+        with pytest.raises(ValidationError, match=message):
+            three_pair_graph(**arrays)
+
+    def test_from_pairs_rejects_conflicting_orientations(self):
+        with pytest.raises(ValidationError, match="conflicting"):
+            AffinityGraph.from_pairs(
+                {("A", "B"): 0.4, ("B", "A"): 0.5}, PopularityTable({})
+            )
+
+
 class TestGraphExport:
     def test_round_trip(self, toy_train, tmp_path):
         graph = build_affinity_graph(toy_train, min_sessions=1, max_pairs_per_item=0)
         write_affinity_graph(graph, tmp_path / "pairs.tsv", tmp_path / "pop.tsv")
         again = read_affinity_graph(tmp_path / "pairs.tsv", tmp_path / "pop.tsv")
-        assert again.pairs == graph.pairs
+        assert again.ids == graph.ids
+        assert pair_dict(again) == pair_dict(graph)
+        # one line per pair, canonically oriented, in id order
+        lines = (tmp_path / "pairs.tsv").read_text().splitlines()
+        written = [tuple(line.split("\t")[:2]) for line in lines]
+        assert written == sorted(pair_dict(graph))
         assert again.popularity.kappa == graph.popularity.kappa
 
     @pytest.mark.parametrize(

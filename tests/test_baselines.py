@@ -16,7 +16,7 @@ from simpop.baselines import (
 )
 from simpop.sessions import Role, SessionCorpus
 
-from conftest import clickout, make_action
+from conftest import clickout, ids_of, make_action
 from test_affinity import corpus_of_sessions
 
 
@@ -35,13 +35,13 @@ class TestRandomRanker:
         ranker = RandomRanker(seed=0)
         cands = [f"c{k}" for k in range(10)]
         ranked = ranker.rank(session_of("A"), cands, 10)
-        assert sorted(ranked.item_ids()) == sorted(cands)
+        assert sorted(ids_of(ranked)) == sorted(cands)
 
     def test_different_sessions_differ(self):
         ranker = RandomRanker(seed=0)
         cands = [f"c{k}" for k in range(8)]
         orders = {
-            ranker.rank(session_of("A", sid=f"s{n}"), cands, 8).item_ids()
+            ids_of(ranker.rank(session_of("A", sid=f"s{n}"), cands, 8))
             for n in range(20)
         }
         assert len(orders) > 1
@@ -65,17 +65,17 @@ class TestPopularityRankers:
         corpus = corpus_of_sessions([["A", "B", "B"], ["B"]])
         ranker = InteractionPopularityRanker(corpus)
         ranked = ranker.rank([], ["A", "B"], 2)
-        assert ranked.item_ids() == ("B", "A")
+        assert ids_of(ranked) == ("B", "A")
 
     def test_unseen_item_sinks(self):
         corpus = corpus_of_sessions([["A"]])
         ranked = InteractionPopularityRanker(corpus).rank([], ["Z", "A"], 2)
-        assert ranked.item_ids() == ("A", "Z")
+        assert ids_of(ranked) == ("A", "Z")
 
     def test_equal_counts_lexicographic(self):
         corpus = corpus_of_sessions([["A", "B"]])
         ranked = InteractionPopularityRanker(corpus).rank([], ["B", "A"], 2)
-        assert ranked.item_ids() == ("A", "B")
+        assert ids_of(ranked) == ("A", "B")
 
     def test_clickout_popularity_counts_clickouts_only(self):
         actions = [
@@ -86,12 +86,12 @@ class TestPopularityRankers:
         ]
         corpus = SessionCorpus.from_actions(actions, Role.TRAIN)
         ranked = ClickoutPopularityRanker(corpus).rank([], ["A", "B"], 2)
-        assert ranked.item_ids() == ("B", "A")
+        assert ids_of(ranked) == ("B", "A")
 
     def test_no_clickouts_gives_lexicographic(self):
         corpus = corpus_of_sessions([["A", "B"]])
         ranked = ClickoutPopularityRanker(corpus).rank([], ["B", "A"], 2)
-        assert ranked.item_ids() == ("A", "B")
+        assert ids_of(ranked) == ("A", "B")
 
     def test_agree_when_all_actions_are_clickouts(self):
         actions = [
@@ -102,8 +102,8 @@ class TestPopularityRankers:
         corpus = SessionCorpus.from_actions(actions, Role.TRAIN)
         cands = ["A", "B"]
         assert (
-            InteractionPopularityRanker(corpus).rank([], cands, 2).item_ids()
-            == ClickoutPopularityRanker(corpus).rank([], cands, 2).item_ids()
+            ids_of(InteractionPopularityRanker(corpus).rank([], cands, 2))
+            == ids_of(ClickoutPopularityRanker(corpus).rank([], cands, 2))
         )
 
     def test_clickout_counts_never_exceed_interaction_counts(self, toy_train):
@@ -123,7 +123,7 @@ class TestCooccurrenceKnn:
         graph = self._graph()
         ranker = CooccurrenceKnnRanker(graph)
         ranked = ranker.rank(session_of("B"), ["A", "C"], 2)
-        assert ranked.item_ids()[0] == "A"
+        assert ids_of(ranked)[0] == "A"
         assert ranked.items[0][1] == pytest.approx(
             3 / math.sqrt(3 * 3)
         )
@@ -132,7 +132,7 @@ class TestCooccurrenceKnn:
         graph = self._graph()
         ranked = CooccurrenceKnnRanker(graph).rank([], ["A", "C"], 2)
         assert ranked.fallback_used
-        assert ranked.item_ids() == ("A", "C")  # A has more interactions
+        assert ids_of(ranked) == ("A", "C")  # A has more interactions
 
     def test_matches_hand_cosines_on_toy_corpus(self):
         corpus = corpus_of_sessions([["A", "B"], ["B", "C"], ["A", "B"]])
@@ -197,7 +197,7 @@ class TestMetadataKnn:
         ranker = MetadataKnnRanker(self.METADATA, self.POPULARITY)
         ranked = ranker.rank(session_of("mystery"), ["half", "twin"], 2)
         assert ranked.fallback_used
-        assert ranked.item_ids() == ("twin", "half")
+        assert ids_of(ranked) == ("twin", "half")
 
     def test_metadata_file_round_trip(self, tmp_path):
         path = tmp_path / "metadata.tsv"
@@ -222,4 +222,4 @@ class TestOutputContract:
             assert len(ranked) <= 3
             scores = [s for _, s in ranked.items]
             assert scores == sorted(scores, reverse=True)
-            assert len(set(ranked.item_ids())) == len(ranked.item_ids())
+            assert len(set(ids_of(ranked))) == len(ids_of(ranked))

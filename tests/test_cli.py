@@ -53,6 +53,26 @@ def ingest_train(workdir):
     return out
 
 
+def run_under_blas_threads(threads, commands):
+    """Run CLI commands, in order, in one fresh interpreter with
+    ``OPENBLAS_NUM_THREADS`` set; fails unless every command exits 0."""
+    src = str(Path(simpop.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run(
+        [
+            sys.executable, "-c",
+            "import json, sys; from simpop.cli import main; "
+            "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))",
+            json.dumps([[str(a) for a in argv] for argv in commands]),
+        ],
+        env=env,
+        check=True,
+        capture_output=True,
+        timeout=300,
+    )
+
+
 class TestIngest:
     def test_train_filters_unbookable(self, workdir, capsys):
         out = ingest_train(workdir)
@@ -199,24 +219,13 @@ class TestTrain:
         ) == 0
         corpus = tmp_path / "corpus.csv"
         assert main(["ingest", "--input", str(world / "train.csv"), "--out", str(corpus)]) == 0
-        src = str(Path(simpop.__file__).resolve().parent.parent)
         models = []
         for threads in ("1", "2"):
             model = tmp_path / f"model{threads}.txt"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            subprocess.run(
-                [
-                    sys.executable, "-c",
-                    "import sys; from simpop.cli import build_parser, main; sys.exit(main(sys.argv[1:]))",
-                    "train", "--corpus", str(corpus), "--out", str(model),
-                    "--dim", "20", "--max-iterations", "100", "--gradient-tolerance", "1e-5",
-                ],
-                env=env,
-                check=True,
-                capture_output=True,
-                timeout=300,
-            )
+            run_under_blas_threads(threads, [[
+                "train", "--corpus", corpus, "--out", model,
+                "--dim", "20", "--max-iterations", "100", "--gradient-tolerance", "1e-5",
+            ]])
             models.append(model.read_bytes())
         assert models[0] == models[1]
 
@@ -399,6 +408,51 @@ class TestRecommendAndEvaluate:
             assert report_path.exists()
         out = capsys.readouterr().out
         assert "ipop" in out and "proposed" in out
+
+    def test_report_bytes_independent_of_blas_threads(self, tmp_path):
+        # train and the six evaluate reports, run under one and under two
+        # BLAS threads: ranking and evaluation reduce without BLAS too, so
+        # both runs write the same bytes
+        world = tmp_path / "world"
+        assert main(
+            [
+                "synth", "sessions", "--out-dir", str(world), "--items", "200",
+                "--train-sessions", "600", "--test-sessions", "100", "--seed", "3",
+            ]
+        ) == 0
+        corpus, test, truth = (tmp_path / f for f in ("corpus.csv", "test.csv", "truth.csv"))
+        assert main(["ingest", "--input", str(world / "train.csv"), "--out", str(corpus)]) == 0
+        assert main(
+            [
+                "ingest", "--input", str(world / "test.csv"), "--out", str(test),
+                "--role", "test", "--truth-out", str(truth),
+            ]
+        ) == 0
+        rankers = ("proposed", "icknn", "imknn", "icpop", "ipop", "random")
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            out.mkdir()
+            model = out / "model.txt"
+            train = [
+                "train", "--corpus", corpus, "--out", model,
+                "--dim", "10", "--max-iterations", "50",
+            ]
+            evaluations = [
+                [
+                    "evaluate", "--ranker", ranker, "--model", model,
+                    "--train-corpus", corpus, "--metadata", world / "metadata.tsv",
+                    "--test-corpus", test, "--truth", truth,
+                    "--out", out / f"report_{ranker}.csv",
+                ]
+                for ranker in rankers
+            ]
+            run_under_blas_threads(threads, [train] + evaluations)
+            outputs.append([(out / f"report_{r}.csv").read_text() for r in rankers])
+            outputs[-1].append(model.read_text())
+        for ranker, report in zip(rankers, outputs[0]):
+            assert report.startswith("ranker,sessions,") and f"\n{ranker},100," in report
+        assert outputs[0] == outputs[1]
 
     def test_missing_truth_exits_2(self, workdir, trained):
         corpus, model_path = trained

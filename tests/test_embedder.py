@@ -20,6 +20,8 @@ from simpop.model import ModelParams, connection_probabilities, derive_squared_d
 from simpop.sessions import filter_bookable_sessions
 from simpop.synth import SynthConfig, generate
 
+from conftest import pair_dict
+
 
 def numerical_gradient(coords, targets, lam, h=1e-6):
     """Central finite differences of the objective, the independent oracle."""
@@ -157,9 +159,10 @@ class TestTargets:
         ids, ii, jj, d2 = build_targets(synth_graph, alpha)
         assert len(d2) == synth_graph.n_pairs > 300
         kappa = synth_graph.popularity
+        pairs = pair_dict(synth_graph)
         scalar, written_out = [], []
         for i, j in zip(ii.tolist(), jj.tolist()):
-            p, k_i, k_j = synth_graph.pairs[(ids[i], ids[j])], kappa[ids[i]], kappa[ids[j]]
+            p, k_i, k_j = pairs[(ids[i], ids[j])], kappa[ids[i]], kappa[ids[j]]
             scalar.append(derive_squared_distance(p, k_i, k_j, alpha))
             written_out.append(k_i * k_j * (p ** (-1.0 / alpha) - 1.0))
         bits = d2.view(np.uint64)
@@ -381,7 +384,7 @@ class TestFit:
         graph = _linked_pair_graph(1.0)
         config = FitConfig(params=ModelParams(alpha=2.0, dim=1), max_iterations=50)
         model, _ = fit_embedding(graph, config)
-        assert model.kappa_of("a") == graph.popularity["a"]
+        assert model.kappa[model.index_of("a")] == graph.popularity["a"]
 
     def test_fitted_model_inverts_to_input_probabilities(self):
         # well-converged fit on an exactly embeddable instance reproduces
@@ -395,7 +398,7 @@ class TestFit:
         )
         model, _ = fit_embedding(graph, config)
         assert connection_probabilities(model, "a", ["b"])[0] == pytest.approx(
-            graph.pairs[("a", "b")], rel=1e-5
+            pair_dict(graph)[("a", "b")], rel=1e-5
         )
 
 

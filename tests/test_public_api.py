@@ -25,3 +25,21 @@ def test_all_is_exactly_the_imported_public_names():
 def test_every_export_resolves():
     for name in simpop.__all__:
         assert getattr(simpop, name, None) is not None, name
+
+
+def test_no_helper_that_only_tests_call():
+    # the graph builder's co-occurrence oracle lives in tests/test_affinity.py
+    from simpop import affinity, errors
+    from simpop.model import EmbeddingModel
+    from simpop.recommender import RankedList
+
+    assert "UndefinedSimilarityError" not in simpop.__all__
+    for owner, name in [
+        (affinity, "cosine_cooccurrence"),
+        (affinity, "item_session_incidence"),
+        (errors, "UndefinedSimilarityError"),
+        (affinity.AffinityGraph, "similarity"),
+        (EmbeddingModel, "kappa_of"),
+        (RankedList, "item_ids"),
+    ]:
+        assert not hasattr(owner, name), name
