@@ -11,7 +11,6 @@ from __future__ import annotations
 import logging
 import math
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -62,20 +61,18 @@ def compute_popularity(corpus: SessionCorpus) -> PopularityTable:
     """
     if corpus.role is not Role.TRAIN:
         raise ValidationError("compute_popularity expects a TRAIN corpus")
-    counts = interaction_counts(corpus)
-    return PopularityTable(
-        {item: float(max(counts.get(item, 0), 1)) for item in corpus.item_vocabulary}
-    )
+    vocab = corpus.item_vocabulary
+    counts = np.bincount(corpus.item_actions[1], minlength=len(vocab))
+    return PopularityTable(dict(zip(vocab, np.maximum(counts, 1.0).tolist())))
 
 
-def interaction_counts(corpus: SessionCorpus, clickout_only: bool = False) -> Counter:
-    """Raw per-item action counts (no flooring); optionally clickouts only."""
-    return Counter(
-        a.item_ref
-        for acts in corpus.sessions.values()
-        for a in acts
-        if a.item_ref is not None and (a.is_clickout or not clickout_only)
-    )
+def interaction_counts(
+    corpus: SessionCorpus, clickout_only: bool = False
+) -> dict[str, int]:
+    """Per-item action counts, zeros left out; optionally clickouts only."""
+    _, item, clickout = corpus.item_actions
+    counts = np.bincount(item[clickout] if clickout_only else item)
+    return {i: c for i, c in zip(corpus.item_vocabulary, counts.tolist()) if c}
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,13 +171,14 @@ def build_affinity_graph(
 ) -> AffinityGraph:
     """Estimate all positive pairwise connection probabilities from sessions.
 
-    Items are coded by their position in the sorted vocabulary, so code order
-    is id order. Each session's distinct items are paired in numpy and the
-    pairs counted as codes ``i * n + j``, so cost scales with co-occurrence
-    volume, never with vocabulary squared. Items in fewer than
-    ``min_sessions`` sessions are excluded; when ``max_pairs_per_item`` > 0
-    each item keeps only its strongest pairs (ties to the smaller id) and the
-    kept sets are unioned, which preserves symmetry; 0 keeps every pair.
+    Items carry the corpus's codes, their positions in its sorted
+    vocabulary, so code order is id order. Each session's distinct items are
+    paired in numpy and the pairs counted as codes ``i * n + j``, so cost
+    scales with co-occurrence volume, never with vocabulary squared. Items
+    in fewer than ``min_sessions`` sessions are excluded; when
+    ``max_pairs_per_item`` > 0 each item keeps only its strongest pairs (ties
+    to the smaller id) and the kept sets are unioned, which preserves
+    symmetry; 0 keeps every pair.
     """
     if corpus.role is not Role.TRAIN:
         raise ValidationError("build_affinity_graph expects a TRAIN corpus")
@@ -189,18 +187,11 @@ def build_affinity_graph(
     if max_pairs_per_item < 0:
         raise ValueError("max_pairs_per_item must be >= 0 (0 keeps every pair)")
 
-    vocab = sorted(corpus.item_vocabulary)
+    vocab = corpus.item_vocabulary
     n = len(vocab)
-    code = {item: k for k, item in enumerate(vocab)}
-    rows = [
-        s * n + code[a.item_ref]
-        for s, acts in enumerate(corpus.sessions.values())
-        for a in acts
-        if a.item_ref is not None
-    ]
+    session, item, _ = corpus.item_actions
     # distinct (session, item) rows, by session and then item
-    rows = np.unique(np.array(rows, dtype=np.int64))
-    session, item = np.divmod(rows, n)
+    session, item = np.divmod(np.unique(session * n + item), n)
     n_sessions = np.bincount(item, minlength=n)
     eligible = n_sessions >= min_sessions
     keep = eligible[item]
@@ -289,33 +280,32 @@ def write_affinity_graph(
 def read_affinity_graph(
     pairs_path: str | Path, popularity_path: str | Path
 ) -> AffinityGraph:
-    pairs: dict[tuple[str, str], float] = {}
-    with open(pairs_path, "r", encoding="utf-8") as stream:
-        for n, line in enumerate(stream, start=1):
-            fields = line.rstrip("\n").split("\t")
-            try:
-                if len(fields) != 3:
-                    raise ValueError(f"{len(fields)} tab-separated fields, expected 3")
-                pairs[(fields[0], fields[1])] = float(fields[2])
-            except ValueError as exc:
-                raise ParseError(
-                    f"malformed pair line in {pairs_path}: {exc}", n
-                ) from None
+    pairs = _read_values(pairs_path, 2, "pair")
     return AffinityGraph.from_pairs(pairs, read_popularity(popularity_path))
 
 
 def read_popularity(path: str | Path) -> PopularityTable:
     """Read a popularity TSV as written by ``write_affinity_graph``."""
-    kappa: dict[str, float] = {}
+    return PopularityTable(_read_values(path, 1, "popularity"))
+
+
+def _read_values(path: str | Path, n_ids: int, kind: str) -> dict:
+    """Lines of ``n_ids`` tab-separated ids and a float, keyed by the id or
+    by the sorted id pair. A malformed line, or a key read before in either
+    order, raises ParseError naming its line."""
+    values: dict = {}
     with open(path, "r", encoding="utf-8") as stream:
         for n, line in enumerate(stream, start=1):
             fields = line.rstrip("\n").split("\t")
             try:
-                if len(fields) != 2:
-                    raise ValueError(f"{len(fields)} tab-separated fields, expected 2")
-                kappa[fields[0]] = float(fields[1])
+                if len(fields) != n_ids + 1:
+                    raise ValueError(
+                        f"{len(fields)} tab-separated fields, expected {n_ids + 1}"
+                    )
+                key = fields[0] if n_ids == 1 else tuple(sorted(fields[:n_ids]))
+                if key in values:
+                    raise ValueError(f"{key!r} repeated")
+                values[key] = float(fields[n_ids])
             except ValueError as exc:
-                raise ParseError(
-                    f"malformed popularity line in {path}: {exc}", n
-                ) from None
-    return PopularityTable(kappa)
+                raise ParseError(f"malformed {kind} line in {path}: {exc}", n) from None
+    return values

@@ -181,6 +181,8 @@ def load_metadata(path: str | Path) -> dict[str, frozenset[str]]:
             fields = line.split("\t")
             if len(fields) != 2:
                 raise ParseError(f"malformed metadata line in {path}", n)
+            if fields[0] in metadata:
+                raise ParseError(f"repeated item {fields[0]!r} in {path}", n)
             metadata[fields[0]] = frozenset(
                 tok for tok in fields[1].split("|") if tok
             )

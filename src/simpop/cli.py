@@ -135,14 +135,13 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     outputs = [args.out]
     if role is Role.TRAIN:
         corpus = filter_bookable_sessions(corpus)
-        write_corpus(corpus, args.out)
     else:
         corpus, truth = hide_test_targets(corpus)
-        write_corpus(corpus, args.out)
         truth_out = args.truth_out or str(args.out) + ".truth.csv"
         write_truth(truth, truth_out)
         outputs.append(Path(truth_out))
         print(f"truth: {len(truth)} hidden targets -> {truth_out}")
+    write_corpus(corpus, args.out)
     print(
         f"ingested {corpus.n_sessions} sessions, {corpus.n_actions} actions, "
         f"{len(corpus.item_vocabulary)} items -> {args.out}"
@@ -215,6 +214,8 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         session = corpus.sessions[args.session_id]
     elif corpus.n_sessions == 1:
         session = next(iter(corpus.sessions.values()))
+    elif corpus.n_sessions == 0:
+        raise SimpopError(f"{args.session} holds no sessions")
     else:
         raise SimpopError(
             f"{args.session} holds {corpus.n_sessions} sessions; pass --session-id"

@@ -42,7 +42,6 @@ number of objective evaluations the line search spent on it.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -62,6 +61,8 @@ _FTOL = 1e-5
 _MEMORY = 10
 _MAX_BACKTRACKS = 60
 _CURVATURE_EPS = 1e-10
+#: stop rules that count as convergence
+_CONVERGED = ("gradient_tolerance", "objective_decrease", "stationary_start")
 
 
 @dataclass(frozen=True)
@@ -92,12 +93,13 @@ class FitTrace:
     evaluations: list[int] = field(default_factory=list)
     iterations: int = 0
     final_grad_norm: float = float("nan")
-    wall_time_s: float = 0.0
-    converged: bool = False
-    #: the rule that ended the fit: "gradient_tolerance", "objective_decrease"
-    #: and "stationary_start" set ``converged``; "max_iterations" and
-    #: "line_search_failed" do not
+    #: the rule that ended the fit: one of ``_CONVERGED``, "max_iterations"
+    #: or "line_search_failed"
     stop_reason: str = ""
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason in _CONVERGED
 
 
 def objective(
@@ -243,7 +245,6 @@ def fit_embedding(
 
 
 def _minimize(problem: _PairObjective, x: np.ndarray, config: FitConfig):
-    start = time.perf_counter()
     trace = FitTrace()
 
     f = problem.value(x)
@@ -258,7 +259,6 @@ def _minimize(problem: _PairObjective, x: np.ndarray, config: FitConfig):
     history: deque = deque(maxlen=_MEMORY)
     if gnorm <= threshold:
         # covers the all-equal start, where the gradient is exactly zero
-        trace.converged = True
         trace.stop_reason = "stationary_start" if gnorm == 0.0 else "gradient_tolerance"
     else:
         trace.stop_reason = "max_iterations"
@@ -291,19 +291,16 @@ def _minimize(problem: _PairObjective, x: np.ndarray, config: FitConfig):
             trace.grad_norms.append(gnorm)
             trace.evaluations.append(evaluations)
             if gnorm <= threshold:
-                trace.converged = True
                 trace.stop_reason = "gradient_tolerance"
                 break
             if (
                 iteration >= _FTOL_WINDOW
                 and trace.objectives[-1 - _FTOL_WINDOW] - f <= _FTOL * f
             ):
-                trace.converged = True
                 trace.stop_reason = "objective_decrease"
                 break
 
     trace.final_grad_norm = gnorm
-    trace.wall_time_s = time.perf_counter() - start
     return x, trace
 
 

@@ -130,6 +130,11 @@ class SearchGrid:
     lambdas: tuple[float, ...] = (0.1, 0.01)
     alphas: tuple[float, ...] = (1.0, 2.0, 3.0)
 
+    def __post_init__(self):
+        for axis in ("dims", "lambdas", "alphas"):
+            if not getattr(self, axis):
+                raise ValueError(f"grid axis {axis} is empty")
+
     def cells(self) -> list[tuple[int, float, float]]:
         return [
             (d, lam, alpha)
@@ -203,27 +208,23 @@ def grid_search(
     if not seeds:
         raise ValueError("at least one seed is required")
 
+    # every configuration is checked before the graph is built
+    configs = [
+        FitConfig(
+            params=ModelParams(alpha=alpha, dim=dim, lam=lam),
+            seed=seed,
+            max_iterations=max_iterations,
+            gradient_tolerance=gradient_tolerance,
+        )
+        for dim, lam, alpha in grid.cells()
+        for seed in seeds
+    ]
     graph = build_affinity_graph(train, min_sessions, max_pairs_per_item)
     holdout, truth, dropped = prepare_holdout(validation)
     if dropped:
         log.info("grid search: %d validation sessions unusable", dropped)
     if holdout.n_sessions == 0:
         raise ValidationError("validation corpus has no usable sessions")
-
-    def config(dim: int, lam: float, alpha: float, seed: int) -> FitConfig:
-        return FitConfig(
-            params=ModelParams(alpha=alpha, dim=dim, lam=lam),
-            seed=seed,
-            max_iterations=max_iterations,
-            gradient_tolerance=gradient_tolerance,
-        )
-
-    # every configuration is checked before the first fit starts
-    configs = [
-        config(dim, lam, alpha, seed)
-        for dim, lam, alpha in grid.cells()
-        for seed in seeds
-    ]
     results = [_run_cell(graph, holdout, truth, cfg) for cfg in configs]
 
     # one row per grid cell: the best seed wins
@@ -239,7 +240,7 @@ def grid_search(
     if not usable:
         raise SimpopError("every grid cell failed")
     winner = min(usable, key=lambda c: (-c.mrr, c.dim, -c.lam, c.alpha, c.seed))
-    best_config = config(winner.dim, winner.lam, winner.alpha, winner.seed)
+    best_config = next(cfg for cfg, cell in zip(configs, results) if cell is winner)
     log.info(
         "grid search winner: dim=%d lambda=%g alpha=%g (MRR %.4f)",
         winner.dim,

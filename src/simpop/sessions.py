@@ -23,8 +23,9 @@ import io
 import logging
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
@@ -81,24 +82,41 @@ class Action:
 class SessionCorpus:
     """Immutable collection of validated sessions.
 
-    ``sessions`` maps session_id to the step-ordered action tuple;
-    ``item_vocabulary`` is derived from them: every item seen as a reference
-    or inside an impression list.
+    ``sessions`` maps session_id to the step-ordered action tuple. The item
+    views below are derived from them on first use and kept.
     """
 
     sessions: dict[str, tuple[Action, ...]]
     role: Role
-    item_vocabulary: frozenset[str] = field(init=False)
 
-    def __post_init__(self):
-        vocab: set[str] = set()
-        for acts in self.sessions.values():
-            for a in acts:
-                if a.item_ref is not None:
-                    vocab.add(a.item_ref)
-                if a.impressions:
-                    vocab.update(a.impressions)
-        object.__setattr__(self, "item_vocabulary", frozenset(vocab))
+    @cached_property
+    def item_vocabulary(self) -> tuple[str, ...]:
+        """Every item seen as a reference or inside an impression list,
+        sorted: an item's code is its position here."""
+        acts = [a for session in self.sessions.values() for a in session]
+        vocab = {a.item_ref for a in acts if a.item_ref is not None}
+        vocab.update(*(a.impressions for a in acts if a.impressions))
+        return tuple(sorted(vocab))
+
+    @cached_property
+    def item_actions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every action that names an item, in session and then step order,
+        as three arrays: the position of its session in ``sessions``
+        (int64), the item's code (int64) and whether it is a clickout."""
+        n = len(self.item_vocabulary)
+        code = {item: k for k, item in enumerate(self.item_vocabulary)}
+        # one int per row: (session * n + item) * 2 + clickout
+        rows = [
+            (s * n + code[a.item_ref]) * 2 + a.is_clickout
+            for s, acts in enumerate(self.sessions.values())
+            for a in acts
+            if a.item_ref is not None
+        ]
+        rows, clickout = np.divmod(np.array(rows, dtype=np.int64), 2)
+        arrays = (*np.divmod(rows, n), clickout.astype(bool))
+        for array in arrays:
+            array.flags.writeable = False  # every reader shares them
+        return arrays
 
     @property
     def n_sessions(self) -> int:
@@ -325,6 +343,8 @@ def read_truth(path: str | Path) -> dict[str, str]:
                     f"malformed truth row in {path}: {len(row)} fields, expected 2",
                     line,
                 )
+            if row[0] in truth:
+                raise ParseError(f"repeated session {row[0]!r} in {path}", line)
             truth[row[0]] = row[1]
         return truth
 

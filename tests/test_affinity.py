@@ -14,6 +14,7 @@ from simpop.affinity import (
     compute_popularity,
     interaction_counts,
     read_affinity_graph,
+    read_popularity,
     write_affinity_graph,
 )
 from simpop.errors import MissingItemError, ParseError, ValidationError
@@ -421,3 +422,15 @@ class TestGraphExport:
         with pytest.raises(ParseError, match="^line 2: malformed pair line") as err:
             read_affinity_graph(tmp_path / "pairs.tsv", tmp_path / "pop.tsv")
         assert err.value.line_number == 2
+
+    @pytest.mark.parametrize("repeat", ["a\tb\t0.9", "b\ta\t0.5"])
+    def test_repeated_pair_names_its_line(self, tmp_path, repeat):
+        (tmp_path / "pairs.tsv").write_text(f"a\tb\t0.5\n{repeat}\n")
+        (tmp_path / "pop.tsv").write_text("a\t1.0\nb\t1.0\n")
+        with pytest.raises(ParseError, match=r"^line 2: .*\('a', 'b'\) repeated"):
+            read_affinity_graph(tmp_path / "pairs.tsv", tmp_path / "pop.tsv")
+
+    def test_repeated_popularity_item_names_its_line(self, tmp_path):
+        (tmp_path / "pop.tsv").write_text("a\t1.0\nb\t2.0\na\t5.0\n")
+        with pytest.raises(ParseError, match="^line 3: .*'a' repeated"):
+            read_popularity(tmp_path / "pop.tsv")

@@ -14,6 +14,7 @@ from simpop.baselines import (
     load_metadata,
     write_metadata,
 )
+from simpop.errors import ParseError
 from simpop.sessions import Role, SessionCorpus
 
 from conftest import clickout, ids_of, make_action
@@ -203,6 +204,12 @@ class TestMetadataKnn:
         path = tmp_path / "metadata.tsv"
         write_metadata(self.METADATA, path)
         assert load_metadata(path) == self.METADATA
+
+    def test_repeated_metadata_item_names_its_line(self, tmp_path):
+        path = tmp_path / "metadata.tsv"
+        path.write_text("a\tx|y\nb\ty\na\tz\n")
+        with pytest.raises(ParseError, match="^line 3: repeated item 'a'"):
+            load_metadata(path)
 
 
 class TestOutputContract:

@@ -293,6 +293,20 @@ class TestRecommendAndEvaluate:
         assert len(out) == 3
         assert out[1].startswith("1,")
 
+    def test_recommend_on_a_file_with_no_sessions_says_so(
+        self, workdir, trained, capsys
+    ):
+        _, model_path = trained
+        session_file = workdir / "empty.csv"
+        session_file.write_text(f"{HEADER}\n")
+        code = main(
+            ["recommend", "--model", str(model_path), "--session", str(session_file)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "holds no sessions" in err
+        assert "--session-id" not in err
+
     def _recommend_with_popularity(self, workdir, model_path, popularity):
         session_file = workdir / "active.csv"
         session_file.write_text(
@@ -540,6 +554,19 @@ class TestGridsearchCommand:
         lines = table_path.read_text().splitlines()
         assert len(lines) == 3
         assert "best:" in capsys.readouterr().out
+
+    def test_empty_axis_exits_2_naming_it(self, tmp_path, capsys):
+        corpus = tmp_path / "train.csv"
+        corpus.write_text(RAW_TRAIN)
+        code = main(
+            [
+                "gridsearch", "--corpus", str(corpus), "--out",
+                str(tmp_path / "grid.csv"), "--dims", "",
+            ]
+        )
+        assert code == 2
+        assert "grid axis dims is empty" in capsys.readouterr().err
+        assert not (tmp_path / "grid.csv").exists()
 
 
 EVALUATE = ["evaluate", "--ranker", "icknn", "--test-corpus", "t.csv", "--truth",

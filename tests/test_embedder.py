@@ -8,6 +8,7 @@ from simpop.embedder import (
     _FTOL,
     _FTOL_WINDOW,
     FitConfig,
+    FitTrace,
     _PairObjective,
     build_targets,
     fit_embedding,
@@ -520,6 +521,20 @@ class TestStart:
 
 
 class TestStopRules:
+    @pytest.mark.parametrize(
+        "reason, converged",
+        [
+            ("gradient_tolerance", True),
+            ("objective_decrease", True),
+            ("stationary_start", True),
+            ("max_iterations", False),
+            ("line_search_failed", False),
+            ("", False),
+        ],
+    )
+    def test_converged_is_read_from_the_stop_reason(self, reason, converged):
+        assert FitTrace(stop_reason=reason).converged is converged
+
     def test_objective_rule_stops_a_fit_the_gradient_rule_never_would(self):
         # random targets in one dimension cannot be embedded, and a gradient
         # tolerance of 1e-300 is out of reach: only the objective rule stops

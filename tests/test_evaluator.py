@@ -303,6 +303,21 @@ class TestGridSearch:
             assert cell.objective == trace.objectives[-1]
             assert cell.converged == trace.converged
 
+    @pytest.mark.parametrize("axis", ["dims", "lambdas", "alphas"])
+    def test_empty_axis_is_named(self, axis):
+        with pytest.raises(ValueError, match=f"grid axis {axis} is empty"):
+            SearchGrid(**{axis: ()})
+
+    def test_every_config_checked_before_the_graph(self, small_world, monkeypatch):
+        def no_graph(*args):
+            raise AssertionError("graph built before the configs were checked")
+
+        monkeypatch.setattr("simpop.evaluator.build_affinity_graph", no_graph)
+        train, validation = small_world
+        grid = SearchGrid(dims=(2, 0), lambdas=(0.01,), alphas=(2.0,))
+        with pytest.raises(ValueError, match="dim"):
+            grid_search(train, validation, grid=grid)
+
     def test_overlapping_split_rejected(self, small_world):
         train, _ = small_world
         with pytest.raises(ValidationError):

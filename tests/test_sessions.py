@@ -2,9 +2,12 @@
 
 import gzip
 import io
+from collections import Counter
 
+import numpy as np
 import pytest
 
+from simpop.affinity import compute_popularity, interaction_counts
 from simpop.errors import ParseError, ValidationError
 from simpop.sessions import (
     Role,
@@ -41,7 +44,7 @@ class TestParsing:
         assert corpus.n_sessions == 1
         steps = [a.step for a in corpus.sessions["s1"]]
         assert steps == [1, 2, 3]
-        assert corpus.item_vocabulary == {"A", "B", "C"}
+        assert corpus.item_vocabulary == ("A", "B", "C")
 
     def test_impressions_split_on_pipe(self):
         text = f"{HEADER}\nu1,s1,1000,1,clickout item,A,A|B|C\n"
@@ -178,6 +181,12 @@ class TestRoundTrip:
         write_truth(truth, tmp_path / "truth.csv")
         assert read_truth(tmp_path / "truth.csv") == truth
 
+    def test_repeated_truth_session_names_its_line(self, tmp_path):
+        path = tmp_path / "truth.csv"
+        path.write_text("session_id,item_id\ns1,A\ns2,B\ns1,C\n")
+        with pytest.raises(ParseError, match="line 4: repeated session 's1'"):
+            read_truth(path)
+
 
 class TestFilterBookable:
     def test_keeps_only_clickout_sessions(self, toy_train):
@@ -278,3 +287,109 @@ class TestSubsampleAndSplit:
         head_ts = max(a[0].timestamp for a in head.sessions.values())
         tail_ts = min(a[0].timestamp for a in tail.sessions.values())
         assert head_ts <= tail_ts
+
+
+def random_corpus(seed, role):
+    """Seeded sessions, in shuffled order, with items repeated within a
+    session, actions naming no item, and items that only appear inside
+    impression lists (the ``x`` ones)."""
+    rng = np.random.default_rng(seed)
+    clicked = [f"i{k}" for k in range(6)]
+    shown = clicked + [f"x{k}" for k in range(4)]
+    actions = []
+    for s in rng.permutation(30):
+        sid = f"s{s:02d}"
+        for step in range(1, 2 + rng.integers(6)):
+            kind = rng.integers(3)
+            if kind == 0:
+                actions.append(make_action(sid, step, kind="filter selection"))
+            elif kind == 1:
+                impressions = rng.choice(shown, size=4, replace=False).tolist()
+                pick = impressions[rng.integers(4)]
+                if pick.startswith("x"):
+                    pick = None
+                actions.append(clickout(sid, step, pick, impressions))
+            else:
+                actions.append(make_action(sid, step, item=clicked[rng.integers(6)]))
+    rng.shuffle(actions)
+    return SessionCorpus.from_actions(actions, role)
+
+
+def item_corpora():
+    """Train and test corpora, the test one with its targets hidden, plus an
+    empty corpus and one whose actions name no item."""
+    for seed in range(3):
+        yield random_corpus(seed, Role.TRAIN)
+        yield prepare_holdout(random_corpus(seed + 10, Role.TEST))[0]
+    yield SessionCorpus({}, Role.TRAIN)
+    yield SessionCorpus.from_actions(
+        [make_action("s1", 1, kind="filter selection"), make_action("s1", 2)],
+        Role.TRAIN,
+    )
+
+
+class TestItemViews:
+    """The corpus's vocabulary, item codes and the counts read from them,
+    against a plain walk over the actions."""
+
+    @pytest.mark.parametrize("corpus", list(item_corpora()))
+    def test_views_match_a_walk_over_actions(self, corpus):
+        vocab, rows = set(), []
+        for s, acts in enumerate(corpus.sessions.values()):
+            for a in acts:
+                vocab.update(a.impressions or ())
+                if a.item_ref is not None:
+                    vocab.add(a.item_ref)
+                    rows.append((s, a.item_ref, a.is_clickout))
+        assert corpus.item_vocabulary == tuple(sorted(vocab))
+
+        session, item, is_clickout = corpus.item_actions
+        assert (session.dtype, item.dtype, is_clickout.dtype) == (
+            np.int64, np.int64, np.bool_
+        )
+        ids = corpus.item_vocabulary
+        coded = zip(session.tolist(), item.tolist(), is_clickout.tolist())
+        assert [(s, ids[k], c) for s, k, c in coded] == rows
+
+        every = Counter(i for _, i, _ in rows)
+        clicked = Counter(i for _, i, c in rows if c)
+        assert interaction_counts(corpus) == dict(every)
+        assert interaction_counts(corpus, clickout_only=True) == dict(clicked)
+        train = SessionCorpus(corpus.sessions, Role.TRAIN)
+        expected = {i: float(max(every[i], 1)) for i in sorted(vocab)}
+        kappa = compute_popularity(train).kappa
+        assert kappa == expected
+        assert all(type(k) is float for k in kappa.values())
+
+    def test_random_corpora_cover_the_cases(self):
+        train = random_corpus(0, Role.TRAIN)
+        acts = [a for s in train.sessions.values() for a in s]
+        refs = {a.item_ref for a in acts}
+        assert None in refs
+        assert any(item not in refs for item in train.item_vocabulary)
+        assert any(
+            len({a.item_ref for a in s if a.item_ref}) < sum(1 for a in s if a.item_ref)
+            for s in train.sessions.values()
+        )
+        assert list(train.sessions) != sorted(train.sessions)
+
+    def test_views_are_derived_on_first_use_and_kept(self, toy_train, toy_test):
+        text = f"{HEADER}\nu1,s1,1000,1,clickout item,A,A|B\n"
+        built = [
+            corpus_from_text(text),
+            SessionCorpus.from_actions(list(toy_train.sessions["s1"]), Role.TRAIN),
+            filter_bookable_sessions(toy_train),
+            hide_test_targets(toy_test)[0],
+            prepare_holdout(toy_train)[0],
+            subsample_sessions(toy_train, 0.5),
+            *split_by_time(toy_train, 0.5),
+        ]
+        for corpus in built:
+            assert "item_vocabulary" not in corpus.__dict__
+            assert "item_actions" not in corpus.__dict__
+        corpus = built[0]
+        codes = corpus.item_actions
+        assert corpus.__dict__["item_vocabulary"] == ("A", "B")
+        assert corpus.item_actions is codes
+        with pytest.raises(ValueError, match="read-only"):
+            codes[1][0] = 1
