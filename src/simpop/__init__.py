@@ -26,7 +26,6 @@ from .embedder import FitConfig, FitTrace, fit_embedding, gradient, objective
 from .errors import (
     DivergenceError,
     MissingItemError,
-    NoAnchorError,
     ParseError,
     SimpopError,
     ValidationError,
@@ -45,7 +44,6 @@ from .recommender import (
     RankedList,
     anchor_item,
     rank_candidates,
-    recommend,
 )
 from .sessions import (
     Action,
@@ -75,7 +73,6 @@ __all__ = [
     "MissingItemError",
     "ModelParams",
     "NextItemRecommender",
-    "NoAnchorError",
     "ParseError",
     "PopularityTable",
     "RandomRanker",
@@ -101,7 +98,6 @@ __all__ = [
     "parse_session_log",
     "rank_candidates",
     "read_model",
-    "recommend",
     "subsample_sessions",
     "write_corpus",
     "write_model",

@@ -17,7 +17,7 @@ import numpy as np
 
 from .affinity import AffinityGraph, PopularityTable, interaction_counts
 from .errors import ParseError
-from .recommender import RankedList, _by_popularity, order_candidates
+from .recommender import RankedList, _by_popularity, _dedupe, order_candidates
 from .sessions import Action, SessionCorpus
 
 #: how many of the previous item's nearest neighbors a KNN ranker scores
@@ -30,10 +30,6 @@ class Ranker(Protocol):
     def rank(
         self, session: Sequence[Action], candidates: Sequence[str], t: int
     ) -> RankedList: ...
-
-
-def _dedupe(candidates: Sequence[str]) -> list[str]:
-    return list(dict.fromkeys(candidates))
 
 
 def _previous_item(session: Sequence[Action]) -> str | None:

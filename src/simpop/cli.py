@@ -4,7 +4,7 @@ Every command that writes files also writes a JSON manifest next to its
 primary output (``<output>.manifest.json``) holding the resolved flags,
 seeds, SHA-256 digests of the inputs, and wall time, so any artifact can be
 traced back to its exact inputs. ``ingest`` adds the sessions it dropped,
-and ``train`` the wall time of each of its stages.
+and ``train`` and ``evaluate`` the wall time of each of their stages.
 
 Exit codes: 0 success, 2 input or validation error, 3 numerical failure.
 """
@@ -32,6 +32,7 @@ from .baselines import (
     InteractionPopularityRanker,
     MetadataKnnRanker,
     RandomRanker,
+    Ranker,
     load_metadata,
     write_metadata,
 )
@@ -222,7 +223,11 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         )
     popularity = read_popularity(args.popularity) if args.popularity else None
     ranker = NextItemRecommender(model, popularity=popularity)
-    candidates = args.candidates.split("|") if args.candidates else None
+    candidates = None
+    if args.candidates is not None:
+        candidates = [c for c in args.candidates.split("|") if c]
+        if not candidates:
+            raise SimpopError("--candidates names no item")
     ranked = ranker.rank(session, candidates, args.top)
     lines = ["rank,item,score,anchor,fallback"]
     for pos, (item, score) in enumerate(ranked.items, start=1):
@@ -243,47 +248,53 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _build_ranker(args: argparse.Namespace):
+def _build_ranker(args: argparse.Namespace) -> tuple[Ranker, list[Path]]:
+    """The ranker ``--ranker`` names, and the files read to build it."""
     name = args.ranker
+    if name == "random":
+        return RandomRanker(seed=args.seed), []
     if name == "proposed":
         if not args.model:
             raise SimpopError("--ranker proposed requires --model")
+        read = [Path(args.model)]
         model = read_model(args.model)
         popularity = None
         if args.train_corpus:
+            read.append(Path(args.train_corpus))
             train = parse_session_log(args.train_corpus, role=Role.TRAIN)
             popularity = compute_popularity(train)
-        return NextItemRecommender(model, popularity=popularity)
-    if name == "random":
-        return RandomRanker(seed=args.seed)
-    if name in ("ipop", "icpop", "icknn", "imknn"):
-        if not args.train_corpus:
-            raise SimpopError(f"--ranker {name} requires --train-corpus")
-        train = parse_session_log(args.train_corpus, role=Role.TRAIN)
-        if name == "ipop":
-            return InteractionPopularityRanker(train)
-        if name == "icpop":
-            return ClickoutPopularityRanker(train)
-        if name == "icknn":
-            graph = build_affinity_graph(
-                train, args.min_sessions, args.max_pairs_per_item
-            )
-            return CooccurrenceKnnRanker(graph)
-        if not args.metadata:
-            raise SimpopError("--ranker imknn requires --metadata")
-        return MetadataKnnRanker(
-            load_metadata(args.metadata), popularity=compute_popularity(train)
-        )
-    raise SimpopError(f"unknown ranker {name!r}")
+        return NextItemRecommender(model, popularity=popularity), read
+    if not args.train_corpus:
+        raise SimpopError(f"--ranker {name} requires --train-corpus")
+    if name == "imknn" and not args.metadata:
+        raise SimpopError("--ranker imknn requires --metadata")
+    read = [Path(args.train_corpus)]
+    train = parse_session_log(args.train_corpus, role=Role.TRAIN)
+    if name == "ipop":
+        return InteractionPopularityRanker(train), read
+    if name == "icpop":
+        return ClickoutPopularityRanker(train), read
+    if name == "icknn":
+        graph = build_affinity_graph(train, args.min_sessions, args.max_pairs_per_item)
+        return CooccurrenceKnnRanker(graph), read
+    read.append(Path(args.metadata))
+    metadata = load_metadata(args.metadata)
+    return MetadataKnnRanker(metadata, popularity=compute_popularity(train)), read
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     started = time.perf_counter()
+    timings: dict[str, float] = {}
+    mark = time.perf_counter()
     test = parse_session_log(args.test_corpus, role=Role.TEST)
     truth = read_truth(args.truth)
-    ranker = _build_ranker(args)
+    mark = _lap(timings, "parse_s", mark)
+    ranker, read = _build_ranker(args)
+    mark = _lap(timings, "ranker_s", mark)
     report = evaluate(ranker, test, truth)
+    mark = _lap(timings, "evaluate_s", mark)
     write_report(report, args.out)
+    _lap(timings, "report_write_s", mark)
     cutoffs = sorted(report.map_at)
     print(
         f"{report.ranker_name}: MRR {report.mrr:.4f}  "
@@ -291,14 +302,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         + f"  ({report.n_sessions} sessions, {report.n_skipped} skipped, "
         f"{report.n_fallback} by popularity fallback)"
     )
-    inputs = [args.test_corpus, Path(args.truth)]
-    if args.model:
-        inputs.append(Path(args.model))
-    if args.train_corpus:
-        inputs.append(Path(args.train_corpus))
     _write_manifest(
-        "evaluate", args, args.out, inputs, [args.out], [args.seed], started,
+        "evaluate", args, args.out, [args.test_corpus, Path(args.truth)] + read,
+        [args.out], [args.seed], started,
         counts={"fallback": report.n_fallback},
+        timings=timings,
     )
     return EXIT_OK
 

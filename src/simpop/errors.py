@@ -26,10 +26,6 @@ class MissingItemError(SimpopError, KeyError):
         return Exception.__str__(self)
 
 
-class NoAnchorError(SimpopError):
-    """Session contains no item usable as a ranking anchor."""
-
-
 class DivergenceError(SimpopError):
     """Optimizer hit a non-finite objective or gradient.
 

@@ -14,7 +14,7 @@ from typing import Container, Iterable, Mapping, Sequence
 import numpy as np
 
 from .affinity import PopularityTable
-from .errors import NoAnchorError, ValidationError
+from .errors import ValidationError
 from .model import EmbeddingModel, _law, connection_probabilities
 from .sessions import Action
 
@@ -66,6 +66,11 @@ def order_candidates(
     )
 
 
+def _dedupe(candidates: Iterable[str]) -> list[str]:
+    """Each candidate once, in first-seen order."""
+    return list(dict.fromkeys(candidates))
+
+
 def _by_popularity(
     candidates: Iterable[str],
     popularity: Mapping[str, float] | PopularityTable,
@@ -75,7 +80,7 @@ def _by_popularity(
     """Candidates, each once, ordered by popularity (unknown items count 0),
     then id."""
     return order_candidates(
-        ((c, float(popularity.get(c, 0))) for c in dict.fromkeys(candidates)),
+        ((c, float(popularity.get(c, 0))) for c in _dedupe(candidates)),
         t,
         None,
         anchor=None,
@@ -87,7 +92,7 @@ def anchor_item(
     session: Sequence[Action],
     popularity: PopularityTable,
     universe: Container[str] | None = None,
-) -> str:
+) -> str | None:
     """Pick the session's anchor: the interacted item of highest popularity.
 
     Ties prefer the most recently touched item, then the lexicographically
@@ -95,7 +100,7 @@ def anchor_item(
     a model can score); it is only tested for membership, so pass the model
     itself rather than a copy of its ids.
 
-    Raises NoAnchorError when no action references an eligible item.
+    Returns None when no action references an eligible item.
     """
     last_seen: dict[str, int] = {}
     for pos, action in enumerate(session):
@@ -106,92 +111,59 @@ def anchor_item(
             continue
         last_seen[item] = pos
     if not last_seen:
-        raise NoAnchorError("session has no item eligible as anchor")
+        return None
     return min(last_seen, key=lambda i: (-popularity[i], -last_seen[i], i))
 
 
 def rank_candidates(
     model: EmbeddingModel,
     anchor: str,
-    candidates: Sequence[str],
+    candidates: Sequence[str] | None,
     t: int,
     popularity: PopularityTable | None = None,
 ) -> RankedList:
-    """Score candidates by connection probability to ``anchor``.
+    """Score candidates by connection probability to ``anchor``, keep the top t.
 
-    Candidates missing from the model score 0 and land at the tail ordered
-    by popularity; the anchor itself is never recommended. ``popularity``
-    defaults to the model's own table and supplies tie/tail ordering.
-    """
-    model.index_of(anchor)  # raises MissingItemError for unknown anchors
-    pop = popularity if popularity is not None else model.popularity
-    unique = list(dict.fromkeys(c for c in candidates if c != anchor))
-    known = [c for c in unique if c in model]
-    scores = dict.fromkeys(unique, 0.0)
-    if known:
-        for item, p in zip(known, connection_probabilities(model, anchor, known)):
-            scores[item] = float(p)
-    return order_candidates(
-        scores.items(), t, pop, anchor=anchor, fallback_used=False
-    )
-
-
-def recommend(
-    model: EmbeddingModel,
-    session: Sequence[Action],
-    candidates: Sequence[str] | None = None,
-    t: int = 10,
-    popularity: PopularityTable | None = None,
-) -> RankedList:
-    """Rank next-item candidates for an active session.
-
-    With ``candidates`` this reranks the given list (impression reranking);
-    without, it returns the model items nearest to the anchor in connection
-    probability. A session with no model-scorable item falls back to
-    popularity ordering with ``fallback_used=True``.
-    """
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    pop = popularity if popularity is not None else model.popularity
-    pool = candidates if candidates is not None else model.ids
-    try:
-        anchor = anchor_item(session, pop, universe=model)
-    except NoAnchorError:
-        return _by_popularity(pool, pop, t, fallback_used=True)
-    if candidates is None:
-        return _catalog_top(model, anchor, t, pop)
-    return rank_candidates(model, anchor, pool, t, popularity=pop)
-
-
-def _catalog_top(
-    model: EmbeddingModel, anchor: str, t: int, popularity: PopularityTable
-) -> RankedList:
-    """The catalog ranked against ``anchor``, cut to ``t``: equal to
-    ``rank_candidates`` over every model id, without sorting the catalog.
+    ``candidates=None`` ranks the whole catalog, scored by index. Listed
+    candidates count once; those missing from the model score 0 and land at
+    the tail ordered by popularity. The anchor itself is never recommended.
+    ``popularity`` defaults to the model's own table and supplies tie/tail
+    ordering.
 
     Only the items scoring at least the t-th largest score reach
     ``order_candidates``; every item tied at that boundary goes with them, so
-    popularity and id still break the ties.
+    popularity and id still break the ties and the result equals a full sort.
     """
-    a = model.index_of(anchor)
-    scores = _law(model, a, slice(None))
-    scores[a] = -np.inf
-    k = min(t, len(model) - 1)
-    top: list[int] = []
-    if k:
-        kth = np.partition(scores, -k)[-k]
-        top = np.flatnonzero(scores >= kth).tolist()
+    a = model.index_of(anchor)  # raises MissingItemError for unknown anchors
+    pop = popularity if popularity is not None else model.popularity
+    if candidates is None:
+        items: Sequence[str] = model.ids
+        scores = _law(model, a, slice(None))
+        # capped below the catalog's size, the top t never reaches the anchor
+        scores[a] = -np.inf
+        t = min(t, len(model) - 1)
+    else:
+        items = _dedupe(c for c in candidates if c != anchor)
+        known = [k for k, c in enumerate(items) if c in model]
+        scores = np.zeros(len(items))
+        scores[known] = connection_probabilities(
+            model, anchor, [items[k] for k in known]
+        )
+    keep: Iterable[int] = range(len(items))
+    if 0 < t < len(items):
+        kth = np.partition(scores, -t)[-t]
+        keep = np.flatnonzero(scores >= kth).tolist()
     return order_candidates(
-        ((model.ids[i], float(scores[i])) for i in top),
+        ((items[k], float(scores[k])) for k in keep),
         t,
-        popularity,
+        pop,
         anchor=anchor,
         fallback_used=False,
     )
 
 
 class NextItemRecommender:
-    """Ranking interface over a fitted model, for evaluation harnesses."""
+    """The proposed ranker over a fitted model: one entry point, ``rank``."""
 
     name = "proposed"
 
@@ -209,10 +181,17 @@ class NextItemRecommender:
         candidates: Sequence[str] | None,
         t: int,
     ) -> RankedList:
-        return recommend(
-            self.model,
-            session,
-            candidates=candidates,
-            t=t,
-            popularity=self.popularity,
-        )
+        """Rank next-item candidates for an active session.
+
+        With ``candidates`` this reranks the given list (impression
+        reranking); with None, it returns the model items nearest to the
+        anchor in connection probability. A session with no model-scorable
+        item falls back to popularity ordering with ``fallback_used=True``.
+        """
+        if t < 1:
+            raise ValueError("t must be >= 1")
+        anchor = anchor_item(session, self.popularity, universe=self.model)
+        if anchor is None:
+            pool = candidates if candidates is not None else self.model.ids
+            return _by_popularity(pool, self.popularity, t, fallback_used=True)
+        return rank_candidates(self.model, anchor, candidates, t, self.popularity)

@@ -293,6 +293,20 @@ class TestRecommendAndEvaluate:
         assert len(out) == 3
         assert out[1].startswith("1,")
 
+    def test_recommend_drops_empty_candidate_ids(self, workdir, trained, capsys):
+        _, model_path = trained
+        session_file = workdir / "active.csv"
+        session_file.write_text(
+            f"{HEADER}\nu7,live1,100,1,interaction item info,A,\n"
+        )
+        argv = ["recommend", "--model", str(model_path), "--session", str(session_file)]
+        assert main(argv + ["--candidates", "B||C|"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert sorted(row.split(",")[1] for row in rows) == ["B", "C"]
+        for blank in ("||", ""):
+            assert main(argv + ["--candidates", blank]) == 2
+            assert "--candidates" in capsys.readouterr().err
+
     def test_recommend_on_a_file_with_no_sessions_says_so(
         self, workdir, trained, capsys
     ):
@@ -389,6 +403,51 @@ class TestRecommendAndEvaluate:
         )
         manifest = json.loads((workdir / "report.csv.manifest.json").read_text())
         assert manifest["counts"] == {"fallback": 1}
+
+    def test_evaluate_manifest_names_read_files_and_times_stages(
+        self, workdir, trained
+    ):
+        corpus, model_path = trained
+        test_corpus, truth = workdir / "test_corpus.csv", workdir / "truth.csv"
+        main(
+            [
+                "ingest", "--input", str(workdir / "raw_test.csv"),
+                "--out", str(test_corpus), "--role", "test",
+                "--truth-out", str(truth),
+            ]
+        )
+        metadata = workdir / "metadata.tsv"
+        metadata.write_text("A\tx|y\nB\tx\nC\ty\nD\tz\n")
+        model, train = str(model_path), str(corpus)
+        read = {
+            "proposed": {model, train},
+            "random": set(),
+            "ipop": {train},
+            "icpop": {train},
+            "icknn": {train},
+            "imknn": {train, str(metadata)},
+        }
+        for ranker, expected in read.items():
+            out = workdir / f"report_{ranker}.csv"
+            code = main(
+                [
+                    "evaluate", "--ranker", ranker, "--model", model,
+                    "--train-corpus", train, "--metadata", str(metadata),
+                    "--test-corpus", str(test_corpus), "--truth", str(truth),
+                    "--out", str(out),
+                ]
+            )
+            assert code == 0
+            manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+            assert set(manifest["inputs"]) == expected | {str(test_corpus), str(truth)}, ranker
+            timings = manifest["timings"]
+            assert list(timings) == [
+                "evaluate_s", "parse_s", "ranker_s", "report_write_s"
+            ]
+            assert all(t >= 0.0 for t in timings.values())
+            # each stage rounds to the millisecond
+            assert sum(timings.values()) <= manifest["wall_time_s"] + 0.005
+            assert "timings" not in manifest["flags"]
 
     def test_evaluate_baseline_and_proposed(self, workdir, trained, capsys):
         corpus, model_path = trained

@@ -43,3 +43,20 @@ def test_no_helper_that_only_tests_call():
         (RankedList, "item_ids"),
     ]:
         assert not hasattr(owner, name), name
+
+
+def test_one_ranking_path():
+    # NextItemRecommender.rank is the proposed ranker's one entry point and
+    # rank_candidates its one scorer, for a candidate list or the catalog
+    from simpop import baselines, errors, recommender
+
+    for name in ("recommend", "NoAnchorError"):
+        assert name not in simpop.__all__
+        assert not hasattr(simpop, name), name
+    for owner, name in [
+        (recommender, "recommend"),
+        (recommender, "_catalog_top"),
+        (errors, "NoAnchorError"),
+    ]:
+        assert not hasattr(owner, name), name
+    assert baselines._dedupe is recommender._dedupe

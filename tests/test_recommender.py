@@ -1,11 +1,12 @@
 """Anchor selection, candidate ranking, rerank/fallback modes, the
-exhaustive score-and-sort oracle, and catalog top-k against a full sort."""
+exhaustive score-and-sort oracle, and the top-t selection of a catalog or a
+candidate list against a full sort."""
 
 import numpy as np
 import pytest
 
 from simpop.affinity import PopularityTable
-from simpop.errors import MissingItemError, NoAnchorError, ValidationError
+from simpop.errors import MissingItemError, ValidationError
 from simpop import recommender
 from simpop.model import EmbeddingModel, ModelParams, connection_probabilities
 from simpop.recommender import (
@@ -14,7 +15,6 @@ from simpop.recommender import (
     anchor_item,
     order_candidates,
     rank_candidates,
-    recommend,
 )
 
 from conftest import ids_of, make_action
@@ -31,6 +31,11 @@ def grid_model(n=5, alpha=2.0, dim=2, kappa=None, spacing=1.0):
 
 def session_of(*items):
     return [make_action("s", k + 1, item=item) for k, item in enumerate(items)]
+
+
+def recommend(model, session, candidates=None, t=10, popularity=None):
+    """One request through the proposed ranker's entry point."""
+    return NextItemRecommender(model, popularity).rank(session, candidates, t)
 
 
 class TestRankedList:
@@ -69,12 +74,11 @@ class TestAnchor:
         pop = PopularityTable({"A": 2.0})
         assert anchor_item(session_of("Z", "A"), pop) == "A"
 
-    def test_no_known_item_raises(self):
+    def test_no_known_item_gives_none(self):
         pop = PopularityTable({"A": 2.0})
-        with pytest.raises(NoAnchorError):
-            anchor_item(session_of("Z", "Y"), pop)
-        with pytest.raises(NoAnchorError):
-            anchor_item([make_action("s", 1)], pop)
+        assert anchor_item(session_of("Z", "Y"), pop) is None
+        assert anchor_item([make_action("s", 1)], pop) is None
+        assert anchor_item(session_of("A"), pop, universe={"B"}) is None
 
     def test_universe_restriction(self):
         pop = PopularityTable({"A": 9.0, "B": 2.0})
@@ -258,12 +262,16 @@ def tie_model(n=300, seed=0):
     return EmbeddingModel(ModelParams(alpha=2.0, dim=2), ids, coords, kappa)
 
 
-def full_sort(model, anchor, t, popularity):
-    """Today's catalog ranking: every non-anchor item scored, then ordered."""
-    rest = [i for i in model.ids if i != anchor]
-    scores = connection_probabilities(model, anchor, rest)
+def full_sort(model, anchor, t, popularity, candidates=None):
+    """Every candidate (by default the catalog) but the anchor scored once,
+    unknown ids at 0, then all of them ordered."""
+    pool = model.ids if candidates is None else dict.fromkeys(candidates)
+    rest = [i for i in pool if i != anchor]
+    known = [i for i in rest if i in model]
+    scores = dict.fromkeys(rest, 0.0)
+    scores.update(zip(known, map(float, connection_probabilities(model, anchor, known))))
     return order_candidates(
-        zip(rest, map(float, scores)), t, popularity, anchor=anchor, fallback_used=False
+        scores.items(), t, popularity, anchor=anchor, fallback_used=False
     )
 
 
@@ -282,6 +290,7 @@ class TestCatalogTopK:
             for t in (1, 10, n - 1, n, n + 5):
                 got = recommend(model, session_of(anchor), t=t)
                 assert got.items == full_sort(model, anchor, t, table).items
+                assert rank_candidates(model, anchor, None, t) == got
                 assert got.anchor == anchor and not got.fallback_used
                 assert anchor not in ids_of(got)
                 assert len(got) == min(t, n - 1)
@@ -299,11 +308,29 @@ class TestCatalogTopK:
             for t in (1, 10, n - 1, n, n + 5):
                 got = recommend(model, session_of(anchor), t=t, popularity=table)
                 assert got.items == full_sort(model, anchor, t, table).items
+                assert rank_candidates(model, anchor, None, t, table) == got
                 assert anchor not in ids_of(got)
                 differs |= got.items != full_sort(
                     model, anchor, t, self.kappa_table(model)
                 ).items
         assert differs
+
+    def test_candidate_list_cut_at_a_tie_equals_full_sort(self):
+        model = tie_model()
+        table = self.kappa_table(model)
+        rng = np.random.default_rng(3)
+        boundary_ties = 0
+        for anchor in model.ids[::37]:
+            # repeats, unknown ids (they tie at 0) and the anchor itself
+            cands = [model.ids[k] for k in rng.integers(0, len(model), size=120)]
+            cands += ["zz1", "zz0", anchor]
+            ref = full_sort(model, anchor, len(cands), table, cands)
+            scores = [s for _, s in ref.items]
+            for t in range(1, len(scores) + 2):
+                got = rank_candidates(model, anchor, cands, t)
+                assert got.items == ref.items[:t]
+                boundary_ties += t < len(scores) and scores[t - 1] == scores[t]
+        assert boundary_ties > 100
 
     def test_one_item_model_gives_empty_list(self):
         model = grid_model(1)
@@ -333,13 +360,14 @@ class TestCatalogTopK:
             return order_candidates(scored, *args, **kwargs)
 
         monkeypatch.setattr(recommender, "order_candidates", spy)
+        table = self.kappa_table(model)
         for t in (1, 10, 200):
-            ranked = recommend(model, session_of(anchor), t=t)
-            # distinct scores leave no boundary ties
-            assert received[-1] == t
-            assert ranked.items == full_sort(
-                model, anchor, t, self.kappa_table(model)
-            ).items
+            # the catalog, then a list of all 2,000 ids; distinct scores
+            # leave no boundary ties
+            for candidates in (None, model.ids[::-1]):
+                ranked = recommend(model, session_of(anchor), candidates, t)
+                assert received[-1] == t
+                assert ranked.items == full_sort(model, anchor, t, table).items
 
 
 class TestRankerInterface:
