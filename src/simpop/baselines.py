@@ -57,10 +57,10 @@ class RandomRanker:
         unique = _dedupe(candidates)
         sid = session[0].session_id if session else ""
         rng = np.random.default_rng(self._call_seed(sid, unique))
-        perm = rng.permutation(len(unique))
         n = len(unique)
-        scored = [(unique[k], (n - pos) / n) for pos, k in enumerate(perm)]
-        return order_candidates(scored, t, None, anchor=None, fallback_used=False)
+        scores = np.empty(n)
+        scores[rng.permutation(n)] = (n - np.arange(n)) / n
+        return order_candidates(unique, scores, t, None, None, fallback_used=False)
 
     def _call_seed(self, session_id: str, candidates: Sequence[str]) -> int:
         h = hashlib.blake2b(digest_size=8)
@@ -105,7 +105,8 @@ class CooccurrenceKnnRanker:
 
     Only the 100 strongest neighbors of the previous item can receive a
     similarity score; everything else tails out by popularity. Sessions with
-    no usable previous item fall back to popularity ordering.
+    no previous item, or one without neighbors in the graph, fall back to
+    popularity ordering.
     """
 
     name = "icknn"
@@ -115,15 +116,13 @@ class CooccurrenceKnnRanker:
 
     def rank(self, session, candidates, t) -> RankedList:
         prev = _previous_item(session)
-        if prev is None:
-            return _by_popularity(
-                candidates, self.graph.popularity, t, fallback_used=True
-            )
-        near = dict(self.graph.neighbors(prev)[:_NEIGHBORS])
-        scored = [(c, near.get(c, 0.0)) for c in _dedupe(candidates)]
-        return order_candidates(
-            scored, t, self.graph.popularity, anchor=prev, fallback_used=False
-        )
+        pop = self.graph.popularity
+        near = {} if prev is None else dict(self.graph.neighbors(prev)[:_NEIGHBORS])
+        if not near:
+            return _by_popularity(candidates, pop, t, fallback_used=True)
+        unique = _dedupe(candidates)
+        scores = [near.get(c, 0.0) for c in unique]
+        return order_candidates(unique, scores, t, pop, prev, fallback_used=False)
 
 
 class MetadataKnnRanker:
@@ -148,16 +147,12 @@ class MetadataKnnRanker:
         if prev is None or prev not in self.metadata:
             return _by_popularity(candidates, self.popularity, t, fallback_used=True)
         props = self.metadata[prev]
-        scored = sorted(
-            ((c, self._cosine(props, c)) for c in _dedupe(candidates)),
-            key=lambda cs: (-cs[1], cs[0]),
-        )
-        trimmed = [
-            (c, s if pos < _NEIGHBORS else 0.0) for pos, (c, s) in enumerate(scored)
-        ]
-        return order_candidates(
-            trimmed, t, self.popularity, anchor=prev, fallback_used=False
-        )
+        unique = _dedupe(candidates)
+        cosines = [self._cosine(props, c) for c in unique]
+        nearest = order_candidates(unique, cosines, _NEIGHBORS, None, prev, False)
+        near = dict(nearest.items)  # the 100 highest cosines, ties to the smaller id
+        scores = [near.get(c, 0.0) for c in unique]
+        return order_candidates(unique, scores, t, self.popularity, prev, False)
 
     def _cosine(self, props: frozenset[str], candidate: str) -> float:
         other = self.metadata.get(candidate)

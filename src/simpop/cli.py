@@ -12,7 +12,9 @@ Exit codes: 0 success, 2 input or validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import logging
 import sys
@@ -229,12 +231,13 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         if not candidates:
             raise SimpopError("--candidates names no item")
     ranked = ranker.rank(session, candidates, args.top)
-    lines = ["rank,item,score,anchor,fallback"]
+    stream = io.StringIO()
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(["rank", "item", "score", "anchor", "fallback"])
     for pos, (item, score) in enumerate(ranked.items, start=1):
-        lines.append(
-            f"{pos},{item},{score:.6g},{ranked.anchor or ''},{ranked.fallback_used}"
-        )
-    text = "\n".join(lines) + "\n"
+        anchor = ranked.anchor or ""
+        writer.writerow([pos, item, f"{score:.6g}", anchor, ranked.fallback_used])
+    text = stream.getvalue()
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
         inputs = [args.model, args.session]

@@ -50,15 +50,29 @@ class RankedList:
 
 
 def order_candidates(
-    scored: Iterable[tuple[str, float]],
+    items: Sequence[str],
+    scores: Sequence[float] | np.ndarray,
     t: int,
     popularity: PopularityTable | None,
     anchor: str | None,
     fallback_used: bool,
 ) -> RankedList:
-    """Shared ordering policy: score desc, then popularity desc, then id."""
+    """Every ranker's one select-and-order step: the top t of distinct
+    ``items`` by their aligned ``scores``, then popularity desc, then id.
+
+    Only the items scoring at least the t-th largest score are sorted; every
+    item tied at that boundary goes with them, so the result equals a full
+    sort."""
+    keep: Iterable[int] = range(len(items))
+    if 0 < t < len(items):
+        scores = np.asarray(scores, dtype=float)
+        kth = np.partition(scores, -t)[-t]
+        keep = np.flatnonzero(scores >= kth).tolist()
     pop = popularity.get if popularity is not None else (lambda item, d=0.0: d)
-    ordered = sorted(scored, key=lambda cs: (-cs[1], -pop(cs[0]), cs[0]))
+    ordered = sorted(
+        ((items[k], float(scores[k])) for k in keep),
+        key=lambda cs: (-cs[1], -pop(cs[0]), cs[0]),
+    )
     return RankedList(
         items=tuple(ordered[: max(t, 0)]),
         anchor=anchor,
@@ -79,13 +93,9 @@ def _by_popularity(
 ) -> RankedList:
     """Candidates, each once, ordered by popularity (unknown items count 0),
     then id."""
-    return order_candidates(
-        ((c, float(popularity.get(c, 0))) for c in _dedupe(candidates)),
-        t,
-        None,
-        anchor=None,
-        fallback_used=fallback_used,
-    )
+    unique = _dedupe(candidates)
+    scores = [float(popularity.get(c, 0)) for c in unique]
+    return order_candidates(unique, scores, t, None, None, fallback_used)
 
 
 def anchor_item(
@@ -129,10 +139,6 @@ def rank_candidates(
     the tail ordered by popularity. The anchor itself is never recommended.
     ``popularity`` defaults to the model's own table and supplies tie/tail
     ordering.
-
-    Only the items scoring at least the t-th largest score reach
-    ``order_candidates``; every item tied at that boundary goes with them, so
-    popularity and id still break the ties and the result equals a full sort.
     """
     a = model.index_of(anchor)  # raises MissingItemError for unknown anchors
     pop = popularity if popularity is not None else model.popularity
@@ -149,17 +155,7 @@ def rank_candidates(
         scores[known] = connection_probabilities(
             model, anchor, [items[k] for k in known]
         )
-    keep: Iterable[int] = range(len(items))
-    if 0 < t < len(items):
-        kth = np.partition(scores, -t)[-t]
-        keep = np.flatnonzero(scores >= kth).tolist()
-    return order_candidates(
-        ((items[k], float(scores[k])) for k in keep),
-        t,
-        pop,
-        anchor=anchor,
-        fallback_used=False,
-    )
+    return order_candidates(items, scores, t, pop, anchor=anchor, fallback_used=False)
 
 
 class NextItemRecommender:

@@ -158,6 +158,19 @@ class TestCooccurrenceKnn:
         assert scored == {"n104", *others[:99]}
         assert len(ranked) == 105
 
+    def test_previous_item_without_neighbors_falls_back(self):
+        # C sits in one session, below min_sessions, so no pair holds it
+        corpus = corpus_of_sessions([["A", "B"], ["A", "B", "D"], ["C", "D"], ["B"]])
+        graph = build_affinity_graph(corpus, min_sessions=2, max_pairs_per_item=0)
+        assert graph.neighbors("C") == () and graph.neighbors("A")
+        ranker = CooccurrenceKnnRanker(graph)
+        cands = ["D", "A", "B", "C"]
+        ranked = ranker.rank(session_of("A", "C"), cands, 4)
+        assert ranked.fallback_used
+        assert ranked.anchor is None
+        assert ids_of(ranked) == ("B", "A", "D", "C")  # by interactions, then id
+        assert ranked == ranker.rank([], cands, 4)
+
     def test_previous_item_is_the_latest_revealed_item(self):
         # a later interaction, not the earlier clickout, is the previous item
         corpus = corpus_of_sessions([["A", "B"], ["A", "B"], ["B", "C"]])
@@ -199,6 +212,19 @@ class TestMetadataKnn:
         ranked = ranker.rank(session_of("mystery"), ["half", "twin"], 2)
         assert ranked.fallback_used
         assert ids_of(ranked) == ("twin", "half")
+
+    def test_neighbor_cap_limits_scored_items(self):
+        # n104 shares both of prev's properties, the others one each: they
+        # tie and are ordered by id, so the 100 nearest are n104 and
+        # n000..n098
+        others = [f"n{k:03d}" for k in range(105)]
+        metadata = {n: frozenset({"a", n}) for n in others}
+        metadata["prev"] = metadata["n104"] = frozenset({"a", "b"})
+        ranker = MetadataKnnRanker(metadata, PopularityTable({}))
+        ranked = ranker.rank(session_of("prev"), others, 105)
+        scored = {item for item, score in ranked.items if score > 0.0}
+        assert scored == {"n104", *others[:99]}
+        assert len(ranked) == 105
 
     def test_metadata_file_round_trip(self, tmp_path):
         path = tmp_path / "metadata.tsv"

@@ -1,5 +1,7 @@
 """Command-line surface: subcommand happy paths, error exit codes, manifests."""
 
+import csv
+import io
 import json
 import os
 import re
@@ -8,11 +10,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import simpop
 from simpop.cli import build_parser, main
-from simpop.model import read_model
+from simpop.model import EmbeddingModel, ModelParams, read_model, write_model
 from simpop.sessions import Role, parse_session_log, read_truth
 
 HEADER = "user_id,session_id,timestamp,step,action_type,reference,impressions"
@@ -306,6 +309,24 @@ class TestRecommendAndEvaluate:
         for blank in ("||", ""):
             assert main(argv + ["--candidates", blank]) == 2
             assert "--candidates" in capsys.readouterr().err
+
+    def test_recommend_quotes_ids_with_a_comma(self, workdir, capsys):
+        # ingest accepts quoted ids, so the ranking's rows quote them too
+        model = EmbeddingModel(
+            ModelParams(alpha=2.0, dim=1), ["a,b", "c", 'd"'],
+            np.array([[0.0], [1.0], [2.0]]), np.array([3.0, 1.0, 1.0]),
+        )
+        write_model(model, workdir / "model.txt")
+        session_file = workdir / "active.csv"
+        session_file.write_text(
+            f'{HEADER}\nu7,live1,100,1,interaction item info,"a,b",\n'
+        )
+        argv = ["recommend", "--model", str(workdir / "model.txt")]
+        assert main(argv + ["--session", str(session_file)]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows[0] == ["rank", "item", "score", "anchor", "fallback"]
+        assert [row[:2] for row in rows[1:]] == [["1", "c"], ["2", 'd"']]
+        assert {(row[3], row[4]) for row in rows[1:]} == {("a,b", "False")}
 
     def test_recommend_on_a_file_with_no_sessions_says_so(
         self, workdir, trained, capsys

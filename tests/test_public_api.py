@@ -60,3 +60,5 @@ def test_one_ranking_path():
     ]:
         assert not hasattr(owner, name), name
     assert baselines._dedupe is recommender._dedupe
+    # and order_candidates the one select-and-order step of every ranker
+    assert baselines.order_candidates is recommender.order_candidates

@@ -1,11 +1,12 @@
 """Anchor selection, candidate ranking, rerank/fallback modes, the
-exhaustive score-and-sort oracle, and the top-t selection of a catalog or a
-candidate list against a full sort."""
+exhaustive score-and-sort oracle, and the top-t selection of a catalog, a
+candidate list, the popularity fallback or a baseline against a full sort."""
 
 import numpy as np
 import pytest
 
 from simpop.affinity import PopularityTable
+from simpop.baselines import RandomRanker
 from simpop.errors import MissingItemError, ValidationError
 from simpop import recommender
 from simpop.model import EmbeddingModel, ModelParams, connection_probabilities
@@ -13,7 +14,6 @@ from simpop.recommender import (
     NextItemRecommender,
     RankedList,
     anchor_item,
-    order_candidates,
     rank_candidates,
 )
 
@@ -264,15 +264,36 @@ def tie_model(n=300, seed=0):
 
 def full_sort(model, anchor, t, popularity, candidates=None):
     """Every candidate (by default the catalog) but the anchor scored once,
-    unknown ids at 0, then all of them ordered."""
+    unknown ids at 0, then all of them sorted by score, popularity and id."""
     pool = model.ids if candidates is None else dict.fromkeys(candidates)
     rest = [i for i in pool if i != anchor]
     known = [i for i in rest if i in model]
     scores = dict.fromkeys(rest, 0.0)
     scores.update(zip(known, map(float, connection_probabilities(model, anchor, known))))
-    return order_candidates(
-        scores.items(), t, popularity, anchor=anchor, fallback_used=False
+    ordered = sorted(
+        scores.items(), key=lambda cs: (-cs[1], -popularity.get(cs[0]), cs[0])
     )
+    return RankedList(items=tuple(ordered[:t]), anchor=anchor, fallback_used=False)
+
+
+@pytest.fixture
+def sort_sizes(monkeypatch):
+    """The length of every list the recommender module sorts, in call order."""
+    sizes = []
+
+    def spy(items, **kwargs):
+        items = list(items)
+        sizes.append(len(items))
+        return sorted(items, **kwargs)
+
+    monkeypatch.setattr(recommender, "sorted", spy, raising=False)
+    return sizes
+
+
+def popularity_sort(items, t, popularity):
+    """The cold fallback's oracle: items by popularity, then id."""
+    ordered = sorted(items, key=lambda item: (-popularity.get(item), item))
+    return tuple((item, popularity.get(item)) for item in ordered[:t])
 
 
 class TestCatalogTopK:
@@ -340,7 +361,22 @@ class TestCatalogTopK:
             assert ranked.anchor == "item0"
             assert not ranked.fallback_used
 
-    def test_orders_only_top_t(self, monkeypatch):
+    def test_cold_catalog_with_ties_equals_popularity_sort(self, sort_sizes):
+        model = tie_model()
+        n = len(model)
+        rng = np.random.default_rng(5)
+        table = PopularityTable(
+            {item: float(rng.integers(1, 4)) for item in model.ids}
+        )
+        pops = sorted(table.kappa.values(), reverse=True)
+        for t in (1, 10, n - 1, n, n + 5):
+            got = recommend(model, session_of("zzz"), t=t, popularity=table)
+            assert got.items == popularity_sort(model.ids, t, table)
+            assert got.anchor is None and got.fallback_used
+            # only the items tied with or above the t-th popularity are sorted
+            assert sort_sizes[-1] == sum(p >= pops[min(t, n) - 1] for p in pops)
+
+    def test_orders_only_top_t(self, sort_sizes):
         rng = np.random.default_rng(2)
         n = 2000
         model = EmbeddingModel(
@@ -352,22 +388,24 @@ class TestCatalogTopK:
         anchor = model.ids[5]
         rest = [i for i in model.ids if i != anchor]
         assert len(set(connection_probabilities(model, anchor, rest))) == n - 1
-        received = []
-
-        def spy(scored, *args, **kwargs):
-            scored = list(scored)
-            received.append(len(scored))
-            return order_candidates(scored, *args, **kwargs)
-
-        monkeypatch.setattr(recommender, "order_candidates", spy)
         table = self.kappa_table(model)
+        assert len(set(table.kappa.values())) == n
+        random_ranker = RandomRanker(seed=3)
+        random_full = random_ranker.rank(session_of(anchor), model.ids, n).items
+        # every ranker sorts only what the selection keeps
         for t in (1, 10, 200):
             # the catalog, then a list of all 2,000 ids; distinct scores
             # leave no boundary ties
             for candidates in (None, model.ids[::-1]):
                 ranked = recommend(model, session_of(anchor), candidates, t)
-                assert received[-1] == t
+                assert sort_sizes[-1] == t
                 assert ranked.items == full_sort(model, anchor, t, table).items
+            cold = recommend(model, session_of("zzz"), None, t, popularity=table)
+            assert sort_sizes[-1] == t
+            assert cold.items == popularity_sort(model.ids, t, table)
+            ranked = random_ranker.rank(session_of(anchor), model.ids, t)
+            assert sort_sizes[-1] == t
+            assert ranked.items == random_full[:t]
 
 
 class TestRankerInterface:
