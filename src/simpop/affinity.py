@@ -24,33 +24,21 @@ from .sessions import Role, SessionCorpus
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class PopularityTable:
-    """Per-item popularity (hidden degree), finite and >= 1 for known items."""
+class PopularityTable(dict):
+    """Per-item popularity (hidden degree): a dict checked when built, every
+    value finite and >= 1; indexing an unknown item raises MissingItemError.
+    """
 
-    kappa: dict[str, float]
-
-    def __post_init__(self):
-        for item, k in self.kappa.items():
+    def __init__(self, kappa=()):
+        super().__init__(kappa)
+        for item, k in self.items():
             if not 1.0 <= k < math.inf:
                 raise ValidationError(
                     f"popularity of {item} is {k}, must be finite and >= 1"
                 )
 
-    def __getitem__(self, item: str) -> float:
-        try:
-            return self.kappa[item]
-        except KeyError:
-            raise MissingItemError(f"unknown item {item!r}") from None
-
-    def get(self, item: str, default: float = 0.0) -> float:
-        return self.kappa.get(item, default)
-
-    def __contains__(self, item: str) -> bool:
-        return item in self.kappa
-
-    def __len__(self) -> int:
-        return len(self.kappa)
+    def __missing__(self, item: str) -> float:
+        raise MissingItemError(f"unknown item {item!r}")
 
 
 def compute_popularity(corpus: SessionCorpus) -> PopularityTable:
@@ -63,7 +51,7 @@ def compute_popularity(corpus: SessionCorpus) -> PopularityTable:
         raise ValidationError("compute_popularity expects a TRAIN corpus")
     vocab = corpus.item_vocabulary
     counts = np.bincount(corpus.item_actions[1], minlength=len(vocab))
-    return PopularityTable(dict(zip(vocab, np.maximum(counts, 1.0).tolist())))
+    return PopularityTable(zip(vocab, np.maximum(counts, 1.0).tolist()))
 
 
 def interaction_counts(
@@ -273,8 +261,8 @@ def write_affinity_graph(
         for i, j, p in zip(graph.ii.tolist(), graph.jj.tolist(), graph.p.tolist()):
             out.write(f"{ids[i]}\t{ids[j]}\t{p!r}\n")
     with open(popularity_path, "w", encoding="utf-8") as out:
-        for item in sorted(graph.popularity.kappa):
-            out.write(f"{item}\t{graph.popularity.kappa[item]!r}\n")
+        for item, k in sorted(graph.popularity.items()):
+            out.write(f"{item}\t{k!r}\n")
 
 
 def read_affinity_graph(

@@ -79,7 +79,7 @@ class _CountRanker:
         self.counts = dict(counts)
 
     def rank(self, session, candidates, t) -> RankedList:
-        return _by_popularity(candidates, self.counts, t, fallback_used=False)
+        return _by_popularity(_dedupe(candidates), self.counts, t, fallback_used=False)
 
 
 class InteractionPopularityRanker(_CountRanker):
@@ -118,9 +118,9 @@ class CooccurrenceKnnRanker:
         prev = _previous_item(session)
         pop = self.graph.popularity
         near = {} if prev is None else dict(self.graph.neighbors(prev)[:_NEIGHBORS])
-        if not near:
-            return _by_popularity(candidates, pop, t, fallback_used=True)
         unique = _dedupe(candidates)
+        if not near:
+            return _by_popularity(unique, pop, t, fallback_used=True)
         scores = [near.get(c, 0.0) for c in unique]
         return order_candidates(unique, scores, t, pop, prev, fallback_used=False)
 
@@ -144,10 +144,10 @@ class MetadataKnnRanker:
 
     def rank(self, session, candidates, t) -> RankedList:
         prev = _previous_item(session)
-        if prev is None or prev not in self.metadata:
-            return _by_popularity(candidates, self.popularity, t, fallback_used=True)
-        props = self.metadata[prev]
         unique = _dedupe(candidates)
+        if prev is None or prev not in self.metadata:
+            return _by_popularity(unique, self.popularity, t, fallback_used=True)
+        props = self.metadata[prev]
         cosines = [self._cosine(props, c) for c in unique]
         nearest = order_candidates(unique, cosines, _NEIGHBORS, None, prev, False)
         near = dict(nearest.items)  # the 100 highest cosines, ties to the smaller id

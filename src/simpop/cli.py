@@ -180,10 +180,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     try:
         model, trace = fit_embedding(graph, config)
     except DivergenceError as exc:
-        if exc.trace is not None:
-            write_trace(exc.trace, trace_out)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        write_trace(exc.trace, trace_out)  # the partial trace, for a post-mortem
+        raise
     mark = _lap(timings, "fit_s", mark)
     write_trace(trace, trace_out)
     write_model(model, args.out)
@@ -522,12 +520,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except (SimpopError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_NUMERICAL if isinstance(exc, DivergenceError) else EXIT_INPUT
 
 
 def entrypoint() -> None:

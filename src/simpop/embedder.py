@@ -216,18 +216,23 @@ def fit_embedding(
     target when more than half are zero); ``initial_coords`` (an
     (n_items, dim) array aligned with the graph's sorted item order)
     overrides that for warm starts and diagnostics. Raises DivergenceError,
-    with the partial trace attached, if the objective or gradient turns
-    non-finite on an accepted iterate.
+    with the partial trace attached, if a target or the start scale
+    overflows (empty trace) or the objective or gradient turns non-finite.
     """
     if graph.n_pairs == 0:
         raise ValidationError("cannot fit an empty affinity graph")
     params = config.params
-    ids, ii, jj, d2 = build_targets(graph, params.alpha)
+    try:
+        ids, ii, jj, d2 = build_targets(graph, params.alpha)
+    except ValueError as exc:  # a target beyond float range
+        raise DivergenceError(str(exc), 0, FitTrace()) from None
     n = len(ids)
 
     if initial_coords is None:
         typical = float(np.median(d2)) or float(np.mean(d2))
         scale = float(np.sqrt(3.0 * typical / (2.0 * params.dim)))
+        if not np.isfinite(scale):
+            raise DivergenceError("start scale overflows float range", 0, FitTrace())
         rng = np.random.default_rng(config.seed)
         x0 = rng.uniform(-scale, scale, size=(n, params.dim))
     else:

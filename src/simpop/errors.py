@@ -33,7 +33,7 @@ class DivergenceError(SimpopError):
     so callers can persist it for post-mortems.
     """
 
-    def __init__(self, message: str, iteration: int, trace=None):
+    def __init__(self, message: str, iteration: int, trace):
         super().__init__(f"{message} (iteration {iteration})")
         self.iteration = iteration
         self.trace = trace

@@ -108,7 +108,7 @@ class EmbeddingModel:
     def popularity(self) -> PopularityTable:
         """The model's own popularities as a table, built on first use and
         kept: ranking's default tie and tail order."""
-        return PopularityTable({item: float(k) for item, k in zip(self.ids, self.kappa)})
+        return PopularityTable(zip(self.ids, self.kappa.tolist()))
 
 
 def _law(model: EmbeddingModel, a: int, idx: np.ndarray | slice) -> np.ndarray:
@@ -148,10 +148,15 @@ def _inverse_law(p: np.ndarray, kappa_i, kappa_j, alpha: float) -> np.ndarray:
     The power is taken per element with Python floats, that is with libm's
     ``pow``: numpy's SIMD power loop rounds some results differently, which
     would make the targets, and so the fitted model, depend on the CPU.
+    Raises ValueError when a squared distance is beyond float range.
     """
     e = -1.0 / alpha
-    powered = np.array([x**e for x in p.tolist()], dtype=np.float64)
-    return kappa_i * kappa_j * (powered - 1.0)
+    try:
+        powered = np.array([x**e for x in p.tolist()], dtype=np.float64)
+        with np.errstate(over="raise"):
+            return np.multiply(kappa_i, kappa_j) * (powered - 1.0)
+    except (OverflowError, FloatingPointError):
+        raise ValueError(f"squared distance overflows at alpha={alpha!r}") from None
 
 
 def generate_synthetic_network(
@@ -193,11 +198,13 @@ def read_model(path: str | Path) -> EmbeddingModel:
     with open(path, "r", encoding="utf-8") as stream:
         header = stream.readline().rstrip("\n")
         params = _parse_header(header, path)
-        ids: list[str] = []
+        ids: dict[str, None] = {}  # in file order
         coords: list[list[float]] = []
         kappa: list[float] = []
         for n, line in enumerate(stream, start=2):
             fields = line.rstrip("\n").split("\t")
+            if fields[0] in ids:
+                raise ParseError(f"repeated item {fields[0]!r} in {path}", n)
             try:
                 if len(fields) != 3:
                     raise ValueError(f"{len(fields)} tab-separated fields, expected 3")
@@ -207,10 +214,10 @@ def read_model(path: str | Path) -> EmbeddingModel:
                 kappa.append(float(fields[1]))
             except ValueError as exc:
                 raise ParseError(f"malformed model line in {path}: {exc}", n) from None
-            ids.append(fields[0])
+            ids[fields[0]] = None
             coords.append(row)
     matrix = np.array(coords, dtype=np.float64) if ids else np.empty((0, params.dim))
-    return EmbeddingModel(params, ids, matrix, np.array(kappa, dtype=np.float64))
+    return EmbeddingModel(params, list(ids), matrix, np.array(kappa, dtype=np.float64))
 
 
 def _parse_header(header: str, path) -> ModelParams:

@@ -68,10 +68,10 @@ def order_candidates(
         scores = np.asarray(scores, dtype=float)
         kth = np.partition(scores, -t)[-t]
         keep = np.flatnonzero(scores >= kth).tolist()
-    pop = popularity.get if popularity is not None else (lambda item, d=0.0: d)
+    pop = popularity if popularity is not None else {}
     ordered = sorted(
         ((items[k], float(scores[k])) for k in keep),
-        key=lambda cs: (-cs[1], -pop(cs[0]), cs[0]),
+        key=lambda cs: (-cs[1], -pop.get(cs[0], 0.0), cs[0]),
     )
     return RankedList(
         items=tuple(ordered[: max(t, 0)]),
@@ -86,16 +86,15 @@ def _dedupe(candidates: Iterable[str]) -> list[str]:
 
 
 def _by_popularity(
-    candidates: Iterable[str],
-    popularity: Mapping[str, float] | PopularityTable,
+    items: Sequence[str],
+    popularity: Mapping[str, float],
     t: int,
     fallback_used: bool,
 ) -> RankedList:
-    """Candidates, each once, ordered by popularity (unknown items count 0),
-    then id."""
-    unique = _dedupe(candidates)
-    scores = [float(popularity.get(c, 0)) for c in unique]
-    return order_candidates(unique, scores, t, None, None, fallback_used)
+    """Distinct ``items`` ordered by popularity (unknown items count 0), then
+    id."""
+    scores = [popularity.get(item, 0.0) for item in items]
+    return order_candidates(items, scores, t, None, None, fallback_used)
 
 
 def anchor_item(
@@ -188,6 +187,6 @@ class NextItemRecommender:
             raise ValueError("t must be >= 1")
         anchor = anchor_item(session, self.popularity, universe=self.model)
         if anchor is None:
-            pool = candidates if candidates is not None else self.model.ids
+            pool = self.model.ids if candidates is None else _dedupe(candidates)
             return _by_popularity(pool, self.popularity, t, fallback_used=True)
         return rank_candidates(self.model, anchor, candidates, t, self.popularity)

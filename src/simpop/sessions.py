@@ -265,18 +265,21 @@ def _row_to_action(row: list[str], col: Mapping[str, int], line: int) -> Action:
     )
 
 
-def _open_text(source: str | Path | IO) -> IO:
+@contextlib.contextmanager
+def _open_text(source: str | Path | IO) -> Iterator[IO]:
+    """The source as text; a caller-owned stream stays open."""
     if isinstance(source, (str, Path)):
-        path = Path(source)
-        if path.suffix == ".gz":
-            return gzip.open(path, "rt", encoding="utf-8", newline="")
-        return open(path, "r", encoding="utf-8", newline="")
-    # a caller-owned stream stays open
-    if isinstance(source, io.TextIOBase):
-        return contextlib.nullcontext(source)
-    return contextlib.nullcontext(
-        io.TextIOWrapper(source, encoding="utf-8", newline="")
-    )
+        opener = gzip.open if Path(source).suffix == ".gz" else open
+        with opener(source, "rt", encoding="utf-8", newline="") as stream:
+            yield stream
+    elif isinstance(source, io.TextIOBase):
+        yield source
+    else:
+        wrapper = io.TextIOWrapper(source, encoding="utf-8", newline="")
+        try:
+            yield wrapper
+        finally:
+            wrapper.detach()  # or the wrapper closes the stream it wraps
 
 
 def write_corpus(corpus: SessionCorpus, path: str | Path) -> None:

@@ -66,9 +66,12 @@ class TestPopularity:
             PopularityTable({"A": kappa})
 
     def test_lookup_of_unknown_item(self):
+        # a dict's own membership and get; only indexing is checked
         table = PopularityTable({"A": 2.0})
-        assert table.get("Z") == 0.0
-        with pytest.raises(MissingItemError):
+        assert "Z" not in table and len(table) == 1
+        assert table.get("Z") is None
+        assert table.get("Z", 0.0) == 0.0
+        with pytest.raises(MissingItemError, match="unknown item 'Z'"):
             table["Z"]
 
     def test_clickout_only_counts_are_a_subset(self, toy_train):
@@ -225,6 +228,11 @@ class TestGraphBuild:
         corpus = corpus_of_sessions([["A", "B"], ["A", "B"]])
         with pytest.raises(ValueError, match="max_pairs_per_item"):
             build_affinity_graph(corpus, max_pairs_per_item=-3)
+
+    def test_min_sessions_below_one_rejected(self):
+        corpus = corpus_of_sessions([["A", "B"], ["A", "B"]])
+        with pytest.raises(ValueError, match="min_sessions must be >= 1"):
+            build_affinity_graph(corpus, min_sessions=0)
 
     def test_bounds_hold_on_random_corpora(self):
         rng = np.random.default_rng(3)
@@ -411,7 +419,7 @@ class TestGraphExport:
         lines = (tmp_path / "pairs.tsv").read_text().splitlines()
         written = [tuple(line.split("\t")[:2]) for line in lines]
         assert written == sorted(pair_dict(graph))
-        assert again.popularity.kappa == graph.popularity.kappa
+        assert again.popularity == graph.popularity
 
     @pytest.mark.parametrize(
         "bad_line", ["a\tc\tnotafloat", "a\tc", "a\tc\t0.5\t1"]

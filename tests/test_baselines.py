@@ -237,6 +237,26 @@ class TestMetadataKnn:
         with pytest.raises(ParseError, match="^line 3: repeated item 'a'"):
             load_metadata(path)
 
+    @pytest.mark.parametrize("bad_line", ["b", "b\ty\tz"])
+    def test_malformed_metadata_line_names_it(self, tmp_path, bad_line):
+        path = tmp_path / "metadata.tsv"
+        path.write_text(f"a\tx|y\n{bad_line}\n")
+        with pytest.raises(ParseError, match="^line 2: malformed metadata line"):
+            load_metadata(path)
+
+    def test_blank_metadata_line_skipped(self, tmp_path):
+        path = tmp_path / "metadata.tsv"
+        path.write_text("a\tx|y\n\nb\ty\n")
+        assert load_metadata(path) == {"a": {"x", "y"}, "b": {"y"}}
+
+    @pytest.mark.parametrize("prev, candidate", [("bare", "twin"), ("prev", "bare")])
+    def test_empty_property_set_scores_zero(self, prev, candidate):
+        metadata = {**self.METADATA, "bare": frozenset()}
+        ranker = MetadataKnnRanker(metadata, self.POPULARITY)
+        ranked = ranker.rank(session_of(prev), [candidate], 1)
+        assert ranked.items == ((candidate, 0.0),)
+        assert not ranked.fallback_used
+
 
 class TestOutputContract:
     def test_all_rankers_emit_valid_ranked_lists(self, toy_train):

@@ -56,6 +56,22 @@ def ingest_train(workdir):
     return out
 
 
+def synth_train_corpus(tmp_path):
+    """The ingested train log of a small synthetic world (80 items)."""
+    world = tmp_path / "world"
+    assert main(
+        [
+            "synth", "sessions", "--out-dir", str(world), "--items", "80",
+            "--clusters", "3", "--train-sessions", "250", "--test-sessions", "10",
+            "--seed", "2",
+        ]
+    ) == 0
+    corpus = tmp_path / "corpus.csv"
+    argv = ["ingest", "--input", str(world / "train.csv"), "--out", str(corpus)]
+    assert main(argv) == 0
+    return corpus
+
+
 def run_under_blas_threads(threads, commands):
     """Run CLI commands, in order, in one fresh interpreter with
     ``OPENBLAS_NUM_THREADS`` set; fails unless every command exits 0."""
@@ -242,6 +258,30 @@ class TestTrain:
         assert code == 2
         assert not list(workdir.glob("m.txt*"))
 
+    @pytest.mark.parametrize(
+        "alpha, message",
+        [
+            ("0.004", "squared distance overflows at alpha=0.004"),
+            ("0.01", "objective or gradient is not finite"),
+        ],
+        ids=["target-overflow", "non-finite-objective"],
+    )
+    def test_failed_fit_exits_3_with_its_trace(self, tmp_path, capsys, alpha, message):
+        # a fit that fails is a numerical failure, reported once, with the
+        # partial trace written for a post-mortem and no model
+        corpus = synth_train_corpus(tmp_path)
+        capsys.readouterr()
+        model_path = tmp_path / "m.txt"
+        argv = ["train", "--corpus", str(corpus), "--out", str(model_path)]
+        with pytest.warns(UserWarning, match=f"alpha={alpha}"):
+            code = main(argv + ["--dim", "2", "--alpha", alpha])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {message} (iteration 0)\n"
+        trace = (tmp_path / "m.txt.trace.csv").read_text()
+        assert trace == "iteration,objective,grad_norm,evaluations\n"
+        assert not model_path.exists()
+        assert not (tmp_path / "m.txt.manifest.json").exists()
+
     def test_empty_graph_exits_2(self, workdir):
         corpus = ingest_train(workdir)
         code = main(
@@ -341,6 +381,29 @@ class TestRecommendAndEvaluate:
         err = capsys.readouterr().err
         assert "holds no sessions" in err
         assert "--session-id" not in err
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--session-id", "live3"], "session 'live3' not in"),
+            ([], "holds 2 sessions; pass --session-id"),
+        ],
+        ids=["unknown-id", "no-id"],
+    )
+    def test_recommend_needs_one_known_session(
+        self, workdir, trained, capsys, extra, message
+    ):
+        _, model_path = trained
+        session_file = workdir / "two.csv"
+        session_file.write_text(
+            f"{HEADER}\nu7,live1,100,1,interaction item info,A,\n"
+            "u8,live2,200,1,interaction item info,B,\n"
+        )
+        argv = ["recommend", "--model", str(model_path), "--session", str(session_file)]
+        assert main(argv + ["--session-id", "live2", "--top", "1"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].endswith(",B,False")
+        assert main(argv + extra) == 2
+        assert message in capsys.readouterr().err
 
     def _recommend_with_popularity(self, workdir, model_path, popularity):
         session_file = workdir / "active.csv"
@@ -548,6 +611,32 @@ class TestRecommendAndEvaluate:
             assert report.startswith("ranker,sessions,") and f"\n{ranker},100," in report
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize(
+        "ranker, given, missing",
+        [
+            ("proposed", [], "--model"),
+            ("ipop", [], "--train-corpus"),
+            ("imknn", ["--train-corpus"], "--metadata"),
+        ],
+    )
+    def test_evaluate_names_a_missing_input(
+        self, workdir, trained, capsys, ranker, given, missing
+    ):
+        corpus, _ = trained
+        truth = workdir / "truth.csv"
+        truth.write_text("session_id,item_id\n")
+        report = workdir / "r.csv"
+        code = main(
+            [
+                "evaluate", "--ranker", ranker, "--test-corpus", str(corpus),
+                "--truth", str(truth), "--out", str(report),
+            ]
+            + [arg for flag in given for arg in (flag, str(corpus))]
+        )
+        assert code == 2
+        assert f"--ranker {ranker} requires {missing}" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_missing_truth_exits_2(self, workdir, trained):
         corpus, model_path = trained
         code = main(
@@ -634,6 +723,29 @@ class TestGridsearchCommand:
         lines = table_path.read_text().splitlines()
         assert len(lines) == 3
         assert "best:" in capsys.readouterr().out
+
+    def test_overflowing_alpha_is_a_failed_cell(self, tmp_path, capsys):
+        corpus = synth_train_corpus(tmp_path)
+        table_path = tmp_path / "grid.csv"
+        with pytest.warns(UserWarning, match="alpha=0.004"):
+            code = main(
+                [
+                    "gridsearch", "--corpus", str(corpus), "--out", str(table_path),
+                    "--dims", "2", "--lambdas", "0.01", "--alphas", "0.004,2",
+                    "--max-iterations", "40", "--val-fraction", "0.2",
+                ]
+            )
+        assert code == 0
+        with open(table_path, newline="") as stream:
+            rows = list(csv.DictReader(stream))
+        assert [(r["alpha"], r["failed"]) for r in rows] == [
+            ("0.004", "True"), ("2.0", "False")
+        ]
+        assert rows[0]["error"] == (
+            "squared distance overflows at alpha=0.004 (iteration 0)"
+        )
+        out = capsys.readouterr().out
+        assert "(1 failed)" in out and "alpha=2.0" in out
 
     def test_empty_axis_exits_2_naming_it(self, tmp_path, capsys):
         corpus = tmp_path / "train.csv"

@@ -16,7 +16,7 @@ from simpop.embedder import (
     objective,
     write_trace,
 )
-from simpop.errors import MissingItemError, ValidationError
+from simpop.errors import DivergenceError, MissingItemError, ValidationError
 from simpop.model import ModelParams, connection_probabilities, derive_squared_distance
 from simpop.sessions import filter_bookable_sessions
 from simpop.synth import SynthConfig, generate
@@ -380,6 +380,26 @@ class TestFit:
         config = FitConfig(params=ModelParams(alpha=2.0, dim=2))
         with pytest.raises(ValidationError):
             fit_embedding(graph, config)
+
+    @pytest.mark.parametrize(
+        "p, message",
+        [
+            (1e-4, "squared distance overflows at alpha=0.01"),
+            # a finite target of 1e308, whose start scale overflows
+            (1e308 ** -0.01, "start scale overflows float range"),
+        ],
+        ids=["target", "start-scale"],
+    )
+    def test_overflow_fails_before_the_start(self, p, message):
+        graph = AffinityGraph.from_pairs(
+            {("a", "b"): p}, PopularityTable({"a": 1.0, "b": 1.0})
+        )
+        with pytest.warns(UserWarning, match="alpha"):
+            config = FitConfig(params=ModelParams(alpha=0.01, dim=2))
+        with pytest.raises(DivergenceError) as failure:
+            fit_embedding(graph, config)
+        assert str(failure.value) == f"{message} (iteration 0)"
+        assert failure.value.trace.objectives == []
 
     def test_model_carries_graph_popularity(self):
         graph = _linked_pair_graph(1.0)

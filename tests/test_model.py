@@ -136,6 +136,16 @@ class TestInversion:
         with pytest.raises(ValueError):
             derive_squared_distance(0.5, 1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "p, kappa, alpha",
+        [(0.01, 1.0, 0.004), (0.5, 1e200, 2.0)],
+        ids=["power", "popularity_product"],
+    )
+    def test_overflow_is_a_value_error(self, p, kappa, alpha):
+        # p ** (-1 / alpha), or the popularity product, beyond float range
+        with pytest.raises(ValueError, match="squared distance overflows at alpha"):
+            derive_squared_distance(p, kappa, kappa, alpha)
+
 
 class TestSyntheticNetwork:
     def test_coincident_pair_always_connects(self):
@@ -244,6 +254,28 @@ class TestModelFile:
         lines[2] = lines[2].replace("\t", "\tabc ", 1)
         path.write_text("".join(lines))
         with pytest.raises(ParseError, match="line 3: .*abc"):
+            read_model(path)
+
+    def test_repeated_item_names_it(self, tmp_path):
+        path = tmp_path / "repeat.txt"
+        write_model(self._random_model(), path)
+        lines = path.read_text().splitlines(keepends=True)
+        item = lines[2].split("\t")[0]
+        lines[4] = lines[2]
+        path.write_text("".join(lines))
+        with pytest.raises(ParseError, match=f"line 5: repeated item '{item}'"):
+            read_model(path)
+
+    def test_wrong_field_count_names_it(self, tmp_path):
+        path = tmp_path / "fields.txt"
+        path.write_text("simpop-model v1 dim=1 alpha=2.0 lambda=0.0\na\t1.0\n")
+        with pytest.raises(ParseError, match="line 2: .*2 tab-separated fields"):
+            read_model(path)
+
+    def test_non_numeric_header_value_rejected(self, tmp_path):
+        path = tmp_path / "header.txt"
+        path.write_text("simpop-model v1 dim=two alpha=2.0 lambda=0.0\n")
+        with pytest.raises(ParseError, match="line 1: bad model header .*two"):
             read_model(path)
 
 

@@ -231,13 +231,13 @@ class TestRecommend:
         # without a popularity table every call ranks by the model's kappa;
         # the table over the whole catalog is built on the first call only
         built = [0]
-        post_init = PopularityTable.__post_init__
+        init = PopularityTable.__init__
 
-        def counting(self):
+        def counting(self, kappa=()):
             built[0] += 1
-            post_init(self)
+            init(self, kappa)
 
-        monkeypatch.setattr(PopularityTable, "__post_init__", counting)
+        monkeypatch.setattr(PopularityTable, "__init__", counting)
         model = grid_model(5, kappa=[9.0, 1.0, 2.0, 1.0, 1.0])
         first = recommend(model, session_of("item0"), candidates=["item1", "item3"])
         assert built[0] == 1
@@ -271,7 +271,8 @@ def full_sort(model, anchor, t, popularity, candidates=None):
     scores = dict.fromkeys(rest, 0.0)
     scores.update(zip(known, map(float, connection_probabilities(model, anchor, known))))
     ordered = sorted(
-        scores.items(), key=lambda cs: (-cs[1], -popularity.get(cs[0]), cs[0])
+        scores.items(),
+        key=lambda cs: (-cs[1], -popularity.get(cs[0], 0.0), cs[0]),
     )
     return RankedList(items=tuple(ordered[:t]), anchor=anchor, fallback_used=False)
 
@@ -292,8 +293,8 @@ def sort_sizes(monkeypatch):
 
 def popularity_sort(items, t, popularity):
     """The cold fallback's oracle: items by popularity, then id."""
-    ordered = sorted(items, key=lambda item: (-popularity.get(item), item))
-    return tuple((item, popularity.get(item)) for item in ordered[:t])
+    ordered = sorted(items, key=lambda item: (-popularity.get(item, 0.0), item))
+    return tuple((item, popularity.get(item, 0.0)) for item in ordered[:t])
 
 
 class TestCatalogTopK:
@@ -368,13 +369,37 @@ class TestCatalogTopK:
         table = PopularityTable(
             {item: float(rng.integers(1, 4)) for item in model.ids}
         )
-        pops = sorted(table.kappa.values(), reverse=True)
+        pops = sorted(table.values(), reverse=True)
         for t in (1, 10, n - 1, n, n + 5):
             got = recommend(model, session_of("zzz"), t=t, popularity=table)
             assert got.items == popularity_sort(model.ids, t, table)
             assert got.anchor is None and got.fallback_used
             # only the items tied with or above the t-th popularity are sorted
             assert sort_sizes[-1] == sum(p >= pops[min(t, n) - 1] for p in pops)
+
+    def test_cold_catalog_hands_the_model_ids_over_unchanged(self, monkeypatch):
+        # the catalog's ids are distinct already, so nothing walks them to
+        # dedupe; a candidate list is deduped once, before the fallback
+        model = tie_model()
+        pools = []
+        by_popularity = recommender._by_popularity
+
+        def spy(items, *args, **kwargs):
+            pools.append(items)
+            return by_popularity(items, *args, **kwargs)
+
+        def no_dedupe(candidates):
+            raise AssertionError("the catalog was deduped")
+
+        monkeypatch.setattr(recommender, "_by_popularity", spy)
+        monkeypatch.setattr(recommender, "_dedupe", no_dedupe)
+        ranked = recommend(model, session_of("zzz"), None, 10)
+        assert pools == [model.ids] and pools[0] is model.ids
+        assert ranked.items == popularity_sort(model.ids, 10, model.popularity)
+        monkeypatch.setattr(recommender, "_dedupe", lambda c: list(dict.fromkeys(c)))
+        ranked = recommend(model, session_of("zzz"), ["t001", "t000", "t001"], 10)
+        assert pools[1] == ["t001", "t000"]
+        assert ranked.items == popularity_sort(pools[1], 10, model.popularity)
 
     def test_orders_only_top_t(self, sort_sizes):
         rng = np.random.default_rng(2)
@@ -389,7 +414,7 @@ class TestCatalogTopK:
         rest = [i for i in model.ids if i != anchor]
         assert len(set(connection_probabilities(model, anchor, rest))) == n - 1
         table = self.kappa_table(model)
-        assert len(set(table.kappa.values())) == n
+        assert len(set(table.values())) == n
         random_ranker = RandomRanker(seed=3)
         random_full = random_ranker.rank(session_of(anchor), model.ids, n).items
         # every ranker sorts only what the selection keeps

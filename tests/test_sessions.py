@@ -146,6 +146,38 @@ class TestParsing:
         corpus = corpus_from_text(text)
         assert corpus.sessions["s1"][0].item_ref == "A"
 
+    def test_more_than_25_impressions_rejected(self):
+        listed = [f"i{k:02d}" for k in range(26)]
+        row = "u1,s1,1000,1,clickout item,i00,{}\n"
+        corpus = corpus_from_text(f"{HEADER}\n" + row.format("|".join(listed[:25])))
+        assert len(corpus.sessions["s1"][0].impressions) == 25
+        with pytest.raises(ValidationError, match="26 impressions exceed the maximum"):
+            corpus_from_text(f"{HEADER}\n" + row.format("|".join(listed)))
+
+    def test_blank_row_skipped(self):
+        text = (
+            f"{HEADER}\n"
+            "u1,s1,1000,1,interaction item info,A,\n"
+            "\n"
+            "u1,s1,1001,2,interaction item info,B,\n"
+        )
+        corpus = corpus_from_text(text)
+        assert [a.item_ref for a in corpus.sessions["s1"]] == ["A", "B"]
+
+    @pytest.mark.parametrize(
+        "stream",
+        [
+            lambda text: io.BytesIO(text.encode()),
+            lambda text: io.StringIO(text, newline=""),
+        ],
+        ids=["binary", "text"],
+    )
+    def test_callers_stream_stays_open(self, stream):
+        source = stream(f"{HEADER}\nu1,s1,1000,1,interaction item info,A,\n")
+        corpus = parse_session_log(source)
+        assert corpus.sessions["s1"][0].item_ref == "A"
+        assert not source.closed
+
     def test_unknown_action_type_is_kept_as_generic_interaction(self):
         text = f"{HEADER}\nu1,s1,1000,1,some new kind,A,\n"
         action = corpus_from_text(text).sessions["s1"][0]
@@ -185,6 +217,17 @@ class TestRoundTrip:
         path = tmp_path / "truth.csv"
         path.write_text("session_id,item_id\ns1,A\ns2,B\ns1,C\n")
         with pytest.raises(ParseError, match="line 4: repeated session 's1'"):
+            read_truth(path)
+
+    def test_blank_truth_row_skipped(self, tmp_path):
+        path = tmp_path / "truth.csv"
+        path.write_text("session_id,item_id\ns1,A\n\ns2,B\n")
+        assert read_truth(path) == {"s1": "A", "s2": "B"}
+
+    def test_truth_header_required(self, tmp_path):
+        path = tmp_path / "truth.csv"
+        path.write_text("session,item\ns1,A\n")
+        with pytest.raises(ParseError, match="line 1: expected header"):
             read_truth(path)
 
 
@@ -357,7 +400,7 @@ class TestItemViews:
         assert interaction_counts(corpus, clickout_only=True) == dict(clicked)
         train = SessionCorpus(corpus.sessions, Role.TRAIN)
         expected = {i: float(max(every[i], 1)) for i in sorted(vocab)}
-        kappa = compute_popularity(train).kappa
+        kappa = compute_popularity(train)
         assert kappa == expected
         assert all(type(k) is float for k in kappa.values())
 
