@@ -165,9 +165,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         max_iterations=args.max_iterations,
         gradient_tolerance=args.gradient_tolerance,
     )
-    pairs_out = args.pairs_out or str(args.out) + ".pairs.tsv"
-    popularity_out = args.popularity_out or str(args.out) + ".popularity.tsv"
-    trace_out = args.trace_out or str(args.out) + ".trace.csv"
+    pairs_out = Path(f"{args.out}.pairs.tsv")
+    popularity_out = Path(f"{args.out}.popularity.tsv")
+    trace_out = Path(f"{args.out}.trace.csv")
     timings: dict[str, float] = {}
     mark = time.perf_counter()
     corpus = parse_session_log(args.corpus, role=Role.TRAIN)
@@ -196,7 +196,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         args,
         args.out,
         [args.corpus],
-        [args.out, Path(pairs_out), Path(popularity_out), Path(trace_out)],
+        [args.out, pairs_out, popularity_out, trace_out],
         [args.seed],
         started,
         counts={"iterations": trace.iterations, "stop_reason": trace.stop_reason},
@@ -276,8 +276,7 @@ def _build_ranker(args: argparse.Namespace) -> tuple[Ranker, list[Path]]:
     if name == "icpop":
         return ClickoutPopularityRanker(train), read
     if name == "icknn":
-        graph = build_affinity_graph(train, args.min_sessions, args.max_pairs_per_item)
-        return CooccurrenceKnnRanker(graph), read
+        return CooccurrenceKnnRanker(build_affinity_graph(train)), read
     read.append(Path(args.metadata))
     metadata = load_metadata(args.metadata)
     return MetadataKnnRanker(metadata, popularity=compute_popularity(train)), read
@@ -319,16 +318,13 @@ def cmd_gridsearch(args: argparse.Namespace) -> int:
     grid = SearchGrid(
         dims=_ints(args.dims), lambdas=_floats(args.lambdas), alphas=_floats(args.alphas)
     )
-    best, table = grid_search(
-        train,
-        validation,
-        grid=grid,
-        seeds=_ints(args.seeds),
-        min_sessions=args.min_sessions,
-        max_pairs_per_item=args.max_pairs_per_item,
-        max_iterations=args.max_iterations,
-        gradient_tolerance=args.gradient_tolerance,
-    )
+    try:
+        best, table = grid_search(
+            train, validation, grid=grid, max_iterations=args.max_iterations
+        )
+    except DivergenceError as exc:
+        write_grid_table(exc.trace, args.out)  # every cell failed; keep their errors
+        raise
     write_grid_table(table, args.out)
     failed = sum(1 for c in table if c.failed)
     print(
@@ -338,7 +334,7 @@ def cmd_gridsearch(args: argparse.Namespace) -> int:
     )
     _write_manifest(
         "gridsearch", args, args.out, [args.corpus], [args.out],
-        list(_ints(args.seeds)), started,
+        [best.seed], started,
     )
     return EXIT_OK
 
@@ -367,7 +363,6 @@ def cmd_synth_sessions(args: argparse.Namespace) -> int:
         n_train_sessions=args.train_sessions,
         n_test_sessions=args.test_sessions,
         seed=args.seed,
-        clickout_rate=args.clickout_rate,
     )
     data = generate(config)
     out_dir = Path(args.out_dir)
@@ -440,9 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-pairs-per-item", type=int, default=500)
     p.add_argument("--max-iterations", type=int, default=500)
     p.add_argument("--gradient-tolerance", type=float, default=1e-4)
-    p.add_argument("--pairs-out")
-    p.add_argument("--popularity-out")
-    p.add_argument("--trace-out")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("recommend", help="rank candidates for one session")
@@ -468,8 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-corpus", help="train corpus (baselines, popularity)")
     p.add_argument("--metadata", help="item properties TSV (imknn)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--min-sessions", type=int, default=2)
-    p.add_argument("--max-pairs-per-item", type=int, default=500)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("gridsearch", help="hyperparameter grid over a train corpus")
@@ -478,12 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", default="5,10,20")
     p.add_argument("--lambdas", default="0.1,0.01")
     p.add_argument("--alphas", default="1,2,3")
-    p.add_argument("--seeds", default="0")
     p.add_argument("--val-fraction", type=float, default=0.1)
-    p.add_argument("--min-sessions", type=int, default=2)
-    p.add_argument("--max-pairs-per-item", type=int, default=500)
     p.add_argument("--max-iterations", type=int, default=300)
-    p.add_argument("--gradient-tolerance", type=float, default=1e-4)
     p.set_defaults(func=cmd_gridsearch)
 
     p = sub.add_parser("synth", help="generate synthetic artifacts")
@@ -499,14 +485,13 @@ def build_parser() -> argparse.ArgumentParser:
         "sessions", help="generate a planted-world session corpus"
     )
     q.add_argument("--out-dir", required=True)
-    q.add_argument("--items", type=int, default=600)
-    q.add_argument("--clusters", type=int, default=12)
-    q.add_argument("--dim", type=int, default=2)
-    q.add_argument("--alpha", type=float, default=2.0)
-    q.add_argument("--train-sessions", type=int, default=4000)
-    q.add_argument("--test-sessions", type=int, default=1000)
-    q.add_argument("--clickout-rate", type=float, default=0.85)
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--items", type=int, default=SynthConfig.n_items)
+    q.add_argument("--clusters", type=int, default=SynthConfig.n_clusters)
+    q.add_argument("--dim", type=int, default=SynthConfig.dim)
+    q.add_argument("--alpha", type=float, default=SynthConfig.alpha)
+    q.add_argument("--train-sessions", type=int, default=SynthConfig.n_train_sessions)
+    q.add_argument("--test-sessions", type=int, default=SynthConfig.n_test_sessions)
+    q.add_argument("--seed", type=int, default=SynthConfig.seed)
     q.set_defaults(func=cmd_synth_sessions)
 
     return parser

@@ -27,13 +27,16 @@ class MissingItemError(SimpopError, KeyError):
 
 
 class DivergenceError(SimpopError):
-    """Optimizer hit a non-finite objective or gradient.
+    """A fit failed numerically, or every fit of a grid search did.
 
-    ``trace`` holds the partial fit trace accumulated before the failure,
-    so callers can persist it for post-mortems.
+    ``trace`` holds what was recorded before the failure, so callers can
+    persist it for post-mortems: a fit's partial trace, or a grid's table of
+    failed cells. ``iteration`` is the failing fit iteration (None for a grid).
     """
 
-    def __init__(self, message: str, iteration: int, trace):
-        super().__init__(f"{message} (iteration {iteration})")
+    def __init__(self, message: str, iteration: int | None, trace):
+        if iteration is not None:
+            message = f"{message} (iteration {iteration})"
+        super().__init__(message)
         self.iteration = iteration
         self.trace = trace

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 from .affinity import AffinityGraph, build_affinity_graph
 from .baselines import Ranker
 from .embedder import FitConfig, fit_embedding
-from .errors import DivergenceError, SimpopError, ValidationError
+from .errors import DivergenceError, ValidationError
 from .model import ModelParams
 from .recommender import NextItemRecommender
 from .sessions import SessionCorpus, _last_clickout_index, prepare_holdout
@@ -189,18 +189,17 @@ def grid_search(
     grid: SearchGrid | None = None,
     seeds: Sequence[int] = (0,),
     min_sessions: int = 2,
-    max_pairs_per_item: int = 500,
     max_iterations: int = 500,
-    gradient_tolerance: float = 1e-4,
 ) -> tuple[FitConfig, list[GridCell]]:
     """Fit one embedding per grid cell and score validation MRR.
 
     Train and validation must be disjoint session sets. Each cell is fitted
     once per seed, one fit after another in the calling process; a cell's row
     keeps its best seed. Failed (diverged) cells stay in the table with
-    ``failed=True``. The best configuration is the highest validation MRR,
-    ties broken toward smaller dimension, then larger regularization, then
-    smaller alpha.
+    ``failed=True``; when every cell fails, the DivergenceError raised
+    carries the table as its ``trace``. The best configuration is the highest
+    validation MRR, ties broken toward smaller dimension, then larger
+    regularization, then smaller alpha.
     """
     if set(train.sessions) & set(validation.sessions):
         raise ValidationError("train and validation sessions overlap")
@@ -214,12 +213,11 @@ def grid_search(
             params=ModelParams(alpha=alpha, dim=dim, lam=lam),
             seed=seed,
             max_iterations=max_iterations,
-            gradient_tolerance=gradient_tolerance,
         )
         for dim, lam, alpha in grid.cells()
         for seed in seeds
     ]
-    graph = build_affinity_graph(train, min_sessions, max_pairs_per_item)
+    graph = build_affinity_graph(train, min_sessions)
     holdout, truth, dropped = prepare_holdout(validation)
     if dropped:
         log.info("grid search: %d validation sessions unusable", dropped)
@@ -238,7 +236,7 @@ def grid_search(
 
     usable = [c for c in table if not c.failed]
     if not usable:
-        raise SimpopError("every grid cell failed")
+        raise DivergenceError("every grid cell failed", None, table)
     winner = min(usable, key=lambda c: (-c.mrr, c.dim, -c.lam, c.alpha, c.seed))
     best_config = next(cfg for cfg, cell in zip(configs, results) if cell is winner)
     log.info(

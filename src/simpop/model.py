@@ -134,10 +134,12 @@ def derive_squared_distance(
     """Invert the connection law: the squared distance that yields ``p``."""
     if not 0.0 < p <= 1.0:
         raise ValueError(f"connection probability must be in (0, 1], got {p}")
-    if kappa_i <= 0 or kappa_j <= 0:
-        raise ValueError("popularities must be positive")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not (0 < kappa_i < math.inf and 0 < kappa_j < math.inf):
+        raise ValueError(
+            f"popularities must be finite and > 0, got {kappa_i}, {kappa_j}"
+        )
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     d2 = _inverse_law(np.array([p], dtype=np.float64), kappa_i, kappa_j, alpha)
     return float(d2[0])
 

@@ -37,8 +37,10 @@ _INTERACTION_KINDS = (
 _EPOCH = 1_500_000_000
 
 # The planted world's shape. SynthConfig sets its size, seed, session
-# length, popularity range and clickout rate; these fix the rest.
+# length and popularity range; these fix the rest.
 _MAX_INTERACTIONS = 16
+#: share of train sessions that end in a clickout (every test session does)
+_CLICKOUT_RATE = 0.9
 _CLUSTER_SPREAD = 1.5
 _CLUSTER_SEPARATION = 12.0
 # session walk: p(i -> j) ~ (1 + d2/scale^2)^-alpha from a start drawn with
@@ -78,7 +80,6 @@ class SynthConfig:
     seed: int = 0
     mean_interactions: float = 8.0
     kappa_max: float = 8.0
-    clickout_rate: float = 0.9
 
     def __post_init__(self):
         if self.n_items < _N_IMPRESSIONS:
@@ -293,7 +294,7 @@ def generate(config: SynthConfig) -> SynthData:
         config.n_train_sessions,
         Role.TRAIN,
         seed=train_seed,
-        clickout_rate=config.clickout_rate,
+        clickout_rate=_CLICKOUT_RATE,
         session_prefix="s",
     )
     test = generate_corpus(

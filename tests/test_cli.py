@@ -226,7 +226,7 @@ class TestTrain:
         assert (workdir / "m1.txt").read_bytes() == (workdir / "m2.txt").read_bytes()
 
     def test_model_bytes_independent_of_blas_threads(self, tmp_path):
-        # a desk-like fit (27,578 pairs at dim 20) is large enough that BLAS
+        # a desk-like fit (29,328 pairs at dim 20) is large enough that BLAS
         # would split its dot products over threads; the fit's reductions
         # avoid BLAS, so one and two threads write the same model
         world = tmp_path / "world"
@@ -747,6 +747,28 @@ class TestGridsearchCommand:
         out = capsys.readouterr().out
         assert "(1 failed)" in out and "alpha=2.0" in out
 
+    def test_every_cell_failing_writes_the_table_and_exits_3(self, tmp_path, capsys):
+        # a grid whose every cell fails is a numerical failure: the table
+        # still holds each cell's error, and no manifest is written
+        corpus = synth_train_corpus(tmp_path)
+        capsys.readouterr()
+        table_path = tmp_path / "grid.csv"
+        with pytest.warns(UserWarning, match="alpha=0.004"):
+            code = main(
+                [
+                    "gridsearch", "--corpus", str(corpus), "--out", str(table_path),
+                    "--dims", "2", "--lambdas", "0.01", "--alphas", "0.004",
+                ]
+            )
+        assert code == 3
+        assert capsys.readouterr().err == "error: every grid cell failed\n"
+        with open(table_path, newline="") as stream:
+            rows = list(csv.DictReader(stream))
+        assert [(r["alpha"], r["failed"], r["error"]) for r in rows] == [
+            ("0.004", "True", "squared distance overflows at alpha=0.004 (iteration 0)")
+        ]
+        assert not (tmp_path / "grid.csv.manifest.json").exists()
+
     def test_empty_axis_exits_2_naming_it(self, tmp_path, capsys):
         corpus = tmp_path / "train.csv"
         corpus.write_text(RAW_TRAIN)
@@ -763,14 +785,16 @@ class TestGridsearchCommand:
 
 EVALUATE = ["evaluate", "--ranker", "icknn", "--test-corpus", "t.csv", "--truth",
             "truth.csv", "--out", "r.csv"]
+GRIDSEARCH = ["gridsearch", "--corpus", "c.csv", "--out", "g.csv"]
+TRAIN = ["train", "--corpus", "c.csv", "--out", "m.txt"]
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["gridsearch", "--corpus", "c.csv", "--out", "g.csv", "--threads", "2"],
-        ["train", "--corpus", "c.csv", "--out", "m.txt", "--memory", "5"],
-        ["train", "--corpus", "c.csv", "--out", "m.txt", "--init-scale", "1"],
+        GRIDSEARCH + ["--threads", "2"],
+        TRAIN + ["--memory", "5"],
+        TRAIN + ["--init-scale", "1"],
         ["ingest", "--input", "l.csv", "--out", "c.csv", "--schema", "item_ref=item"],
         ["ingest", "--input", "l.csv", "--out", "c.csv", "--keep-unbookable"],
         ["recommend", "--model", "m.txt", "--session", "s.csv",
@@ -778,11 +802,25 @@ EVALUATE = ["evaluate", "--ranker", "icknn", "--test-corpus", "t.csv", "--truth"
         EVALUATE + ["--anchor-mode", "global"],
         EVALUATE + ["--k", "100"],
         EVALUATE + ["--clickout-only"],
+        TRAIN + ["--pairs-out", "p.tsv"],
+        TRAIN + ["--popularity-out", "k.tsv"],
+        TRAIN + ["--trace-out", "t.csv"],
+        ["synth", "sessions", "--out-dir", "w", "--clickout-rate", "0.85"],
+        GRIDSEARCH + ["--seeds", "0,1"],
+        GRIDSEARCH + ["--min-sessions", "2"],
+        GRIDSEARCH + ["--max-pairs-per-item", "500"],
+        GRIDSEARCH + ["--gradient-tolerance", "1e-4"],
+        EVALUATE + ["--min-sessions", "2"],
+        EVALUATE + ["--max-pairs-per-item", "500"],
     ],
     ids=[
         "gridsearch-threads", "train-memory", "train-init-scale", "ingest-schema",
         "ingest-keep-unbookable", "recommend-anchor-mode", "evaluate-anchor-mode",
-        "evaluate-k", "evaluate-clickout-only",
+        "evaluate-k", "evaluate-clickout-only", "train-pairs-out",
+        "train-popularity-out", "train-trace-out", "synth-sessions-clickout-rate",
+        "gridsearch-seeds", "gridsearch-min-sessions", "gridsearch-max-pairs-per-item",
+        "gridsearch-gradient-tolerance", "evaluate-min-sessions",
+        "evaluate-max-pairs-per-item",
     ],
 )
 def test_removed_flags_are_unknown(argv, capsys):

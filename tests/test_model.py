@@ -146,6 +146,20 @@ class TestInversion:
         with pytest.raises(ValueError, match="squared distance overflows at alpha"):
             derive_squared_distance(p, kappa, kappa, alpha)
 
+    @pytest.mark.parametrize(
+        "kappa_i, kappa_j, alpha, message",
+        [
+            (math.inf, 1.0, 2.0, "popularities must be finite and > 0, got inf, 1.0"),
+            (1.0, math.nan, 2.0, "popularities must be finite and > 0, got 1.0, nan"),
+            (1.0, 1.0, math.inf, "alpha must be finite and > 0, got inf"),
+            (1.0, 1.0, math.nan, "alpha must be finite and > 0, got nan"),
+        ],
+        ids=["infinite-kappa", "nan-kappa", "infinite-alpha", "nan-alpha"],
+    )
+    def test_non_finite_input_rejected(self, kappa_i, kappa_j, alpha, message):
+        with pytest.raises(ValueError, match=message):
+            derive_squared_distance(0.5, kappa_i, kappa_j, alpha)
+
 
 class TestSyntheticNetwork:
     def test_coincident_pair_always_connects(self):
