@@ -4,7 +4,8 @@ Every command that writes files also writes a JSON manifest next to its
 primary output (``<output>.manifest.json``) holding the resolved flags,
 seeds, SHA-256 digests of the inputs, and wall time, so any artifact can be
 traced back to its exact inputs. ``ingest`` adds the sessions it dropped,
-and ``train`` and ``evaluate`` the wall time of each of their stages.
+and ``ingest``, ``train`` and ``evaluate`` the wall time of each of their
+stages.
 
 Exit codes: 0 success, 2 input or validation error, 3 numerical failure.
 """
@@ -125,6 +126,11 @@ def _ints(spec: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in spec.split(",") if tok)
 
 
+def _listed(values: tuple) -> str:
+    """A grid axis as the comma-separated text its flag takes."""
+    return ",".join(str(v) for v in values)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -133,18 +139,24 @@ def _ints(spec: str) -> tuple[int, ...]:
 def cmd_ingest(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     role = Role(args.role)
+    timings: dict[str, float] = {}
+    mark = time.perf_counter()
     corpus = parse_session_log(args.input, role=role)
+    mark = _lap(timings, "parse_s", mark)
     parsed = corpus.n_sessions
     outputs = [args.out]
     if role is Role.TRAIN:
         corpus = filter_bookable_sessions(corpus)
+        mark = _lap(timings, "filter_s", mark)
     else:
         corpus, truth = hide_test_targets(corpus)
+        mark = _lap(timings, "hide_s", mark)
         truth_out = args.truth_out or str(args.out) + ".truth.csv"
         write_truth(truth, truth_out)
         outputs.append(Path(truth_out))
         print(f"truth: {len(truth)} hidden targets -> {truth_out}")
     write_corpus(corpus, args.out)
+    _lap(timings, "write_s", mark)
     print(
         f"ingested {corpus.n_sessions} sessions, {corpus.n_actions} actions, "
         f"{len(corpus.item_vocabulary)} items -> {args.out}"
@@ -152,6 +164,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     _write_manifest(
         "ingest", args, args.out, [args.input], outputs, [], started,
         counts={"dropped_sessions": parsed - corpus.n_sessions},
+        timings=timings,
     )
     return EXIT_OK
 
@@ -210,7 +223,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     model = read_model(args.model)
     corpus = parse_session_log(args.session, role=Role.TEST)
     if args.session_id:
-        if args.session_id not in corpus.sessions:
+        if args.session_id not in corpus.session_ids:
             raise SimpopError(f"session {args.session_id!r} not in {args.session}")
         session = corpus.sessions[args.session_id]
     elif corpus.n_sessions == 1:
@@ -433,8 +446,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--min-sessions", type=int, default=2)
     p.add_argument("--max-pairs-per-item", type=int, default=500)
-    p.add_argument("--max-iterations", type=int, default=500)
-    p.add_argument("--gradient-tolerance", type=float, default=1e-4)
+    p.add_argument("--max-iterations", type=int, default=FitConfig.max_iterations)
+    p.add_argument(
+        "--gradient-tolerance", type=float, default=FitConfig.gradient_tolerance
+    )
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("recommend", help="rank candidates for one session")
@@ -465,11 +480,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gridsearch", help="hyperparameter grid over a train corpus")
     p.add_argument("--corpus", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True, help="result table CSV")
-    p.add_argument("--dims", default="5,10,20")
-    p.add_argument("--lambdas", default="0.1,0.01")
-    p.add_argument("--alphas", default="1,2,3")
+    p.add_argument("--dims", default=_listed(SearchGrid.dims))
+    p.add_argument("--lambdas", default=_listed(SearchGrid.lambdas))
+    p.add_argument("--alphas", default=_listed(SearchGrid.alphas))
     p.add_argument("--val-fraction", type=float, default=0.1)
-    p.add_argument("--max-iterations", type=int, default=300)
+    p.add_argument("--max-iterations", type=int, default=FitConfig.max_iterations)
     p.set_defaults(func=cmd_gridsearch)
 
     p = sub.add_parser("synth", help="generate synthetic artifacts")

@@ -25,7 +25,7 @@ from .embedder import FitConfig, fit_embedding
 from .errors import DivergenceError, ValidationError
 from .model import ModelParams
 from .recommender import NextItemRecommender
-from .sessions import SessionCorpus, _last_clickout_index, prepare_holdout
+from .sessions import Action, SessionCorpus, prepare_holdout
 
 log = logging.getLogger(__name__)
 
@@ -95,6 +95,13 @@ def evaluate(
         n_skipped=skipped,
         n_fallback=fallback,
     )
+
+
+def _last_clickout_index(acts: Sequence[Action]) -> int | None:
+    for idx in range(len(acts) - 1, -1, -1):
+        if acts[idx].is_clickout:
+            return idx
+    return None
 
 
 def write_report(report: EvalReport, path: str | Path) -> None:
@@ -189,7 +196,7 @@ def grid_search(
     grid: SearchGrid | None = None,
     seeds: Sequence[int] = (0,),
     min_sessions: int = 2,
-    max_iterations: int = 500,
+    max_iterations: int = FitConfig.max_iterations,
 ) -> tuple[FitConfig, list[GridCell]]:
     """Fit one embedding per grid cell and score validation MRR.
 
@@ -201,7 +208,7 @@ def grid_search(
     validation MRR, ties broken toward smaller dimension, then larger
     regularization, then smaller alpha.
     """
-    if set(train.sessions) & set(validation.sessions):
+    if set(train.session_ids) & set(validation.session_ids):
         raise ValidationError("train and validation sessions overlap")
     grid = grid or SearchGrid()
     if not seeds:

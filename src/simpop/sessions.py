@@ -12,6 +12,12 @@ pipe-separated candidate list of at most 25 items, attached to clickout rows.
 Files ending in ``.gz`` are read and written gzip-compressed. The column
 layout mirrors the public Trivago/RecSys-2019 session logs, so those load
 as they are; extra columns are ignored.
+
+A ``SessionCorpus`` is columns: numpy arrays with one row per action, plus
+the tables their codes index. The parser codes the CSV rows into them as
+they stream, a batch at a time, and the item views, counts, transforms and
+writer read them as they are. ``Action`` is a view, built only for a caller
+that reads ``sessions``.
 """
 
 from __future__ import annotations
@@ -23,11 +29,15 @@ import io
 import logging
 import math
 import re
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
+from itertools import chain, count, islice
+from operator import attrgetter
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -44,6 +54,11 @@ MAX_IMPRESSIONS = 25
 #: Characters an item id must not contain: the model and affinity files are
 #: tab-separated and line-based, and their readers use universal newlines.
 _ID_BREAKS = re.compile("[\t\n\r]")
+#: the line breaks a text stream read with ``newline=""`` splits lines on
+_LINE_BREAKS = re.compile("\r\n|\r|\n")
+
+#: the range of a step or timestamp column (int64)
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 _CANONICAL_COLUMNS = (
     "user_id",
@@ -78,94 +93,308 @@ class Action:
         return self.action_type == CLICKOUT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class SessionCorpus:
-    """Immutable collection of validated sessions.
+    """Immutable collection of validated sessions, held as columns.
 
-    ``sessions`` maps session_id to the step-ordered action tuple. The item
-    views below are derived from them on first use and kept.
+    Rows are the corpus's actions, ordered by session and then by step.
+    Session ``s`` is named ``session_ids[s]`` and owns rows
+    ``offsets[s]:offsets[s + 1]``. Per row, ``step`` and ``timestamp`` are
+    int64; ``kind`` and ``user`` are codes into ``kinds`` and ``users``;
+    ``item`` is a code into ``item_vocabulary``, or -1 when the action names
+    no item; and the impression list holds the codes
+    ``impressions[impression_offsets[r]:impression_offsets[r + 1]]``, or is
+    absent where ``listed[r]`` is false. Every array is read-only.
+
+    ``sessions`` views the rows as ``Action`` tuples; it is built on first
+    read and kept, and the item views, counts and transforms never read it.
     """
 
-    sessions: dict[str, tuple[Action, ...]]
     role: Role
+    session_ids: tuple[str, ...]
+    offsets: np.ndarray
+    step: np.ndarray
+    timestamp: np.ndarray
+    kinds: tuple[str, ...]
+    kind: np.ndarray
+    users: tuple[str, ...]
+    user: np.ndarray
+    item_vocabulary: tuple[str, ...]
+    item: np.ndarray
+    listed: np.ndarray
+    impression_offsets: np.ndarray
+    impressions: np.ndarray
 
-    @cached_property
-    def item_vocabulary(self) -> tuple[str, ...]:
-        """Every item seen as a reference or inside an impression list,
-        sorted: an item's code is its position here."""
-        acts = [a for session in self.sessions.values() for a in session]
-        vocab = {a.item_ref for a in acts if a.item_ref is not None}
-        vocab.update(*(a.impressions for a in acts if a.impressions))
-        return tuple(sorted(vocab))
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False  # transforms share them
+
+    def __eq__(self, other: object) -> bool:
+        """The same role and the same sessions, in any order."""
+        if not isinstance(other, SessionCorpus):
+            return NotImplemented
+        return self.role is other.role and self.sessions == other.sessions
+
+    @property
+    def n_sessions(self) -> int:
+        return len(self.session_ids)
+
+    @property
+    def n_actions(self) -> int:
+        return len(self.step)
+
+    @property
+    def clickout(self) -> np.ndarray:
+        """Whether each row is a clickout."""
+        return np.array([k == CLICKOUT for k in self.kinds], dtype=bool)[self.kind]
+
+    @property
+    def row_session(self) -> np.ndarray:
+        """Each row's session position."""
+        return np.repeat(np.arange(self.n_sessions), np.diff(self.offsets))
 
     @cached_property
     def item_actions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every action that names an item, in session and then step order,
-        as three arrays: the position of its session in ``sessions``
+        as three arrays: the position of its session in ``session_ids``
         (int64), the item's code (int64) and whether it is a clickout."""
-        n = len(self.item_vocabulary)
-        code = {item: k for k, item in enumerate(self.item_vocabulary)}
-        # one int per row: (session * n + item) * 2 + clickout
-        rows = [
-            (s * n + code[a.item_ref]) * 2 + a.is_clickout
-            for s, acts in enumerate(self.sessions.values())
-            for a in acts
-            if a.item_ref is not None
-        ]
-        rows, clickout = np.divmod(np.array(rows, dtype=np.int64), 2)
-        arrays = (*np.divmod(rows, n), clickout.astype(bool))
+        named = self.item >= 0
+        arrays = (self.row_session[named], self.item[named], self.clickout[named])
         for array in arrays:
             array.flags.writeable = False  # every reader shares them
         return arrays
 
-    @property
-    def n_sessions(self) -> int:
-        return len(self.sessions)
-
-    @property
-    def n_actions(self) -> int:
-        return sum(len(a) for a in self.sessions.values())
+    @cached_property
+    def sessions(self) -> dict[str, tuple[Action, ...]]:
+        """Session id -> its step-ordered ``Action`` tuple, in corpus order."""
+        vocab = self.item_vocabulary
+        shown = _names(vocab, self.impressions)
+        bounds = self.impression_offsets.tolist()
+        lists = [
+            tuple(shown[a:b]) if listed else None
+            for a, b, listed in zip(bounds, bounds[1:], self.listed.tolist())
+        ]
+        actions = list(
+            map(
+                Action,
+                _names(self.session_ids, self.row_session),
+                _names(self.users, self.user),
+                self.step.tolist(),
+                _names(self.kinds, self.kind),
+                _names(vocab, self.item),
+                lists,
+                self.timestamp.tolist(),
+            )
+        )
+        ends = self.offsets.tolist()
+        return {
+            sid: tuple(actions[a:b])
+            for sid, a, b in zip(self.session_ids, ends, ends[1:])
+        }
 
     @classmethod
     def from_actions(cls, actions: Iterable[Action], role: Role) -> "SessionCorpus":
         """Group actions by session, order by step, and validate invariants."""
-        grouped: dict[str, list[Action]] = {}
-        for a in actions:
-            grouped.setdefault(a.session_id, []).append(a)
-        sessions = {
-            sid: _validate_session(sid, acts) for sid, acts in grouped.items()
-        }
-        return cls(sessions, role)
+        columns = _Columns()
+        fields = map(_ACTION_FIELDS, actions)
+        while batch := list(islice(fields, _BATCH)):
+            columns.add(*zip(*batch))
+        return columns.corpus(role)
 
 
-def _validate_session(sid: str, actions: list[Action]) -> tuple[Action, ...]:
-    actions = sorted(actions, key=lambda a: a.step)
-    prev = 0
-    for a in actions:
-        if prev and a.step == prev:
-            raise ValidationError(f"session {sid}: duplicate step {a.step}")
-        if a.step != prev + 1:
-            raise ValidationError(
-                f"session {sid}: steps must be contiguous from 1, "
-                f"found {a.step} after {prev}"
-            )
-        prev = a.step
-        if a.impressions is not None and len(a.impressions) > MAX_IMPRESSIONS:
-            raise ValidationError(
-                f"session {sid} step {a.step}: {len(a.impressions)} impressions "
-                f"exceed the maximum of {MAX_IMPRESSIONS}"
-            )
-        if a.is_clickout:
-            if not a.impressions:
-                raise ValidationError(
-                    f"session {sid} step {a.step}: clickout without impressions"
-                )
-            if a.item_ref is not None and a.item_ref not in a.impressions:
-                raise ValidationError(
-                    f"session {sid} step {a.step}: clicked item {a.item_ref} "
-                    f"not in its impression list"
-                )
-    return tuple(actions)
+#: an Action's fields in the order ``_Columns.add`` takes them
+_ACTION_FIELDS = attrgetter(
+    "session_id", "user_id", "step", "timestamp", "action_type", "item_ref", "impressions"
+)
+
+#: rows coded per batch: each column of a batch is coded in one C-level
+#: pass, and a small batch leaves few row lists alive for the garbage
+#: collector to scan (256 parsed faster than 32 or 4096 rows)
+_BATCH = 256
+
+
+class _Columns:
+    """A corpus's columns while its rows arrive, in any order, a batch at a
+    time. Each batch is coded on arrival: sessions, users and kinds by
+    first appearance, items by first sight until ``corpus`` sorts the
+    vocabulary. No row is kept as a Python object."""
+
+    #: the columns, one value per row; ``shown`` counts a row's impressions
+    #: (-1 for none), and ``impressions`` holds their codes, row after row
+    _FIELDS = (
+        "session", "user", "kind", "step", "timestamp", "item", "shown", "impressions"
+    )
+
+    def __init__(self):
+        # each table gives a key not seen before the next code
+        self.sessions: dict[str, int] = defaultdict(count().__next__)
+        self.users: dict[str, int] = defaultdict(count().__next__)
+        self.kinds: dict[str, int] = defaultdict(count().__next__)
+        self.items: dict[str, int] = defaultdict(count().__next__)
+        self.columns = {field: array("q") for field in self._FIELDS}
+
+    def add(
+        self,
+        session_ids: Sequence[str],
+        user_ids: Sequence[str],
+        steps: Sequence[int],
+        timestamps: Sequence[int],
+        action_types: Sequence[str],
+        items: Sequence[str | None],
+        impressions: Sequence[Sequence[str] | None],
+    ) -> None:
+        """Code a batch of rows, given as equal-length columns. A step or
+        timestamp beyond 64 bits raises OverflowError."""
+        columns, code = self.columns, self.items.__getitem__
+        columns["session"].extend(map(self.sessions.__getitem__, session_ids))
+        columns["user"].extend(map(self.users.__getitem__, user_ids))
+        columns["kind"].extend(map(self.kinds.__getitem__, action_types))
+        columns["step"].extend(steps)
+        columns["timestamp"].extend(timestamps)
+        columns["item"].extend([-1 if item is None else code(item) for item in items])
+        columns["shown"].extend(
+            [-1 if listed is None else len(listed) for listed in impressions]
+        )
+        columns["impressions"].extend(
+            map(code, chain.from_iterable(filter(None, impressions)))
+        )
+
+    def corpus(self, role: Role) -> SessionCorpus:
+        """The rows ordered by session and step, with item codes into the
+        sorted vocabulary, validated. Each column is freed as soon as its
+        ordered copy is made, so the builder is spent."""
+        named = list(self.items)
+        by_name = sorted(range(len(named)), key=named.__getitem__)
+        recode = np.empty(len(named) + 1, dtype=np.int64)
+        recode[by_name] = np.arange(len(named))
+        recode[-1] = -1  # no item stays no item
+        session, step = self._pop("session"), self._pop("step")
+        rows = np.lexsort((step, session))  # stable: a repeated step keeps file order
+        offsets = _offsets(np.bincount(session, minlength=len(self.sessions)))
+        shown = self._pop("shown")
+        counts = np.maximum(shown, 0)
+        lengths = counts[rows]
+        taken = _ranges(_offsets(counts)[:-1][rows], lengths)
+        corpus = SessionCorpus(
+            role=role,
+            session_ids=tuple(self.sessions),
+            offsets=offsets,
+            step=step[rows],
+            timestamp=self._pop("timestamp")[rows],
+            kinds=tuple(self.kinds),
+            kind=self._pop("kind")[rows],
+            users=tuple(self.users),
+            user=self._pop("user")[rows],
+            item_vocabulary=tuple(named[k] for k in by_name),
+            item=recode[self._pop("item")[rows]],
+            listed=shown[rows] >= 0,
+            impression_offsets=_offsets(lengths),
+            impressions=recode[self._pop("impressions")[taken]],
+        )
+        del session, step, shown, counts, taken
+        _validate(corpus)
+        return corpus
+
+    def _pop(self, field: str) -> np.ndarray:
+        """A column as an array; the builder lets go of it."""
+        return np.frombuffer(self.columns.pop(field), dtype=np.int64)
+
+
+def _names(table: tuple[str, ...], codes: np.ndarray, missing: str | None = None) -> list:
+    """The table's entries at these codes; code -1 gives ``missing``."""
+    return np.array(table + (missing,), dtype=object)[codes].tolist()
+
+
+def _offsets(lengths: np.ndarray) -> np.ndarray:
+    """CSR offsets of consecutive runs of these lengths."""
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The indices ``start..start + length`` of every run, concatenated."""
+    shift = starts - _offsets(lengths)[:-1]
+    return np.repeat(shift, lengths) + np.arange(lengths.sum(), dtype=np.int64)
+
+
+def _validate(corpus: SessionCorpus) -> None:
+    """Raise ValidationError for the first faulty action, in session and then
+    step order, naming the first check it fails."""
+    step = corpus.step
+    prev = np.zeros_like(step)
+    prev[1:] = step[:-1]
+    prev[corpus.offsets[:-1]] = 0  # a session starts from step 0
+    shown = np.diff(corpus.impression_offsets)
+    clickout = corpus.clickout
+    owner = np.repeat(np.arange(len(step)), shown)
+    in_list = np.zeros(len(step), dtype=bool)
+    in_list[owner[corpus.impressions == corpus.item[owner]]] = True
+    duplicate = (prev != 0) & (step == prev)
+    gap = step != prev + 1
+    crowded = shown > MAX_IMPRESSIONS
+    bare = clickout & (shown == 0)
+    stray = clickout & (corpus.item >= 0) & ~in_list
+    faulty = duplicate | gap | crowded | bare | stray
+    if not faulty.any():
+        return
+    r = int(np.argmax(faulty))
+    sid = corpus.session_ids[int(np.searchsorted(corpus.offsets, r, side="right")) - 1]
+    at = int(step[r])
+    if duplicate[r]:
+        raise ValidationError(f"session {sid}: duplicate step {at}")
+    if gap[r]:
+        raise ValidationError(
+            f"session {sid}: steps must be contiguous from 1, "
+            f"found {at} after {int(prev[r])}"
+        )
+    if crowded[r]:
+        raise ValidationError(
+            f"session {sid} step {at}: {int(shown[r])} impressions "
+            f"exceed the maximum of {MAX_IMPRESSIONS}"
+        )
+    if bare[r]:
+        raise ValidationError(f"session {sid} step {at}: clickout without impressions")
+    raise ValidationError(
+        f"session {sid} step {at}: clicked item "
+        f"{corpus.item_vocabulary[corpus.item[r]]} not in its impression list"
+    )
+
+
+def _take(
+    corpus: SessionCorpus, sessions: np.ndarray, role: Role | None = None
+) -> SessionCorpus:
+    """The sessions at these positions, in this order; the vocabulary keeps
+    the items their rows name or list."""
+    lengths = np.diff(corpus.offsets)[sessions]
+    rows = _ranges(corpus.offsets[sessions], lengths)
+    bounds = corpus.impression_offsets
+    shown = np.diff(bounds)[rows]
+    item = corpus.item[rows]
+    impressions = corpus.impressions[_ranges(bounds[rows], shown)]
+    used = np.zeros(len(corpus.item_vocabulary) + 1, dtype=bool)
+    used[item] = True  # no item lands on the extra slot
+    used[impressions] = True
+    kept = np.flatnonzero(used[:-1])
+    recode = np.full(len(used), -1, dtype=np.int64)
+    recode[kept] = np.arange(len(kept))
+    vocab = corpus.item_vocabulary
+    return replace(
+        corpus,
+        role=role or corpus.role,
+        session_ids=tuple(corpus.session_ids[s] for s in sessions.tolist()),
+        offsets=_offsets(lengths),
+        step=corpus.step[rows],
+        timestamp=corpus.timestamp[rows],
+        kind=corpus.kind[rows],
+        user=corpus.user[rows],
+        item_vocabulary=tuple(vocab[k] for k in kept.tolist()),
+        item=recode[item],
+        listed=corpus.listed[rows],
+        impression_offsets=_offsets(shown),
+        impressions=recode[impressions],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +408,9 @@ def parse_session_log(
 ) -> SessionCorpus:
     """Parse a comma-separated session log into a validated corpus.
 
+    The rows are coded into the corpus's columns as they are read, a batch
+    at a time; no row is kept as a Python object.
+
     Args:
         source: path to a (optionally ``.gz``) file, or an open stream, with
             the canonical columns in any order.
@@ -186,36 +418,118 @@ def parse_session_log(
 
     Raises:
         ParseError: wrong column count, unknown required column, a
-            non-integer step/timestamp, or a row the CSV reader rejects
-            (e.g. an over-long field), with the offending line number.
+            non-integer step/timestamp or one beyond 64 bits, or a row the
+            CSV reader rejects (e.g. an over-long field), with the offending
+            line number.
         ValidationError: duplicate or non-contiguous steps, or a clickout
             violating the impression invariants.
     """
     with _open_text(source) as stream:
-        rows = _numbered_rows(stream)
-        _, header = next(rows, (1, None))
+        reader = csv.reader(stream)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise ParseError(f"unreadable CSV row: {exc}", 1) from None
         if header is None:
             raise ParseError("empty input, expected a header row", 1)
-        col_index: dict[str, int] = {}
         for column in _CANONICAL_COLUMNS:
+            if column not in header:
+                raise ParseError(f"required column {column!r} not in header", 1)
+        col = [header.index(column) for column in _CANONICAL_COLUMNS]
+        columns = _Columns()
+        while True:
+            line = reader.line_num + 1  # where the batch's first row starts
+            batch: list[list[str]] = []
             try:
-                col_index[column] = header.index(column)
-            except ValueError:
-                raise ParseError(
-                    f"required column {column!r} not in header", 1
-                ) from None
+                batch.extend(islice(reader, _BATCH))  # keeps rows read before a fault
+            except csv.Error as exc:
+                _code_log_batch(columns, batch, line, col, len(header))
+                line += sum(map(_lines_of, batch))
+                raise ParseError(f"unreadable CSV row: {exc}", line) from None
+            if not batch:
+                break
+            _code_log_batch(columns, batch, line, col, len(header))
+    return columns.corpus(role)
 
-        actions: list[Action] = []
-        n_cols = len(header)
-        for line, row in rows:
-            if not row:
-                continue
+
+def _code_log_batch(
+    columns: _Columns, batch: list[list[str]], line: int, col: list[int], n_cols: int
+) -> None:
+    """Code a batch of CSV rows, the first starting at ``line``. A batch
+    that holds a row fault raises its first one instead."""
+    rows = batch if all(batch) else list(filter(None, batch))  # skip blank lines
+    if not rows:
+        return
+    if set(map(len, rows)) != {n_cols}:
+        _first_row_fault(batch, line, col, n_cols)
+    fields = list(zip(*rows))
+    c_user, c_session, c_time, c_step, c_kind, c_ref, c_shown = col
+    try:
+        steps = list(map(int, fields[c_step]))
+        timestamps = list(map(int, fields[c_time]))
+    except ValueError:
+        _first_row_fault(batch, line, col, n_cols)
+    refs = list(map(str.strip, fields[c_ref]))
+    shown = list(map(str.strip, fields[c_shown]))
+    if (
+        min(steps) < _INT64_MIN or max(steps) > _INT64_MAX
+        or min(timestamps) < _INT64_MIN or max(timestamps) > _INT64_MAX
+        or _ID_BREAKS.search("".join(refs))
+        or _ID_BREAKS.search("".join(shown))
+    ):
+        _first_row_fault(batch, line, col, n_cols)
+    columns.add(
+        fields[c_session],
+        fields[c_user],
+        steps,
+        timestamps,
+        fields[c_kind],
+        [ref or None for ref in refs],
+        [list(filter(None, listed.split("|"))) if listed else None for listed in shown],
+    )
+
+
+def _first_row_fault(
+    batch: list[list[str]], line: int, col: list[int], n_cols: int
+) -> NoReturn:
+    """Raise ParseError for a batch's first faulty row, the batch's first
+    row starting at ``line``."""
+    c_user, c_session, c_time, c_step, c_kind, c_ref, c_shown = col
+    for row in batch:
+        if row:
             if len(row) != n_cols:
-                raise ParseError(
-                    f"expected {n_cols} columns, got {len(row)}", line
-                )
-            actions.append(_row_to_action(row, col_index, line))
-    return SessionCorpus.from_actions(actions, role)
+                raise ParseError(f"expected {n_cols} columns, got {len(row)}", line)
+            _check_row(
+                row[c_ref].strip(), row[c_shown].strip(), row[c_step], row[c_time], line
+            )
+        line += _lines_of(row)
+    raise AssertionError("the batch holds no faulty row")
+
+
+def _lines_of(row: list[str]) -> int:
+    """How many lines a CSV row spans: one, plus each line break that a
+    quoted field holds."""
+    return 1 + sum(len(_LINE_BREAKS.findall(field)) for field in row)
+
+
+def _check_row(ref: str, shown: str, step: str, timestamp: str, line: int) -> None:
+    """Raise ParseError for a row's first fault, checked in this order: an
+    id holding a tab or line break, then a step or timestamp that is not an
+    integer or does not fit in 64 bits."""
+    for name, raw in (("reference", ref), ("impressions", shown)):
+        if _ID_BREAKS.search(raw):
+            raise ParseError(
+                f"{name} {raw!r} holds a tab or line break, which the "
+                f"tab-separated model and graph files cannot carry",
+                line,
+            )
+    for name, raw in (("step", step), ("timestamp", timestamp)):
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ParseError(f"non-integer {name} {raw!r}", line) from None
+        if not _INT64_MIN <= value <= _INT64_MAX:
+            raise ParseError(f"{name} {raw!r} does not fit in 64 bits", line)
 
 
 def _numbered_rows(stream: IO) -> Iterator[tuple[int, list[str]]]:
@@ -232,37 +546,6 @@ def _numbered_rows(stream: IO) -> Iterator[tuple[int, list[str]]]:
             raise ParseError(f"unreadable CSV row: {exc}", line) from None
         yield line, row
         line = reader.line_num + 1
-
-
-def _row_to_action(row: list[str], col: Mapping[str, int], line: int) -> Action:
-    def _int(field: str) -> int:
-        raw = row[col[field]]
-        try:
-            return int(raw)
-        except ValueError:
-            raise ParseError(f"non-integer {field} {raw!r}", line) from None
-
-    ref = row[col["reference"]].strip()
-    imp_raw = row[col["impressions"]].strip()
-    for name, raw in (("reference", ref), ("impressions", imp_raw)):
-        if _ID_BREAKS.search(raw):
-            raise ParseError(
-                f"{name} {raw!r} holds a tab or line break, which the "
-                f"tab-separated model and graph files cannot carry",
-                line,
-            )
-    impressions = (
-        tuple(tok for tok in imp_raw.split("|") if tok) if imp_raw else None
-    )
-    return Action(
-        session_id=row[col["session_id"]],
-        user_id=row[col["user_id"]],
-        step=_int("step"),
-        action_type=row[col["action_type"]],
-        item_ref=ref or None,
-        impressions=impressions,
-        timestamp=_int("timestamp"),
-    )
 
 
 @contextlib.contextmanager
@@ -303,23 +586,30 @@ def write_corpus(corpus: SessionCorpus, path: str | Path) -> None:
     try:
         writer = csv.writer(stream)
         writer.writerow(_CANONICAL_COLUMNS)
-        for sid in sorted(corpus.sessions):
-            for a in corpus.sessions[sid]:
-                writer.writerow(
-                    (
-                        a.user_id,
-                        a.session_id,
-                        a.timestamp,
-                        a.step,
-                        a.action_type,
-                        a.item_ref or "",
-                        "|".join(a.impressions) if a.impressions else "",
-                    )
-                )
+        writer.writerows(_canonical_rows(corpus))
     finally:
         stream.close()
         if raw is not None:
             raw.close()
+
+
+def _canonical_rows(corpus: SessionCorpus) -> Iterator[tuple]:
+    """The corpus's rows as canonical CSV fields, sessions in id order."""
+    by_id = sorted(range(corpus.n_sessions), key=corpus.session_ids.__getitem__)
+    by_id = np.array(by_id, dtype=np.int64)
+    rows = _ranges(corpus.offsets[by_id], np.diff(corpus.offsets)[by_id])
+    vocab = corpus.item_vocabulary
+    shown = _names(vocab, corpus.impressions)
+    bounds = corpus.impression_offsets.tolist()
+    return zip(
+        _names(corpus.users, corpus.user[rows]),
+        _names(corpus.session_ids, corpus.row_session[rows]),
+        corpus.timestamp[rows].tolist(),
+        corpus.step[rows].tolist(),
+        _names(corpus.kinds, corpus.kind[rows]),
+        _names(vocab, corpus.item[rows], ""),
+        ["|".join(shown[bounds[r] : bounds[r + 1]]) for r in rows.tolist()],
+    )
 
 
 def write_truth(truth: Mapping[str, str], path: str | Path) -> None:
@@ -361,15 +651,13 @@ def filter_bookable_sessions(corpus: SessionCorpus) -> SessionCorpus:
     """Keep only sessions that contain at least one clickout action."""
     if corpus.role is not Role.TRAIN:
         raise ValidationError("filter_bookable_sessions expects a TRAIN corpus")
-    kept = {
-        sid: acts
-        for sid, acts in corpus.sessions.items()
-        if any(a.is_clickout for a in acts)
-    }
-    dropped = len(corpus.sessions) - len(kept)
+    kept = _take(corpus, np.flatnonzero(_last_clickouts(corpus) >= 0))
+    dropped = corpus.n_sessions - kept.n_sessions
     if dropped:
-        log.info("dropped %d sessions without a clickout (%d kept)", dropped, len(kept))
-    return SessionCorpus(kept, corpus.role)
+        log.info(
+            "dropped %d sessions without a clickout (%d kept)", dropped, kept.n_sessions
+        )
+    return kept
 
 
 def hide_test_targets(
@@ -383,28 +671,32 @@ def hide_test_targets(
     """
     if corpus.role is not Role.TEST:
         raise ValidationError("hide_test_targets expects a TEST corpus")
-    blinded: dict[str, tuple[Action, ...]] = {}
-    truth: dict[str, str] = {}
-    for sid, acts in corpus.sessions.items():
-        target_idx = _last_clickout_index(acts)
-        if target_idx is None:
+    target = _last_clickouts(corpus)
+    missing = target < 0
+    hidden = ~missing & (corpus.item[target] < 0)
+    if (missing | hidden).any():
+        s = int(np.argmax(missing | hidden))
+        sid = corpus.session_ids[s]
+        if missing[s]:
             raise ValidationError(f"session {sid}: no clickout to hide")
-        target = acts[target_idx]
-        if target.item_ref is None:
-            raise ValidationError(
-                f"session {sid}: final clickout has no revealed item"
-            )
-        truth[sid] = target.item_ref
-        hidden = replace(target, item_ref=None)
-        blinded[sid] = acts[:target_idx] + (hidden,) + acts[target_idx + 1 :]
-    return SessionCorpus(blinded, corpus.role), truth
+        raise ValidationError(f"session {sid}: final clickout has no revealed item")
+    vocab = corpus.item_vocabulary
+    truth = {
+        sid: vocab[k]
+        for sid, k in zip(corpus.session_ids, corpus.item[target].tolist())
+    }
+    item = corpus.item.copy()
+    item[target] = -1
+    # a clicked item is in its own impression list, so the vocabulary stays
+    return replace(corpus, item=item), truth
 
 
-def _last_clickout_index(acts: Sequence[Action]) -> int | None:
-    for idx in range(len(acts) - 1, -1, -1):
-        if acts[idx].is_clickout:
-            return idx
-    return None
+def _last_clickouts(corpus: SessionCorpus) -> np.ndarray:
+    """Each session's last clickout row, or -1 for a session without one."""
+    rows = np.flatnonzero(corpus.clickout)
+    last = np.full(corpus.n_sessions, -1, dtype=np.int64)
+    np.maximum.at(last, corpus.row_session[rows], rows)
+    return last
 
 
 def prepare_holdout(
@@ -416,14 +708,10 @@ def prepare_holdout(
     rejected, which is what evaluation over an arbitrary split needs.
     Returns (blinded corpus, truth map, number of dropped sessions).
     """
-    usable: dict[str, tuple[Action, ...]] = {}
-    for sid, acts in corpus.sessions.items():
-        idx = _last_clickout_index(acts)
-        if idx is not None and acts[idx].item_ref is not None:
-            usable[sid] = acts
-    dropped = len(corpus.sessions) - len(usable)
-    blinded, truth = hide_test_targets(SessionCorpus(usable, Role.TEST))
-    return blinded, truth, dropped
+    target = _last_clickouts(corpus)
+    usable = np.flatnonzero((target >= 0) & (corpus.item[target] >= 0))
+    blinded, truth = hide_test_targets(_take(corpus, usable, Role.TEST))
+    return blinded, truth, corpus.n_sessions - len(usable)
 
 
 def subsample_sessions(
@@ -440,18 +728,18 @@ def subsample_sessions(
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     rng = np.random.default_rng(seed)
-    buckets: dict[int, list[str]] = {}
-    for sid in sorted(corpus.sessions):
-        buckets.setdefault(len(corpus.sessions[sid]), []).append(sid)
-    chosen: list[str] = []
+    lengths = np.diff(corpus.offsets).tolist()
+    buckets: dict[int, list[int]] = {}
+    for s in sorted(range(corpus.n_sessions), key=corpus.session_ids.__getitem__):
+        buckets.setdefault(lengths[s], []).append(s)
+    chosen: list[int] = []
     for key in sorted(buckets):
-        sids = buckets[key]
-        quota = int(round(fraction * len(sids)))
+        members = buckets[key]
+        quota = int(round(fraction * len(members)))
         if quota:
-            picked = rng.choice(len(sids), size=quota, replace=False)
-            chosen.extend(sids[i] for i in sorted(picked))
-    kept = {sid: corpus.sessions[sid] for sid in chosen}
-    return SessionCorpus(kept, corpus.role)
+            picked = rng.choice(len(members), size=quota, replace=False)
+            chosen.extend(members[i] for i in sorted(picked))
+    return _take(corpus, np.array(chosen, dtype=np.int64))
 
 
 def split_by_time(
@@ -464,14 +752,10 @@ def split_by_time(
     """
     if not 0.0 < holdout_fraction < 1.0:
         raise ValueError(f"holdout_fraction must be in (0, 1), got {holdout_fraction}")
-    order = sorted(
-        corpus.sessions, key=lambda sid: (corpus.sessions[sid][0].timestamp, sid)
-    )
+    first = corpus.timestamp[corpus.offsets[:-1]].tolist()
+    ids = corpus.session_ids
+    order = sorted(range(corpus.n_sessions), key=lambda s: (first[s], ids[s]))
     n_tail = max(1, math.ceil(holdout_fraction * len(order))) if order else 0
-    head_ids, tail_ids = order[: len(order) - n_tail], order[len(order) - n_tail :]
-
-    def _sub(ids: list[str]) -> SessionCorpus:
-        kept = {sid: corpus.sessions[sid] for sid in ids}
-        return SessionCorpus(kept, corpus.role)
-
-    return _sub(head_ids), _sub(tail_ids)
+    order = np.array(order, dtype=np.int64)
+    cut = len(order) - n_tail
+    return _take(corpus, order[:cut]), _take(corpus, order[cut:])

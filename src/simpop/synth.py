@@ -264,17 +264,20 @@ def generate_corpus(
     session_prefix: str,
 ) -> SessionCorpus:
     """Generate a validated corpus of walk sessions from the planted world;
-    each session ends in a clickout with probability ``clickout_rate``."""
+    each session ends in a clickout with probability ``clickout_rate``. The
+    corpus codes each action as it is drawn."""
     rng = np.random.default_rng(seed)
-    actions: list[Action] = []
-    for k in range(n_sessions):
-        sid = f"{session_prefix}{k:06d}"
-        uid = f"u_{session_prefix}{k:06d}"
-        with_clickout = rng.random() < clickout_rate
-        actions.extend(
-            _session_actions(world, rng, sid, uid, _EPOCH + 100 * k, with_clickout)
-        )
-    return SessionCorpus.from_actions(actions, role)
+
+    def actions() -> Iterator[Action]:
+        for k in range(n_sessions):
+            sid = f"{session_prefix}{k:06d}"
+            uid = f"u_{session_prefix}{k:06d}"
+            with_clickout = rng.random() < clickout_rate
+            yield from _session_actions(
+                world, rng, sid, uid, _EPOCH + 100 * k, with_clickout
+            )
+
+    return SessionCorpus.from_actions(actions(), role)
 
 
 @dataclass(frozen=True)

@@ -156,6 +156,24 @@ class TestIngest:
         manifest = json.loads((workdir / "test_corpus.csv.manifest.json").read_text())
         assert manifest["counts"] == {"dropped_sessions": 0}
 
+    @pytest.mark.parametrize(
+        "role, stages",
+        [("train", ["filter_s", "parse_s", "write_s"]),
+         ("test", ["hide_s", "parse_s", "write_s"])],
+    )
+    def test_manifest_records_stage_timings(self, workdir, role, stages):
+        out = workdir / f"{role}_corpus.csv"
+        argv = ["ingest", "--input", str(workdir / f"raw_{role}.csv"), "--out",
+                str(out), "--role", role]
+        assert main(argv) == 0
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        timings = manifest["timings"]
+        assert list(timings) == stages
+        assert all(t >= 0.0 for t in timings.values())
+        # each stage rounds to the millisecond
+        assert sum(timings.values()) <= manifest["wall_time_s"] + 0.005
+        assert "timings" not in manifest["flags"]
+
 
 class TestTrain:
     def test_writes_model_trace_and_artifacts(self, workdir):
@@ -828,6 +846,18 @@ def test_removed_flags_are_unknown(argv, capsys):
         main(argv)
     assert exit_info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_gridsearch_defaults_are_the_librarys():
+    from simpop.embedder import FitConfig
+    from simpop.evaluator import SearchGrid
+
+    args = build_parser().parse_args(GRIDSEARCH)
+    assert args.max_iterations == FitConfig.max_iterations == 500
+    grid = SearchGrid()
+    assert tuple(int(d) for d in args.dims.split(",")) == grid.dims
+    assert tuple(float(v) for v in args.lambdas.split(",")) == grid.lambdas
+    assert tuple(float(v) for v in args.alphas.split(",")) == grid.alphas
 
 
 def test_readme_commands_parse():

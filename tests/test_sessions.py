@@ -1,17 +1,26 @@
 """Session parsing, validation, the canonical format, and corpus transforms."""
 
+import csv
 import gzip
 import io
+import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from simpop.affinity import compute_popularity, interaction_counts
+from simpop.affinity import build_affinity_graph, compute_popularity, interaction_counts
 from simpop.errors import ParseError, ValidationError
 from simpop.sessions import (
+    _CANONICAL_COLUMNS,
+    _ID_BREAKS,
+    CLICKOUT,
+    MAX_IMPRESSIONS,
+    Action,
     Role,
     SessionCorpus,
+    _numbered_rows,
     filter_bookable_sessions,
     hide_test_targets,
     parse_session_log,
@@ -364,7 +373,7 @@ def item_corpora():
     for seed in range(3):
         yield random_corpus(seed, Role.TRAIN)
         yield prepare_holdout(random_corpus(seed + 10, Role.TEST))[0]
-    yield SessionCorpus({}, Role.TRAIN)
+    yield SessionCorpus.from_actions([], Role.TRAIN)
     yield SessionCorpus.from_actions(
         [make_action("s1", 1, kind="filter selection"), make_action("s1", 2)],
         Role.TRAIN,
@@ -398,7 +407,7 @@ class TestItemViews:
         clicked = Counter(i for _, i, c in rows if c)
         assert interaction_counts(corpus) == dict(every)
         assert interaction_counts(corpus, clickout_only=True) == dict(clicked)
-        train = SessionCorpus(corpus.sessions, Role.TRAIN)
+        train = replace(corpus, role=Role.TRAIN)
         expected = {i: float(max(every[i], 1)) for i in sorted(vocab)}
         kappa = compute_popularity(train)
         assert kappa == expected
@@ -417,6 +426,8 @@ class TestItemViews:
         assert list(train.sessions) != sorted(train.sessions)
 
     def test_views_are_derived_on_first_use_and_kept(self, toy_train, toy_test):
+        # the vocabulary is a column; item_actions is sliced from the
+        # columns on first use and kept, and no transform builds Actions
         text = f"{HEADER}\nu1,s1,1000,1,clickout item,A,A|B\n"
         built = [
             corpus_from_text(text),
@@ -428,11 +439,448 @@ class TestItemViews:
             *split_by_time(toy_train, 0.5),
         ]
         for corpus in built:
-            assert "item_vocabulary" not in corpus.__dict__
             assert "item_actions" not in corpus.__dict__
+            assert "sessions" not in corpus.__dict__
         corpus = built[0]
         codes = corpus.item_actions
-        assert corpus.__dict__["item_vocabulary"] == ("A", "B")
+        assert corpus.item_vocabulary == ("A", "B")
         assert corpus.item_actions is codes
         with pytest.raises(ValueError, match="read-only"):
             codes[1][0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            corpus.item[0] = 1
+        assert corpus.sessions is corpus.sessions
+
+
+# ---------------------------------------------------------------------------
+# The row walk: one Action per row, as the parser worked before its corpus
+# became columns. It is the oracle the columnar parse and transforms are
+# checked against.
+# ---------------------------------------------------------------------------
+
+
+def walk_parse(text):
+    """Session id -> step-ordered, validated Action tuple, in order of first
+    appearance, by building one Action per row."""
+    rows = _numbered_rows(io.StringIO(text, newline=""))
+    _, header = next(rows, (1, None))
+    if header is None:
+        raise ParseError("empty input, expected a header row", 1)
+    for column in _CANONICAL_COLUMNS:
+        if column not in header:
+            raise ParseError(f"required column {column!r} not in header", 1)
+    col = {column: header.index(column) for column in _CANONICAL_COLUMNS}
+    grouped = {}
+    for line, row in rows:
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ParseError(f"expected {len(header)} columns, got {len(row)}", line)
+        action = walk_row_to_action(row, col, line)
+        grouped.setdefault(action.session_id, []).append(action)
+    return {sid: walk_validate_session(sid, acts) for sid, acts in grouped.items()}
+
+
+def walk_row_to_action(row, col, line):
+    def _int(field):
+        raw = row[col[field]]
+        try:
+            return int(raw)
+        except ValueError:
+            raise ParseError(f"non-integer {field} {raw!r}", line) from None
+
+    ref = row[col["reference"]].strip()
+    imp_raw = row[col["impressions"]].strip()
+    for name, raw in (("reference", ref), ("impressions", imp_raw)):
+        if _ID_BREAKS.search(raw):
+            raise ParseError(
+                f"{name} {raw!r} holds a tab or line break, which the "
+                f"tab-separated model and graph files cannot carry",
+                line,
+            )
+    impressions = (
+        tuple(tok for tok in imp_raw.split("|") if tok) if imp_raw else None
+    )
+    return Action(
+        session_id=row[col["session_id"]],
+        user_id=row[col["user_id"]],
+        step=_int("step"),
+        action_type=row[col["action_type"]],
+        item_ref=ref or None,
+        impressions=impressions,
+        timestamp=_int("timestamp"),
+    )
+
+
+def walk_validate_session(sid, actions):
+    actions = sorted(actions, key=lambda a: a.step)
+    prev = 0
+    for a in actions:
+        if prev and a.step == prev:
+            raise ValidationError(f"session {sid}: duplicate step {a.step}")
+        if a.step != prev + 1:
+            raise ValidationError(
+                f"session {sid}: steps must be contiguous from 1, "
+                f"found {a.step} after {prev}"
+            )
+        prev = a.step
+        if a.impressions is not None and len(a.impressions) > MAX_IMPRESSIONS:
+            raise ValidationError(
+                f"session {sid} step {a.step}: {len(a.impressions)} impressions "
+                f"exceed the maximum of {MAX_IMPRESSIONS}"
+            )
+        if a.is_clickout:
+            if not a.impressions:
+                raise ValidationError(
+                    f"session {sid} step {a.step}: clickout without impressions"
+                )
+            if a.item_ref is not None and a.item_ref not in a.impressions:
+                raise ValidationError(
+                    f"session {sid} step {a.step}: clicked item {a.item_ref} "
+                    f"not in its impression list"
+                )
+    return tuple(actions)
+
+
+def walk_views(sessions):
+    """The vocabulary and the item actions, by a walk over the Actions."""
+    vocab, rows = set(), []
+    for s, acts in enumerate(sessions.values()):
+        for a in acts:
+            vocab.update(a.impressions or ())
+            if a.item_ref is not None:
+                vocab.add(a.item_ref)
+                rows.append((s, a.item_ref, a.is_clickout))
+    return tuple(sorted(vocab)), rows
+
+
+def last_clickout(acts):
+    for idx in range(len(acts) - 1, -1, -1):
+        if acts[idx].is_clickout:
+            return idx
+    return None
+
+
+def walk_hide(sessions):
+    blinded, truth = {}, {}
+    for sid, acts in sessions.items():
+        target = last_clickout(acts)
+        if target is None:
+            raise ValidationError(f"session {sid}: no clickout to hide")
+        if acts[target].item_ref is None:
+            raise ValidationError(f"session {sid}: final clickout has no revealed item")
+        truth[sid] = acts[target].item_ref
+        hidden = replace(acts[target], item_ref=None)
+        blinded[sid] = acts[:target] + (hidden,) + acts[target + 1 :]
+    return blinded, truth
+
+
+def walk_subsample(sessions, fraction, seed):
+    rng = np.random.default_rng(seed)
+    buckets = {}
+    for sid in sorted(sessions):
+        buckets.setdefault(len(sessions[sid]), []).append(sid)
+    chosen = []
+    for key in sorted(buckets):
+        sids = buckets[key]
+        quota = int(round(fraction * len(sids)))
+        if quota:
+            picked = rng.choice(len(sids), size=quota, replace=False)
+            chosen.extend(sids[i] for i in sorted(picked))
+    return {sid: sessions[sid] for sid in chosen}
+
+
+def walk_split(sessions, fraction):
+    order = sorted(sessions, key=lambda sid: (sessions[sid][0].timestamp, sid))
+    n_tail = max(1, math.ceil(fraction * len(order))) if order else 0
+    cut = len(order) - n_tail
+    return (
+        {sid: sessions[sid] for sid in order[:cut]},
+        {sid: sessions[sid] for sid in order[cut:]},
+    )
+
+
+def assert_same_corpus(corpus, sessions):
+    """The corpus equals the walk's sessions, in their order, and its item
+    views equal the walk's."""
+    assert list(corpus.sessions) == list(sessions)
+    assert corpus.sessions == sessions
+    assert corpus.session_ids == tuple(sessions)
+    assert corpus.n_sessions == len(sessions)
+    assert corpus.n_actions == sum(len(acts) for acts in sessions.values())
+    vocab, rows = walk_views(sessions)
+    assert corpus.item_vocabulary == vocab
+    session, item, is_clickout = corpus.item_actions
+    coded = zip(session.tolist(), item.tolist(), is_clickout.tolist())
+    assert [(s, vocab[k], c) for s, k, c in coded] == rows
+
+
+def same_outcome(text):
+    """Parse the text both ways: the same corpus, or the same error type and
+    message. Returns the error type, or None when the text is valid."""
+    try:
+        sessions = walk_parse(text)
+    except (ParseError, ValidationError) as walked:
+        with pytest.raises(type(walked)) as columnar:
+            corpus_from_text(text)
+        assert str(columnar.value) == str(walked)
+        return type(walked)
+    assert_same_corpus(corpus_from_text(text), sessions)
+    return None
+
+
+_KINDS = ("interaction item info", CLICKOUT, "filter selection", "some new kind")
+
+
+def random_log_rows(seed, n_sessions=25):
+    """Seeded, valid log rows in canonical column order, with the sessions
+    interleaved and their rows shuffled. Items repeat within a session; some
+    references are empty (or blank, or padded with a tab that strips away);
+    the ``x`` items appear only inside impression lists; some non-clickout
+    rows list impressions, and some list only ``|``; unknown action types
+    appear; and some user ids hold line breaks, so their rows span lines."""
+    rng = np.random.default_rng(seed)
+    clicked = [f"i{k}" for k in range(8)]
+    shown = clicked + [f"x{k}" for k in range(5)]
+    rows = []
+    for s in rng.permutation(n_sessions):
+        sid = f"s{s:03d}"
+        user = ["u{}", "u{}", "u\n{}", "u\r\n{}", "u\r{}"][rng.integers(5)]
+        user = user.format(rng.integers(6))
+        for step in range(1, 2 + rng.integers(7)):
+            kind = _KINDS[rng.integers(len(_KINDS))]
+            ts = str(1_000 + int(rng.integers(50)))
+            if kind == CLICKOUT:
+                listed = rng.choice(shown, size=1 + rng.integers(6), replace=False)
+                listed = listed.tolist()
+                pick = listed[rng.integers(len(listed))]
+                ref = "" if pick.startswith("x") else pick
+                field = "|".join(listed)
+                if rng.random() < 0.2:
+                    field = "|" + field.replace("|", "||", 1)  # empty tokens drop
+            else:
+                ref = ["", " ", clicked[rng.integers(8)], "\ti2 "][rng.integers(4)]
+                field = ["", "", "|", "i1|x0"][rng.integers(4)]
+            rows.append([user, sid, ts, str(step), kind, ref, field])
+    order = rng.permutation(len(rows))
+    return [rows[k] for k in order]
+
+
+def log_text(rows, extra=False):
+    """The rows as CSV text, with a blank line after every seventh row;
+    with ``extra``, the columns in another order plus a column the parser
+    ignores."""
+    header = list(_CANONICAL_COLUMNS)
+    if extra:
+        perm = [6, 0, 5, 2, 1, 4, 3]
+        header = [header[k] for k in perm] + ["platform"]
+        rows = [[row[k] for k in perm] + ["AU"] for row in rows]
+    stream = io.StringIO()
+    writer = csv.writer(stream)  # quotes a field holding \r or \n
+    writer.writerow(header)
+    for k, row in enumerate(rows):
+        writer.writerow(row)
+        if k % 7 == 6:
+            stream.write("\n")
+    return stream.getvalue()
+
+
+#: which of ``_fault``'s kinds are row faults and which session faults
+ROW_FAULTS, SESSION_FAULTS = (0, 1, 2, 3, 4, 11), (5, 6, 7, 8, 9, 10)
+
+
+def _fault(rows, rng, kinds=ROW_FAULTS + SESSION_FAULTS):
+    """Inject one fault of these kinds into a random row, in place."""
+    r = int(rng.integers(len(rows)))
+    row = rows[r]
+    kind = kinds[rng.integers(len(kinds))]
+    if kind == 0:
+        row[3] = "two"
+    elif kind == 1:
+        row[2] = "1.5"
+    elif kind == 2:
+        row[5] = "a\tb"
+    elif kind == 3:
+        row[6] = "i1|b\nc"
+    elif kind == 4:
+        del row[-1]
+    elif kind == 5:
+        row[3] = str(int(row[3]) + 3)
+    elif kind == 6:
+        row[3] = "1"  # a duplicate of step 1, unless this is step 1
+    elif kind == 7:
+        row[4], row[6] = CLICKOUT, "|".join(f"y{k}" for k in range(26))
+        row[5] = ""
+    elif kind == 8:
+        row[4], row[6] = CLICKOUT, ""
+    elif kind == 9:
+        row[4], row[5], row[6] = CLICKOUT, "i9", "i1|i2"
+    elif kind == 10:
+        row[3] = "0"
+    else:
+        row[0] = "u" + "x" * 140_000  # beyond the CSV reader's field limit
+
+
+@pytest.fixture(params=[3, 4096], ids=["batch3", "batch4096"])
+def batch(request, monkeypatch):
+    """Code the log in batches of 3 rows, so faults and line counts cross
+    batch boundaries, as well as in the parser's own batch size."""
+    monkeypatch.setattr("simpop.sessions._BATCH", request.param)
+    return request.param
+
+
+class TestColumnarParseAgainstTheRowWalk:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_same_sessions_vocabulary_and_item_actions(self, seed, tmp_path, batch):
+        rows = random_log_rows(seed)
+        extra = seed % 2 == 1
+        text = log_text(rows, extra=extra)
+        sessions = walk_parse(text)
+        if seed % 3 == 0:
+            path = tmp_path / "log.csv.gz"
+            with gzip.open(path, "wt", encoding="utf-8", newline="") as out:
+                out.write(text)
+            corpus = parse_session_log(path, Role.TRAIN)
+        else:
+            corpus = corpus_from_text(text)
+        assert_same_corpus(corpus, sessions)
+        actions = [a for acts in sessions.values() for a in acts]
+        order = np.random.default_rng(seed).permutation(len(actions))
+        built = SessionCorpus.from_actions([actions[k] for k in order], Role.TRAIN)
+        assert built == corpus
+
+    def test_random_logs_cover_the_cases(self):
+        sessions = walk_parse(log_text(random_log_rows(0)))
+        acts = [a for s in sessions.values() for a in s]
+        assert list(sessions) != sorted(sessions)
+        assert {a.action_type for a in acts} == set(_KINDS)
+        assert None in {a.item_ref for a in acts}
+        assert () in {a.impressions for a in acts}
+        refs = {a.item_ref for a in acts}
+        assert any(item not in refs for a in acts for item in a.impressions or ())
+        assert any(
+            len({a.item_ref for a in s if a.item_ref}) < sum(1 for a in s if a.item_ref)
+            for s in sessions.values()
+        )
+        assert {"\n", "\r"} <= set("".join(a.user_id for a in acts))
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_two_faults_report_as_the_row_walk_does(self, seed, batch):
+        rng = np.random.default_rng([seed, 1])
+        rows = random_log_rows(seed, n_sessions=8)
+        _fault(rows, rng)
+        _fault(rows, rng)
+        assert same_outcome(log_text(rows)) is not None
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_two_session_faults_report_as_the_row_walk_does(self, seed):
+        # the first session in order of first appearance, then by step
+        rng = np.random.default_rng([seed, 2])
+        rows = random_log_rows(seed, n_sessions=8)
+        _fault(rows, rng, SESSION_FAULTS)
+        _fault(rows, rng, SESSION_FAULTS)
+        assert same_outcome(log_text(rows)) in (ValidationError, None)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_transforms_match_the_row_walk(self, seed):
+        rows = random_log_rows(seed, n_sessions=40)
+        sessions = walk_parse(log_text(rows))
+        train = corpus_from_text(log_text(rows))
+        booked = {
+            sid: acts for sid, acts in sessions.items()
+            if any(a.is_clickout for a in acts)
+        }
+        assert_same_corpus(filter_bookable_sessions(train), booked)
+
+        usable = {
+            sid: acts for sid, acts in booked.items()
+            if acts[last_clickout(acts)].item_ref is not None
+        }
+        blinded, truth = walk_hide(usable)
+        held, held_truth, dropped = prepare_holdout(train)
+        assert_same_corpus(held, blinded)
+        assert held.role is Role.TEST
+        assert held_truth == truth and list(held_truth) == list(truth)
+        assert dropped == len(sessions) - len(usable)
+        test = replace(prepare_holdout(train)[0], role=Role.TEST)
+        with pytest.raises(ValidationError) as walked:
+            walk_hide(dict(test.sessions))
+        with pytest.raises(ValidationError) as columnar:
+            hide_test_targets(test)
+        assert str(columnar.value) == str(walked.value)
+
+        for fraction in (0.3, 1.0):
+            sub = subsample_sessions(train, fraction, seed=seed)
+            assert_same_corpus(sub, walk_subsample(sessions, fraction, seed))
+        head, tail = split_by_time(train, 0.25)
+        walk_head, walk_tail = walk_split(sessions, 0.25)
+        assert_same_corpus(head, walk_head)
+        assert_same_corpus(tail, walk_tail)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_written_corpus_matches_the_row_walk(self, seed, tmp_path):
+        rows = random_log_rows(seed)
+        sessions = walk_parse(log_text(rows))
+        write_corpus(corpus_from_text(log_text(rows)), tmp_path / "c.csv")
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(_CANONICAL_COLUMNS)
+        for sid in sorted(sessions):
+            for a in sessions[sid]:
+                writer.writerow((
+                    a.user_id, a.session_id, a.timestamp, a.step, a.action_type,
+                    a.item_ref or "", "|".join(a.impressions) if a.impressions else "",
+                ))
+        assert (tmp_path / "c.csv").read_bytes() == expected.getvalue().encode()
+
+    def test_counts_graph_and_writer_never_build_actions(self, tmp_path):
+        # the saving rests on this: these readers use the columns alone
+        corpus = corpus_from_text(log_text(random_log_rows(5, n_sessions=40)))
+        assert corpus.n_sessions == 40 and corpus.n_actions > 40
+        build_affinity_graph(corpus, min_sessions=1)
+        compute_popularity(corpus)
+        interaction_counts(corpus)
+        interaction_counts(corpus, clickout_only=True)
+        write_corpus(corpus, tmp_path / "c.csv")
+        write_corpus(corpus, tmp_path / "c.csv.gz")
+        derived = [
+            filter_bookable_sessions(corpus),
+            prepare_holdout(corpus)[0],
+            subsample_sessions(corpus, 0.5),
+            *split_by_time(corpus, 0.5),
+        ]
+        for each in [corpus, *derived]:
+            assert "sessions" not in each.__dict__
+
+
+class TestIntegerRange:
+    @pytest.mark.parametrize("field", ["step", "timestamp"])
+    def test_beyond_64_bits_names_the_line(self, field):
+        # an int column holds 64 bits; a larger value is a row fault, not
+        # an overflow inside numpy
+        for value in (2**63, -(2**63) - 1, 10**30):
+            row = {"step": "1", "timestamp": "1000", field: str(value)}
+            text = (
+                f"{HEADER}\nu1,s1,1000,1,interaction item info,A,\n"
+                f"u1,s2,{row['timestamp']},{row['step']},interaction item info,A,\n"
+            )
+            with pytest.raises(
+                ParseError, match=f"line 3: {field} '{value}' does not fit in 64 bits"
+            ):
+                corpus_from_text(text)
+
+    def test_the_64_bit_extremes_load(self):
+        text = f"{HEADER}\nu1,s1,{2**63 - 1},1,interaction item info,A,\n"
+        text += f"u1,s2,{-(2**63)},1,interaction item info,A,\n"
+        corpus = corpus_from_text(text)
+        assert [a[0].timestamp for a in corpus.sessions.values()] == [
+            2**63 - 1, -(2**63)
+        ]
+
+    def test_an_earlier_fault_in_the_row_comes_first(self):
+        text = f"{HEADER}\nu1,s1,1000,{2**63},interaction item info,\"A\tB\",\n"
+        with pytest.raises(ParseError, match=r"line 2: reference 'A\\tB'"):
+            corpus_from_text(text)
+        text = f"{HEADER}\nu1,s1,x,{2**63},interaction item info,A,\n"
+        with pytest.raises(ParseError, match="step '9223372036854775808' does not fit"):
+            corpus_from_text(text)
