@@ -23,6 +23,11 @@ from .sessions import Role, SessionCorpus
 
 log = logging.getLogger(__name__)
 
+#: ``build_affinity_graph``'s defaults: the fewest sessions an item must
+#: appear in, and the most pairs each item keeps
+MIN_SESSIONS = 2
+MAX_PAIRS_PER_ITEM = 500
+
 
 class PopularityTable(dict):
     """Per-item popularity (hidden degree): a dict checked when built, every
@@ -154,8 +159,8 @@ class AffinityGraph:
 
 def build_affinity_graph(
     corpus: SessionCorpus,
-    min_sessions: int = 2,
-    max_pairs_per_item: int = 500,
+    min_sessions: int = MIN_SESSIONS,
+    max_pairs_per_item: int = MAX_PAIRS_PER_ITEM,
 ) -> AffinityGraph:
     """Estimate all positive pairwise connection probabilities from sessions.
 

@@ -24,6 +24,8 @@ from pathlib import Path
 
 from . import __version__
 from .affinity import (
+    MAX_PAIRS_PER_ITEM,
+    MIN_SESSIONS,
     build_affinity_graph,
     compute_popularity,
     read_popularity,
@@ -50,6 +52,7 @@ from .model import (
 )
 from .recommender import NextItemRecommender
 from .sessions import (
+    HOLDOUT_FRACTION,
     Role,
     filter_bookable_sessions,
     hide_test_targets,
@@ -223,9 +226,11 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     model = read_model(args.model)
     corpus = parse_session_log(args.session, role=Role.TEST)
     if args.session_id:
-        if args.session_id not in corpus.session_ids:
-            raise SimpopError(f"session {args.session_id!r} not in {args.session}")
-        session = corpus.sessions[args.session_id]
+        try:
+            session = corpus.session(args.session_id)
+        except KeyError:
+            missing = f"session {args.session_id!r} not in {args.session}"
+            raise SimpopError(missing) from None
     elif corpus.n_sessions == 1:
         session = next(iter(corpus.sessions.values()))
     elif corpus.n_sessions == 0:
@@ -443,9 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=10)
     p.add_argument("--alpha", type=float, default=2.0)
     p.add_argument("--lambda", dest="lam", type=float, default=0.01)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--min-sessions", type=int, default=2)
-    p.add_argument("--max-pairs-per-item", type=int, default=500)
+    p.add_argument("--seed", type=int, default=FitConfig.seed)
+    p.add_argument("--min-sessions", type=int, default=MIN_SESSIONS)
+    p.add_argument("--max-pairs-per-item", type=int, default=MAX_PAIRS_PER_ITEM)
     p.add_argument("--max-iterations", type=int, default=FitConfig.max_iterations)
     p.add_argument(
         "--gradient-tolerance", type=float, default=FitConfig.gradient_tolerance
@@ -483,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", default=_listed(SearchGrid.dims))
     p.add_argument("--lambdas", default=_listed(SearchGrid.lambdas))
     p.add_argument("--alphas", default=_listed(SearchGrid.alphas))
-    p.add_argument("--val-fraction", type=float, default=0.1)
+    p.add_argument("--val-fraction", type=float, default=HOLDOUT_FRACTION)
     p.add_argument("--max-iterations", type=int, default=FitConfig.max_iterations)
     p.set_defaults(func=cmd_gridsearch)
 

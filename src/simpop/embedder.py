@@ -42,6 +42,7 @@ number of objective evaluations the line search spent on it.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -92,7 +93,6 @@ class FitTrace:
     #: line search that takes its first step, plus one per backtrack
     evaluations: list[int] = field(default_factory=list)
     iterations: int = 0
-    final_grad_norm: float = float("nan")
     #: the rule that ended the fit: one of ``_CONVERGED``, "max_iterations"
     #: or "line_search_failed"
     stop_reason: str = ""
@@ -100,6 +100,11 @@ class FitTrace:
     @property
     def converged(self) -> bool:
         return self.stop_reason in _CONVERGED
+
+    @property
+    def final_grad_norm(self) -> float:
+        """The last accepted iterate's gradient norm; NaN before the first."""
+        return self.grad_norms[-1] if self.grad_norms else math.nan
 
 
 def objective(
@@ -305,7 +310,6 @@ def _minimize(problem: _PairObjective, x: np.ndarray, config: FitConfig):
                 trace.stop_reason = "objective_decrease"
                 break
 
-    trace.final_grad_norm = gnorm
     return x, trace
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .affinity import AffinityGraph, build_affinity_graph
+from .affinity import MIN_SESSIONS, AffinityGraph, build_affinity_graph
 from .baselines import Ranker
 from .embedder import FitConfig, fit_embedding
 from .errors import DivergenceError, ValidationError
@@ -65,8 +65,7 @@ def evaluate(
     hit_sums = {n: 0.0 for n in _MAP_CUTOFFS}
     skipped = 0
     fallback = 0
-    for sid in sorted(test.sessions):
-        actions = test.sessions[sid]
+    for sid, actions in test.sessions.items():
         target = _last_clickout_index(actions)
         if target is None or sid not in truth:
             skipped += 1
@@ -195,7 +194,7 @@ def grid_search(
     validation: SessionCorpus,
     grid: SearchGrid | None = None,
     seeds: Sequence[int] = (0,),
-    min_sessions: int = 2,
+    min_sessions: int = MIN_SESSIONS,
     max_iterations: int = FitConfig.max_iterations,
 ) -> tuple[FitConfig, list[GridCell]]:
     """Fit one embedding per grid cell and score validation MRR.

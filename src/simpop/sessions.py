@@ -18,6 +18,11 @@ the tables their codes index. The parser codes the CSV rows into them as
 they stream, a batch at a time, and the item views, counts, transforms and
 writer read them as they are. ``Action`` is a view, built only for a caller
 that reads ``sessions``.
+
+A corpus has one order, set where it is built: sessions by id, each
+session's actions by step, and the vocabulary by id. Every transform keeps
+it and the writer writes it, so a written corpus parses back equal. An
+impressions field holding no id (empty, or only ``|``) is no list.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import logging
 import math
 import re
 from array import array
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -50,6 +56,9 @@ log = logging.getLogger(__name__)
 CLICKOUT = "clickout item"
 
 MAX_IMPRESSIONS = 25
+
+#: the share of sessions ``split_by_time`` holds out unless told otherwise
+HOLDOUT_FRACTION = 0.1
 
 #: Characters an item id must not contain: the model and affinity files are
 #: tab-separated and line-based, and their readers use universal newlines.
@@ -97,14 +106,15 @@ class Action:
 class SessionCorpus:
     """Immutable collection of validated sessions, held as columns.
 
-    Rows are the corpus's actions, ordered by session and then by step.
-    Session ``s`` is named ``session_ids[s]`` and owns rows
-    ``offsets[s]:offsets[s + 1]``. Per row, ``step`` and ``timestamp`` are
-    int64; ``kind`` and ``user`` are codes into ``kinds`` and ``users``;
-    ``item`` is a code into ``item_vocabulary``, or -1 when the action names
-    no item; and the impression list holds the codes
-    ``impressions[impression_offsets[r]:impression_offsets[r + 1]]``, or is
-    absent where ``listed[r]`` is false. Every array is read-only.
+    Rows are the corpus's actions, ordered by session and then by step, and
+    sessions are ordered by id: ``session_ids`` is sorted. Session ``s`` is
+    named ``session_ids[s]`` and owns rows ``offsets[s]:offsets[s + 1]``.
+    Per row, ``step`` and ``timestamp`` are int64; ``kind`` and ``user`` are
+    codes into ``kinds`` and ``users``; ``item`` is a code into
+    ``item_vocabulary``, or -1 when the action names no item; and the
+    impression list holds the codes
+    ``impressions[impression_offsets[r]:impression_offsets[r + 1]]``, where
+    an empty run is no list. Every array is read-only.
 
     ``sessions`` views the rows as ``Action`` tuples; it is built on first
     read and kept, and the item views, counts and transforms never read it.
@@ -121,7 +131,6 @@ class SessionCorpus:
     user: np.ndarray
     item_vocabulary: tuple[str, ...]
     item: np.ndarray
-    listed: np.ndarray
     impression_offsets: np.ndarray
     impressions: np.ndarray
 
@@ -131,7 +140,7 @@ class SessionCorpus:
                 value.flags.writeable = False  # transforms share them
 
     def __eq__(self, other: object) -> bool:
-        """The same role and the same sessions, in any order."""
+        """The same role and the same sessions."""
         if not isinstance(other, SessionCorpus):
             return NotImplemented
         return self.role is other.role and self.sessions == other.sessions
@@ -167,40 +176,42 @@ class SessionCorpus:
 
     @cached_property
     def sessions(self) -> dict[str, tuple[Action, ...]]:
-        """Session id -> its step-ordered ``Action`` tuple, in corpus order."""
-        vocab = self.item_vocabulary
-        shown = _names(vocab, self.impressions)
-        bounds = self.impression_offsets.tolist()
-        lists = [
-            tuple(shown[a:b]) if listed else None
-            for a, b, listed in zip(bounds, bounds[1:], self.listed.tolist())
-        ]
-        actions = list(
-            map(
-                Action,
-                _names(self.session_ids, self.row_session),
-                _names(self.users, self.user),
-                self.step.tolist(),
-                _names(self.kinds, self.kind),
-                _names(vocab, self.item),
-                lists,
-                self.timestamp.tolist(),
-            )
+        """Session id -> its step-ordered ``Action`` tuple, in id order."""
+        user, sid, timestamp, step, kind, item, shown = _decode(
+            self, None, lambda ids: tuple(ids) or None
         )
+        actions = list(map(Action, sid, user, step, kind, item, shown, timestamp))
         ends = self.offsets.tolist()
         return {
             sid: tuple(actions[a:b])
             for sid, a, b in zip(self.session_ids, ends, ends[1:])
         }
 
+    def session(self, sid: str) -> tuple[Action, ...]:
+        """One session's ``Action`` tuple, built without the others'.
+        Raises KeyError for an id the corpus does not hold."""
+        s = bisect_left(self.session_ids, sid)
+        if self.session_ids[s : s + 1] != (sid,):
+            raise KeyError(sid)
+        return _take(self, np.array([s])).sessions[sid]
+
     @classmethod
     def from_actions(cls, actions: Iterable[Action], role: Role) -> "SessionCorpus":
-        """Group actions by session, order by step, and validate invariants."""
+        """Group actions by session, order by step, and validate invariants,
+        among them that the canonical file carries every action as it is:
+        ValidationError names the session and step of an action it would
+        not (see ``_check_carried``)."""
         columns = _Columns()
         fields = map(_ACTION_FIELDS, actions)
         while batch := list(islice(fields, _BATCH)):
-            columns.add(*zip(*batch))
-        return columns.corpus(role)
+            try:
+                columns.add(*zip(*batch))
+            except OverflowError:
+                _check_64_bits(batch)
+                raise
+        corpus = columns.corpus(role)
+        _check_carried(corpus)
+        return corpus
 
 
 #: an Action's fields in the order ``_Columns.add`` takes them
@@ -216,12 +227,12 @@ _BATCH = 256
 
 class _Columns:
     """A corpus's columns while its rows arrive, in any order, a batch at a
-    time. Each batch is coded on arrival: sessions, users and kinds by
-    first appearance, items by first sight until ``corpus`` sorts the
-    vocabulary. No row is kept as a Python object."""
+    time. Each batch is coded on arrival, every table by first appearance,
+    until ``corpus`` sorts the session ids and the vocabulary. No row is
+    kept as a Python object."""
 
     #: the columns, one value per row; ``shown`` counts a row's impressions
-    #: (-1 for none), and ``impressions`` holds their codes, row after row
+    #: (0 for no list), and ``impressions`` holds their codes, row after row
     _FIELDS = (
         "session", "user", "kind", "step", "timestamp", "item", "shown", "impressions"
     )
@@ -245,7 +256,8 @@ class _Columns:
         impressions: Sequence[Sequence[str] | None],
     ) -> None:
         """Code a batch of rows, given as equal-length columns. A step or
-        timestamp beyond 64 bits raises OverflowError."""
+        timestamp beyond 64 bits raises OverflowError; an empty impression
+        list is no list."""
         columns, code = self.columns, self.items.__getitem__
         columns["session"].extend(map(self.sessions.__getitem__, session_ids))
         columns["user"].extend(map(self.users.__getitem__, user_ids))
@@ -254,31 +266,27 @@ class _Columns:
         columns["timestamp"].extend(timestamps)
         columns["item"].extend([-1 if item is None else code(item) for item in items])
         columns["shown"].extend(
-            [-1 if listed is None else len(listed) for listed in impressions]
+            [len(listed) if listed else 0 for listed in impressions]
         )
         columns["impressions"].extend(
             map(code, chain.from_iterable(filter(None, impressions)))
         )
 
     def corpus(self, role: Role) -> SessionCorpus:
-        """The rows ordered by session and step, with item codes into the
-        sorted vocabulary, validated. Each column is freed as soon as its
-        ordered copy is made, so the builder is spent."""
-        named = list(self.items)
-        by_name = sorted(range(len(named)), key=named.__getitem__)
-        recode = np.empty(len(named) + 1, dtype=np.int64)
-        recode[by_name] = np.arange(len(named))
-        recode[-1] = -1  # no item stays no item
-        session, step = self._pop("session"), self._pop("step")
+        """The rows ordered by session id and step, with session and item
+        codes into their sorted tables, validated. Each column is freed as
+        soon as its ordered copy is made, so the builder is spent."""
+        session_ids, by_session = _sorted_table(self.sessions)
+        vocabulary, by_item = _sorted_table(self.items)
+        session, step = by_session[self._pop("session")], self._pop("step")
         rows = np.lexsort((step, session))  # stable: a repeated step keeps file order
-        offsets = _offsets(np.bincount(session, minlength=len(self.sessions)))
+        offsets = _offsets(np.bincount(session, minlength=len(session_ids)))
         shown = self._pop("shown")
-        counts = np.maximum(shown, 0)
-        lengths = counts[rows]
-        taken = _ranges(_offsets(counts)[:-1][rows], lengths)
+        lengths = shown[rows]
+        taken = _ranges(_offsets(shown)[:-1][rows], lengths)
         corpus = SessionCorpus(
             role=role,
-            session_ids=tuple(self.sessions),
+            session_ids=session_ids,
             offsets=offsets,
             step=step[rows],
             timestamp=self._pop("timestamp")[rows],
@@ -286,13 +294,12 @@ class _Columns:
             kind=self._pop("kind")[rows],
             users=tuple(self.users),
             user=self._pop("user")[rows],
-            item_vocabulary=tuple(named[k] for k in by_name),
-            item=recode[self._pop("item")[rows]],
-            listed=shown[rows] >= 0,
+            item_vocabulary=vocabulary,
+            item=by_item[self._pop("item")[rows]],
             impression_offsets=_offsets(lengths),
-            impressions=recode[self._pop("impressions")[taken]],
+            impressions=by_item[self._pop("impressions")[taken]],
         )
-        del session, step, shown, counts, taken
+        del session, step, shown, taken
         _validate(corpus)
         return corpus
 
@@ -301,9 +308,38 @@ class _Columns:
         return np.frombuffer(self.columns.pop(field), dtype=np.int64)
 
 
+def _sorted_table(table: dict[str, int]) -> tuple[tuple[str, ...], np.ndarray]:
+    """A code table's keys in sorted order, and the array that maps each
+    code to its key's position there; its extra last slot maps -1 to -1."""
+    keys = list(table)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    recode = np.empty(len(keys) + 1, dtype=np.int64)
+    recode[order] = np.arange(len(keys))
+    recode[-1] = -1
+    return tuple(keys[k] for k in order), recode
+
+
 def _names(table: tuple[str, ...], codes: np.ndarray, missing: str | None = None) -> list:
     """The table's entries at these codes; code -1 gives ``missing``."""
     return np.array(table + (missing,), dtype=object)[codes].tolist()
+
+
+def _decode(corpus: SessionCorpus, missing: str | None, listing) -> tuple[list, ...]:
+    """The corpus's rows, in its order, as one list per canonical column:
+    user id, session id, timestamp, step, action type, reference
+    (``missing`` for no item), and ``listing`` of each row's impression ids."""
+    vocab = corpus.item_vocabulary
+    shown = _names(vocab, corpus.impressions)
+    bounds = corpus.impression_offsets.tolist()
+    return (
+        _names(corpus.users, corpus.user),
+        _names(corpus.session_ids, corpus.row_session),
+        corpus.timestamp.tolist(),
+        corpus.step.tolist(),
+        _names(corpus.kinds, corpus.kind),
+        _names(vocab, corpus.item, missing),
+        [listing(shown[a:b]) for a, b in zip(bounds, bounds[1:])],
+    )
 
 
 def _offsets(lengths: np.ndarray) -> np.ndarray:
@@ -362,11 +398,54 @@ def _validate(corpus: SessionCorpus) -> None:
     )
 
 
+def _check_64_bits(actions: Sequence[tuple]) -> None:
+    """Raise ValidationError for the first of these ``_ACTION_FIELDS``
+    tuples whose step or timestamp is beyond 64 bits."""
+    for sid, _, step, timestamp, *_ in actions:
+        for name, value in (("step", step), ("timestamp", timestamp)):
+            if not _INT64_MIN <= value <= _INT64_MAX:
+                raise ValidationError(
+                    f"session {sid} step {step}: {name} {value} does not fit in 64 bits"
+                )
+
+
+def _check_carried(corpus: SessionCorpus) -> None:
+    """Raise ValidationError for the first action, in session and then step
+    order, that writing the corpus and parsing it back would change, by the
+    rules the parse applies to a row: it rejects a tab or line break, strips
+    the reference and the impressions field, reads an empty reference as
+    none, and splits the field on ``|``, dropping empty ids."""
+    vocab = corpus.item_vocabulary
+    joined = "".join(vocab)
+    if (
+        vocab[:1] != ("",)
+        and "|" not in joined
+        and not _ID_BREAKS.search(joined)
+        and tuple(map(str.strip, vocab)) == vocab
+    ):
+        return  # every id comes back as it is
+    _, sids, _, steps, _, refs, lists = _decode(corpus, None, tuple)
+    for sid, step, ref, ids in zip(sids, steps, refs, lists):
+        field = "|".join(ids)
+        if _ID_BREAKS.search(f"{ref or ''}{field}"):
+            raise ValidationError(
+                f"session {sid} step {step}: an id holds a tab or line break"
+            )
+        shown = tuple(filter(None, field.strip().split("|")))
+        back = (ref or "").strip() or None, shown
+        if back != (ref, ids):
+            raise ValidationError(
+                f"session {sid} step {step}: reference {ref!r} and impressions {ids!r} "
+                f"would be read back as {back[0]!r} and {back[1]!r}"
+            )
+
+
 def _take(
     corpus: SessionCorpus, sessions: np.ndarray, role: Role | None = None
 ) -> SessionCorpus:
-    """The sessions at these positions, in this order; the vocabulary keeps
-    the items their rows name or list."""
+    """The sessions at these positions, in id order whatever the order of
+    the positions; the vocabulary keeps the items their rows name or list."""
+    sessions = np.sort(sessions)
     lengths = np.diff(corpus.offsets)[sessions]
     rows = _ranges(corpus.offsets[sessions], lengths)
     bounds = corpus.impression_offsets
@@ -391,7 +470,6 @@ def _take(
         user=corpus.user[rows],
         item_vocabulary=tuple(vocab[k] for k in kept.tolist()),
         item=recode[item],
-        listed=corpus.listed[rows],
         impression_offsets=_offsets(shown),
         impressions=recode[impressions],
     )
@@ -568,48 +646,20 @@ def _open_text(source: str | Path | IO) -> Iterator[IO]:
 def write_corpus(corpus: SessionCorpus, path: str | Path) -> None:
     """Write a corpus in the canonical CSV format (gzip if path ends .gz).
 
-    Sessions are ordered by id and actions by step, so output bytes are a
-    deterministic function of the corpus.
+    Rows are written in corpus order, sessions by id and actions by step,
+    so output bytes are a deterministic function of the corpus, and the
+    file parses back equal to it.
     """
     path = Path(path)
-    if path.suffix == ".gz":
-        # fixed mtime and empty name keep gzip output byte-stable across runs
-        raw = open(path, "wb")
-        stream: IO = io.TextIOWrapper(
-            gzip.GzipFile(filename="", fileobj=raw, mode="wb", mtime=0),
-            encoding="utf-8",
-            newline="",
-        )
-    else:
-        raw = None
-        stream = open(path, "w", encoding="utf-8", newline="")
-    try:
-        writer = csv.writer(stream)
-        writer.writerow(_CANONICAL_COLUMNS)
-        writer.writerows(_canonical_rows(corpus))
-    finally:
-        stream.close()
-        if raw is not None:
-            raw.close()
-
-
-def _canonical_rows(corpus: SessionCorpus) -> Iterator[tuple]:
-    """The corpus's rows as canonical CSV fields, sessions in id order."""
-    by_id = sorted(range(corpus.n_sessions), key=corpus.session_ids.__getitem__)
-    by_id = np.array(by_id, dtype=np.int64)
-    rows = _ranges(corpus.offsets[by_id], np.diff(corpus.offsets)[by_id])
-    vocab = corpus.item_vocabulary
-    shown = _names(vocab, corpus.impressions)
-    bounds = corpus.impression_offsets.tolist()
-    return zip(
-        _names(corpus.users, corpus.user[rows]),
-        _names(corpus.session_ids, corpus.row_session[rows]),
-        corpus.timestamp[rows].tolist(),
-        corpus.step[rows].tolist(),
-        _names(corpus.kinds, corpus.kind[rows]),
-        _names(vocab, corpus.item[rows], ""),
-        ["|".join(shown[bounds[r] : bounds[r + 1]]) for r in rows.tolist()],
-    )
+    with open(path, "wb") as raw:
+        binary: IO = raw
+        if path.suffix == ".gz":
+            # fixed mtime and empty name keep gzip output byte-stable across runs
+            binary = gzip.GzipFile(filename="", fileobj=raw, mode="wb", mtime=0)
+        with io.TextIOWrapper(binary, encoding="utf-8", newline="") as stream:
+            writer = csv.writer(stream)
+            writer.writerow(_CANONICAL_COLUMNS)
+            writer.writerows(zip(*_decode(corpus, "", "|".join)))
 
 
 def write_truth(truth: Mapping[str, str], path: str | Path) -> None:
@@ -722,16 +772,15 @@ def subsample_sessions(
     """Draw a deterministic session subsample.
 
     The draw preserves the session-length distribution: sessions are
-    bucketed by action count and sampled independently, rounding each
-    bucket's quota.
+    bucketed by action count, in corpus order, and sampled independently,
+    rounding each bucket's quota.
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     rng = np.random.default_rng(seed)
-    lengths = np.diff(corpus.offsets).tolist()
     buckets: dict[int, list[int]] = {}
-    for s in sorted(range(corpus.n_sessions), key=corpus.session_ids.__getitem__):
-        buckets.setdefault(lengths[s], []).append(s)
+    for s, length in enumerate(np.diff(corpus.offsets).tolist()):
+        buckets.setdefault(length, []).append(s)
     chosen: list[int] = []
     for key in sorted(buckets):
         members = buckets[key]
@@ -743,19 +792,16 @@ def subsample_sessions(
 
 
 def split_by_time(
-    corpus: SessionCorpus, holdout_fraction: float = 0.1
+    corpus: SessionCorpus, holdout_fraction: float = HOLDOUT_FRACTION
 ) -> tuple[SessionCorpus, SessionCorpus]:
     """Split off the chronologically last fraction of sessions.
 
-    Ordering is by first-action timestamp with session id as tiebreaker;
+    Ordering is by first-action timestamp, ties kept in corpus (id) order;
     returns (head, tail) corpora with the original role.
     """
     if not 0.0 < holdout_fraction < 1.0:
         raise ValueError(f"holdout_fraction must be in (0, 1), got {holdout_fraction}")
-    first = corpus.timestamp[corpus.offsets[:-1]].tolist()
-    ids = corpus.session_ids
-    order = sorted(range(corpus.n_sessions), key=lambda s: (first[s], ids[s]))
-    n_tail = max(1, math.ceil(holdout_fraction * len(order))) if order else 0
-    order = np.array(order, dtype=np.int64)
+    order = np.argsort(corpus.timestamp[corpus.offsets[:-1]], kind="stable")
+    n_tail = max(1, math.ceil(holdout_fraction * len(order))) if len(order) else 0
     cut = len(order) - n_tail
     return _take(corpus, order[:cut]), _take(corpus, order[cut:])

@@ -1,6 +1,7 @@
 """Command-line surface: subcommand happy paths, error exit codes, manifests."""
 
 import csv
+import inspect
 import io
 import json
 import os
@@ -16,7 +17,7 @@ import pytest
 import simpop
 from simpop.cli import build_parser, main
 from simpop.model import EmbeddingModel, ModelParams, read_model, write_model
-from simpop.sessions import Role, parse_session_log, read_truth
+from simpop.sessions import Action, Role, parse_session_log, read_truth, split_by_time
 
 HEADER = "user_id,session_id,timestamp,step,action_type,reference,impressions"
 
@@ -422,6 +423,46 @@ class TestRecommendAndEvaluate:
         assert capsys.readouterr().out.splitlines()[1].endswith(",B,False")
         assert main(argv + extra) == 2
         assert message in capsys.readouterr().err
+
+    def test_recommend_session_id_builds_only_that_session(
+        self, workdir, trained, capsys, monkeypatch
+    ):
+        _, model_path = trained
+        rows = {
+            "live1": ["u7,live1,100,1,interaction item info,A,"],
+            "live2": [
+                "u8,live2,200,1,interaction item info,B,",
+                "u8,live2,201,2,interaction item info,C,",
+                "u8,live2,202,3,clickout item,D,B|C|D",
+            ],
+            "live3": ["u9,live3,300,1,interaction item info,C,"],
+        }
+        shuffled = [rows["live2"][2], *rows["live3"], rows["live2"][0]]
+        shuffled += [*rows["live1"], rows["live2"][1]]
+        many = workdir / "many.csv"
+        many.write_text("\n".join([HEADER, *shuffled]) + "\n")
+        built = []
+
+        class CountedAction(Action):
+            def __init__(self, *fields):
+                built.append(fields[0])
+                super().__init__(*fields)
+
+        argv = ["recommend", "--model", str(model_path), "--top", "3"]
+        for sid, lines in rows.items():
+            one = workdir / f"{sid}.csv"
+            one.write_text("\n".join([HEADER, *lines]) + "\n")
+            assert main(argv + ["--session", str(one)]) == 0
+            alone = capsys.readouterr().out
+            with monkeypatch.context() as patch:
+                patch.setattr("simpop.sessions.Action", CountedAction)
+                built.clear()
+                assert main(argv + ["--session", str(many), "--session-id", sid]) == 0
+            assert capsys.readouterr().out == alone
+            assert built == [sid] * len(lines)
+        for unknown in ("live0", "live2a", "live4"):
+            assert main(argv + ["--session", str(many), "--session-id", unknown]) == 2
+            assert f"session {unknown!r} not in" in capsys.readouterr().err
 
     def _recommend_with_popularity(self, workdir, model_path, popularity):
         session_file = workdir / "active.csv"
@@ -858,6 +899,20 @@ def test_gridsearch_defaults_are_the_librarys():
     assert tuple(int(d) for d in args.dims.split(",")) == grid.dims
     assert tuple(float(v) for v in args.lambdas.split(",")) == grid.lambdas
     assert tuple(float(v) for v in args.alphas.split(",")) == grid.alphas
+    holdout = inspect.signature(split_by_time).parameters["holdout_fraction"]
+    assert args.val_fraction == holdout.default == 0.1
+
+
+def test_train_defaults_are_the_librarys():
+    from simpop.embedder import FitConfig
+
+    args = build_parser().parse_args(TRAIN)
+    assert args.seed == FitConfig.seed == 0
+    graph = inspect.signature(simpop.build_affinity_graph).parameters
+    search = inspect.signature(simpop.grid_search).parameters
+    assert args.min_sessions == graph["min_sessions"].default == 2
+    assert search["min_sessions"].default == 2
+    assert args.max_pairs_per_item == graph["max_pairs_per_item"].default == 500
 
 
 def test_readme_commands_parse():

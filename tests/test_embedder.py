@@ -10,6 +10,7 @@ from simpop.embedder import (
     FitConfig,
     FitTrace,
     _PairObjective,
+    _backtrack,
     build_targets,
     fit_embedding,
     gradient,
@@ -554,6 +555,47 @@ class TestStopRules:
     )
     def test_converged_is_read_from_the_stop_reason(self, reason, converged):
         assert FitTrace(stop_reason=reason).converged is converged
+
+    @pytest.mark.parametrize(
+        "reason",
+        [
+            "gradient_tolerance",
+            "objective_decrease",
+            "stationary_start",
+            "max_iterations",
+            "line_search_failed",
+        ],
+    )
+    def test_final_grad_norm_is_the_last_recorded_norm(self, reason, monkeypatch):
+        graph = _random_graph(np.random.default_rng(41), n=12)
+        params = ModelParams(alpha=2.0, dim=1, lam=0.01)
+        config = FitConfig(
+            params=params, seed=4, max_iterations=5000, gradient_tolerance=1e-300
+        )
+        start = None
+        if reason == "gradient_tolerance":
+            graph = _linked_pair_graph(4.0)
+            params = ModelParams(alpha=2.0, dim=1, lam=0.0)
+            config = FitConfig(params=params, gradient_tolerance=1e-10)
+        elif reason == "stationary_start":
+            start = np.zeros((len(graph.items()), 1))
+        elif reason == "max_iterations":
+            config = FitConfig(params=params, seed=4, max_iterations=3)
+        elif reason == "line_search_failed":
+            searches = []
+
+            def fails_third(*args):
+                searches.append(args)
+                return _backtrack(*args) if len(searches) < 3 else (None, None, 1)
+
+            monkeypatch.setattr("simpop.embedder._backtrack", fails_third)
+        _, trace = fit_embedding(graph, config, initial_coords=start)
+        assert trace.stop_reason == reason
+        assert trace.final_grad_norm == trace.grad_norms[-1]
+        assert len(trace.grad_norms) == trace.iterations + 1
+
+    def test_final_grad_norm_is_nan_before_the_first_iterate(self):
+        assert np.isnan(FitTrace().final_grad_norm)
 
     def test_objective_rule_stops_a_fit_the_gradient_rule_never_would(self):
         # random targets in one dimension cannot be embedded, and a gradient

@@ -342,7 +342,11 @@ class TestSubsampleAndSplit:
 
 
 def random_corpus(seed, role):
-    """Seeded sessions, in shuffled order, with items repeated within a
+    return SessionCorpus.from_actions(random_actions(seed), role)
+
+
+def random_actions(seed):
+    """Seeded sessions' actions, shuffled, with items repeated within a
     session, actions naming no item, and items that only appear inside
     impression lists (the ``x`` ones)."""
     rng = np.random.default_rng(seed)
@@ -364,7 +368,7 @@ def random_corpus(seed, role):
             else:
                 actions.append(make_action(sid, step, item=clicked[rng.integers(6)]))
     rng.shuffle(actions)
-    return SessionCorpus.from_actions(actions, role)
+    return actions
 
 
 def item_corpora():
@@ -423,7 +427,8 @@ class TestItemViews:
             len({a.item_ref for a in s if a.item_ref}) < sum(1 for a in s if a.item_ref)
             for s in train.sessions.values()
         )
-        assert list(train.sessions) != sorted(train.sessions)
+        sids = [a.session_id for a in random_actions(0)]
+        assert sids != sorted(sids)
 
     def test_views_are_derived_on_first_use_and_kept(self, toy_train, toy_test):
         # the vocabulary is a column; item_actions is sliced from the
@@ -460,8 +465,8 @@ class TestItemViews:
 
 
 def walk_parse(text):
-    """Session id -> step-ordered, validated Action tuple, in order of first
-    appearance, by building one Action per row."""
+    """Session id -> step-ordered, validated Action tuple, in id order, by
+    building one Action per row."""
     rows = _numbered_rows(io.StringIO(text, newline=""))
     _, header = next(rows, (1, None))
     if header is None:
@@ -478,7 +483,7 @@ def walk_parse(text):
             raise ParseError(f"expected {len(header)} columns, got {len(row)}", line)
         action = walk_row_to_action(row, col, line)
         grouped.setdefault(action.session_id, []).append(action)
-    return {sid: walk_validate_session(sid, acts) for sid, acts in grouped.items()}
+    return {sid: walk_validate_session(sid, grouped[sid]) for sid in sorted(grouped)}
 
 
 def walk_row_to_action(row, col, line):
@@ -498,9 +503,7 @@ def walk_row_to_action(row, col, line):
                 f"tab-separated model and graph files cannot carry",
                 line,
             )
-    impressions = (
-        tuple(tok for tok in imp_raw.split("|") if tok) if imp_raw else None
-    )
+    impressions = tuple(tok for tok in imp_raw.split("|") if tok) or None
     return Action(
         session_id=row[col["session_id"]],
         user_id=row[col["user_id"]],
@@ -587,7 +590,7 @@ def walk_subsample(sessions, fraction, seed):
         if quota:
             picked = rng.choice(len(sids), size=quota, replace=False)
             chosen.extend(sids[i] for i in sorted(picked))
-    return {sid: sessions[sid] for sid in chosen}
+    return {sid: sessions[sid] for sid in sorted(chosen)}
 
 
 def walk_split(sessions, fraction):
@@ -595,8 +598,8 @@ def walk_split(sessions, fraction):
     n_tail = max(1, math.ceil(fraction * len(order))) if order else 0
     cut = len(order) - n_tail
     return (
-        {sid: sessions[sid] for sid in order[:cut]},
-        {sid: sessions[sid] for sid in order[cut:]},
+        {sid: sessions[sid] for sid in sorted(order[:cut])},
+        {sid: sessions[sid] for sid in sorted(order[cut:])},
     )
 
 
@@ -750,12 +753,14 @@ class TestColumnarParseAgainstTheRowWalk:
         assert built == corpus
 
     def test_random_logs_cover_the_cases(self):
-        sessions = walk_parse(log_text(random_log_rows(0)))
+        rows = random_log_rows(0)
+        sessions = walk_parse(log_text(rows))
         acts = [a for s in sessions.values() for a in s]
-        assert list(sessions) != sorted(sessions)
+        sids = [row[1] for row in rows]
+        assert sids != sorted(sids)
         assert {a.action_type for a in acts} == set(_KINDS)
         assert None in {a.item_ref for a in acts}
-        assert () in {a.impressions for a in acts}
+        assert "|" in {row[6] for row in rows}
         refs = {a.item_ref for a in acts}
         assert any(item not in refs for a in acts for item in a.impressions or ())
         assert any(
@@ -774,7 +779,7 @@ class TestColumnarParseAgainstTheRowWalk:
 
     @pytest.mark.parametrize("seed", range(30))
     def test_two_session_faults_report_as_the_row_walk_does(self, seed):
-        # the first session in order of first appearance, then by step
+        # the first session in id order, then by step
         rng = np.random.default_rng([seed, 2])
         rows = random_log_rows(seed, n_sessions=8)
         _fault(rows, rng, SESSION_FAULTS)
@@ -851,6 +856,139 @@ class TestColumnarParseAgainstTheRowWalk:
         ]
         for each in [corpus, *derived]:
             assert "sessions" not in each.__dict__
+
+
+def assert_parses_back_equal(corpus, path):
+    """Writing the corpus and parsing the file gives the corpus back, in its
+    session order, with its vocabulary."""
+    write_corpus(corpus, path)
+    back = parse_session_log(path, corpus.role)
+    assert back == corpus
+    assert back.session_ids == corpus.session_ids == tuple(sorted(corpus.session_ids))
+    assert back.item_vocabulary == corpus.item_vocabulary
+
+
+class TestWrittenCorpusParsesBackEqual:
+    def test_a_pipe_only_field_is_no_list(self, tmp_path):
+        text = (
+            f"{HEADER}\n"
+            "u1,s2,1000,1,interaction item info,A,|\n"
+            "u1,s1,1001,1,interaction item info,B,\n"
+        )
+        corpus = corpus_from_text(text)
+        assert corpus.session_ids == ("s1", "s2")
+        assert corpus.sessions["s2"][0].impressions is None
+        assert_parses_back_equal(corpus, tmp_path / "c.csv")
+        unlisted = replace(make_action("s1", 1, item="B"), impressions=())
+        built = SessionCorpus.from_actions([unlisted], Role.TRAIN)
+        assert built.sessions["s1"][0].impressions is None
+
+    @pytest.mark.parametrize("suffix", [".csv", ".csv.gz"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_logs(self, seed, suffix, tmp_path):
+        corpus = corpus_from_text(log_text(random_log_rows(seed), extra=seed % 2 == 1))
+        assert_parses_back_equal(corpus, tmp_path / f"c{suffix}")
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_transform(self, seed, tmp_path):
+        text = log_text(random_log_rows(seed, n_sessions=40))
+        train = corpus_from_text(text)
+        usable = [
+            a for acts in walk_parse(text).values()
+            if (last := last_clickout(acts)) is not None and acts[last].item_ref
+            for a in acts
+        ]
+        test = SessionCorpus.from_actions(usable, Role.TEST)
+        assert test.n_sessions >= 10
+        derived = [
+            filter_bookable_sessions(train),
+            hide_test_targets(test)[0],
+            prepare_holdout(train)[0],
+            subsample_sessions(train, 0.3, seed=seed),
+            *split_by_time(train, 0.25),
+        ]
+        for k, corpus in enumerate(derived):
+            assert_parses_back_equal(corpus, tmp_path / f"c{k}.csv")
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_corpora_built_from_actions(self, seed, tmp_path):
+        for k, corpus in enumerate([*item_corpora(), random_corpus(seed + 20, Role.TEST)]):
+            assert_parses_back_equal(corpus, tmp_path / f"c{k}.csv")
+
+
+class TestFromActionsTakesWhatTheFileCarries:
+    """``from_actions`` rejects an action that ``write_corpus`` and
+    ``parse_session_log`` would not give back as it is."""
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            (
+                make_action("s2", 2, item="A\tB"),
+                "session s2 step 2: an id holds a tab or line break$",
+            ),
+            (
+                clickout("s2", 2, "A", ["A", "B\nC"]),
+                "session s2 step 2: an id holds a tab or line break$",
+            ),
+            (
+                make_action("s2", 2, item=""),
+                r"session s2 step 2: reference '' and impressions \(\) would be read "
+                r"back as None and \(\)$",
+            ),
+            (
+                make_action("s2", 2, item=" A "),
+                r"session s2 step 2: reference ' A ' and impressions \(\) would be "
+                r"read back as 'A' and \(\)$",
+            ),
+            (
+                clickout("s2", 2, "A", ["A", "B|C"]),
+                r"session s2 step 2: reference 'A' and impressions \('A', 'B\|C'\) "
+                r"would be read back as 'A' and \('A', 'B', 'C'\)$",
+            ),
+            (
+                make_action("s2", 2, item="A", impressions=["A", "B "]),
+                r"session s2 step 2: reference 'A' and impressions \('A', 'B '\) "
+                r"would be read back as 'A' and \('A', 'B'\)$",
+            ),
+            (
+                make_action("s2", 2**63),
+                r"session s2 step 9223372036854775808: step 9223372036854775808 "
+                r"does not fit in 64 bits$",
+            ),
+            (
+                make_action("s2", 2, ts=-(2**63) - 1),
+                r"session s2 step 2: timestamp -9223372036854775809 does not fit in "
+                r"64 bits$",
+            ),
+        ],
+        ids=[
+            "tab-in-reference", "break-in-impression", "empty-reference",
+            "padded-reference", "pipe-in-impression", "padded-impressions-field",
+            "step-beyond-64-bits", "timestamp-beyond-64-bits",
+        ],
+    )
+    def test_rejects_naming_session_and_step(self, fault, message):
+        actions = [
+            make_action("s1", 1, item="A"),
+            make_action("s2", 1, item="B"),
+            fault,
+            make_action("s3", 1, item="C"),
+        ]
+        with pytest.raises(ValidationError, match=message):
+            SessionCorpus.from_actions(actions, Role.TRAIN)
+
+    def test_takes_ids_the_file_carries(self, tmp_path):
+        # a reference may hold "|", and an impression id inside the list may
+        # hold spaces: the parse keeps both
+        corpus = SessionCorpus.from_actions(
+            [
+                make_action("s1", 1, item="A|B"),
+                clickout("s1", 2, "A", ["A", " B ", "C"]),
+            ],
+            Role.TRAIN,
+        )
+        assert_parses_back_equal(corpus, tmp_path / "c.csv")
 
 
 class TestIntegerRange:
