@@ -15,7 +15,9 @@ sampler that treats the law generatively.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -25,19 +27,32 @@ import numpy as np
 
 from .affinity import PopularityTable
 from .errors import MissingItemError, ParseError, ValidationError
+from .sessions import _ID_BREAKS
 
 MODEL_FORMAT_HEADER = "simpop-model v1"
+#: rows ``write_model`` turns into Python floats at a time: 256 rows of
+#: dimension 20 are about 0.2 MB, too little to move a process's peak
+_WRITE_BLOCK = 256
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Connection-law exponent, embedding dimension, and regularization."""
+    """Connection-law exponent, embedding dimension, and regularization.
+
+    Held as the Python types the model file's header is parsed into, so
+    every params a model can carry writes a header ``read_model`` reads.
+    """
 
     alpha: float
     dim: int
     lam: float = 0.0
 
     def __post_init__(self):
+        if isinstance(self.dim, bool) or not isinstance(self.dim, numbers.Integral):
+            raise ValueError(f"dim must be an integer, got {self.dim!r}")
+        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "lam", float(self.lam))
         if not 0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
         if self.alpha < 1:
@@ -85,6 +100,12 @@ class EmbeddingModel:
         self.ids: tuple[str, ...] = tuple(ids[int(k)] for k in order)
         if len(set(self.ids)) != len(self.ids):
             raise ValidationError("duplicate item ids")
+        if _ID_BREAKS.search("".join(self.ids)):
+            bad = next(item for item in self.ids if _ID_BREAKS.search(item))
+            raise ValidationError(
+                f"item id {bad!r} holds a tab or line break, which the model "
+                f"file cannot carry"
+            )
         self.coords = coords[order]
         self.kappa = kappa[order]
         self._index = {item: k for k, item in enumerate(self.ids)}
@@ -181,7 +202,9 @@ def generate_synthetic_network(
 
 # ---------------------------------------------------------------------------
 # Model file format: header line, then one line per item with full-precision
-# decimal floats (repr round-trips exactly).
+# decimal floats (repr round-trips exactly). The writer formats blocks of rows
+# and the reader appends each row's floats to one flat buffer, so neither
+# holds the whole model as Python floats.
 # ---------------------------------------------------------------------------
 
 
@@ -191,9 +214,16 @@ def write_model(model: EmbeddingModel, path: str | Path) -> None:
         out.write(
             f"{MODEL_FORMAT_HEADER} dim={p.dim} alpha={p.alpha!r} lambda={p.lam!r}\n"
         )
-        for k, item in enumerate(model.ids):
-            coords = " ".join(repr(float(c)) for c in model.coords[k])
-            out.write(f"{item}\t{float(model.kappa[k])!r}\t{coords}\n")
+        for s in range(0, len(model), _WRITE_BLOCK):
+            block = slice(s, s + _WRITE_BLOCK)
+            out.writelines(
+                f"{item}\t{kappa!r}\t{' '.join(map(repr, row))}\n"
+                for item, kappa, row in zip(
+                    model.ids[block],
+                    model.kappa[block].tolist(),
+                    model.coords[block].tolist(),
+                )
+            )
 
 
 def read_model(path: str | Path) -> EmbeddingModel:
@@ -201,8 +231,8 @@ def read_model(path: str | Path) -> EmbeddingModel:
         header = stream.readline().rstrip("\n")
         params = _parse_header(header, path)
         ids: dict[str, None] = {}  # in file order
-        coords: list[list[float]] = []
-        kappa: list[float] = []
+        coords = array("d")  # row-major, params.dim values per item
+        kappa = array("d")
         for n, line in enumerate(stream, start=2):
             fields = line.rstrip("\n").split("\t")
             if fields[0] in ids:
@@ -210,16 +240,20 @@ def read_model(path: str | Path) -> EmbeddingModel:
             try:
                 if len(fields) != 3:
                     raise ValueError(f"{len(fields)} tab-separated fields, expected 3")
-                row = [float(tok) for tok in fields[2].split(" ")]
-                if len(row) != params.dim:
-                    raise ValueError(f"{len(row)} coordinates, expected {params.dim}")
+                start = len(coords)
+                coords.extend(map(float, fields[2].split(" ")))
+                if len(coords) - start != params.dim:
+                    raise ValueError(
+                        f"{len(coords) - start} coordinates, expected {params.dim}"
+                    )
                 kappa.append(float(fields[1]))
             except ValueError as exc:
                 raise ParseError(f"malformed model line in {path}: {exc}", n) from None
             ids[fields[0]] = None
-            coords.append(row)
-    matrix = np.array(coords, dtype=np.float64) if ids else np.empty((0, params.dim))
-    return EmbeddingModel(params, list(ids), matrix, np.array(kappa, dtype=np.float64))
+    matrix = np.frombuffer(coords, dtype=np.float64).reshape(len(ids), params.dim)
+    return EmbeddingModel(
+        params, list(ids), matrix, np.frombuffer(kappa, dtype=np.float64)
+    )
 
 
 def _parse_header(header: str, path) -> ModelParams:

@@ -1,9 +1,16 @@
 """Connection law, its inversion, the generative sampler, and the model file."""
 
 import math
+import re
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from simpop.errors import MissingItemError, ParseError, ValidationError
 from simpop.model import (
@@ -52,6 +59,39 @@ class TestParams:
     def test_alpha_below_one_warns(self):
         with pytest.warns(UserWarning):
             ModelParams(alpha=0.5, dim=2)
+
+    @pytest.mark.parametrize("dim", [2.0, True], ids=["float", "bool"])
+    def test_non_integer_dim_rejected(self, dim):
+        # the header's dim is read back with int(), which rejects "2.0" and "True"
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            ModelParams(alpha=2.0, dim=dim)
+
+
+def round_trip(params, tmp_path):
+    """The params of a one-item model under ``params``, written and read back."""
+    model = EmbeddingModel(params, ["a"], np.zeros((1, params.dim)), np.ones(1))
+    path = tmp_path / "model.txt"
+    write_model(model, path)
+    return read_model(path).params
+
+
+class TestParamsFileTypes:
+    """Every params a model holds writes a header read_model parses."""
+
+    def test_numpy_integer_dim_stored_as_int(self, tmp_path):
+        params = ModelParams(alpha=2.0, dim=np.int64(2))
+        assert type(params.dim) is int
+        assert round_trip(params, tmp_path) == params
+
+    def test_numpy_float_alpha_stored_as_float(self, tmp_path):
+        params = ModelParams(alpha=np.float64(2.0), dim=1)
+        assert type(params.alpha) is float
+        assert round_trip(params, tmp_path) == params
+
+    def test_numpy_float_lam_stored_as_float(self, tmp_path):
+        params = ModelParams(alpha=2.0, dim=1, lam=np.float64(0.01))
+        assert type(params.lam) is float
+        assert round_trip(params, tmp_path) == params
 
 
 class TestConnectionLaw:
@@ -293,7 +333,96 @@ class TestModelFile:
             read_model(path)
 
 
+@st.composite
+def finite_models(draw):
+    """Models of finite coordinates (-0.0 and subnormals included) and kappa >= 1."""
+    n, dim = draw(st.integers(0, 6)), draw(st.integers(1, 4))
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    return EmbeddingModel(
+        ModelParams(alpha=2.0, dim=dim),
+        [f"i{k}" for k in range(n)],
+        draw(arrays(np.float64, (n, dim), elements=floats)),
+        draw(arrays(np.float64, n, elements=st.floats(1.0, allow_infinity=False))),
+    )
+
+
+class TestModelFileFormat:
+    """The file's exact text, and what reads back from it."""
+
+    def test_literal_text(self, tmp_path):
+        model = EmbeddingModel(
+            ModelParams(alpha=2.0, dim=2),
+            ["a", "b"],
+            np.array([[-0.0, 5e-324], [1e308, 0.25]]),
+            np.array([1.0, 1e300]),
+        )
+        path = tmp_path / "model.txt"
+        write_model(model, path)
+        assert path.read_text() == (
+            "simpop-model v1 dim=2 alpha=2.0 lambda=0.0\n"
+            "a\t1.0\t-0.0 5e-324\n"
+            "b\t1e+300\t1e+308 0.25\n"
+        )
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(finite_models())
+    def test_round_trip_is_bitwise(self, model):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.txt"
+            write_model(model, path)
+            again = read_model(path)
+        assert again.ids == model.ids
+        assert again.coords.tobytes() == model.coords.tobytes()
+        assert again.kappa.tobytes() == model.kappa.tobytes()
+
+    def test_header_only_file_is_an_empty_model(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("simpop-model v1 dim=3 alpha=2.0 lambda=0.0\n")
+        model = read_model(path)
+        assert len(model) == 0
+        assert model.coords.shape == (0, 3) and model.kappa.shape == (0,)
+
+    def test_bad_token_reported_before_coordinate_count(self, tmp_path):
+        path = tmp_path / "token.txt"
+        path.write_text("simpop-model v1 dim=3 alpha=2.0 lambda=0.0\na\t1.0\tabc\n")
+        with pytest.raises(ParseError, match="line 2: .*'abc'"):
+            read_model(path)
+
+    def test_read_peak_memory_is_bounded(self, tmp_path):
+        # 4x leaves room for the read buffer, the model's sorted copy and the
+        # ids; holding a Python float per value peaks near 7.8x
+        n, dim = 10_000, 20
+        rng = np.random.default_rng(0)
+        model = EmbeddingModel(
+            ModelParams(alpha=2.0, dim=dim),
+            [f"item{k:05d}" for k in range(n)],
+            rng.normal(size=(n, dim)),
+            rng.uniform(1.0, 1000.0, size=n),
+        )
+        path = tmp_path / "model.txt"
+        write_model(model, path)
+        tracemalloc.start()
+        try:
+            again = read_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert again.coords.tobytes() == model.coords.tobytes()
+        assert peak < 4 * model.coords.nbytes
+
+
 class TestModelValidation:
+    @pytest.mark.parametrize("brk", ["\t", "\n", "\r"], ids=["tab", "lf", "cr"])
+    def test_id_the_file_cannot_carry_rejected(self, brk):
+        item = f"x{brk}y"
+        with pytest.raises(ValidationError, match=re.escape(repr(item))):
+            EmbeddingModel(
+                ModelParams(alpha=2.0, dim=1),
+                ["a", item],
+                np.zeros((2, 1)),
+                np.ones(2),
+            )
+
     def test_non_finite_coords_rejected(self):
         with pytest.raises(ValidationError):
             EmbeddingModel(
