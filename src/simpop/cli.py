@@ -525,7 +525,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except (SimpopError, FileNotFoundError, ValueError) as exc:
+    except (SimpopError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL if isinstance(exc, DivergenceError) else EXIT_INPUT
 

@@ -19,13 +19,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .affinity import MIN_SESSIONS, AffinityGraph, build_affinity_graph
+from .affinity import AffinityGraph, build_affinity_graph
 from .baselines import Ranker
 from .embedder import FitConfig, fit_embedding
 from .errors import DivergenceError, ValidationError
 from .model import ModelParams
 from .recommender import NextItemRecommender
-from .sessions import Action, SessionCorpus, prepare_holdout
+from .sessions import SessionCorpus, _last_clickouts, prepare_holdout
 
 log = logging.getLogger(__name__)
 
@@ -54,53 +54,40 @@ def evaluate(
     """Rerank each test session's impression list and aggregate MRR and
     MAP@1, 3, 5 and 10.
 
-    Sessions without a clickout (whose impressions are the candidates), or
+    The candidates are the impressions of the session's last clickout, the
+    one ``hide_test_targets`` hid. Sessions without a clickout, or
     without an entry in the truth map, are skipped and counted separately. A
     truth item missing from its own impression list is a retained miss (rank
     None).
     Sessions the ranker ordered by its popularity fallback are counted too.
     """
+    targets = (_last_clickouts(test) - test.offsets[:-1]).tolist()
     per_session: list[tuple[str, int | None]] = []
-    rr_sum = 0.0
-    hit_sums = {n: 0.0 for n in _MAP_CUTOFFS}
-    skipped = 0
     fallback = 0
-    for sid, actions in test.sessions.items():
-        target = _last_clickout_index(actions)
-        if target is None or sid not in truth:
-            skipped += 1
+    for (sid, actions), target in zip(test.sessions.items(), targets):
+        if target < 0 or sid not in truth:
             continue
         candidates = list(actions[target].impressions)
         ranked = ranker.rank(actions, candidates, len(candidates))
-        rank = ranked.rank_of(truth[sid])
         fallback += ranked.fallback_used
-        per_session.append((sid, rank))
-        if rank is not None:
-            rr_sum += 1.0 / rank
-            for n in _MAP_CUTOFFS:
-                if rank <= n:
-                    hit_sums[n] += 1.0
+        per_session.append((sid, ranked.rank_of(truth[sid])))
+    ranks = [rank for _, rank in per_session if rank is not None]
     n_eval = len(per_session)
+    skipped = test.n_sessions - n_eval
     if skipped:
         log.info("skipped %d sessions without target or truth", skipped)
     return EvalReport(
         ranker_name=ranker.name,
         per_session=tuple(per_session),
-        mrr=rr_sum / n_eval if n_eval else 0.0,
+        mrr=sum(1.0 / r for r in ranks) / n_eval if n_eval else 0.0,
         map_at={
-            n: hit_sums[n] / (n * n_eval) if n_eval else 0.0 for n in _MAP_CUTOFFS
+            n: sum(r <= n for r in ranks) / (n * n_eval) if n_eval else 0.0
+            for n in _MAP_CUTOFFS
         },
         n_sessions=n_eval,
         n_skipped=skipped,
         n_fallback=fallback,
     )
-
-
-def _last_clickout_index(acts: Sequence[Action]) -> int | None:
-    for idx in range(len(acts) - 1, -1, -1):
-        if acts[idx].is_clickout:
-            return idx
-    return None
 
 
 def write_report(report: EvalReport, path: str | Path) -> None:
@@ -194,7 +181,6 @@ def grid_search(
     validation: SessionCorpus,
     grid: SearchGrid | None = None,
     seeds: Sequence[int] = (0,),
-    min_sessions: int = MIN_SESSIONS,
     max_iterations: int = FitConfig.max_iterations,
 ) -> tuple[FitConfig, list[GridCell]]:
     """Fit one embedding per grid cell and score validation MRR.
@@ -223,7 +209,7 @@ def grid_search(
         for dim, lam, alpha in grid.cells()
         for seed in seeds
     ]
-    graph = build_affinity_graph(train, min_sessions)
+    graph = build_affinity_graph(train)
     holdout, truth, dropped = prepare_holdout(validation)
     if dropped:
         log.info("grid search: %d validation sessions unusable", dropped)
@@ -231,14 +217,12 @@ def grid_search(
         raise ValidationError("validation corpus has no usable sessions")
     results = [_run_cell(graph, holdout, truth, cfg) for cfg in configs]
 
-    # one row per grid cell: the best seed wins
-    by_cell: dict[tuple[int, float, float], GridCell] = {}
-    for cell in results:
-        key = (cell.dim, cell.lam, cell.alpha)
-        best = by_cell.get(key)
-        if best is None or _cell_score(cell) > _cell_score(best):
-            by_cell[key] = cell
-    table = [by_cell[(d, l, a)] for d, l, a in grid.cells()]
+    # one row per grid cell, the cell's best seed; on a tie the first seed wins
+    n_seeds = len(seeds)
+    table = [
+        max(results[c : c + n_seeds], key=_cell_score)
+        for c in range(0, len(results), n_seeds)
+    ]
 
     usable = [c for c in table if not c.failed]
     if not usable:

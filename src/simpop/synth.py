@@ -86,6 +86,19 @@ class SynthConfig:
             raise ValueError("need at least as many items as impression slots")
         if not self.kappa_max >= 1.0:
             raise ValueError(f"kappa_max must be >= 1, got {self.kappa_max}")
+        for field, least in (
+            ("dim", 1),
+            ("n_clusters", 1),
+            ("n_train_sessions", 0),
+            ("n_test_sessions", 0),
+        ):
+            value = getattr(self, field)
+            if value < least:
+                raise ValueError(f"{field} must be >= {least}, got {value}")
+        if not 1.0 <= self.mean_interactions < math.inf:
+            raise ValueError(
+                f"mean_interactions must be finite and >= 1, got {self.mean_interactions}"
+            )
 
 
 @dataclass(frozen=True)

@@ -283,7 +283,6 @@ def test_criterion_6_grid_search_completes(desk_data):
         grid=SearchGrid(),
         seeds=(0,),
         max_iterations=150,
-        min_sessions=2,
     )
     elapsed = time.perf_counter() - start
 

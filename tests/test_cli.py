@@ -140,6 +140,11 @@ class TestIngest:
         )
         assert code == 2
 
+    def test_directory_as_input_exits_2(self, workdir, capsys):
+        code = main(["ingest", "--input", str(workdir), "--out", str(workdir / "o.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_manifest_written_with_digests(self, workdir):
         out = ingest_train(workdir)
         manifest = json.loads((workdir / "train_corpus.csv.manifest.json").read_text())
@@ -909,9 +914,7 @@ def test_train_defaults_are_the_librarys():
     args = build_parser().parse_args(TRAIN)
     assert args.seed == FitConfig.seed == 0
     graph = inspect.signature(simpop.build_affinity_graph).parameters
-    search = inspect.signature(simpop.grid_search).parameters
     assert args.min_sessions == graph["min_sessions"].default == 2
-    assert search["min_sessions"].default == 2
     assert args.max_pairs_per_item == graph["max_pairs_per_item"].default == 500
 
 

@@ -215,6 +215,42 @@ class TestEvaluateProtocol:
         expected = sum(1.0 / r for r in range(1, n_cands + 1)) / n_cands
         assert report.mrr == pytest.approx(expected, abs=0.01)
 
+    def test_candidates_are_the_hidden_last_clickout(self):
+        corpus = SessionCorpus.from_actions(
+            [
+                clickout("u1", 1, "a", ["a", "b"]),
+                make_action("u1", 2, item="b"),
+                clickout("u1", 3, "d", ["c", "d", "e"]),
+            ],
+            Role.TEST,
+        )
+        blinded, truth = hide_test_targets(corpus)
+        seen = []
+
+        class Recorder(AsShownRanker):
+            def rank(self, session, candidates, t):
+                seen.append((session[-1].item_ref, list(candidates)))
+                return super().rank(session, candidates, t)
+
+        report = evaluate(Recorder(), blinded, truth)
+        assert seen == [(None, ["c", "d", "e"])]
+        assert report.per_session == (("u1", 2),)
+
+    def test_session_without_clickout_is_skipped(self):
+        corpus = SessionCorpus.from_actions(
+            [
+                make_action("u0", 1, item="a"),
+                make_action("u1", 1, item="a"),
+                clickout("u1", 2, None, ["a", "b"]),
+            ],
+            Role.TEST,
+        )
+        report = evaluate(AsShownRanker(), corpus, {"u0": "a", "u1": "b"})
+        assert report.per_session == (("u1", 2),)
+        assert report.n_sessions == 1
+        assert report.n_skipped == 1
+        assert report.mrr == 0.5
+
 
 class TestReportExport:
     def test_csv_layout(self, tmp_path):
@@ -256,7 +292,7 @@ class TestGridSearch:
         train, validation = small_world
         grid = SearchGrid(dims=(4,), lambdas=(0.01,), alphas=(2.0,))
         best, table = grid_search(
-            train, validation, grid=grid, max_iterations=60, min_sessions=2
+            train, validation, grid=grid, max_iterations=60
         )
         assert len(table) == 1
         assert best.params.dim == 4

@@ -464,6 +464,23 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="kappa_max"):
             SynthConfig(kappa_max=0.5)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("dim", 0),
+            ("n_clusters", 0),
+            ("n_train_sessions", -5),
+            ("n_test_sessions", -1),
+            ("mean_interactions", 0.0),
+            ("mean_interactions", 0.5),
+            ("mean_interactions", math.inf),
+            ("mean_interactions", math.nan),
+        ],
+    )
+    def test_synth_setting_it_cannot_generate_from_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            SynthConfig(**{field: value})
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             EmbeddingModel(
