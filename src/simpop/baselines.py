@@ -10,18 +10,23 @@ as NextItemRecommender.
 from __future__ import annotations
 
 import hashlib
+import re
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
 from .affinity import AffinityGraph, PopularityTable, interaction_counts
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .recommender import RankedList, _by_popularity, _dedupe, order_candidates
-from .sessions import Action, SessionCorpus
+from .sessions import _ID_BREAKS, Action, SessionCorpus
 
 #: how many of the previous item's nearest neighbors a KNN ranker scores
 _NEIGHBORS = 100
+
+#: characters a metadata token must not hold: its separator, and the
+#: file's field and line breaks
+_TOKEN_BREAKS = re.compile("[|\t\n\r]")
 
 
 class Ranker(Protocol):
@@ -181,6 +186,21 @@ def load_metadata(path: str | Path) -> dict[str, frozenset[str]]:
 
 
 def write_metadata(metadata: Mapping[str, frozenset[str]], path: str | Path) -> None:
+    """Write the layout ``load_metadata`` reads. Raises ValidationError,
+    before the file is opened, for the first item it would not read back: an
+    id holding a tab or line break, or a token that is empty or holds ``|``,
+    a tab or a line break."""
+    lines = []
+    for item in sorted(metadata):
+        tokens = sorted(metadata[item])
+        if _ID_BREAKS.search(item):
+            raise ValidationError(f"metadata item {item!r}: id holds a tab or line break")
+        for token in tokens:
+            if not token or _TOKEN_BREAKS.search(token):
+                raise ValidationError(
+                    f"metadata item {item!r}: token {token!r} is empty or holds "
+                    f"'|', a tab or a line break"
+                )
+        lines.append(f"{item}\t{'|'.join(tokens)}\n")
     with open(path, "w", encoding="utf-8") as out:
-        for item in sorted(metadata):
-            out.write(f"{item}\t{'|'.join(sorted(metadata[item]))}\n")
+        out.writelines(lines)

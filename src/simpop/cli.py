@@ -382,7 +382,10 @@ def cmd_synth_sessions(args: argparse.Namespace) -> int:
         n_test_sessions=args.test_sessions,
         seed=args.seed,
     )
+    timings: dict[str, float] = {}
+    mark = time.perf_counter()
     data = generate(config)
+    mark = _lap(timings, "generate_s", mark)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     train_path = out_dir / "train.csv"
@@ -393,6 +396,7 @@ def cmd_synth_sessions(args: argparse.Namespace) -> int:
     write_corpus(data.test, test_path)
     write_metadata(data.world.metadata, metadata_path)
     write_model(data.world.model, model_path)
+    _lap(timings, "write_s", mark)
     print(
         f"synthetic corpus: {data.train.n_sessions} train / "
         f"{data.test.n_sessions} test sessions over {config.n_items} items "
@@ -406,6 +410,13 @@ def cmd_synth_sessions(args: argparse.Namespace) -> int:
         [train_path, test_path, metadata_path, model_path],
         [args.seed],
         started,
+        counts={
+            "train_sessions": data.train.n_sessions,
+            "train_actions": data.train.n_actions,
+            "test_sessions": data.test.n_sessions,
+            "test_actions": data.test.n_actions,
+        },
+        timings=timings,
     )
     return EXIT_OK
 

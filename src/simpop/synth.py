@@ -14,18 +14,25 @@ Every structural assumption of the ranking model is planted explicitly, so
 corpora from this generator exercise the full pipeline (ingestion,
 co-occurrence estimation, embedding, ranking, evaluation) with a known
 ground-truth signal, standing in for production logs at desk scale.
+
+A session costs only its own draws. The weights that do not depend on the
+session (the start item's, and each cluster's impression mix) are computed
+once per world. Each draw repeats the steps numpy 2.x ``Generator.choice``
+runs, without its per-call conversion of ``p``, and refuses what choice
+refuses with ValueError, so a seed draws the same stream and writes the same
+corpus bytes as choice did. ``tests/test_synth.py`` pins the draws against
+choice and the written corpora by SHA-256.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .model import EmbeddingModel, ModelParams
-from .sessions import CLICKOUT, Action, Role, SessionCorpus
+from .sessions import _BATCH, CLICKOUT, Role, SessionCorpus, _check_carried, _Columns
 
 _INTERACTION_KINDS = (
     "interaction item info",
@@ -114,7 +121,10 @@ class SynthWorld:
     ids: tuple[str, ...]
     metadata: dict[str, frozenset[str]]
     transition_cdf: np.ndarray
-    cluster_members: dict[int, np.ndarray]
+    #: what a session draws from, computed once: the cdf of its start item,
+    #: and per cluster the impression weights of a target in it
+    start_cdf: np.ndarray
+    impression_mix: dict[int, np.ndarray]
 
 
 def build_world(config: SynthConfig) -> SynthWorld:
@@ -140,9 +150,19 @@ def build_world(config: SynthConfig) -> SynthWorld:
     np.fill_diagonal(transition, 0.0)
     transition_cdf = np.cumsum(transition, axis=1)
 
-    members = {
-        c: np.nonzero(clusters == c)[0] for c in range(config.n_clusters)
-    }
+    popular = attractiveness**_IMPRESSION_POP_EXP
+    popular = popular / popular.sum()
+    impression_mix = {}
+    for c in range(config.n_clusters):
+        members = np.nonzero(clusters == c)[0]
+        if len(members):  # a cluster holds every target drawn in it
+            cluster = np.zeros(n)
+            cluster[members] = 1.0 / len(members)
+            impression_mix[c] = (
+                _IMPRESSION_MIX[0] * popular
+                + _IMPRESSION_MIX[1] * cluster
+                + _IMPRESSION_MIX[2] / n
+            )
     model = EmbeddingModel(
         ModelParams(alpha=config.alpha, dim=dim), list(ids), coords, kappa
     )
@@ -157,7 +177,8 @@ def build_world(config: SynthConfig) -> SynthWorld:
         ids=ids,
         metadata=metadata,
         transition_cdf=transition_cdf,
-        cluster_members=members,
+        start_cdf=_cdf(_probabilities(kappa**_START_POP_WEIGHT)),
+        impression_mix=impression_mix,
     )
 
 
@@ -175,28 +196,62 @@ def _build_metadata(ids, coords, clusters, rng) -> dict[str, frozenset[str]]:
     return metadata
 
 
-def _sample_from_cdf(cdf_row: np.ndarray, rng) -> int:
-    u = rng.random() * cdf_row[-1]
-    return int(np.searchsorted(cdf_row, u, side="right"))
+def _probabilities(weights: np.ndarray, draws: int = 1) -> np.ndarray:
+    """``weights`` over their sum: the ``p`` that ``Generator.choice`` would be
+    given. Raises ValueError where choice would refuse it for ``draws``
+    distinct items: a negative or NaN weight, a sum that is not finite and
+    positive, or fewer non-zero weights than draws."""
+    total = weights.sum()
+    if not weights.min() >= 0.0:
+        raise ValueError("weights must be non-negative and not NaN")
+    if not 0.0 < total < math.inf:
+        raise ValueError(f"weights must have a finite positive sum, got {total}")
+    if draws > 1 and np.count_nonzero(weights) < draws:
+        raise ValueError(f"fewer non-zero weights than {draws} distinct draws")
+    return weights / total
+
+
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """The cumulative sums ``Generator.choice`` searches, scaled to end at 1."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(cdf: np.ndarray, rng) -> int:
+    """One item by a ``_cdf``: ``Generator.choice(len(p), p=p)``'s draw."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def _draw_distinct(weights: np.ndarray, draws: int, rng) -> list[int]:
+    """``Generator.choice(len(weights), size=draws, replace=False,
+    p=weights / weights.sum())``, step for step: each round draws a uniform
+    per missing item, searches the cdf with the items found so far zeroed,
+    and keeps the first occurrence of each new item in draw order."""
+    p = _probabilities(weights, draws)
+    found: list[int] = []
+    while len(found) < draws:
+        u = rng.random(draws - len(found))
+        p[found] = 0.0
+        found.extend(dict.fromkeys(_cdf(p).searchsorted(u, side="right").tolist()))
+    return found
 
 
 def _walk(world: SynthWorld, rng, length: int) -> list[int]:
     """Pivot-return walk: excursions from a sticky item of interest."""
-    cfg = world.config
-    start_weights = world.kappa**_START_POP_WEIGHT
-    start_weights /= start_weights.sum()
-    pivot = cur = int(rng.choice(cfg.n_items, p=start_weights))
+    n = world.config.n_items
+    pivot = cur = _draw(world.start_cdf, rng)
     items = [pivot]
     for k in range(1, length):
-        ramp = (k / (length - 1)) ** 2 if length > 1 else 0.0
-        stray_p = _WALK_TELEPORT + _WALK_TELEPORT_END * ramp
+        stray_p = _WALK_TELEPORT + _WALK_TELEPORT_END * (k / (length - 1)) ** 2
         if rng.random() < stray_p:
             # stray interaction anywhere in the catalog (tab-hopping noise)
-            cur = int(rng.integers(cfg.n_items))
+            cur = int(rng.integers(n))
         elif cur != pivot and rng.random() < _PIVOT_RETURN:
             cur = pivot
         else:
-            cur = _sample_from_cdf(world.transition_cdf[cur], rng)
+            row = world.transition_cdf[cur]
+            cur = int(row.searchsorted(rng.random() * row[-1], side="right"))
         items.append(cur)
     return items
 
@@ -205,67 +260,21 @@ def _draw_target(world: SynthWorld, rng, visited: list[int]) -> int:
     # the booking follows the session's dominant interest: the centroid of
     # visits within the majority cluster (multiplicity-weighted, so the
     # pivot dominates and stray interactions don't drag the target)
-    cfg = world.config
-    session_clusters = world.clusters[visited]
-    majority = int(np.bincount(session_clusters).argmax())
-    core = [i for i in visited if world.clusters[i] == majority]
-    centroid = world.coords[core].mean(axis=0)
+    visits = np.array(visited)
+    session_clusters = world.clusters[visits]
+    majority = np.bincount(session_clusters).argmax()
+    centroid = world.coords[visits[session_clusters == majority]].mean(axis=0)
     d2 = ((world.coords - centroid) ** 2).sum(axis=1)
     weights = world.attractiveness * (1.0 + d2 / _TARGET_SCALE**2) ** (-_TARGET_ALPHA)
-    weights[list(set(visited))] = 0.0
-    return int(rng.choice(cfg.n_items, p=weights / weights.sum()))
+    weights[visits] = 0.0
+    return _draw(_cdf(_probabilities(weights)), rng)
 
 
 def _draw_impressions(world: SynthWorld, rng, target: int) -> list[int]:
-    cfg = world.config
-    n = cfg.n_items
-    popular = world.attractiveness**_IMPRESSION_POP_EXP
-    popular = popular / popular.sum()
-    cluster = np.zeros(n)
-    members = world.cluster_members[int(world.clusters[target])]
-    cluster[members] = 1.0 / len(members)
-    mix = (
-        _IMPRESSION_MIX[0] * popular
-        + _IMPRESSION_MIX[1] * cluster
-        + _IMPRESSION_MIX[2] / n
-    )
-    mix[target] = 0.0
-    mix /= mix.sum()
-    distractors = rng.choice(n, size=_N_IMPRESSIONS - 1, replace=False, p=mix)
-    slots = np.concatenate(([target], distractors))
-    return [int(i) for i in rng.permutation(slots)]
-
-
-def _session_actions(
-    world: SynthWorld, rng, sid: str, uid: str, t0: int, with_clickout: bool
-) -> Iterator[Action]:
-    cfg = world.config
-    length = min(1 + int(rng.geometric(1.0 / cfg.mean_interactions)), _MAX_INTERACTIONS)
-    visited = _walk(world, rng, length)
-    step = 0
-    for item in visited:
-        step += 1
-        yield Action(
-            session_id=sid,
-            user_id=uid,
-            step=step,
-            action_type=_INTERACTION_KINDS[int(rng.integers(len(_INTERACTION_KINDS)))],
-            item_ref=world.ids[item],
-            impressions=None,
-            timestamp=t0 + step,
-        )
-    if with_clickout:
-        target = _draw_target(world, rng, visited)
-        impressions = _draw_impressions(world, rng, target)
-        yield Action(
-            session_id=sid,
-            user_id=uid,
-            step=step + 1,
-            action_type=CLICKOUT,
-            item_ref=world.ids[target],
-            impressions=tuple(world.ids[i] for i in impressions),
-            timestamp=t0 + step + 1,
-        )
+    weights = world.impression_mix[int(world.clusters[target])].copy()
+    weights[target] = 0.0
+    distractors = _draw_distinct(weights, _N_IMPRESSIONS - 1, rng)
+    return rng.permutation([target] + distractors).tolist()
 
 
 def generate_corpus(
@@ -277,20 +286,51 @@ def generate_corpus(
     session_prefix: str,
 ) -> SessionCorpus:
     """Generate a validated corpus of walk sessions from the planted world;
-    each session ends in a clickout with probability ``clickout_rate``. The
-    corpus codes each action as it is drawn."""
+    each session ends in a clickout with probability ``clickout_rate``.
+
+    Its draws reproduce numpy 2.x ``Generator.choice`` step by step from the
+    world's draw tables (``tests/test_synth.py`` pins this), and its rows are
+    coded into the corpus's columns as they are drawn, a batch at a time,
+    with no ``Action`` built."""
     rng = np.random.default_rng(seed)
-
-    def actions() -> Iterator[Action]:
-        for k in range(n_sessions):
-            sid = f"{session_prefix}{k:06d}"
-            uid = f"u_{session_prefix}{k:06d}"
-            with_clickout = rng.random() < clickout_rate
-            yield from _session_actions(
-                world, rng, sid, uid, _EPOCH + 100 * k, with_clickout
-            )
-
-    return SessionCorpus.from_actions(actions(), role)
+    ids = world.ids
+    columns = _Columns()
+    batch: list[list] = [[] for _ in range(7)]
+    for k in range(n_sessions):
+        sid = f"{session_prefix}{k:06d}"
+        with_clickout = rng.random() < clickout_rate
+        length = min(
+            1 + int(rng.geometric(1.0 / world.config.mean_interactions)), _MAX_INTERACTIONS
+        )
+        visited = _walk(world, rng, length)
+        codes = rng.integers(len(_INTERACTION_KINDS), size=length).tolist()
+        kinds = [_INTERACTION_KINDS[c] for c in codes]
+        items = [ids[i] for i in visited]
+        shown: list = [None] * length
+        if with_clickout:
+            target = _draw_target(world, rng, visited)
+            kinds.append(CLICKOUT)
+            items.append(ids[target])
+            shown.append([ids[i] for i in _draw_impressions(world, rng, target)])
+        rows, t0 = len(items), _EPOCH + 100 * k
+        session = (
+            [sid] * rows,
+            [f"u_{sid}"] * rows,
+            range(1, rows + 1),
+            range(t0 + 1, t0 + rows + 1),
+            kinds,
+            items,
+            shown,
+        )
+        for column, values in zip(batch, session):
+            column.extend(values)
+        if len(batch[0]) >= _BATCH:
+            columns.add(*batch)
+            batch = [[] for _ in range(7)]
+    columns.add(*batch)
+    corpus = columns.corpus(role)
+    _check_carried(corpus)
+    return corpus
 
 
 @dataclass(frozen=True)

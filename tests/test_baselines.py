@@ -1,6 +1,7 @@
 """Reference rankers: determinism, permutation properties, and hand values."""
 
 import math
+import re
 
 import pytest
 
@@ -14,7 +15,7 @@ from simpop.baselines import (
     load_metadata,
     write_metadata,
 )
-from simpop.errors import ParseError
+from simpop.errors import ParseError, ValidationError
 from simpop.sessions import Role, SessionCorpus
 
 from conftest import clickout, ids_of, make_action
@@ -230,6 +231,27 @@ class TestMetadataKnn:
         path = tmp_path / "metadata.tsv"
         write_metadata(self.METADATA, path)
         assert load_metadata(path) == self.METADATA
+
+    @pytest.mark.parametrize(
+        "metadata, item",
+        [
+            ({"a": frozenset({"x"}), "b\tc": frozenset({"y"})}, "b\tc"),
+            ({"a\nb": frozenset({"x"})}, "a\nb"),
+            ({"a\rb": frozenset()}, "a\rb"),
+            ({"a": frozenset({"x"}), "b": frozenset({"x|y"})}, "b"),
+            ({"a": frozenset({"x\ty"})}, "a"),
+            ({"a": frozenset({"x\ny"})}, "a"),
+            ({"a": frozenset({"x\r"})}, "a"),
+            ({"a": frozenset({"x", ""})}, "a"),
+        ],
+        ids=["id-tab", "id-newline", "id-return", "token-pipe", "token-tab",
+             "token-newline", "token-return", "token-empty"],
+    )
+    def test_write_refuses_what_load_cannot_read_back(self, tmp_path, metadata, item):
+        path = tmp_path / "metadata.tsv"
+        with pytest.raises(ValidationError, match=re.escape(f"metadata item {item!r}: ")):
+            write_metadata(metadata, path)
+        assert not path.exists()
 
     def test_repeated_metadata_item_names_its_line(self, tmp_path):
         path = tmp_path / "metadata.tsv"

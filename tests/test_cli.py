@@ -741,6 +741,28 @@ class TestSynthCommands:
         for name in ("train.csv", "test.csv", "metadata.tsv", "planted_model.txt"):
             assert (out_dir / name).exists()
 
+    def test_synth_sessions_manifest_counts_and_times(self, tmp_path):
+        out_dir = tmp_path / "world"
+        argv = ["synth", "sessions", "--out-dir", str(out_dir), "--items", "40",
+                "--clusters", "2", "--train-sessions", "50", "--test-sessions", "10"]
+        assert main(argv) == 0
+        manifest = json.loads((out_dir / "train.csv.manifest.json").read_text())
+        assert manifest["command"] == "synth-sessions"
+        train = parse_session_log(out_dir / "train.csv")
+        test = parse_session_log(out_dir / "test.csv", role=Role.TEST)
+        assert manifest["counts"] == {
+            "test_actions": test.n_actions,
+            "test_sessions": 10,
+            "train_actions": train.n_actions,
+            "train_sessions": 50,
+        }
+        timings = manifest["timings"]
+        assert list(timings) == ["generate_s", "write_s"]
+        assert all(t >= 0.0 for t in timings.values())
+        # each stage rounds to the millisecond
+        assert sum(timings.values()) <= manifest["wall_time_s"] + 0.005
+        assert "timings" not in manifest["flags"]
+
     def test_synth_edges(self, tmp_path):
         out_dir = tmp_path / "world"
         main(
