@@ -350,9 +350,15 @@ def cmd_gridsearch(args: argparse.Namespace) -> int:
         f"best: dim={best.params.dim} lambda={best.params.lam} "
         f"alpha={best.params.alpha} seed={best.seed}"
     )
+    # a fit that stopped by no rule of its own ran exactly the cap; a failed
+    # cell records 0 iterations, and a failed line search stops short of it
+    unconverged = sum(
+        1 for c in table if not c.converged and c.iterations == args.max_iterations
+    )
     _write_manifest(
         "gridsearch", args, args.out, [args.corpus], [args.out],
         [best.seed], started,
+        counts={"cells": len(table), "failed": failed, "unconverged": unconverged},
     )
     return EXIT_OK
 

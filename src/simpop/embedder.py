@@ -32,11 +32,15 @@ and norms) runs through numpy's own einsum loops rather than BLAS, whose
 threaded dot products sum in an order that depends on the thread count; so a
 seed gives the same coordinates under any ``OPENBLAS_NUM_THREADS``.
 
-Each line-search trial gathers its pair differences once; the accepted
-trial's gradient is scattered from that same gather, with one flat
-``bincount`` per pair side, so an iteration whose line search takes its
-first step gathers the pairs once for value and gradient together. The fit
-trace records, per accepted iterate, the objective, the gradient norm and the
+Each line-search trial gathers its pair differences once, into the one
+pairs-by-dim array the kernel holds: the ``ii`` side whole, then the ``jj``
+side subtracted from it in blocks of ``_BLOCK`` pairs. The accepted trial's
+gradient is scattered from that same array, a block of pairs at a time, with
+``np.add.at`` into one zeroed vector per pair side; ``np.add.at`` adds each
+bin's terms in pair order from 0.0, as one flat ``bincount`` would, so the
+blocks change no byte. An iteration whose line search takes its first step
+gathers the pairs once for value and gradient together. The fit trace
+records, per accepted iterate, the objective, the gradient norm and the
 number of objective evaluations the line search spent on it.
 """
 
@@ -62,6 +66,8 @@ _FTOL = 1e-5
 _MEMORY = 10
 _MAX_BACKTRACKS = 60
 _CURVATURE_EPS = 1e-10
+#: pairs the kernel gathers or scatters at a time beside its one pairs x dim array
+_BLOCK = 4096
 #: stop rules that count as convergence
 _CONVERGED = ("gradient_tolerance", "objective_decrease", "stationary_start")
 
@@ -164,9 +170,13 @@ class _PairObjective:
 
     ``value(x)`` keeps the pair differences and residuals of the point it
     evaluated, and ``grad()`` differentiates at that point, so a line search
-    gathers each accepted iterate once. Each ``value`` drops the previous
-    point's arrays before it gathers, and ``grad`` consumes them, so no
-    pairs-by-dim array outlives one evaluation.
+    gathers each accepted iterate once. The differences are the kernel's one
+    pairs-by-dim array: ``value`` gathers the ``ii`` side whole and subtracts
+    the ``jj`` side in blocks of ``_BLOCK`` pairs, and ``grad`` scales it in
+    place and scatters it a block at a time, so every other temporary is a
+    block's size or a vector. Each ``value`` drops the previous point's
+    arrays before it gathers, and ``grad`` consumes them, so no pairs-by-dim
+    array outlives one evaluation.
     """
 
     def __init__(self, n: int, dim: int, ii, jj, d2, lam: float):
@@ -179,7 +189,9 @@ class _PairObjective:
         self._point = None
         coords = x.reshape(self.n, self.dim)
         diff = coords.take(self.ii, axis=0)
-        diff -= coords.take(self.jj, axis=0)
+        for start in range(0, len(self.jj), _BLOCK):
+            block = slice(start, start + _BLOCK)
+            diff[block] -= coords.take(self.jj[block], axis=0)
         r = np.einsum("ij,ij->i", diff, diff) - self.d2
         f = _dot(r, r) + self.lam * float(np.einsum("ij,ij->", coords, coords))
         self._point = coords, diff, r
@@ -193,19 +205,20 @@ class _PairObjective:
         coords, pull, r = self._point
         self._point = None
         pull *= (4.0 * r)[:, None]
-        # one flat bincount per side over bin i*dim+d adds each bin's pairs
-        # in pair order, exactly as a per-dimension bincount would
-        size = self.n * self.dim
-        offsets = np.arange(self.dim)
-        weights = pull.ravel()
-        grad = np.bincount(
-            (self.ii[:, None] * self.dim + offsets).ravel(), weights, minlength=size
-        )
-        grad -= np.bincount(
-            (self.jj[:, None] * self.dim + offsets).ravel(), weights, minlength=size
-        )
-        grad += (2.0 * self.lam) * coords.ravel()
-        return grad
+        # np.add.at over bin i*dim+d adds each bin's pairs in pair order from
+        # 0.0, block after block, exactly as one flat bincount per side would
+        dim = self.dim
+        ii_side = np.zeros(self.n * dim)
+        jj_side = np.zeros(self.n * dim)
+        offsets = np.arange(dim)
+        for start in range(0, len(self.ii), _BLOCK):
+            block = slice(start, start + _BLOCK)
+            weights = pull[block].ravel()
+            np.add.at(ii_side, (self.ii[block, None] * dim + offsets).ravel(), weights)
+            np.add.at(jj_side, (self.jj[block, None] * dim + offsets).ravel(), weights)
+        ii_side -= jj_side
+        ii_side += (2.0 * self.lam) * coords.ravel()
+        return ii_side
 
 
 def fit_embedding(

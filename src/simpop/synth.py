@@ -61,6 +61,8 @@ _PIVOT_RETURN = 0.5
 #: position, concentrating tab-hopping noise late in the session
 _WALK_TELEPORT = 0.05
 _WALK_TELEPORT_END = 0.35
+#: rows of the walk law computed at a time, so no (n, n, dim) array is held
+_ROW_BLOCK = 64
 # booked item: w(j) ~ beta_j * (1 + d2(centroid, j)/scale^2)^-alpha
 _TARGET_ALPHA = 2.0
 _TARGET_SCALE = 0.7
@@ -145,10 +147,13 @@ def build_world(config: SynthConfig) -> SynthWorld:
     )
     ids = tuple(f"i{k:05d}" for k in range(n))
 
-    d2 = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2)
-    transition = (1.0 + d2 / _WALK_SCALE**2) ** (-_WALK_ALPHA)
-    np.fill_diagonal(transition, 0.0)
-    transition_cdf = np.cumsum(transition, axis=1)
+    transition_cdf = np.empty((n, n))
+    for start in range(0, n, _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
+        d2 = ((coords[block, None, :] - coords[None, :, :]) ** 2).sum(axis=2)
+        transition_cdf[block] = (1.0 + d2 / _WALK_SCALE**2) ** (-_WALK_ALPHA)
+    np.fill_diagonal(transition_cdf, 0.0)
+    np.cumsum(transition_cdf, axis=1, out=transition_cdf)
 
     popular = attractiveness**_IMPRESSION_POP_EXP
     popular = popular / popular.sum()

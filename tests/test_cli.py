@@ -833,6 +833,30 @@ class TestGridsearchCommand:
         out = capsys.readouterr().out
         assert "(1 failed)" in out and "alpha=2.0" in out
 
+    def test_manifest_counts_failed_and_unconverged_cells(self, tmp_path):
+        # at a cap of 55 iterations the alpha=1 fit stops by its own rule and
+        # the alpha=2 fit runs into the cap
+        corpus = synth_train_corpus(tmp_path)
+        table_path = tmp_path / "grid.csv"
+        with pytest.warns(UserWarning, match="alpha=0.004"):
+            code = main(
+                [
+                    "gridsearch", "--corpus", str(corpus), "--out", str(table_path),
+                    "--dims", "2", "--lambdas", "0.01", "--alphas", "0.004,1,2",
+                    "--max-iterations", "55", "--val-fraction", "0.2",
+                ]
+            )
+        assert code == 0
+        with open(table_path, newline="") as stream:
+            rows = list(csv.DictReader(stream))
+        assert [(r["alpha"], r["failed"], r["converged"]) for r in rows] == [
+            ("0.004", "True", "False"), ("1.0", "False", "True"), ("2.0", "False", "False")
+        ]
+        assert rows[2]["iterations"] == "55"
+        manifest = json.loads((tmp_path / "grid.csv.manifest.json").read_text())
+        assert manifest["command"] == "gridsearch"
+        assert manifest["counts"] == {"cells": 3, "failed": 1, "unconverged": 1}
+
     def test_every_cell_failing_writes_the_table_and_exits_3(self, tmp_path, capsys):
         # a grid whose every cell fails is a numerical failure: the table
         # still holds each cell's error, and no manifest is written

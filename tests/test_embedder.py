@@ -1,10 +1,14 @@
 """Objective/gradient correctness (finite-difference oracle) and fit behavior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from simpop import embedder
 from simpop.affinity import AffinityGraph, PopularityTable, build_affinity_graph
 from simpop.embedder import (
+    _BLOCK,
     _FTOL,
     _FTOL_WINDOW,
     FitConfig,
@@ -200,6 +204,52 @@ class TestKernel:
         expected += (2.0 * problem.lam) * coords
         problem.value(x)
         assert np.array_equal(problem.grad(), expected.ravel())
+
+    @pytest.mark.parametrize("n_pairs", [1, 7, 8, 9, 31])
+    def test_blocks_equal_the_flat_bincount_kernel_bitwise(self, n_pairs, monkeypatch):
+        # blocks of 8 pairs: one short block, one exact, one past, several
+        monkeypatch.setattr(embedder, "_BLOCK", 8)
+        rng = np.random.default_rng(n_pairs)
+        n, dim, lam = 5, 3, 0.05
+        # few items, so bins repeat across blocks and the addition order shows
+        ii = rng.integers(0, n - 1, size=n_pairs)
+        jj = ii + rng.integers(1, n - ii)
+        d2 = rng.uniform(0.1, 4.0, size=n_pairs)
+        x = rng.normal(scale=2.0, size=n * dim)
+        problem = _PairObjective(n, dim, ii, jj, d2, lam)
+
+        coords = x.reshape(n, dim)
+        diff = coords[ii] - coords[jj]
+        r = np.einsum("ij,ij->i", diff, diff) - d2
+        f = float(np.einsum("i,i->", r, r)) + lam * float(
+            np.einsum("ij,ij->", coords, coords)
+        )
+        weights = (diff * (4.0 * r)[:, None]).ravel()
+        offsets = np.arange(dim)
+        g = np.bincount((ii[:, None] * dim + offsets).ravel(), weights, minlength=n * dim)
+        g -= np.bincount((jj[:, None] * dim + offsets).ravel(), weights, minlength=n * dim)
+        g += (2.0 * lam) * coords.ravel()
+
+        assert problem.value(x) == f
+        assert problem.grad().tobytes() == g.tobytes()
+
+    def test_value_and_grad_hold_one_pairs_by_dim_array(self):
+        # a second pairs x dim array (a whole jj gather, or a flat index
+        # array per side) would take the peak past 1.5 of them
+        rng = np.random.default_rng(5)
+        n, dim, n_pairs = 1000, 16, 16 * _BLOCK
+        ii = rng.integers(0, n - 1, size=n_pairs)
+        jj = ii + rng.integers(1, n - ii)
+        problem = _PairObjective(n, dim, ii, jj, rng.uniform(0.1, 4.0, n_pairs), 0.05)
+        x = rng.normal(size=n * dim)
+        tracemalloc.start()
+        try:
+            problem.value(x)
+            problem.grad()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n_pairs * dim * 8
 
     def test_grad_is_at_the_last_evaluated_point(self):
         problem, x = self._problem()

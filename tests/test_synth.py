@@ -1,6 +1,7 @@
 """The planted-world generator: its corpus bytes, and its draws against numpy."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,10 @@ import pytest
 from simpop.baselines import write_metadata
 from simpop.sessions import write_corpus
 from simpop.synth import (
+    _ROW_BLOCK,
     _START_POP_WEIGHT,
+    _WALK_ALPHA,
+    _WALK_SCALE,
     SynthConfig,
     _cdf,
     _draw,
@@ -85,6 +89,36 @@ def test_written_corpora_keep_their_bytes(config, train, test, metadata, tmp_pat
     assert sha256(tmp_path / "train.csv") == train
     assert sha256(tmp_path / "test.csv") == test
     assert sha256(tmp_path / "metadata.tsv") == metadata
+
+
+class TestWalkLawInBlocks:
+    """``build_world`` computes the walk law a block of rows at a time, with
+    the bytes of the dense expression and without its n x n temporaries."""
+
+    @pytest.mark.parametrize("dim", [1, 3, 9])
+    def test_cdf_equals_the_dense_expression_bitwise(self, dim):
+        n = 2 * _ROW_BLOCK + 22  # a last block shorter than the rest
+        assert n % _ROW_BLOCK
+        world = build_world(SynthConfig(n_items=n, n_clusters=3, dim=dim, seed=4))
+        c = world.coords
+        d2 = ((c[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
+        transition = (1.0 + d2 / _WALK_SCALE**2) ** (-_WALK_ALPHA)
+        np.fill_diagonal(transition, 0.0)
+        expected = np.cumsum(transition, axis=1)
+        assert world.transition_cdf.tobytes() == expected.tobytes()
+
+    def test_world_peaks_below_one_and_a_half_n_by_n_arrays(self):
+        # the cdf itself is one n x n array; the dense d2 and transition
+        # arrays beside it would take the peak past two
+        n = 800
+        tracemalloc.start()
+        try:
+            world = build_world(SynthConfig(n_items=n, seed=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert world.transition_cdf.shape == (n, n)
+        assert peak < 1.5 * n * n * 8
 
 
 class CountingRng:
