@@ -83,6 +83,11 @@ class AffinityGraph:
     jj: np.ndarray
     p: np.ndarray
     popularity: PopularityTable
+    #: what ``build_affinity_graph`` left out: items with actions in fewer
+    #: than ``min_sessions`` sessions, and pairs among none of their items'
+    #: ``max_pairs_per_item`` strongest; 0 for a graph built otherwise
+    excluded_items: int = 0
+    pruned_pairs: int = 0
 
     def __post_init__(self):
         for name, dtype in (("ii", np.intp), ("jj", np.intp), ("p", np.float64)):
@@ -187,6 +192,7 @@ def build_affinity_graph(
     session, item = np.divmod(np.unique(session * n + item), n)
     n_sessions = np.bincount(item, minlength=n)
     eligible = n_sessions >= min_sessions
+    excluded_items = int(np.count_nonzero(n_sessions[~eligible]))
     keep = eligible[item]
     session, item = session[keep], item[keep]
 
@@ -196,16 +202,20 @@ def build_affinity_graph(
     product = n_sessions[ii] * n_sessions[jj]
     p = np.minimum(1.0, counts / np.sqrt(product.astype(float)))
 
+    pruned_pairs = 0
     if max_pairs_per_item > 0:
         kept = _top_pairs(ii, jj, p, max_pairs_per_item, n)
+        pruned_pairs = len(p) - int(np.count_nonzero(kept))
         ii, jj, p = ii[kept], jj[kept], p[kept]
 
     used = np.union1d(ii, jj)
     log.info(
-        "affinity graph: %d pairs over %d items (%d items eligible)",
+        "affinity graph: %d pairs over %d items "
+        "(%d items below min_sessions, %d pairs past max_pairs_per_item)",
         len(p),
         len(used),
-        int(np.count_nonzero(eligible)),
+        excluded_items,
+        pruned_pairs,
     )
     return AffinityGraph(
         tuple(vocab[k] for k in used.tolist()),
@@ -213,6 +223,8 @@ def build_affinity_graph(
         np.searchsorted(used, jj),
         p,
         compute_popularity(corpus),
+        excluded_items,
+        pruned_pairs,
     )
 
 

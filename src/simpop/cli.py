@@ -4,8 +4,8 @@ Every command that writes files also writes a JSON manifest next to its
 primary output (``<output>.manifest.json``) holding the resolved flags,
 seeds, SHA-256 digests of the inputs, and wall time, so any artifact can be
 traced back to its exact inputs. ``ingest`` adds the sessions it dropped,
-and ``ingest``, ``train`` and ``evaluate`` the wall time of each of their
-stages.
+``train`` the items and pairs its affinity graph left out, and ``ingest``,
+``train`` and ``evaluate`` the wall time of each of their stages.
 
 Exit codes: 0 success, 2 input or validation error, 3 numerical failure.
 """
@@ -215,7 +215,12 @@ def cmd_train(args: argparse.Namespace) -> int:
         [args.out, pairs_out, popularity_out, trace_out],
         [args.seed],
         started,
-        counts={"iterations": trace.iterations, "stop_reason": trace.stop_reason},
+        counts={
+            "iterations": trace.iterations,
+            "stop_reason": trace.stop_reason,
+            "excluded_items": graph.excluded_items,
+            "pruned_pairs": graph.pruned_pairs,
+        },
         timings=timings,
     )
     return EXIT_OK

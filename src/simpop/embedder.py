@@ -35,13 +35,17 @@ seed gives the same coordinates under any ``OPENBLAS_NUM_THREADS``.
 Each line-search trial gathers its pair differences once, into the one
 pairs-by-dim array the kernel holds: the ``ii`` side whole, then the ``jj``
 side subtracted from it in blocks of ``_BLOCK`` pairs. The accepted trial's
-gradient is scattered from that same array, a block of pairs at a time, with
-``np.add.at`` into one zeroed vector per pair side; ``np.add.at`` adds each
-bin's terms in pair order from 0.0, as one flat ``bincount`` would, so the
-blocks change no byte. An iteration whose line search takes its first step
-gathers the pairs once for value and gradient together. The fit trace
-records, per accepted iterate, the objective, the gradient norm and the
-number of objective evaluations the line search spent on it.
+gradient is summed from that same array by a plan per pair side, built once
+per fit: with items ranked by their number of pairs on the side, step k
+adds every item's k-th pair term to its accumulator row in one gather and
+one slice addition, and once fewer than ``_MIN_ROWS`` items have terms
+left, one ``np.add.at`` adds the hub items' rest. Each bin still sums its
+terms in pair order from 0.0, as one flat ``bincount`` would, so the plan
+changes no byte; ``np.add.reduceat`` would, as its reductions reassociate.
+An iteration whose line search takes its first step gathers the pairs once
+for value and gradient together. The fit trace records, per accepted
+iterate, the objective, the gradient norm and the number of objective
+evaluations the line search spent on it.
 """
 
 from __future__ import annotations
@@ -66,8 +70,11 @@ _FTOL = 1e-5
 _MEMORY = 10
 _MAX_BACKTRACKS = 60
 _CURVATURE_EPS = 1e-10
-#: pairs the kernel gathers or scatters at a time beside its one pairs x dim array
-_BLOCK = 4096
+#: pairs the kernel gathers at a time beside its one pairs x dim array
+_BLOCK = 2048
+#: fewest items a gradient plan step adds to; the hub items' terms left once
+#: fewer items have terms go through one ``np.add.at``
+_MIN_ROWS = 32
 #: stop rules that count as convergence
 _CONVERGED = ("gradient_tolerance", "objective_decrease", "stationary_start")
 
@@ -139,7 +146,11 @@ def gradient(
 def _keyed_problem(coords, targets, lam: float):
     """The fit's kernel over item-keyed coordinates and pair targets: returns
     the problem, the flattened coordinates and the item order of their rows.
-    Raises MissingItemError naming a target item without coordinates."""
+    Raises MissingItemError naming a target item without coordinates,
+    ValidationError naming an item whose coordinates are not a vector of the
+    first item's length, and ValueError for a negative or non-finite lam."""
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
     items = list(coords)
     index = {item: k for k, item in enumerate(items)}
     try:
@@ -148,9 +159,18 @@ def _keyed_problem(coords, targets, lam: float):
     except KeyError as missing:
         raise MissingItemError(f"no coordinates for item {missing.args[0]!r}") from None
     d2 = np.fromiter(targets.values(), np.float64, len(targets))
-    rows = np.array([np.asarray(coords[item], dtype=np.float64) for item in items])
-    problem = _PairObjective(len(items), rows.shape[-1], ii, jj, d2, lam)
-    return problem, rows.ravel(), items
+    rows = [np.asarray(coords[item], dtype=np.float64) for item in items]
+    for item, row in zip(items, rows):
+        if row.ndim != 1:
+            raise ValidationError(f"coordinates of item {item!r} are not a vector")
+        if len(row) != len(rows[0]):
+            raise ValidationError(
+                f"item {item!r} has {len(row)} coordinates, "
+                f"item {items[0]!r} has {len(rows[0])}"
+            )
+    dim = len(rows[0]) if rows else 0
+    problem = _PairObjective(len(items), dim, ii, jj, d2, lam)
+    return problem, np.array(rows).ravel(), items
 
 
 def build_targets(
@@ -173,16 +193,18 @@ class _PairObjective:
     gathers each accepted iterate once. The differences are the kernel's one
     pairs-by-dim array: ``value`` gathers the ``ii`` side whole and subtracts
     the ``jj`` side in blocks of ``_BLOCK`` pairs, and ``grad`` scales it in
-    place and scatters it a block at a time, so every other temporary is a
-    block's size or a vector. Each ``value`` drops the previous point's
-    arrays before it gathers, and ``grad`` consumes them, so no pairs-by-dim
-    array outlives one evaluation.
+    place and sums it into items with one ``_ScatterPlan`` per pair side,
+    built here once, so every other temporary is an items-by-dim array or a
+    vector. Each ``value`` drops the previous point's arrays before it
+    gathers, and ``grad`` consumes them, so no pairs-by-dim array outlives
+    one evaluation.
     """
 
     def __init__(self, n: int, dim: int, ii, jj, d2, lam: float):
         self.n, self.dim = n, dim
         self.ii, self.jj, self.d2 = ii, jj, d2
         self.lam = lam
+        self._plans = _ScatterPlan(ii, n), _ScatterPlan(jj, n)
         self._point = None
 
     def value(self, x: np.ndarray) -> float:
@@ -204,21 +226,69 @@ class _PairObjective:
             raise RuntimeError("grad() needs a point evaluated by value() first")
         coords, pull, r = self._point
         self._point = None
-        pull *= (4.0 * r)[:, None]
-        # np.add.at over bin i*dim+d adds each bin's pairs in pair order from
-        # 0.0, block after block, exactly as one flat bincount per side would
-        dim = self.dim
-        ii_side = np.zeros(self.n * dim)
-        jj_side = np.zeros(self.n * dim)
-        offsets = np.arange(dim)
-        for start in range(0, len(self.ii), _BLOCK):
-            block = slice(start, start + _BLOCK)
-            weights = pull[block].ravel()
-            np.add.at(ii_side, (self.ii[block, None] * dim + offsets).ravel(), weights)
-            np.add.at(jj_side, (self.jj[block, None] * dim + offsets).ravel(), weights)
-        ii_side -= jj_side
-        ii_side += (2.0 * self.lam) * coords.ravel()
-        return ii_side
+        r *= 4.0
+        pull *= r[:, None]
+        del r  # spent before the plans allocate
+        ii_plan, jj_plan = self._plans
+        g = ii_plan.sum_terms(pull)
+        g -= jj_plan.sum_terms(pull)
+        g += (2.0 * self.lam) * coords
+        return g.ravel()
+
+
+class _ScatterPlan:
+    """Sums a pairs-by-dim array into one row per item of a pair side, each
+    row's terms added in pair order from 0.0, as one flat ``bincount`` would.
+
+    Items are ranked by their number of pairs on the side, highest first and
+    ties in item order, so the items with more than k pairs are the first
+    ``sizes[k]`` of the ranking. Step k (from 0) adds each of them its k-th
+    term in one gather: ``acc[:m] += terms.take(rows_k, axis=0)``. The steps
+    run while ``_MIN_ROWS`` or more items have terms left; the fewer hub
+    items left then get the rest of theirs, in pair order, from one
+    ``np.add.at``. The plan holds ``rows``, every step's pair indices and then the hubs'
+    rest, as one int32 vector of one entry per pair; the rest is O(items).
+    """
+
+    def __init__(self, side: np.ndarray, n: int):
+        degree = np.bincount(side, minlength=n)
+        ranking = np.argsort(-degree, kind="stable")
+        ranked = degree[ranking]
+        n_steps = int(ranked[_MIN_ROWS - 1]) if n >= _MIN_ROWS else 0
+        #: items each step adds to: those with more than k pairs
+        self.sizes = np.searchsorted(-ranked, -np.arange(n_steps)).tolist()
+        #: each hub item's terms past the steps, in ranking order
+        self.rest = (ranked[ranked > n_steps] - n_steps).tolist()
+        self.rank = np.empty(n, np.intp)
+        self.rank[ranking] = np.arange(n)
+        # each item's pairs, in pair order, item after item
+        by_item = np.argsort(side, kind="stable")
+        first = (np.cumsum(degree) - degree)[ranking]
+        self.rows = np.empty(len(side), np.int32)
+        at = 0
+        for k, m in enumerate(self.sizes):
+            self.rows[at : at + m] = by_item[first[:m] + k]
+            at += m
+        for hub, count in enumerate(self.rest):
+            start = first[hub] + n_steps
+            self.rows[at : at + count] = by_item[start : start + count]
+            at += count
+
+    def sum_terms(self, terms: np.ndarray) -> np.ndarray:
+        """Per-item sums of ``terms``' rows, in item order."""
+        dim = terms.shape[1]
+        acc = np.zeros((len(self.rank), dim))
+        at = 0
+        for m in self.sizes:
+            acc[:m] += terms.take(self.rows[at : at + m], axis=0)
+            at += m
+        if self.rest:
+            # the only index built per call: bins for a few hubs' terms
+            hubs = np.arange(len(self.rest)) * dim
+            bins = np.repeat(hubs, self.rest)[:, None] + np.arange(dim)
+            tail = terms.take(self.rows[at:], axis=0)
+            np.add.at(acc.ravel(), bins.ravel(), tail.ravel())
+        return acc.take(self.rank, axis=0)
 
 
 def fit_embedding(

@@ -223,6 +223,18 @@ class TestGraphBuild:
         for (i, j), p in kept.items():
             assert dict(pruned.neighbors(i))[j] == dict(pruned.neighbors(j))[i] == p
 
+    def test_counts_what_it_left_out(self):
+        # sessions per item: A 3, B 4, C 2, D 2, E 1; p(A, B) 0.58 and
+        # p(C, D) 0.5 are each end's strongest, p(B, C) = p(B, D) 0.35 none's
+        corpus = corpus_of_sessions(
+            [["A", "B"], ["A", "B"], ["B", "C"], ["B", "D"], ["C", "D"], ["A", "E"]]
+        )
+        graph = build_affinity_graph(corpus, min_sessions=2, max_pairs_per_item=1)
+        assert list(pair_dict(graph)) == [("A", "B"), ("C", "D")]
+        assert (graph.excluded_items, graph.pruned_pairs) == (1, 2)
+        uncapped = build_affinity_graph(corpus, min_sessions=1, max_pairs_per_item=0)
+        assert (uncapped.excluded_items, uncapped.pruned_pairs) == (0, 0)
+
     def test_negative_pair_cap_rejected(self):
         # 0 means no cap; a negative cap is an error, not a second spelling of 0
         corpus = corpus_of_sessions([["A", "B"], ["A", "B"]])

@@ -9,12 +9,14 @@ import re
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import simpop
+from simpop.affinity import build_affinity_graph
 from simpop.cli import build_parser, main
 from simpop.model import EmbeddingModel, ModelParams, read_model, write_model
 from simpop.sessions import Action, Role, parse_session_log, read_truth, split_by_time
@@ -236,8 +238,27 @@ class TestTrain:
             assert out.rstrip().endswith(f", {reason}")
             manifest = json.loads((workdir / "model.txt.manifest.json").read_text())
             iterations = len((workdir / "model.txt.trace.csv").read_text().splitlines()) - 2
-            assert manifest["counts"] == {"iterations": iterations, "stop_reason": reason}
+            counts = manifest["counts"]
+            assert (counts["iterations"], counts["stop_reason"]) == (iterations, reason)
             assert f": {iterations} iterations," in out
+
+    def test_manifest_counts_what_the_graph_left_out(self, tmp_path):
+        corpus = synth_train_corpus(tmp_path)
+        model_path = tmp_path / "model.txt"
+        argv = [
+            "train", "--corpus", str(corpus), "--out", str(model_path), "--dim", "2",
+            "--max-iterations", "3", "--min-sessions", "10", "--max-pairs-per-item", "2",
+        ]
+        assert main(argv) == 0
+        counts = json.loads((tmp_path / "model.txt.manifest.json").read_text())["counts"]
+        parsed = parse_session_log(corpus, role=Role.TRAIN)
+        session, item, _ = parsed.item_actions
+        sessions_of = Counter(i for _, i in set(zip(session.tolist(), item.tolist())))
+        excluded = sum(1 for n in sessions_of.values() if n < 10)
+        full = build_affinity_graph(parsed, 10, 0).n_pairs
+        kept = len((tmp_path / "model.txt.pairs.tsv").read_text().splitlines())
+        assert counts["excluded_items"] == excluded > 0
+        assert counts["pruned_pairs"] == full - kept > 0
 
     def test_same_seed_byte_identical_models(self, workdir):
         corpus = ingest_train(workdir)

@@ -63,6 +63,26 @@ def random_instance(rng, n=None, dim=None):
     return coords, targets
 
 
+def flat_bincount_kernel(n, dim, ii, jj, d2, lam, x):
+    """f and grad-f written out with one flat ``bincount`` per pair side,
+    each bin summing its terms in pair order from 0.0: the bytes every
+    gradient scatter of the fit must give."""
+    coords = x.reshape(n, dim)
+    diff = coords[ii] - coords[jj]
+    r = np.einsum("ij,ij->i", diff, diff) - d2
+    f = float(np.einsum("i,i->", r, r)) + lam * float(
+        np.einsum("ij,ij->", coords, coords)
+    )
+    weights = (diff * (4.0 * r)[:, None]).ravel()
+    offsets = np.arange(dim)
+    # the float cast is for zero pairs, whose bincount is an int array
+    g = np.bincount((ii[:, None] * dim + offsets).ravel(), weights, minlength=n * dim)
+    g = g.astype(np.float64)
+    g -= np.bincount((jj[:, None] * dim + offsets).ravel(), weights, minlength=n * dim)
+    g += (2.0 * lam) * coords.ravel()
+    return f, g
+
+
 class TestObjective:
     def test_single_pair_at_origin(self):
         coords = {"a": np.zeros(2), "b": np.zeros(2)}
@@ -80,6 +100,27 @@ class TestObjective:
     def test_missing_coordinate_names_item(self, view):
         with pytest.raises(MissingItemError, match="b"):
             view({"a": np.zeros(2)}, {("a", "b"): 1.0}, 0.0)
+
+    @pytest.mark.parametrize("view", [objective, gradient], ids=["objective", "gradient"])
+    @pytest.mark.parametrize(
+        "coords, message",
+        [
+            ({"a": [1.0, 2.0], "b": [1.0]}, "item 'b' has 1 coordinates, item 'a' has 2"),
+            ({"a": [1.0, 2.0], "b": [1.0, 2.0, 3.0]}, "item 'b' has 3"),
+            ({"a": [1.0], "b": [[1.0]]}, "item 'b' are not a vector"),
+            ({"a": 1.0}, "item 'a' are not a vector"),
+        ],
+    )
+    def test_coordinates_not_one_length_name_the_item(self, view, coords, message):
+        with pytest.raises(ValidationError, match=message):
+            view(coords, {("a", "b"): 1.0} if "b" in coords else {}, 0.0)
+
+    @pytest.mark.parametrize("view", [objective, gradient], ids=["objective", "gradient"])
+    @pytest.mark.parametrize("lam", [-0.5, float("inf"), float("nan")])
+    def test_lambda_out_of_range_rejected(self, view, lam):
+        # the range ModelParams accepts
+        with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+            view({"a": [1.0, 2.0]}, {}, lam)
 
     def test_translation_invariant_without_regularizer(self):
         rng = np.random.default_rng(0)
@@ -217,19 +258,7 @@ class TestKernel:
         d2 = rng.uniform(0.1, 4.0, size=n_pairs)
         x = rng.normal(scale=2.0, size=n * dim)
         problem = _PairObjective(n, dim, ii, jj, d2, lam)
-
-        coords = x.reshape(n, dim)
-        diff = coords[ii] - coords[jj]
-        r = np.einsum("ij,ij->i", diff, diff) - d2
-        f = float(np.einsum("i,i->", r, r)) + lam * float(
-            np.einsum("ij,ij->", coords, coords)
-        )
-        weights = (diff * (4.0 * r)[:, None]).ravel()
-        offsets = np.arange(dim)
-        g = np.bincount((ii[:, None] * dim + offsets).ravel(), weights, minlength=n * dim)
-        g -= np.bincount((jj[:, None] * dim + offsets).ravel(), weights, minlength=n * dim)
-        g += (2.0 * lam) * coords.ravel()
-
+        f, g = flat_bincount_kernel(n, dim, ii, jj, d2, lam, x)
         assert problem.value(x) == f
         assert problem.grad().tobytes() == g.tobytes()
 
@@ -274,6 +303,121 @@ class TestKernel:
         problem.value(x)
         problem.grad()
         assert np.array_equal(x, before)
+
+
+def _skewed_pairs(rng, n, n_pairs):
+    """Random pairs whose ends favour low item codes, so a few hub items
+    collect most of each side's terms; item 0 leads both sides by far, its
+    own pairs shuffled among the others'."""
+    weights = 1.0 / np.arange(1, n + 1) ** 1.5
+    ii = rng.choice(n, size=n_pairs, p=weights / weights.sum())
+    jj = (ii + rng.choice(np.arange(1, n), size=n_pairs)) % n
+    others = rng.integers(1, n, size=n_pairs // 4)
+    ii, jj = np.r_[ii, np.zeros_like(others), others], np.r_[jj, others, np.zeros_like(others)]
+    order = rng.permutation(len(ii))
+    return ii[order], jj[order]
+
+
+def _index_bytes(plan) -> int:
+    """Bytes of every index a scatter plan keeps, a list entry taken as 8."""
+    return sum(np.asarray(kept).nbytes for kept in vars(plan).values())
+
+
+class TestScatterPlan:
+    """The gradient's per-side plan: steps of one gather for the items with
+    terms left, then one np.add.at for the hubs' rest, bit for bit against
+    the flat bincount kernel."""
+
+    def _assert_flat_bincount_bytes(self, n, dim, ii, jj, lam=0.05, seed=0):
+        rng = np.random.default_rng(seed)
+        ii, jj = np.asarray(ii, np.intp), np.asarray(jj, np.intp)
+        d2 = rng.uniform(0.1, 4.0, size=len(ii))
+        x = rng.normal(scale=2.0, size=n * dim)
+        problem = _PairObjective(n, dim, ii, jj, d2, lam)
+        f, g = flat_bincount_kernel(n, dim, ii, jj, d2, lam, x)
+        assert problem.value(x) == f
+        assert problem.grad().tobytes() == g.tobytes()
+        return problem
+
+    @pytest.mark.parametrize("min_rows", [1, 2, 3, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_hub_terms_past_the_steps_reach_the_tail(self, min_rows, seed, monkeypatch):
+        monkeypatch.setattr(embedder, "_MIN_ROWS", min_rows)
+        ii, jj = _skewed_pairs(np.random.default_rng(seed), n=12, n_pairs=400)
+        problem = self._assert_flat_bincount_bytes(12, 3, ii, jj, seed=seed)
+        for plan in problem._plans:
+            assert plan.sizes and min(plan.sizes) >= min_rows
+            # one item can take every step, so min_rows 1 leaves no tail
+            assert bool(plan.rest) == (min_rows > 1)
+
+    def test_items_without_a_pair_on_one_side(self, monkeypatch):
+        monkeypatch.setattr(embedder, "_MIN_ROWS", 2)
+        rng = np.random.default_rng(4)
+        # items 0-3 only in ii, 4-7 only in jj, item 8 in no pair
+        ii = rng.integers(0, 4, size=40)
+        jj = rng.integers(4, 8, size=40)
+        problem = self._assert_flat_bincount_bytes(9, 2, ii, jj)
+        ii_plan, jj_plan = problem._plans
+        assert ii_plan.sizes[0] == jj_plan.sizes[0] == 4
+
+    @pytest.mark.parametrize("min_rows", [1, 2, 32])
+    def test_single_pair(self, min_rows, monkeypatch):
+        monkeypatch.setattr(embedder, "_MIN_ROWS", min_rows)
+        self._assert_flat_bincount_bytes(2, 3, [0], [1])
+        self._assert_flat_bincount_bytes(3, 1, [2], [0])
+
+    def test_zero_pairs_through_the_keyed_gradient(self, monkeypatch):
+        monkeypatch.setattr(embedder, "_MIN_ROWS", 2)
+        coords = {"a": np.array([1.5, -2.0]), "b": np.array([0.25, 3.0])}
+        x = np.concatenate(list(coords.values()))
+        empty = np.zeros(0, np.intp)
+        _, g = flat_bincount_kernel(2, 2, empty, empty, np.zeros(0), 0.3, x)
+        grads = gradient(coords, {}, 0.3)
+        assert np.concatenate([grads["a"], grads["b"]]).tobytes() == g.tobytes()
+
+    def test_star_runs_bounded_steps_on_lean_indices(self):
+        # one hub with 20,000 leaves: the hub's side takes no step and the
+        # leaves' side one, and each side keeps 4 bytes per pair plus O(n)
+        leaves = 20_000
+        n = leaves + 1
+        ii, jj = np.zeros(leaves, np.intp), np.arange(1, n)
+        problem = self._assert_flat_bincount_bytes(n, 2, ii, jj)
+        hub_plan, leaf_plan = problem._plans
+        assert (len(hub_plan.sizes), hub_plan.rest) == (0, [leaves])
+        assert (leaf_plan.sizes, leaf_plan.rest) == ([leaves], [])
+        for plan in problem._plans:
+            assert plan.rows.nbytes == 4 * leaves
+            assert _index_bytes(plan) - plan.rows.nbytes <= 16 * n
+
+    def test_fit_equals_the_flat_bincount_fit_bitwise(self, monkeypatch):
+        # a fit's bytes guarded on the machine that runs it, where a golden
+        # digest would depend on the CPU
+        data = generate(
+            SynthConfig(n_items=100, n_clusters=4, n_train_sessions=300,
+                        n_test_sessions=10, seed=6)
+        )
+        graph = build_affinity_graph(filter_bookable_sessions(data.train))
+        params = ModelParams(alpha=2.0, dim=3, lam=0.01)
+        config = FitConfig(params, seed=0, max_iterations=50)
+        ids, ii, jj, d2 = build_targets(graph, params.alpha)
+        # the real plan takes steps and leaves hub terms to its tail here
+        for plan in _PairObjective(len(ids), params.dim, ii, jj, d2, params.lam)._plans:
+            assert plan.sizes and plan.rest
+        model, trace = fit_embedding(graph, config)
+
+        def flat_bincount_grad(problem):
+            coords, _, _ = problem._point
+            problem._point = None
+            return flat_bincount_kernel(
+                problem.n, problem.dim, problem.ii, problem.jj, problem.d2,
+                problem.lam, coords.ravel(),
+            )[1]
+
+        monkeypatch.setattr(_PairObjective, "grad", flat_bincount_grad)
+        reference, reference_trace = fit_embedding(graph, config)
+        assert trace.iterations == 50
+        assert model.coords.tobytes() == reference.coords.tobytes()
+        assert trace == reference_trace
 
 
 def _count_gathers(monkeypatch) -> list[int]:
