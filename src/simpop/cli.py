@@ -7,6 +7,11 @@ traced back to its exact inputs. ``ingest`` adds the sessions it dropped,
 ``train`` the items and pairs its affinity graph left out, and ``ingest``,
 ``train`` and ``evaluate`` the wall time of each of their stages.
 
+``ingest`` also writes the corpus's columnar companion (``<out>.columns``),
+which the commands that read the corpus load instead of parsing it (see
+``sessions.write_columns``); their manifests list it among the inputs
+exactly when they did.
+
 Exit codes: 0 success, 2 input or validation error, 3 numerical failure.
 """
 
@@ -14,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import logging
@@ -41,7 +45,7 @@ from .baselines import (
     load_metadata,
     write_metadata,
 )
-from .embedder import FitConfig, fit_embedding, write_trace
+from .embedder import FitConfig, _check_pairs, fit_embedding, write_trace
 from .errors import DivergenceError, SimpopError
 from .evaluator import SearchGrid, evaluate, grid_search, write_grid_table, write_report
 from .model import (
@@ -54,11 +58,13 @@ from .recommender import NextItemRecommender
 from .sessions import (
     HOLDOUT_FRACTION,
     Role,
+    _sha256,
     filter_bookable_sessions,
     hide_test_targets,
     parse_session_log,
     read_truth,
     split_by_time,
+    write_columns,
     write_corpus,
     write_truth,
 )
@@ -69,14 +75,6 @@ log = logging.getLogger(__name__)
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
-
-
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as stream:
-        for chunk in iter(lambda: stream.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def _write_manifest(
@@ -159,6 +157,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         outputs.append(Path(truth_out))
         print(f"truth: {len(truth)} hidden targets -> {truth_out}")
     write_corpus(corpus, args.out)
+    outputs.append(write_columns(corpus, args.out))
     _lap(timings, "write_s", mark)
     print(
         f"ingested {corpus.n_sessions} sessions, {corpus.n_actions} actions, "
@@ -187,9 +186,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     timings: dict[str, float] = {}
     mark = time.perf_counter()
     corpus = parse_session_log(args.corpus, role=Role.TRAIN)
+    inputs = list(corpus.sources)
     mark = _lap(timings, "parse_s", mark)
     graph = build_affinity_graph(corpus, args.min_sessions, args.max_pairs_per_item)
+    del corpus  # the fit needs only the graph; its peak holds no corpus
     mark = _lap(timings, "affinity_s", mark)
+    _check_pairs(graph)  # before any file is written
     write_affinity_graph(graph, pairs_out, popularity_out)
     mark = _lap(timings, "pairs_write_s", mark)
 
@@ -211,7 +213,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         "train",
         args,
         args.out,
-        [args.corpus],
+        inputs,
         [args.out, pairs_out, popularity_out, trace_out],
         [args.seed],
         started,
@@ -261,7 +263,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     text = stream.getvalue()
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
-        inputs = [args.model, args.session]
+        inputs = [args.model, *corpus.sources]
         if args.popularity:
             inputs.append(Path(args.popularity))
         _write_manifest(
@@ -284,16 +286,16 @@ def _build_ranker(args: argparse.Namespace) -> tuple[Ranker, list[Path]]:
         model = read_model(args.model)
         popularity = None
         if args.train_corpus:
-            read.append(Path(args.train_corpus))
             train = parse_session_log(args.train_corpus, role=Role.TRAIN)
+            read.extend(train.sources)
             popularity = compute_popularity(train)
         return NextItemRecommender(model, popularity=popularity), read
     if not args.train_corpus:
         raise SimpopError(f"--ranker {name} requires --train-corpus")
     if name == "imknn" and not args.metadata:
         raise SimpopError("--ranker imknn requires --metadata")
-    read = [Path(args.train_corpus)]
     train = parse_session_log(args.train_corpus, role=Role.TRAIN)
+    read = list(train.sources)
     if name == "ipop":
         return InteractionPopularityRanker(train), read
     if name == "icpop":
@@ -326,7 +328,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         f"{report.n_fallback} by popularity fallback)"
     )
     _write_manifest(
-        "evaluate", args, args.out, [args.test_corpus, Path(args.truth)] + read,
+        "evaluate", args, args.out, [*test.sources, Path(args.truth), *read],
         [args.out], [args.seed], started,
         counts={"fallback": report.n_fallback},
         timings=timings,
@@ -361,7 +363,7 @@ def cmd_gridsearch(args: argparse.Namespace) -> int:
         1 for c in table if not c.converged and c.iterations == args.max_iterations
     )
     _write_manifest(
-        "gridsearch", args, args.out, [args.corpus], [args.out],
+        "gridsearch", args, args.out, list(corpus.sources), [args.out],
         [best.seed], started,
         counts={"cells": len(table), "failed": failed, "unconverged": unconverged},
     )

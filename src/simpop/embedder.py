@@ -291,6 +291,12 @@ class _ScatterPlan:
         return acc.take(self.rank, axis=0)
 
 
+def _check_pairs(graph: AffinityGraph) -> None:
+    """Raise ValidationError for a graph that holds no pair to fit."""
+    if graph.n_pairs == 0:
+        raise ValidationError("cannot fit an empty affinity graph")
+
+
 def fit_embedding(
     graph: AffinityGraph,
     config: FitConfig,
@@ -307,8 +313,7 @@ def fit_embedding(
     with the partial trace attached, if a target or the start scale
     overflows (empty trace) or the objective or gradient turns non-finite.
     """
-    if graph.n_pairs == 0:
-        raise ValidationError("cannot fit an empty affinity graph")
+    _check_pairs(graph)
     params = config.params
     try:
         ids, ii, jj, d2 = build_targets(graph, params.alpha)

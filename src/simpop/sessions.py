@@ -20,9 +20,18 @@ writer read them as they are. ``Action`` is a view, built only for a caller
 that reads ``sessions``.
 
 A corpus has one order, set where it is built: sessions by id, each
-session's actions by step, and the vocabulary by id. Every transform keeps
-it and the writer writes it, so a written corpus parses back equal. An
-impressions field holding no id (empty, or only ``|``) is no list.
+session's actions by step, and every table (vocabulary, users, action
+kinds) sorted, holding only what the rows name. Every transform keeps it
+and the writer writes it, so a written corpus parses back equal, in every
+column and table. An impressions field holding no id (empty, or only
+``|``) is no list.
+
+``simpop ingest`` writes, next to the corpus file, its columnar companion
+(``<path>.columns``, see ``write_columns``): the columns and tables, and the
+SHA-256 of the file's bytes. ``parse_session_log``, given a path, loads the
+companion instead of parsing when its digest is the file's and its columns
+pass their checks; otherwise it parses. The CSV stays the canonical file,
+and the companion is a checked cache of it.
 """
 
 from __future__ import annotations
@@ -30,7 +39,9 @@ from __future__ import annotations
 import contextlib
 import csv
 import gzip
+import hashlib
 import io
+import json
 import logging
 import math
 import re
@@ -118,6 +129,9 @@ class SessionCorpus:
 
     ``sessions`` views the rows as ``Action`` tuples; it is built on first
     read and kept, and the item views, counts and transforms never read it.
+    ``sources`` names the files the corpus was read from: the CSV, and its
+    companion when the columns came from there; none for a stream or a
+    corpus built from actions. Transforms keep it.
     """
 
     role: Role
@@ -133,6 +147,7 @@ class SessionCorpus:
     item: np.ndarray
     impression_offsets: np.ndarray
     impressions: np.ndarray
+    sources: tuple[Path, ...] = ()
 
     def __post_init__(self):
         for value in vars(self).values():
@@ -228,8 +243,7 @@ _BATCH = 256
 class _Columns:
     """A corpus's columns while its rows arrive, in any order, a batch at a
     time. Each batch is coded on arrival, every table by first appearance,
-    until ``corpus`` sorts the session ids and the vocabulary. No row is
-    kept as a Python object."""
+    until ``corpus`` sorts the tables. No row is kept as a Python object."""
 
     #: the columns, one value per row; ``shown`` counts a row's impressions
     #: (0 for no list), and ``impressions`` holds their codes, row after row
@@ -272,12 +286,14 @@ class _Columns:
             map(code, chain.from_iterable(filter(None, impressions)))
         )
 
-    def corpus(self, role: Role) -> SessionCorpus:
-        """The rows ordered by session id and step, with session and item
-        codes into their sorted tables, validated. Each column is freed as
-        soon as its ordered copy is made, so the builder is spent."""
+    def corpus(self, role: Role, sources: tuple[Path, ...] = ()) -> SessionCorpus:
+        """The rows ordered by session id and step, with every code into its
+        sorted table, validated. Each column is freed as soon as its ordered
+        copy is made, so the builder is spent."""
         session_ids, by_session = _sorted_table(self.sessions)
         vocabulary, by_item = _sorted_table(self.items)
+        kinds, by_kind = _sorted_table(self.kinds)
+        users, by_user = _sorted_table(self.users)
         session, step = by_session[self._pop("session")], self._pop("step")
         rows = np.lexsort((step, session))  # stable: a repeated step keeps file order
         offsets = _offsets(np.bincount(session, minlength=len(session_ids)))
@@ -290,14 +306,15 @@ class _Columns:
             offsets=offsets,
             step=step[rows],
             timestamp=self._pop("timestamp")[rows],
-            kinds=tuple(self.kinds),
-            kind=self._pop("kind")[rows],
-            users=tuple(self.users),
-            user=self._pop("user")[rows],
+            kinds=kinds,
+            kind=by_kind[self._pop("kind")[rows]],
+            users=users,
+            user=by_user[self._pop("user")[rows]],
             item_vocabulary=vocabulary,
             item=by_item[self._pop("item")[rows]],
             impression_offsets=_offsets(lengths),
             impressions=by_item[self._pop("impressions")[taken]],
+            sources=sources,
         )
         del session, step, shown, taken
         _validate(corpus)
@@ -317,6 +334,19 @@ def _sorted_table(table: dict[str, int]) -> tuple[tuple[str, ...], np.ndarray]:
     recode[order] = np.arange(len(keys))
     recode[-1] = -1
     return tuple(keys[k] for k in order), recode
+
+
+def _kept(table: tuple[str, ...], *codes: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+    """The table's entries that these codes name, in table order, and the
+    array that maps each old code to its new one (the extra last slot maps
+    -1 to -1), as ``_sorted_table`` gives them."""
+    used = np.zeros(len(table) + 1, dtype=bool)
+    for named in codes:
+        used[named] = True  # code -1 lands on the extra slot
+    kept = np.flatnonzero(used[:-1])
+    recode = np.full(len(used), -1, dtype=np.int64)
+    recode[kept] = np.arange(len(kept))
+    return tuple(table[k] for k in kept.tolist()), recode
 
 
 def _names(table: tuple[str, ...], codes: np.ndarray, missing: str | None = None) -> list:
@@ -444,21 +474,17 @@ def _take(
     corpus: SessionCorpus, sessions: np.ndarray, role: Role | None = None
 ) -> SessionCorpus:
     """The sessions at these positions, in id order whatever the order of
-    the positions; the vocabulary keeps the items their rows name or list."""
+    the positions; each table keeps the entries their rows name or list."""
     sessions = np.sort(sessions)
     lengths = np.diff(corpus.offsets)[sessions]
     rows = _ranges(corpus.offsets[sessions], lengths)
     bounds = corpus.impression_offsets
     shown = np.diff(bounds)[rows]
-    item = corpus.item[rows]
+    item, kind, user = corpus.item[rows], corpus.kind[rows], corpus.user[rows]
     impressions = corpus.impressions[_ranges(bounds[rows], shown)]
-    used = np.zeros(len(corpus.item_vocabulary) + 1, dtype=bool)
-    used[item] = True  # no item lands on the extra slot
-    used[impressions] = True
-    kept = np.flatnonzero(used[:-1])
-    recode = np.full(len(used), -1, dtype=np.int64)
-    recode[kept] = np.arange(len(kept))
-    vocab = corpus.item_vocabulary
+    vocabulary, by_item = _kept(corpus.item_vocabulary, item, impressions)
+    kinds, by_kind = _kept(corpus.kinds, kind)
+    users, by_user = _kept(corpus.users, user)
     return replace(
         corpus,
         role=role or corpus.role,
@@ -466,12 +492,14 @@ def _take(
         offsets=_offsets(lengths),
         step=corpus.step[rows],
         timestamp=corpus.timestamp[rows],
-        kind=corpus.kind[rows],
-        user=corpus.user[rows],
-        item_vocabulary=tuple(vocab[k] for k in kept.tolist()),
-        item=recode[item],
+        kinds=kinds,
+        kind=by_kind[kind],
+        users=users,
+        user=by_user[user],
+        item_vocabulary=vocabulary,
+        item=by_item[item],
         impression_offsets=_offsets(shown),
-        impressions=recode[impressions],
+        impressions=by_item[impressions],
     )
 
 
@@ -489,6 +517,12 @@ def parse_session_log(
     The rows are coded into the corpus's columns as they are read, a batch
     at a time; no row is kept as a Python object.
 
+    Given a path whose columnar companion (``<path>.columns``, written by
+    ``write_columns``) records the SHA-256 of the file's bytes, the corpus
+    is loaded from the companion instead, checked and validated; a missing,
+    stale or faulty companion is ignored and the file parsed. A stream is
+    always parsed.
+
     Args:
         source: path to a (optionally ``.gz``) file, or an open stream, with
             the canonical columns in any order.
@@ -502,6 +536,12 @@ def parse_session_log(
         ValidationError: duplicate or non-contiguous steps, or a clickout
             violating the impression invariants.
     """
+    sources: tuple[Path, ...] = ()
+    if isinstance(source, (str, Path)):
+        sources = (Path(source),)
+        loaded = _load_columns(sources[0], role)
+        if loaded is not None:
+            return loaded
     with _open_text(source) as stream:
         reader = csv.reader(stream)
         try:
@@ -527,7 +567,7 @@ def parse_session_log(
             if not batch:
                 break
             _code_log_batch(columns, batch, line, col, len(header))
-    return columns.corpus(role)
+    return columns.corpus(role, sources)
 
 
 def _code_log_batch(
@@ -660,6 +700,174 @@ def write_corpus(corpus: SessionCorpus, path: str | Path) -> None:
             writer = csv.writer(stream)
             writer.writerow(_CANONICAL_COLUMNS)
             writer.writerows(zip(*_decode(corpus, "", "|".join)))
+
+
+# ---------------------------------------------------------------------------
+# The columnar companion
+# ---------------------------------------------------------------------------
+
+#: appended to a corpus file's path to name its columnar companion
+_COLUMNS_SUFFIX = ".columns"
+#: the companion's first line: its format and version
+_COLUMNS_TAG = b"simpop-columns 1\n"
+#: the int64 columns a companion holds, in file order
+_COLUMN_ARRAYS = (
+    "offsets", "step", "timestamp", "kind", "user", "item",
+    "impression_offsets", "impressions",
+)
+#: the tables a companion holds after the columns, each as its entries'
+#: lengths (int64, in code points) and then their UTF-8 text
+_COLUMN_TABLES = ("session_ids", "kinds", "users", "item_vocabulary")
+#: every section of a companion, in file order, with its dtype
+_COLUMN_SECTIONS = [(name, "<i8") for name in _COLUMN_ARRAYS] + [
+    section
+    for name in _COLUMN_TABLES
+    for section in ((f"{name}.lengths", "<i8"), (name, "|u1"))
+]
+#: every section starts at a multiple of this many bytes
+_ALIGN = 8
+
+
+def _sha256(path: str | Path) -> str:
+    """The SHA-256 of a file's bytes, read in chunks, as hex."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as stream:
+        for chunk in iter(lambda: stream.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _padding(size: int) -> int:
+    """How many bytes take ``size`` bytes to a multiple of ``_ALIGN``."""
+    return -size % _ALIGN
+
+
+def write_columns(corpus: SessionCorpus, path: str | Path) -> Path:
+    """Write the columnar companion of the corpus file at ``path``, which
+    holds ``write_corpus(corpus, path)``'s bytes, and return its path.
+
+    The companion is the format tag line, a JSON header line (the file's
+    SHA-256 and each section's name, dtype and length) padded to a multiple
+    of 8 bytes, and then the sections, each padded the same way: the int64
+    columns, and each table as its entries' lengths and their UTF-8 text,
+    so an id may hold any character. Its bytes are a deterministic function
+    of the corpus and the file.
+    """
+    sections = [getattr(corpus, name) for name in _COLUMN_ARRAYS]
+    for name in _COLUMN_TABLES:
+        table = getattr(corpus, name)
+        sections.append(np.fromiter(map(len, table), dtype=np.int64, count=len(table)))
+        sections.append(np.frombuffer("".join(table).encode(), dtype=np.uint8))
+    header = json.dumps(
+        {
+            "sha256": _sha256(path),
+            "sections": [
+                [name, dtype, len(section)]
+                for (name, dtype), section in zip(_COLUMN_SECTIONS, sections)
+            ],
+        }
+    ).encode()
+    header += b" " * _padding(len(_COLUMNS_TAG) + len(header) + 1) + b"\n"
+    companion = Path(f"{path}{_COLUMNS_SUFFIX}")
+    with open(companion, "wb") as out:
+        out.write(_COLUMNS_TAG + header)
+        for (_, dtype), section in zip(_COLUMN_SECTIONS, sections):
+            data = section.astype(dtype, copy=False)
+            out.write(data)
+            out.write(bytes(_padding(data.nbytes)))
+    return companion
+
+
+def _load_columns(path: Path, role: Role) -> SessionCorpus | None:
+    """The corpus the companion of the file at ``path`` holds, or None when
+    there is no companion, or it is not the file's (its digest differs) or
+    fails a check, which is logged."""
+    companion = Path(f"{path}{_COLUMNS_SUFFIX}")
+    if not companion.is_file():
+        return None
+    try:
+        # one read; the columns are views of it
+        return _columns_corpus(companion.read_bytes(), role, (path, companion))
+    # whatever the bytes hold, a header of another shape included: the file
+    # stays readable by its parse, which reports its own faults
+    except (OSError, LookupError, TypeError, ValueError, ValidationError) as exc:
+        log.info("parsing %s: its companion is not usable (%s)", path, exc)
+        return None
+
+
+def _columns_corpus(
+    buffer: bytes, role: Role, sources: tuple[Path, Path]
+) -> SessionCorpus:
+    """The validated corpus a companion's bytes hold, its columns read-only
+    views of them. Raises ValueError when the bytes are not the companion of
+    the file ``sources[0]`` as ``write_columns`` writes it, or the columns
+    and tables are not a corpus's: offsets that do not bound their runs, a
+    code out of its table's range, or a table that is not sorted; and
+    ValidationError for columns that ``_validate`` rejects."""
+    if not buffer.startswith(_COLUMNS_TAG):
+        raise ValueError("no format tag")
+    start = buffer.index(b"\n", len(_COLUMNS_TAG)) + 1
+    header = json.loads(buffer[len(_COLUMNS_TAG) : start])
+    if [(name, dtype) for name, dtype, _ in header["sections"]] != _COLUMN_SECTIONS:
+        raise ValueError("unexpected sections")
+    if header["sha256"] != _sha256(sources[0]):
+        raise ValueError("its digest is not the file's")
+    sections = {}
+    for name, dtype, size in header["sections"]:
+        if type(size) is not int or size < 0:
+            raise ValueError(f"{name}: length {size!r}")
+        sections[name] = np.frombuffer(buffer, dtype=dtype, count=size, offset=start)
+        start += sections[name].nbytes + _padding(sections[name].nbytes)
+    if start != len(buffer):
+        raise ValueError(f"{len(buffer)} bytes, expected {start}")
+    tables = {
+        name: _table(sections.pop(f"{name}.lengths"), sections.pop(name), name)
+        for name in _COLUMN_TABLES
+    }
+    n_rows = len(sections["step"])
+    _check_offsets(sections["offsets"], len(tables["session_ids"]), n_rows, 1)
+    _check_offsets(sections["impression_offsets"], n_rows, len(sections["impressions"]), 0)
+    for name in ("timestamp", "kind", "user", "item"):
+        if len(sections[name]) != n_rows:
+            raise ValueError(f"{name}: {len(sections[name])} rows, expected {n_rows}")
+    for name, table, low in (
+        ("kind", "kinds", 0),
+        ("user", "users", 0),
+        ("item", "item_vocabulary", -1),
+        ("impressions", "item_vocabulary", 0),
+    ):
+        codes = sections[name]
+        if len(codes) and not low <= codes.min() <= codes.max() < len(tables[table]):
+            raise ValueError(f"{name}: a code out of range")
+    corpus = SessionCorpus(role=role, **tables, **sections, sources=sources)
+    _validate(corpus)
+    return corpus
+
+
+def _table(lengths: np.ndarray, text: np.ndarray, name: str) -> tuple[str, ...]:
+    """A table from its entries' lengths and their UTF-8 text. Raises
+    ValueError unless the lengths add up to the text and the entries are
+    sorted and distinct."""
+    decoded = text.tobytes().decode()
+    if (len(lengths) and lengths.min() < 0) or lengths.sum() != len(decoded):
+        raise ValueError(f"{name}: lengths do not add up to its text")
+    ends = _offsets(lengths).tolist()
+    table = tuple(map(decoded.__getitem__, map(slice, ends, ends[1:])))
+    if any(map(str.__ge__, table, table[1:])):
+        raise ValueError(f"{name}: not sorted")
+    return table
+
+
+def _check_offsets(offsets: np.ndarray, n_runs: int, total: int, least: int) -> None:
+    """Raise ValueError unless these are the offsets of ``n_runs`` runs of
+    at least ``least`` each that cover ``total`` entries."""
+    if not (
+        len(offsets) == n_runs + 1
+        and offsets[0] == 0
+        and offsets[-1] == total
+        and (np.diff(offsets) >= least).all()
+    ):
+        raise ValueError("offsets do not bound their runs")
 
 
 def write_truth(truth: Mapping[str, str], path: str | Path) -> None:

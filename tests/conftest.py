@@ -1,5 +1,6 @@
 """Shared fixtures: tiny hand-built corpora used across the suite."""
 
+import numpy as np
 import pytest
 
 from simpop.sessions import CLICKOUT, Action, Role, SessionCorpus
@@ -72,3 +73,22 @@ def toy_test():
         clickout("t2", 3, "E", ["C", "D", "E"]),
     ]
     return SessionCorpus.from_actions(actions, Role.TEST)
+
+
+#: a corpus's int64 columns and its tables
+CORPUS_ARRAYS = (
+    "offsets", "step", "timestamp", "kind", "user", "item",
+    "impression_offsets", "impressions",
+)
+CORPUS_TABLES = ("session_ids", "kinds", "users", "item_vocabulary")
+
+
+def assert_same_columns(corpus, other):
+    """The same role, and every table and int64 column equal."""
+    assert corpus.role is other.role
+    for name in CORPUS_TABLES:
+        assert getattr(corpus, name) == getattr(other, name), name
+    for name in CORPUS_ARRAYS:
+        mine, theirs = getattr(corpus, name), getattr(other, name)
+        assert mine.dtype == theirs.dtype == np.int64, name
+        assert np.array_equal(mine, theirs), name

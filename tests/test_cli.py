@@ -19,7 +19,17 @@ import simpop
 from simpop.affinity import build_affinity_graph
 from simpop.cli import build_parser, main
 from simpop.model import EmbeddingModel, ModelParams, read_model, write_model
-from simpop.sessions import Action, Role, parse_session_log, read_truth, split_by_time
+from simpop.sessions import (
+    Action,
+    Role,
+    parse_session_log,
+    read_truth,
+    split_by_time,
+    write_corpus,
+)
+from simpop.synth import SynthConfig, generate
+
+from conftest import assert_same_columns
 
 HEADER = "user_id,session_id,timestamp,step,action_type,reference,impressions"
 
@@ -183,6 +193,47 @@ class TestIngest:
         assert "timings" not in manifest["flags"]
 
 
+    @pytest.mark.parametrize("role", ["train", "test"])
+    def test_writes_a_columnar_companion_it_names(self, workdir, role):
+        out = workdir / f"{role}_corpus.csv"
+        argv = ["ingest", "--input", str(workdir / f"raw_{role}.csv"), "--out",
+                str(out), "--role", role]
+        assert main(argv) == 0
+        companion = workdir / f"{role}_corpus.csv.columns"
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        truth = [str(out) + ".truth.csv"] if role == "test" else []
+        assert manifest["outputs"] == [str(out), *truth, str(companion)]
+        assert parse_session_log(out, Role(role)).sources == (out, companion)
+        # a second ingest writes the same bytes
+        first = companion.read_bytes()
+        assert main(argv) == 0
+        assert companion.read_bytes() == first
+
+    def test_desk_companions_load_as_their_files_parse(self, tmp_path):
+        data = generate(SynthConfig(seed=2, n_train_sessions=4500, n_test_sessions=500))
+        for role, corpus in (("train", data.train), ("test", data.test)):
+            raw, out = tmp_path / f"raw_{role}.csv", tmp_path / f"{role}_corpus.csv"
+            write_corpus(corpus, raw)
+            argv = ["ingest", "--input", str(raw), "--out", str(out), "--role", role]
+            assert main(argv) == 0
+            loaded = parse_session_log(out, Role(role))
+            companion = Path(f"{out}.columns")
+            assert loaded.sources == (out, companion)
+            companion.unlink()
+            parsed = parse_session_log(out, Role(role))
+            assert parsed.sources == (out,)
+            assert_same_columns(loaded, parsed)
+        assert loaded.n_sessions == 500 and parsed.n_actions == 4214
+
+    def test_an_empty_log_has_an_empty_companion(self, workdir):
+        raw, out = workdir / "empty.csv", workdir / "empty_corpus.csv"
+        raw.write_text(f"{HEADER}\n")
+        assert main(["ingest", "--input", str(raw), "--out", str(out)]) == 0
+        loaded = parse_session_log(out)
+        assert loaded.sources == (out, Path(f"{out}.columns"))
+        assert loaded.n_sessions == loaded.n_actions == 0
+
+
 class TestTrain:
     def test_writes_model_trace_and_artifacts(self, workdir):
         corpus = ingest_train(workdir)
@@ -341,6 +392,22 @@ class TestTrain:
             ]
         )
         assert code == 2
+        # nothing is written for a graph that cannot be fitted
+        for suffix in ("", ".pairs.tsv", ".popularity.tsv", ".trace.csv", ".manifest.json"):
+            assert not (workdir / f"m.txt{suffix}").exists(), suffix
+
+    def test_manifest_names_the_companion_exactly_when_it_was_read(self, workdir):
+        corpus = ingest_train(workdir)
+        companion = Path(f"{corpus}.columns")
+        argv = ["train", "--corpus", str(corpus), "--out", str(workdir / "m.txt"),
+                "--dim", "2", "--min-sessions", "1", "--max-iterations", "5"]
+        assert main(argv) == 0
+        manifest = json.loads((workdir / "m.txt.manifest.json").read_text())
+        assert set(manifest["inputs"]) == {str(corpus), str(companion)}
+        companion.write_bytes(companion.read_bytes()[:-8])  # a faulty one is not read
+        assert main(argv) == 0
+        manifest = json.loads((workdir / "m.txt.manifest.json").read_text())
+        assert set(manifest["inputs"]) == {str(corpus)}
 
 
 class TestRecommendAndEvaluate:
@@ -543,6 +610,17 @@ class TestRecommendAndEvaluate:
             before + [workdir / "ranked.csv.manifest.json"]
         )
 
+    def test_recommend_manifest_names_the_companion(self, workdir, trained):
+        corpus, model_path = trained
+        out = workdir / "ranked.csv"
+        argv = ["recommend", "--model", str(model_path), "--session", str(corpus),
+                "--session-id", "s1", "--out", str(out)]
+        assert main(argv) == 0
+        manifest = json.loads((workdir / "ranked.csv.manifest.json").read_text())
+        assert set(manifest["inputs"]) == {
+            str(model_path), str(corpus), f"{corpus}.columns"
+        }
+
     def test_evaluate_counts_popularity_fallback(self, workdir, trained, capsys):
         _, model_path = trained
         (workdir / "raw_test.csv").write_text(
@@ -587,28 +665,31 @@ class TestRecommendAndEvaluate:
         )
         metadata = workdir / "metadata.tsv"
         metadata.write_text("A\tx|y\nB\tx\nC\ty\nD\tz\n")
-        model, train = str(model_path), str(corpus)
+        model = str(model_path)
+        # each ingested corpus came from its CSV and its columnar companion
+        train = {str(corpus), f"{corpus}.columns"}
+        tested = {str(test_corpus), f"{test_corpus}.columns"}
         read = {
-            "proposed": {model, train},
+            "proposed": {model, *train},
             "random": set(),
-            "ipop": {train},
-            "icpop": {train},
-            "icknn": {train},
-            "imknn": {train, str(metadata)},
+            "ipop": train,
+            "icpop": train,
+            "icknn": train,
+            "imknn": train | {str(metadata)},
         }
         for ranker, expected in read.items():
             out = workdir / f"report_{ranker}.csv"
             code = main(
                 [
                     "evaluate", "--ranker", ranker, "--model", model,
-                    "--train-corpus", train, "--metadata", str(metadata),
+                    "--train-corpus", str(corpus), "--metadata", str(metadata),
                     "--test-corpus", str(test_corpus), "--truth", str(truth),
                     "--out", str(out),
                 ]
             )
             assert code == 0
             manifest = json.loads(Path(f"{out}.manifest.json").read_text())
-            assert set(manifest["inputs"]) == expected | {str(test_corpus), str(truth)}, ranker
+            assert set(manifest["inputs"]) == expected | tested | {str(truth)}, ranker
             timings = manifest["timings"]
             assert list(timings) == [
                 "evaluate_s", "parse_s", "ranker_s", "report_write_s"
@@ -877,6 +958,7 @@ class TestGridsearchCommand:
         manifest = json.loads((tmp_path / "grid.csv.manifest.json").read_text())
         assert manifest["command"] == "gridsearch"
         assert manifest["counts"] == {"cells": 3, "failed": 1, "unconverged": 1}
+        assert set(manifest["inputs"]) == {str(corpus), f"{corpus}.columns"}
 
     def test_every_cell_failing_writes_the_table_and_exits_3(self, tmp_path, capsys):
         # a grid whose every cell fails is a numerical failure: the table

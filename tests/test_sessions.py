@@ -3,7 +3,9 @@
 import csv
 import gzip
 import io
+import json
 import math
+import pickle
 from collections import Counter
 from dataclasses import replace
 
@@ -28,11 +30,12 @@ from simpop.sessions import (
     read_truth,
     split_by_time,
     subsample_sessions,
+    write_columns,
     write_corpus,
     write_truth,
 )
 
-from conftest import clickout, make_action
+from conftest import CORPUS_ARRAYS, assert_same_columns, clickout, make_action
 
 HEADER = "user_id,session_id,timestamp,step,action_type,reference,impressions"
 
@@ -865,7 +868,9 @@ def assert_parses_back_equal(corpus, path):
     back = parse_session_log(path, corpus.role)
     assert back == corpus
     assert back.session_ids == corpus.session_ids == tuple(sorted(corpus.session_ids))
-    assert back.item_vocabulary == corpus.item_vocabulary
+    assert_same_columns(back, corpus)
+    for table in (back.kinds, back.users, back.item_vocabulary):
+        assert list(table) == sorted(set(table))
 
 
 class TestWrittenCorpusParsesBackEqual:
@@ -1022,3 +1027,283 @@ class TestIntegerRange:
         text = f"{HEADER}\nu1,s1,x,{2**63},interaction item info,A,\n"
         with pytest.raises(ParseError, match="step '9223372036854775808' does not fit"):
             corpus_from_text(text)
+
+
+# ---------------------------------------------------------------------------
+# The columnar companion
+# ---------------------------------------------------------------------------
+
+
+def companion_of(path):
+    return path.with_name(path.name + ".columns")
+
+
+def read_companion(companion):
+    """A companion's header and its sections as ``[name, dtype, bytes]``."""
+    tag, header, rest = companion.read_bytes().split(b"\n", 2)
+    assert tag == b"simpop-columns 1"
+    header = json.loads(header)
+    sections, at = [], 0
+    for name, dtype, count in header["sections"]:
+        size = count * np.dtype(dtype).itemsize
+        sections.append([name, dtype, rest[at : at + size]])
+        at += size + -size % 8
+    assert at == len(rest)
+    return header["sha256"], sections
+
+
+def rewrite_companion(companion, edit):
+    """Rewrite a companion in its own layout after ``edit(sections)`` has
+    changed its ``[name, dtype, bytes]`` sections in place; each section's
+    length follows its bytes and dtype, and the digest stays."""
+    digest, sections = read_companion(companion)
+    edit(sections)
+    header = json.dumps({
+        "sha256": digest,
+        "sections": [
+            [name, dtype, len(data) // np.dtype(dtype).itemsize]
+            for name, dtype, data in sections
+        ],
+    }).encode()
+    head = b"simpop-columns 1\n" + header
+    out = head + b" " * (-(len(head) + 1) % 8) + b"\n"
+    for _, _, data in sections:
+        out += data + bytes(-len(data) % 8)
+    companion.write_bytes(out)
+
+
+def edit_int64(name, change):
+    """An edit that applies ``change`` to a copy of the int64 section."""
+    def edit(sections):
+        section = next(s for s in sections if s[0] == name)
+        values = np.frombuffer(section[2], dtype="<i8").copy()
+        section[2] = change(values).astype("<i8").tobytes()
+    return edit
+
+
+def edit_table(name, change):
+    """An edit that replaces a table by ``change`` of its entries."""
+    def edit(sections):
+        lengths = next(s for s in sections if s[0] == f"{name}.lengths")
+        text = next(s for s in sections if s[0] == name)
+        ends = np.concatenate([[0], np.cumsum(np.frombuffer(lengths[2], "<i8"))])
+        decoded = text[2].decode()
+        table = change([decoded[a:b] for a, b in zip(ends[:-1], ends[1:])])
+        lengths[2] = np.array([len(t) for t in table], dtype="<i8").tobytes()
+        text[2] = "".join(table).encode()
+    return edit
+
+
+def set_dtype(name, dtype, data=None):
+    def edit(sections):
+        section = next(s for s in sections if s[0] == name)
+        section[1] = dtype
+        if data is not None:
+            section[2] = data
+    return edit
+
+
+def swap_first_two(values):
+    values[[0, 1]] = values[[1, 0]]
+    return values
+
+
+def companion_corpus():
+    """A corpus whose ids hold commas, quotes, line breaks and non-ASCII
+    text, and whose users and action kinds are many."""
+    text = log_text(random_log_rows(5, n_sessions=40))
+    text += 'ü,"s,1",5,1,clickout item,i1,"i1|x0"\n'
+    text += '"u""\nq","s""2",5,1,zeigen ✓,x0,\n'
+    return corpus_from_text(text)
+
+
+@pytest.fixture
+def with_companion(tmp_path):
+    """A written corpus, its companion, and the corpus parsed from a stream
+    of the file's bytes, which reads no companion."""
+    path = tmp_path / "corpus.csv"
+    write_corpus(companion_corpus(), path)
+    companion = write_columns(parse_session_log(path), path)
+    assert companion == companion_of(path)
+    return path, companion, corpus_from_bytes(path.read_bytes())
+
+
+def corpus_from_bytes(data, role=Role.TRAIN):
+    corpus = parse_session_log(io.BytesIO(data), role=role)
+    assert corpus.sources == ()
+    return corpus
+
+
+@pytest.fixture
+def no_pickle(monkeypatch):
+    """Fail any test that unpickles or ``np.load``s anything."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a companion is read without pickle")
+    for owner, name in [(pickle, "load"), (pickle, "loads"), (pickle, "Unpickler"),
+                        (np, "load")]:
+        monkeypatch.setattr(owner, name, refuse)
+
+
+class TestColumnarCompanion:
+    def test_a_companion_loads_as_its_file_parses(self, with_companion, no_pickle):
+        path, companion, parsed = with_companion
+        loaded = parse_session_log(path)
+        assert loaded.sources == (path, companion)
+        assert_same_columns(loaded, parsed)
+        assert loaded == parsed
+        assert {"s,1", 's"2'} <= set(loaded.session_ids)
+        assert {'u"\nq', "ü"} <= set(loaded.users) and "zeigen ✓" in loaded.kinds
+        for name in CORPUS_ARRAYS:
+            column = getattr(loaded, name)
+            assert not column.flags.writeable and column.flags.aligned, name
+
+    def test_the_role_is_the_callers(self, with_companion):
+        path, _, parsed = with_companion
+        assert parse_session_log(path, Role.TEST).role is Role.TEST
+
+    def test_two_writes_give_the_same_bytes(self, with_companion, tmp_path):
+        path, companion, parsed = with_companion
+        first = companion.read_bytes()
+        assert write_columns(parsed, path).read_bytes() == first
+        assert write_columns(corpus_from_bytes(path.read_bytes()), path).read_bytes() == first
+
+    def test_an_edited_file_ignores_its_stale_companion(self, with_companion):
+        path, companion, parsed = with_companion
+        with open(path, encoding="utf-8", newline="") as stream:
+            rows = list(csv.reader(stream))
+        rows[1][2] = str(int(rows[1][2]) + 1)  # the first row's timestamp
+        with open(path, "w", encoding="utf-8", newline="") as stream:
+            csv.writer(stream).writerows(rows)
+        back = parse_session_log(path)
+        assert back.sources == (path,)
+        assert back.timestamp[0] == parsed.timestamp[0] + 1
+        assert_same_columns(back, corpus_from_bytes(path.read_bytes()))
+
+    @pytest.mark.parametrize(
+        "row, error, match",
+        [
+            ("u1,s9,notatime,1,interaction item info,A,\n", ParseError, "line {n}: "),
+            ("u1,s9,1,2,interaction item info,A,\n", ValidationError,
+             "session s9: steps must be contiguous from 1, found 2 after 0"),
+        ],
+    )
+    def test_a_malformed_edit_raises_as_the_parse_does(
+        self, with_companion, row, error, match
+    ):
+        path, companion, _ = with_companion
+        n = len(path.read_bytes().splitlines()) + 1
+        with open(path, "a", encoding="utf-8", newline="") as out:
+            out.write(row)
+        with pytest.raises(error, match=match.format(n=n)):
+            parse_session_log(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(set_dtype("step", "<i4"), id="wrong-dtype"),
+            pytest.param(set_dtype("kind", "|O", pickle.dumps(np.array([1], dtype=object))),
+                         id="object-array"),
+            pytest.param(set_dtype("users", "<U1"), id="unicode-dtype"),
+            pytest.param(edit_int64("timestamp", lambda v: v[:-1]), id="ragged-lengths"),
+            pytest.param(edit_int64("impressions", lambda v: v[:-1]), id="ragged-impressions"),
+            pytest.param(edit_int64("offsets", lambda v: v + 1), id="offsets-from-1"),
+            pytest.param(edit_int64("offsets", swap_first_two), id="offsets-descending"),
+            pytest.param(edit_int64("impression_offsets", lambda v: v[:-1]),
+                         id="offsets-short"),
+            pytest.param(edit_int64("kind", lambda v: v + 100), id="kind-out-of-range"),
+            pytest.param(edit_int64("user", lambda v: v - v.max() - 1),
+                         id="user-out-of-range"),
+            pytest.param(edit_int64("item", lambda v: v - 2), id="item-out-of-range"),
+            pytest.param(edit_int64("impressions", lambda v: -v - 1),
+                         id="impression-out-of-range"),
+            pytest.param(edit_table("item_vocabulary", lambda t: t[::-1]),
+                         id="unsorted-vocabulary"),
+            pytest.param(edit_table("users", lambda t: [t[0], *t]), id="repeated-user"),
+            pytest.param(edit_table("kinds", lambda t: t[:-1]), id="short-kinds"),
+            pytest.param(edit_int64("session_ids.lengths", lambda v: v + 1),
+                         id="lengths-beyond-text"),
+            pytest.param(edit_int64("step", lambda v: v + (v == 1)), id="invalid-steps"),
+        ],
+    )
+    def test_a_faulty_companion_falls_back_to_the_parse(
+        self, with_companion, edit, no_pickle
+    ):
+        path, companion, parsed = with_companion
+        rewrite_companion(companion, edit)
+        back = parse_session_log(path)
+        assert back.sources == (path,)
+        assert_same_columns(back, parsed)
+
+    @pytest.mark.parametrize(
+        "cut", [lambda b: b[:-8], lambda b: b[: len(b) // 2], lambda b: b[:17],
+                lambda b: b"", lambda b: b + bytes(8),
+                lambda b: b.replace(b"simpop-columns 1", b"simpop-columns 2"),
+                lambda b: b.replace(b'"sha256": "', b'"sha256": "0')],
+        ids=["truncated-by-8", "truncated-by-half", "tag-only", "empty", "overlong",
+             "other-version", "other-digest"],
+    )
+    def test_a_damaged_companion_falls_back_to_the_parse(
+        self, with_companion, cut, no_pickle
+    ):
+        path, companion, parsed = with_companion
+        companion.write_bytes(cut(companion.read_bytes()))
+        back = parse_session_log(path)
+        assert back.sources == (path,)
+        assert_same_columns(back, parsed)
+
+    def test_a_gzip_corpus(self, tmp_path):
+        path = tmp_path / "corpus.csv.gz"
+        write_corpus(companion_corpus(), path)
+        companion = write_columns(parse_session_log(path), path)
+        assert companion.name == "corpus.csv.gz.columns"
+        loaded = parse_session_log(path)
+        assert loaded.sources == (path, companion)
+        assert_same_columns(loaded, corpus_from_bytes(gzip.decompress(path.read_bytes())))
+
+    def test_an_empty_corpus(self, tmp_path):
+        path = tmp_path / "corpus.csv"
+        empty = SessionCorpus.from_actions([], Role.TEST)
+        write_corpus(empty, path)
+        companion = write_columns(empty, path)
+        loaded = parse_session_log(path, Role.TEST)
+        assert loaded.sources == (path, companion)
+        assert loaded.n_sessions == loaded.n_actions == 0
+        assert_same_columns(loaded, empty)
+
+    def test_a_stream_ignores_companions(self, with_companion):
+        path, _, parsed = with_companion
+        with open(path, "rb") as stream:
+            assert parse_session_log(stream).sources == ()
+        with open(path, encoding="utf-8", newline="") as stream:
+            assert_same_columns(parse_session_log(stream), parsed)
+
+    def test_a_parsed_file_is_its_only_source(self, tmp_path):
+        path = tmp_path / "corpus.csv"
+        write_corpus(companion_corpus(), path)
+        assert parse_session_log(str(path)).sources == (path,)
+        assert filter_bookable_sessions(parse_session_log(path)).sources == (path,)
+
+
+class TestOneOrderForEveryTable:
+    def test_the_parse_sorts_users_and_kinds(self):
+        text = (
+            f"{HEADER}\n"
+            "u2,s1,1000,1,z kind,A,\n"
+            "u1,s2,1000,1,clickout item,A,A|B\n"
+            "u3,s3,1000,1,a kind,B,\n"
+        )
+        corpus = corpus_from_text(text)
+        assert corpus.users == ("u1", "u2", "u3")
+        assert corpus.kinds == ("a kind", "clickout item", "z kind")
+        assert [a.user_id for a in corpus.sessions["s1"]] == ["u2"]
+
+    def test_a_transform_drops_the_users_and_kinds_no_row_names(self):
+        text = (
+            f"{HEADER}\n"
+            "u2,s1,1000,1,z kind,A,\n"
+            "u1,s2,1000,1,clickout item,A,A|B\n"
+            "u3,s3,1000,1,a kind,B,\n"
+        )
+        kept = filter_bookable_sessions(corpus_from_text(text))
+        assert (kept.users, kept.kinds) == (("u1",), ("clickout item",))
+        assert kept.user.tolist() == kept.kind.tolist() == [0]
