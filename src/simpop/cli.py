@@ -58,6 +58,7 @@ from .recommender import NextItemRecommender
 from .sessions import (
     HOLDOUT_FRACTION,
     Role,
+    SessionCorpus,
     _sha256,
     filter_bookable_sessions,
     hide_test_targets,
@@ -81,13 +82,15 @@ def _write_manifest(
     command: str,
     args: argparse.Namespace,
     primary_out: Path,
-    inputs: list[Path],
+    inputs: dict[Path, str | None],
     outputs: list[Path],
     seeds: list[int],
     started: float,
     counts: dict[str, int | str] | None = None,
     timings: dict[str, float] | None = None,
 ) -> None:
+    """Write ``<primary_out>.manifest.json``. ``inputs`` maps each file the
+    command read to its SHA-256 when reading it computed one, else None."""
     flags = {
         k: (str(v) if isinstance(v, Path) else v)
         for k, v in vars(args).items()
@@ -98,7 +101,7 @@ def _write_manifest(
         "version": __version__,
         "flags": flags,
         "seeds": seeds,
-        "inputs": {str(p): _sha256(p) for p in inputs if p and Path(p).exists()},
+        "inputs": {str(p): d or _sha256(p) for p, d in inputs.items() if Path(p).exists()},
         "outputs": [str(p) for p in outputs],
         "wall_time_s": round(time.perf_counter() - started, 3),
     }
@@ -110,6 +113,12 @@ def _write_manifest(
     with open(path, "w", encoding="utf-8") as out:
         json.dump(manifest, out, indent=2, sort_keys=True)
         out.write("\n")
+
+
+def _read_from(corpus: SessionCorpus) -> dict[Path, str | None]:
+    """The files a corpus was read from, each with its known SHA-256 or None."""
+    known = dict(corpus._digests)
+    return {p: known.get(p) for p in corpus.sources}
 
 
 def _lap(timings: dict[str, float], stage: str, mark: float) -> float:
@@ -164,7 +173,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         f"{len(corpus.item_vocabulary)} items -> {args.out}"
     )
     _write_manifest(
-        "ingest", args, args.out, [args.input], outputs, [], started,
+        "ingest", args, args.out, {args.input: None}, outputs, [], started,
         counts={"dropped_sessions": parsed - corpus.n_sessions},
         timings=timings,
     )
@@ -186,7 +195,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     timings: dict[str, float] = {}
     mark = time.perf_counter()
     corpus = parse_session_log(args.corpus, role=Role.TRAIN)
-    inputs = list(corpus.sources)
+    inputs = _read_from(corpus)
     mark = _lap(timings, "parse_s", mark)
     graph = build_affinity_graph(corpus, args.min_sessions, args.max_pairs_per_item)
     del corpus  # the fit needs only the graph; its peak holds no corpus
@@ -263,9 +272,9 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     text = stream.getvalue()
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
-        inputs = [args.model, *corpus.sources]
+        inputs = {args.model: None, **_read_from(corpus)}
         if args.popularity:
-            inputs.append(Path(args.popularity))
+            inputs[Path(args.popularity)] = None
         _write_manifest(
             "recommend", args, args.out, inputs, [Path(args.out)], [], started
         )
@@ -274,20 +283,21 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _build_ranker(args: argparse.Namespace) -> tuple[Ranker, list[Path]]:
-    """The ranker ``--ranker`` names, and the files read to build it."""
+def _build_ranker(args: argparse.Namespace) -> tuple[Ranker, dict[Path, str | None]]:
+    """The ranker ``--ranker`` names, and the files read to build it, as
+    ``_write_manifest`` takes them."""
     name = args.ranker
     if name == "random":
-        return RandomRanker(seed=args.seed), []
+        return RandomRanker(seed=args.seed), {}
     if name == "proposed":
         if not args.model:
             raise SimpopError("--ranker proposed requires --model")
-        read = [Path(args.model)]
+        read: dict[Path, str | None] = {Path(args.model): None}
         model = read_model(args.model)
         popularity = None
         if args.train_corpus:
             train = parse_session_log(args.train_corpus, role=Role.TRAIN)
-            read.extend(train.sources)
+            read.update(_read_from(train))
             popularity = compute_popularity(train)
         return NextItemRecommender(model, popularity=popularity), read
     if not args.train_corpus:
@@ -295,14 +305,14 @@ def _build_ranker(args: argparse.Namespace) -> tuple[Ranker, list[Path]]:
     if name == "imknn" and not args.metadata:
         raise SimpopError("--ranker imknn requires --metadata")
     train = parse_session_log(args.train_corpus, role=Role.TRAIN)
-    read = list(train.sources)
+    read = _read_from(train)
     if name == "ipop":
         return InteractionPopularityRanker(train), read
     if name == "icpop":
         return ClickoutPopularityRanker(train), read
     if name == "icknn":
         return CooccurrenceKnnRanker(build_affinity_graph(train)), read
-    read.append(Path(args.metadata))
+    read[Path(args.metadata)] = None
     metadata = load_metadata(args.metadata)
     return MetadataKnnRanker(metadata, popularity=compute_popularity(train)), read
 
@@ -328,7 +338,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         f"{report.n_fallback} by popularity fallback)"
     )
     _write_manifest(
-        "evaluate", args, args.out, [*test.sources, Path(args.truth), *read],
+        "evaluate", args, args.out, {**_read_from(test), Path(args.truth): None, **read},
         [args.out], [args.seed], started,
         counts={"fallback": report.n_fallback},
         timings=timings,
@@ -363,7 +373,7 @@ def cmd_gridsearch(args: argparse.Namespace) -> int:
         1 for c in table if not c.converged and c.iterations == args.max_iterations
     )
     _write_manifest(
-        "gridsearch", args, args.out, list(corpus.sources), [args.out],
+        "gridsearch", args, args.out, _read_from(corpus), [args.out],
         [best.seed], started,
         counts={"cells": len(table), "failed": failed, "unconverged": unconverged},
     )
@@ -379,7 +389,7 @@ def cmd_synth_edges(args: argparse.Namespace) -> int:
             out.write(f"{i}\t{j}\n")
     print(f"sampled {len(edges)} edges over {len(model)} items -> {args.out}")
     _write_manifest(
-        "synth-edges", args, args.out, [args.model], [args.out], [args.seed], started
+        "synth-edges", args, args.out, {args.model: None}, [args.out], [args.seed], started
     )
     return EXIT_OK
 
@@ -419,7 +429,7 @@ def cmd_synth_sessions(args: argparse.Namespace) -> int:
         "synth-sessions",
         args,
         train_path,
-        [],
+        {},
         [train_path, test_path, metadata_path, model_path],
         [args.seed],
         started,

@@ -131,7 +131,9 @@ class SessionCorpus:
     read and kept, and the item views, counts and transforms never read it.
     ``sources`` names the files the corpus was read from: the CSV, and its
     companion when the columns came from there; none for a stream or a
-    corpus built from actions. Transforms keep it.
+    corpus built from actions. ``_digests`` pairs each source the load
+    hashed with its SHA-256, for a caller that records the files it read.
+    Transforms keep both.
     """
 
     role: Role
@@ -148,6 +150,7 @@ class SessionCorpus:
     impression_offsets: np.ndarray
     impressions: np.ndarray
     sources: tuple[Path, ...] = ()
+    _digests: tuple[tuple[Path, str], ...] = ()
 
     def __post_init__(self):
         for value in vars(self).values():
@@ -441,32 +444,24 @@ def _check_64_bits(actions: Sequence[tuple]) -> None:
 
 def _check_carried(corpus: SessionCorpus) -> None:
     """Raise ValidationError for the first action, in session and then step
-    order, that writing the corpus and parsing it back would change, by the
-    rules the parse applies to a row: it rejects a tab or line break, strips
-    the reference and the impressions field, reads an empty reference as
-    none, and splits the field on ``|``, dropping empty ids."""
-    vocab = corpus.item_vocabulary
-    joined = "".join(vocab)
-    if (
-        vocab[:1] != ("",)
-        and "|" not in joined
-        and not _ID_BREAKS.search(joined)
-        and tuple(map(str.strip, vocab)) == vocab
-    ):
-        return  # every id comes back as it is
+    order, that writing the corpus and parsing it back would change or
+    reject, by the parse's own reading of the fields (``_read_ids``)."""
+    vocab = list(corpus.item_vocabulary)
+    with contextlib.suppress(ValueError):
+        if _read_ids(vocab, vocab) == (vocab, [(item,) for item in vocab]):
+            return  # every id comes back as it is, alone or in a list
     _, sids, _, steps, _, refs, lists = _decode(corpus, None, tuple)
     for sid, step, ref, ids in zip(sids, steps, refs, lists):
-        field = "|".join(ids)
-        if _ID_BREAKS.search(f"{ref or ''}{field}"):
+        listed = "|".join(ids)
+        if _ID_BREAKS.search(f"{ref or ''}{listed}"):
             raise ValidationError(
                 f"session {sid} step {step}: an id holds a tab or line break"
             )
-        shown = tuple(filter(None, field.strip().split("|")))
-        back = (ref or "").strip() or None, shown
-        if back != (ref, ids):
+        (back_ref,), (back_ids,) = _read_ids([ref or ""], [listed])
+        if (back_ref, back_ids) != (ref, ids):
             raise ValidationError(
                 f"session {sid} step {step}: reference {ref!r} and impressions {ids!r} "
-                f"would be read back as {back[0]!r} and {back[1]!r}"
+                f"would be read back as {back_ref!r} and {back_ids!r}"
             )
 
 
@@ -583,27 +578,36 @@ def _code_log_batch(
     fields = list(zip(*rows))
     c_user, c_session, c_time, c_step, c_kind, c_ref, c_shown = col
     try:
-        steps = list(map(int, fields[c_step]))
-        timestamps = list(map(int, fields[c_time]))
-    except ValueError:
+        columns.add(
+            fields[c_session],
+            fields[c_user],
+            list(map(int, fields[c_step])),
+            list(map(int, fields[c_time])),
+            fields[c_kind],
+            *_read_ids(fields[c_ref], fields[c_shown]),
+        )
+    except (ValueError, OverflowError):  # int(), _read_ids or the columns reject a field
         _first_row_fault(batch, line, col, n_cols)
-    refs = list(map(str.strip, fields[c_ref]))
-    shown = list(map(str.strip, fields[c_shown]))
-    if (
-        min(steps) < _INT64_MIN or max(steps) > _INT64_MAX
-        or min(timestamps) < _INT64_MIN or max(timestamps) > _INT64_MAX
-        or _ID_BREAKS.search("".join(refs))
-        or _ID_BREAKS.search("".join(shown))
-    ):
-        _first_row_fault(batch, line, col, n_cols)
-    columns.add(
-        fields[c_session],
-        fields[c_user],
-        steps,
-        timestamps,
-        fields[c_kind],
+
+
+def _read_ids(
+    refs: Sequence[str], fields: Sequence[str]
+) -> tuple[list[str | None], list[tuple[str, ...]]]:
+    """The parse's reading of a column of reference fields and one of
+    impressions fields: each field stripped, an empty reference as none, and
+    the impressions field split on ``|``, empty ids dropped (no id is no
+    list). Raises ValueError naming a stripped field with a tab or line break."""
+    refs, fields = list(map(str.strip, refs)), list(map(str.strip, fields))
+    for name, column in (("reference", refs), ("impressions", fields)):
+        if _ID_BREAKS.search("".join(column)):
+            raw = next(filter(_ID_BREAKS.search, column))
+            raise ValueError(
+                f"{name} {raw!r} holds a tab or line break, which the "
+                f"tab-separated model and graph files cannot carry"
+            )
+    return (
         [ref or None for ref in refs],
-        [list(filter(None, listed.split("|"))) if listed else None for listed in shown],
+        [tuple(filter(None, listed.split("|"))) if listed else () for listed in fields],
     )
 
 
@@ -611,15 +615,25 @@ def _first_row_fault(
     batch: list[list[str]], line: int, col: list[int], n_cols: int
 ) -> NoReturn:
     """Raise ParseError for a batch's first faulty row, the batch's first
-    row starting at ``line``."""
+    row starting at ``line``. A row's faults are checked in this order: its
+    column count, an id holding a tab or line break, then a step or
+    timestamp that is not an integer or does not fit in 64 bits."""
     c_user, c_session, c_time, c_step, c_kind, c_ref, c_shown = col
     for row in batch:
         if row:
             if len(row) != n_cols:
                 raise ParseError(f"expected {n_cols} columns, got {len(row)}", line)
-            _check_row(
-                row[c_ref].strip(), row[c_shown].strip(), row[c_step], row[c_time], line
-            )
+            try:
+                _read_ids([row[c_ref]], [row[c_shown]])
+            except ValueError as fault:
+                raise ParseError(str(fault), line) from None
+            for name, raw in (("step", row[c_step]), ("timestamp", row[c_time])):
+                try:
+                    value = int(raw)
+                except ValueError:
+                    raise ParseError(f"non-integer {name} {raw!r}", line) from None
+                if not _INT64_MIN <= value <= _INT64_MAX:
+                    raise ParseError(f"{name} {raw!r} does not fit in 64 bits", line)
         line += _lines_of(row)
     raise AssertionError("the batch holds no faulty row")
 
@@ -628,26 +642,6 @@ def _lines_of(row: list[str]) -> int:
     """How many lines a CSV row spans: one, plus each line break that a
     quoted field holds."""
     return 1 + sum(len(_LINE_BREAKS.findall(field)) for field in row)
-
-
-def _check_row(ref: str, shown: str, step: str, timestamp: str, line: int) -> None:
-    """Raise ParseError for a row's first fault, checked in this order: an
-    id holding a tab or line break, then a step or timestamp that is not an
-    integer or does not fit in 64 bits."""
-    for name, raw in (("reference", ref), ("impressions", shown)):
-        if _ID_BREAKS.search(raw):
-            raise ParseError(
-                f"{name} {raw!r} holds a tab or line break, which the "
-                f"tab-separated model and graph files cannot carry",
-                line,
-            )
-    for name, raw in (("step", step), ("timestamp", timestamp)):
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ParseError(f"non-integer {name} {raw!r}", line) from None
-        if not _INT64_MIN <= value <= _INT64_MAX:
-            raise ParseError(f"{name} {raw!r} does not fit in 64 bits", line)
 
 
 def _numbered_rows(stream: IO) -> Iterator[tuple[int, list[str]]]:
@@ -788,9 +782,11 @@ def _load_columns(path: Path, role: Role) -> SessionCorpus | None:
     try:
         # one read; the columns are views of it
         return _columns_corpus(companion.read_bytes(), role, (path, companion))
-    # whatever the bytes hold, a header of another shape included: the file
-    # stays readable by its parse, which reports its own faults
-    except (OSError, LookupError, TypeError, ValueError, ValidationError) as exc:
+    # whatever the bytes hold, a header of another shape or too deeply nested
+    # included: the file stays readable by its parse, which reports its faults
+    except (
+        OSError, LookupError, TypeError, ValueError, RecursionError, ValidationError
+    ) as exc:
         log.info("parsing %s: its companion is not usable (%s)", path, exc)
         return None
 
@@ -810,7 +806,8 @@ def _columns_corpus(
     header = json.loads(buffer[len(_COLUMNS_TAG) : start])
     if [(name, dtype) for name, dtype, _ in header["sections"]] != _COLUMN_SECTIONS:
         raise ValueError("unexpected sections")
-    if header["sha256"] != _sha256(sources[0]):
+    digest = _sha256(sources[0])
+    if header["sha256"] != digest:
         raise ValueError("its digest is not the file's")
     sections = {}
     for name, dtype, size in header["sections"]:
@@ -839,7 +836,9 @@ def _columns_corpus(
         codes = sections[name]
         if len(codes) and not low <= codes.min() <= codes.max() < len(tables[table]):
             raise ValueError(f"{name}: a code out of range")
-    corpus = SessionCorpus(role=role, **tables, **sections, sources=sources)
+    corpus = SessionCorpus(
+        role=role, **tables, **sections, sources=sources, _digests=((sources[0], digest),)
+    )
     _validate(corpus)
     return corpus
 

@@ -699,6 +699,38 @@ class TestRecommendAndEvaluate:
             assert sum(timings.values()) <= manifest["wall_time_s"] + 0.005
             assert "timings" not in manifest["flags"]
 
+    def test_train_and_evaluate_hash_each_file_once(self, workdir, monkeypatch):
+        # a companion's load hashes its CSV, and the manifest keeps that digest
+        from simpop import cli, sessions
+
+        corpus, model = ingest_train(workdir), workdir / "model.txt"
+        test_corpus, truth = workdir / "test_corpus.csv", workdir / "truth.csv"
+        assert main(["ingest", "--input", str(workdir / "raw_test.csv"), "--out",
+                     str(test_corpus), "--role", "test", "--truth-out", str(truth)]) == 0
+        sha256, hashed = sessions._sha256, Counter()
+
+        def counted(path):
+            hashed[str(path)] += 1
+            return sha256(path)
+
+        monkeypatch.setattr(sessions, "_sha256", counted)
+        monkeypatch.setattr(cli, "_sha256", counted)
+        runs = [
+            (["train", "--corpus", str(corpus), "--out", str(model), "--dim", "2",
+              "--min-sessions", "1", "--max-iterations", "5"], model),
+            (["evaluate", "--ranker", "proposed", "--model", str(model),
+              "--train-corpus", str(corpus), "--test-corpus", str(test_corpus),
+              "--truth", str(truth), "--out", str(workdir / "report.csv")],
+             workdir / "report.csv"),
+        ]
+        for argv, out in runs:
+            hashed.clear()
+            assert main(argv) == 0
+            inputs = json.loads(Path(f"{out}.manifest.json").read_text())["inputs"]
+            assert {str(corpus), f"{corpus}.columns"} <= set(inputs)
+            assert hashed == Counter(dict.fromkeys(inputs, 1)), argv[0]
+            assert inputs == {path: sha256(path) for path in inputs}
+
     def test_evaluate_baseline_and_proposed(self, workdir, trained, capsys):
         corpus, model_path = trained
         test_corpus = workdir / "test_corpus.csv"

@@ -6,11 +6,16 @@ import io
 import json
 import math
 import pickle
+import re
+import tempfile
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simpop.affinity import build_affinity_graph, compute_popularity, interaction_counts
 from simpop.errors import ParseError, ValidationError
@@ -860,6 +865,29 @@ class TestColumnarParseAgainstTheRowWalk:
         for each in [corpus, *derived]:
             assert "sessions" not in each.__dict__
 
+    def test_a_clean_input_walks_no_row(self, monkeypatch):
+        # a row walk runs only for a faulty batch: clean input is coded one
+        # column at a time, the 64-bit extremes included
+        def walked(*args):
+            raise AssertionError("a clean input walked its rows")
+        monkeypatch.setattr("simpop.sessions._first_row_fault", walked)
+        monkeypatch.setattr("simpop.sessions._check_64_bits", walked)
+        text = log_text(random_log_rows(7, n_sessions=200))
+        assert "\n\n" in text and '"u\n' in text  # blank lines, quoted line breaks
+        corpus = corpus_from_text(text)
+        assert corpus.n_actions > 3 * 256
+        actions = [a for acts in corpus.sessions.values() for a in acts]
+        assert SessionCorpus.from_actions(actions, Role.TRAIN) == corpus
+        extremes = [make_action("s1", 1, item="A", ts=2**63 - 1),
+                    make_action("s2", 1, item="A", ts=-(2**63))]
+        built = SessionCorpus.from_actions(extremes, Role.TRAIN)
+        text = f"{HEADER}\nu1,s1,{2**63 - 1},1,interaction item info,A,\n"
+        text += f"u1,s2,{-(2**63)},1,interaction item info,A,\n"
+        assert built.timestamp.tolist() == corpus_from_text(text).timestamp.tolist()
+        text += f"u1,s3,1,{2**63 - 1},interaction item info,A,\n"
+        with pytest.raises(ValidationError, match="steps must be contiguous"):
+            corpus_from_text(text)
+
 
 def assert_parses_back_equal(corpus, path):
     """Writing the corpus and parsing the file gives the corpus back, in its
@@ -919,6 +947,42 @@ class TestWrittenCorpusParsesBackEqual:
     def test_corpora_built_from_actions(self, seed, tmp_path):
         for k, corpus in enumerate([*item_corpora(), random_corpus(seed + 20, Role.TEST)]):
             assert_parses_back_equal(corpus, tmp_path / f"c{k}.csv")
+
+
+#: what the ids of ``carried_actions`` are made of: every character the
+#: parse's reading of the reference and impressions fields treats apart
+ID_PIECES = ("a", "b", " ", "|", "\t", "\n", "")
+
+
+@st.composite
+def carried_actions(draw):
+    """A few short sessions of interactions whose references and impression
+    ids are drawn over ``ID_PIECES``; a list may be empty."""
+    ids = st.lists(st.sampled_from(ID_PIECES), max_size=3).map("".join)
+    return [
+        Action(
+            session_id=f"s{s}", user_id="u", step=step,
+            action_type="interaction item info",
+            item_ref=draw(st.none() | ids),
+            impressions=draw(st.none() | st.lists(ids, max_size=3).map(tuple)),
+            timestamp=1000 + step,
+        )
+        for s in range(draw(st.integers(1, 3)))
+        for step in range(1, draw(st.integers(1, 3)) + 1)
+    ]
+
+
+def read_back(action):
+    """The reference and impressions that writing the action's fields as
+    ``write_corpus`` does and parsing them gives back, or None when the
+    parse rejects them."""
+    fields = [action.item_ref or "", "|".join(action.impressions or ())]
+    text = log_text([["u", "s", "1", "1", "interaction item info", *fields]])
+    try:
+        (back,) = corpus_from_text(text).sessions["s"]
+    except ParseError:
+        return None
+    return back.item_ref, back.impressions
 
 
 class TestFromActionsTakesWhatTheFileCarries:
@@ -994,6 +1058,22 @@ class TestFromActionsTakesWhatTheFileCarries:
             Role.TRAIN,
         )
         assert_parses_back_equal(corpus, tmp_path / "c.csv")
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(actions=carried_actions())
+    def test_takes_exactly_what_the_file_gives_back(self, actions):
+        try:
+            corpus = SessionCorpus.from_actions(actions, Role.TRAIN)
+        except ValidationError as exc:
+            named = re.match(r"session (\S+) step (\d+): .*(would be read back as|"
+                             r"tab or line break)", str(exc))
+            assert named is not None, exc  # interactions fail no other check
+            sid, step = named.group(1), int(named.group(2))
+            action = next(a for a in actions if (a.session_id, a.step) == (sid, step))
+            assert read_back(action) != (action.item_ref, action.impressions or None)
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            assert_parses_back_equal(corpus, Path(tmp) / "c.csv")
 
 
 class TestIntegerRange:
@@ -1238,9 +1318,10 @@ class TestColumnarCompanion:
         "cut", [lambda b: b[:-8], lambda b: b[: len(b) // 2], lambda b: b[:17],
                 lambda b: b"", lambda b: b + bytes(8),
                 lambda b: b.replace(b"simpop-columns 1", b"simpop-columns 2"),
-                lambda b: b.replace(b'"sha256": "', b'"sha256": "0')],
+                lambda b: b.replace(b'"sha256": "', b'"sha256": "0'),
+                lambda b: b"simpop-columns 1\n" + b"[" * 100_000 + b"\n"],
         ids=["truncated-by-8", "truncated-by-half", "tag-only", "empty", "overlong",
-             "other-version", "other-digest"],
+             "other-version", "other-digest", "deeply-nested-header"],
     )
     def test_a_damaged_companion_falls_back_to_the_parse(
         self, with_companion, cut, no_pickle
