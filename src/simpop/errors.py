@@ -8,10 +8,8 @@ class SimpopError(Exception):
 class ParseError(SimpopError):
     """Malformed input row or header; carries the 1-based line number."""
 
-    def __init__(self, message: str, line_number: int | None = None):
-        if line_number is not None:
-            message = f"line {line_number}: {message}"
-        super().__init__(message)
+    def __init__(self, message: str, line_number: int):
+        super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
 
 

@@ -137,7 +137,7 @@ class SearchGrid:
         ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridCell:
     dim: int
     lam: float
@@ -158,56 +158,49 @@ def _run_cell(
     config: FitConfig,
 ) -> GridCell:
     params = config.params
-    cell = GridCell(
-        dim=params.dim, lam=params.lam, alpha=params.alpha, seed=config.seed
-    )
+    named = dict(dim=params.dim, lam=params.lam, alpha=params.alpha, seed=config.seed)
     try:
         model, trace = fit_embedding(graph, config)
     except DivergenceError as exc:
-        cell.failed = True
-        cell.error = str(exc)
-        return cell
+        return GridCell(**named, failed=True, error=str(exc))
     ranker = NextItemRecommender(model, popularity=graph.popularity)
-    report = evaluate(ranker, holdout, truth)
-    cell.mrr = report.mrr
-    cell.iterations = trace.iterations
-    cell.objective = trace.objectives[-1]
-    cell.converged = trace.converged
-    return cell
+    return GridCell(
+        **named,
+        mrr=evaluate(ranker, holdout, truth).mrr,
+        iterations=trace.iterations,
+        objective=trace.objectives[-1],
+        converged=trace.converged,
+    )
 
 
 def grid_search(
     train: SessionCorpus,
     validation: SessionCorpus,
     grid: SearchGrid | None = None,
-    seeds: Sequence[int] = (0,),
     max_iterations: int = FitConfig.max_iterations,
 ) -> tuple[FitConfig, list[GridCell]]:
     """Fit one embedding per grid cell and score validation MRR.
 
     Train and validation must be disjoint session sets. Each cell is fitted
-    once per seed, one fit after another in the calling process; a cell's row
-    keeps its best seed. Failed (diverged) cells stay in the table with
-    ``failed=True``; when every cell fails, the DivergenceError raised
-    carries the table as its ``trace``. The best configuration is the highest
-    validation MRR, ties broken toward smaller dimension, then larger
-    regularization, then smaller alpha.
+    once, from ``FitConfig``'s seed, one fit after another in the calling
+    process; the table holds one row per cell, in ``grid.cells()`` order.
+    Failed (diverged) cells stay in the table with ``failed=True``; when
+    every cell fails, the DivergenceError raised carries the table as its
+    ``trace``. The best configuration is the highest validation MRR, ties
+    broken toward smaller dimension, then larger regularization, then
+    smaller alpha.
     """
     if set(train.session_ids) & set(validation.session_ids):
         raise ValidationError("train and validation sessions overlap")
     grid = grid or SearchGrid()
-    if not seeds:
-        raise ValueError("at least one seed is required")
 
     # every configuration is checked before the graph is built
     configs = [
         FitConfig(
             params=ModelParams(alpha=alpha, dim=dim, lam=lam),
-            seed=seed,
             max_iterations=max_iterations,
         )
         for dim, lam, alpha in grid.cells()
-        for seed in seeds
     ]
     graph = build_affinity_graph(train)
     holdout, truth, dropped = prepare_holdout(validation)
@@ -215,20 +208,15 @@ def grid_search(
         log.info("grid search: %d validation sessions unusable", dropped)
     if holdout.n_sessions == 0:
         raise ValidationError("validation corpus has no usable sessions")
-    results = [_run_cell(graph, holdout, truth, cfg) for cfg in configs]
+    table = [_run_cell(graph, holdout, truth, cfg) for cfg in configs]
 
-    # one row per grid cell, the cell's best seed; on a tie the first seed wins
-    n_seeds = len(seeds)
-    table = [
-        max(results[c : c + n_seeds], key=_cell_score)
-        for c in range(0, len(results), n_seeds)
-    ]
-
-    usable = [c for c in table if not c.failed]
+    usable = [k for k, c in enumerate(table) if not c.failed]
     if not usable:
         raise DivergenceError("every grid cell failed", None, table)
-    winner = min(usable, key=lambda c: (-c.mrr, c.dim, -c.lam, c.alpha, c.seed))
-    best_config = next(cfg for cfg, cell in zip(configs, results) if cell is winner)
+    k = min(
+        usable, key=lambda k: (-table[k].mrr, table[k].dim, -table[k].lam, table[k].alpha)
+    )
+    winner = table[k]
     log.info(
         "grid search winner: dim=%d lambda=%g alpha=%g (MRR %.4f)",
         winner.dim,
@@ -236,11 +224,7 @@ def grid_search(
         winner.alpha,
         winner.mrr,
     )
-    return best_config, table
-
-
-def _cell_score(cell: GridCell) -> float:
-    return -math.inf if cell.failed else cell.mrr
+    return configs[k], table
 
 
 def write_grid_table(table: Sequence[GridCell], path: str | Path) -> None:

@@ -289,7 +289,12 @@ class _Columns:
             map(code, chain.from_iterable(filter(None, impressions)))
         )
 
-    def corpus(self, role: Role, sources: tuple[Path, ...] = ()) -> SessionCorpus:
+    def corpus(
+        self,
+        role: Role,
+        sources: tuple[Path, ...] = (),
+        digests: tuple[tuple[Path, str], ...] = (),
+    ) -> SessionCorpus:
         """The rows ordered by session id and step, with every code into its
         sorted table, validated. Each column is freed as soon as its ordered
         copy is made, so the builder is spent."""
@@ -318,6 +323,7 @@ class _Columns:
             impression_offsets=_offsets(lengths),
             impressions=by_item[self._pop("impressions")[taken]],
             sources=sources,
+            _digests=digests,
         )
         del session, step, shown, taken
         _validate(corpus)
@@ -532,11 +538,16 @@ def parse_session_log(
             violating the impression invariants.
     """
     sources: tuple[Path, ...] = ()
+    digests: tuple[tuple[Path, str], ...] = ()
     if isinstance(source, (str, Path)):
         sources = (Path(source),)
-        loaded = _load_columns(sources[0], role)
-        if loaded is not None:
-            return loaded
+        if Path(f"{source}{_COLUMNS_SUFFIX}").is_file():
+            # one hash: the companion is checked against it, and a parse
+            # after a stale companion keeps it for the caller
+            digests = ((sources[0], _sha256(sources[0])),)
+            loaded = _load_columns(sources[0], role, digests[0][1])
+            if loaded is not None:
+                return loaded
     with _open_text(source) as stream:
         reader = csv.reader(stream)
         try:
@@ -562,7 +573,7 @@ def parse_session_log(
             if not batch:
                 break
             _code_log_batch(columns, batch, line, col, len(header))
-    return columns.corpus(role, sources)
+    return columns.corpus(role, sources, digests)
 
 
 def _code_log_batch(
@@ -772,16 +783,14 @@ def write_columns(corpus: SessionCorpus, path: str | Path) -> Path:
     return companion
 
 
-def _load_columns(path: Path, role: Role) -> SessionCorpus | None:
-    """The corpus the companion of the file at ``path`` holds, or None when
-    there is no companion, or it is not the file's (its digest differs) or
-    fails a check, which is logged."""
+def _load_columns(path: Path, role: Role, digest: str) -> SessionCorpus | None:
+    """The corpus the companion of the file at ``path``, whose SHA-256 is
+    ``digest``, holds, or None when the companion is not the file's (its
+    digest differs) or fails a check, which is logged."""
     companion = Path(f"{path}{_COLUMNS_SUFFIX}")
-    if not companion.is_file():
-        return None
     try:
         # one read; the columns are views of it
-        return _columns_corpus(companion.read_bytes(), role, (path, companion))
+        return _columns_corpus(companion.read_bytes(), role, (path, companion), digest)
     # whatever the bytes hold, a header of another shape or too deeply nested
     # included: the file stays readable by its parse, which reports its faults
     except (
@@ -792,21 +801,21 @@ def _load_columns(path: Path, role: Role) -> SessionCorpus | None:
 
 
 def _columns_corpus(
-    buffer: bytes, role: Role, sources: tuple[Path, Path]
+    buffer: bytes, role: Role, sources: tuple[Path, Path], digest: str
 ) -> SessionCorpus:
     """The validated corpus a companion's bytes hold, its columns read-only
     views of them. Raises ValueError when the bytes are not the companion of
-    the file ``sources[0]`` as ``write_columns`` writes it, or the columns
-    and tables are not a corpus's: offsets that do not bound their runs, a
-    code out of its table's range, or a table that is not sorted; and
-    ValidationError for columns that ``_validate`` rejects."""
+    the file ``sources[0]``, whose SHA-256 is ``digest``, as ``write_columns``
+    writes it, or the columns and tables are not a corpus's: offsets that do
+    not bound their runs, a code out of its table's range, or a table that
+    is not sorted; and ValidationError for columns that ``_validate``
+    rejects."""
     if not buffer.startswith(_COLUMNS_TAG):
         raise ValueError("no format tag")
     start = buffer.index(b"\n", len(_COLUMNS_TAG)) + 1
     header = json.loads(buffer[len(_COLUMNS_TAG) : start])
     if [(name, dtype) for name, dtype, _ in header["sections"]] != _COLUMN_SECTIONS:
         raise ValueError("unexpected sections")
-    digest = _sha256(sources[0])
     if header["sha256"] != digest:
         raise ValueError("its digest is not the file's")
     sections = {}

@@ -281,7 +281,6 @@ def test_criterion_6_grid_search_completes(desk_data):
         fit_train,
         validation,
         grid=SearchGrid(),
-        seeds=(0,),
         max_iterations=150,
     )
     elapsed = time.perf_counter() - start

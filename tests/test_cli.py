@@ -1,6 +1,7 @@
 """Command-line surface: subcommand happy paths, error exit codes, manifests."""
 
 import csv
+import hashlib
 import inspect
 import io
 import json
@@ -699,14 +700,11 @@ class TestRecommendAndEvaluate:
             assert sum(timings.values()) <= manifest["wall_time_s"] + 0.005
             assert "timings" not in manifest["flags"]
 
-    def test_train_and_evaluate_hash_each_file_once(self, workdir, monkeypatch):
-        # a companion's load hashes its CSV, and the manifest keeps that digest
+    @pytest.fixture
+    def hashed(self, monkeypatch):
+        """Counts each path's ``_sha256`` calls, in the load and the manifest."""
         from simpop import cli, sessions
 
-        corpus, model = ingest_train(workdir), workdir / "model.txt"
-        test_corpus, truth = workdir / "test_corpus.csv", workdir / "truth.csv"
-        assert main(["ingest", "--input", str(workdir / "raw_test.csv"), "--out",
-                     str(test_corpus), "--role", "test", "--truth-out", str(truth)]) == 0
         sha256, hashed = sessions._sha256, Counter()
 
         def counted(path):
@@ -715,6 +713,14 @@ class TestRecommendAndEvaluate:
 
         monkeypatch.setattr(sessions, "_sha256", counted)
         monkeypatch.setattr(cli, "_sha256", counted)
+        return hashed
+
+    def test_train_and_evaluate_hash_each_file_once(self, workdir, hashed):
+        # a companion's load hashes its CSV, and the manifest keeps that digest
+        corpus, model = ingest_train(workdir), workdir / "model.txt"
+        test_corpus, truth = workdir / "test_corpus.csv", workdir / "truth.csv"
+        assert main(["ingest", "--input", str(workdir / "raw_test.csv"), "--out",
+                     str(test_corpus), "--role", "test", "--truth-out", str(truth)]) == 0
         runs = [
             (["train", "--corpus", str(corpus), "--out", str(model), "--dim", "2",
               "--min-sessions", "1", "--max-iterations", "5"], model),
@@ -729,7 +735,22 @@ class TestRecommendAndEvaluate:
             inputs = json.loads(Path(f"{out}.manifest.json").read_text())["inputs"]
             assert {str(corpus), f"{corpus}.columns"} <= set(inputs)
             assert hashed == Counter(dict.fromkeys(inputs, 1)), argv[0]
-            assert inputs == {path: sha256(path) for path in inputs}
+            assert inputs == {
+                path: hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in inputs
+            }
+
+    def test_train_after_a_stale_companion_hashes_each_file_once(self, workdir, hashed):
+        # the digest the companion was checked against is kept for the manifest
+        corpus, model = ingest_train(workdir), workdir / "model.txt"
+        with open(corpus, "a", encoding="utf-8") as out:
+            out.write("u5,s5,5000,1,interaction item info,C,\n")
+        hashed.clear()
+        assert main(["train", "--corpus", str(corpus), "--out", str(model), "--dim", "2",
+                     "--min-sessions", "1", "--max-iterations", "5"]) == 0
+        inputs = json.loads(Path(f"{model}.manifest.json").read_text())["inputs"]
+        assert list(inputs) == [str(corpus)]
+        assert hashed == Counter({str(corpus): 1})
+        assert inputs[str(corpus)] == hashlib.sha256(corpus.read_bytes()).hexdigest()
 
     def test_evaluate_baseline_and_proposed(self, workdir, trained, capsys):
         corpus, model_path = trained

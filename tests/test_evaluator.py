@@ -339,22 +339,11 @@ class TestGridSearch:
             assert cell.objective == trace.objectives[-1]
             assert cell.converged == trace.converged
 
-    def test_cell_keeps_its_best_seed(self, small_world):
+    def test_takes_no_seeds(self, small_world):
+        # each cell is fitted once, from FitConfig's seed
         train, validation = small_world
-        grid = SearchGrid(dims=(2,), lambdas=(0.01,), alphas=(2.0,))
-
-        def search(seeds):
-            best, (row,) = grid_search(
-                train, validation, grid=grid, seeds=seeds, max_iterations=30
-            )
-            return best, row
-
-        alone = {seed: search((seed,))[1].mrr for seed in (0, 1)}
-        assert alone[0] != alone[1]
-        better = max(alone, key=alone.get)
-        best, row = search((0, 1))
-        assert (row.seed, row.mrr) == (better, alone[better])
-        assert best.seed == better
+        with pytest.raises(TypeError, match="seeds"):
+            grid_search(train, validation, seeds=(0, 1))
 
     @pytest.mark.parametrize("axis", ["dims", "lambdas", "alphas"])
     def test_empty_axis_is_named(self, axis):
