@@ -8,9 +8,10 @@ traced back to its exact inputs. ``ingest`` adds the sessions it dropped,
 ``train`` and ``evaluate`` the wall time of each of their stages.
 
 ``ingest`` also writes the corpus's columnar companion (``<out>.columns``),
-which the commands that read the corpus load instead of parsing it (see
-``sessions.write_columns``); their manifests list it among the inputs
-exactly when they did.
+and ``train`` and ``synth sessions`` the model's, which the commands that
+read the corpus or the model load instead of parsing it (see
+``sessions.write_columns`` and ``model.write_model``); their manifests list
+it among the outputs, and among the inputs exactly when they loaded it.
 
 Exit codes: 0 success, 2 input or validation error, 3 numerical failure.
 """
@@ -49,6 +50,7 @@ from .embedder import FitConfig, _check_pairs, fit_embedding, write_trace
 from .errors import DivergenceError, SimpopError
 from .evaluator import SearchGrid, evaluate, grid_search, write_grid_table, write_report
 from .model import (
+    EmbeddingModel,
     ModelParams,
     generate_synthetic_network,
     read_model,
@@ -115,10 +117,11 @@ def _write_manifest(
         out.write("\n")
 
 
-def _read_from(corpus: SessionCorpus) -> dict[Path, str | None]:
-    """The files a corpus was read from, each with its known SHA-256 or None."""
-    known = dict(corpus._digests)
-    return {p: known.get(p) for p in corpus.sources}
+def _read_from(loaded: SessionCorpus | EmbeddingModel) -> dict[Path, str | None]:
+    """The files a corpus or model was read from, each with its known SHA-256
+    or None."""
+    known = dict(loaded._digests)
+    return {p: known.get(p) for p in loaded.sources}
 
 
 def _lap(timings: dict[str, float], stage: str, mark: float) -> float:
@@ -211,7 +214,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise
     mark = _lap(timings, "fit_s", mark)
     write_trace(trace, trace_out)
-    write_model(model, args.out)
+    companion = write_model(model, args.out)
     _lap(timings, "model_write_s", mark)
     print(
         f"trained {len(model)} items (dim={args.dim}, alpha={args.alpha}, "
@@ -223,7 +226,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         args,
         args.out,
         inputs,
-        [args.out, pairs_out, popularity_out, trace_out],
+        [args.out, pairs_out, popularity_out, trace_out, companion],
         [args.seed],
         started,
         counts={
@@ -272,7 +275,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     text = stream.getvalue()
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
-        inputs = {args.model: None, **_read_from(corpus)}
+        inputs = {**_read_from(model), **_read_from(corpus)}
         if args.popularity:
             inputs[Path(args.popularity)] = None
         _write_manifest(
@@ -292,8 +295,8 @@ def _build_ranker(args: argparse.Namespace) -> tuple[Ranker, dict[Path, str | No
     if name == "proposed":
         if not args.model:
             raise SimpopError("--ranker proposed requires --model")
-        read: dict[Path, str | None] = {Path(args.model): None}
         model = read_model(args.model)
+        read = _read_from(model)
         popularity = None
         if args.train_corpus:
             train = parse_session_log(args.train_corpus, role=Role.TRAIN)
@@ -389,7 +392,8 @@ def cmd_synth_edges(args: argparse.Namespace) -> int:
             out.write(f"{i}\t{j}\n")
     print(f"sampled {len(edges)} edges over {len(model)} items -> {args.out}")
     _write_manifest(
-        "synth-edges", args, args.out, {args.model: None}, [args.out], [args.seed], started
+        "synth-edges", args, args.out, _read_from(model), [args.out], [args.seed],
+        started,
     )
     return EXIT_OK
 
@@ -418,7 +422,7 @@ def cmd_synth_sessions(args: argparse.Namespace) -> int:
     write_corpus(data.train, train_path)
     write_corpus(data.test, test_path)
     write_metadata(data.world.metadata, metadata_path)
-    write_model(data.world.model, model_path)
+    companion = write_model(data.world.model, model_path)
     _lap(timings, "write_s", mark)
     print(
         f"synthetic corpus: {data.train.n_sessions} train / "
@@ -430,7 +434,7 @@ def cmd_synth_sessions(args: argparse.Namespace) -> int:
         args,
         train_path,
         {},
-        [train_path, test_path, metadata_path, model_path],
+        [train_path, test_path, metadata_path, model_path, companion],
         [args.seed],
         started,
         counts={

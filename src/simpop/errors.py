@@ -12,6 +12,11 @@ class ParseError(SimpopError):
         super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
 
+    def __reduce__(self):
+        # rebuilt from its own arguments, so the message gets one prefix
+        message = self.args[0].removeprefix(f"line {self.line_number}: ")
+        return type(self), (message, self.line_number), self.__dict__
+
 
 class ValidationError(SimpopError):
     """Parsed data violates a corpus or graph invariant."""
@@ -38,3 +43,10 @@ class DivergenceError(SimpopError):
         super().__init__(message)
         self.iteration = iteration
         self.trace = trace
+
+    def __reduce__(self):
+        # rebuilt from its own arguments, so the message gets one suffix
+        message = self.args[0]
+        if self.iteration is not None:
+            message = message.removesuffix(f" (iteration {self.iteration})")
+        return type(self), (message, self.iteration, self.trace), self.__dict__

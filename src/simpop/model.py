@@ -14,6 +14,7 @@ sampler that treats the law generatively.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import numbers
 import warnings
@@ -21,18 +22,31 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .affinity import PopularityTable
 from .errors import MissingItemError, ParseError, ValidationError
-from .sessions import _ID_BREAKS
+from .sessions import (
+    _COLUMNS_SUFFIX,
+    _ID_BREAKS,
+    _load_companion,
+    _sha256,
+    _table,
+    _table_sections,
+    _write_companion,
+)
 
 MODEL_FORMAT_HEADER = "simpop-model v1"
 #: rows ``write_model`` turns into Python floats at a time: 256 rows of
 #: dimension 20 are about 0.2 MB, too little to move a process's peak
 _WRITE_BLOCK = 256
+#: every section of a model companion, in file order, with its dtype: the
+#: popularities, the coordinates row by row, and the ids as a table
+_MODEL_SECTIONS = [
+    ("kappa", "<f8"), ("coords", "<f8"), ("ids.lengths", "<i8"), ("ids", "|u1")
+]
 
 
 @dataclass(frozen=True)
@@ -73,7 +87,15 @@ class EmbeddingModel:
     Storage is columnar (an (n, D) coordinate matrix plus aligned popularity
     vector) so scoring can vectorize; item ids are kept sorted to make every
     derived artifact deterministic.
+
+    ``sources`` names the files ``read_model`` read the model from: the model
+    file, and its companion when the model came from there; none for a model
+    built in memory. ``_digests`` pairs each source the read hashed with its
+    SHA-256, for a caller that records the files it read.
     """
+
+    sources: tuple[Path, ...] = ()
+    _digests: tuple[tuple[Path, str], ...] = ()
 
     def __init__(
         self,
@@ -203,30 +225,96 @@ def generate_synthetic_network(
 # ---------------------------------------------------------------------------
 # Model file format: header line, then one line per item with full-precision
 # decimal floats (repr round-trips exactly). The writer formats blocks of rows
-# and the reader appends each row's floats to one flat buffer, so neither
-# holds the whole model as Python floats.
+# and the parse appends each row's floats to one flat buffer, so neither
+# holds the whole model as Python floats. Next to the text, ``write_model``
+# writes its columnar companion (``<path>.columns``, the container the
+# corpus companion uses): the text's SHA-256, the popularities, the
+# coordinates and the sorted ids. ``read_model`` loads the companion instead
+# of parsing when its digest is the text's and its sections pass their
+# checks; the text stays the model file, and the companion a checked cache.
 # ---------------------------------------------------------------------------
 
 
-def write_model(model: EmbeddingModel, path: str | Path) -> None:
+def write_model(model: EmbeddingModel, path: str | Path) -> Path:
+    """Write the model file at ``path`` and its columnar companion, and
+    return the companion's path."""
+    digest = hashlib.sha256()  # of the text as it is written: no second read
+    with open(path, "wb") as out:
+        for text in _model_text(model):
+            data = text.encode()
+            digest.update(data)
+            out.write(data)
+    sections = [model.kappa, model.coords.ravel(), *_table_sections(model.ids)]
+    return _write_companion(path, digest.hexdigest(), _MODEL_SECTIONS, sections)
+
+
+def _model_text(model: EmbeddingModel) -> Iterator[str]:
+    """The model file's text: its header line, then its rows a block at a
+    time."""
     p = model.params
-    with open(path, "w", encoding="utf-8") as out:
-        out.write(
-            f"{MODEL_FORMAT_HEADER} dim={p.dim} alpha={p.alpha!r} lambda={p.lam!r}\n"
-        )
-        for s in range(0, len(model), _WRITE_BLOCK):
-            block = slice(s, s + _WRITE_BLOCK)
-            out.writelines(
-                f"{item}\t{kappa!r}\t{' '.join(map(repr, row))}\n"
-                for item, kappa, row in zip(
-                    model.ids[block],
-                    model.kappa[block].tolist(),
-                    model.coords[block].tolist(),
-                )
+    yield f"{MODEL_FORMAT_HEADER} dim={p.dim} alpha={p.alpha!r} lambda={p.lam!r}\n"
+    for s in range(0, len(model), _WRITE_BLOCK):
+        block = slice(s, s + _WRITE_BLOCK)
+        yield "".join(
+            f"{item}\t{kappa!r}\t{' '.join(map(repr, row))}\n"
+            for item, kappa, row in zip(
+                model.ids[block],
+                model.kappa[block].tolist(),
+                model.coords[block].tolist(),
             )
+        )
 
 
 def read_model(path: str | Path) -> EmbeddingModel:
+    """Read the model file at ``path``: from its companion when the
+    companion's digest is the file's and its sections pass their checks,
+    else by parsing the text, which raises ParseError for a malformed line
+    or header.
+
+    Either way the model is the same to the bit, ``sources`` names the files
+    read, and the digest a companion was checked against is kept for a
+    caller that records the files it read.
+    """
+    path = Path(path)
+    digests: tuple[tuple[Path, str], ...] = ()
+    companion = Path(f"{path}{_COLUMNS_SUFFIX}")
+    if companion.is_file():
+        # one hash: the companion is checked against it, and a parse after
+        # a stale companion keeps it for the caller
+        digests = ((path, _sha256(path)),)
+        model = _load_companion(
+            path, digests[0][1], _MODEL_SECTIONS,
+            lambda sections: _companion_model(path, sections),
+        )
+        if model is not None:
+            model.sources, model._digests = (path, companion), digests
+            return model
+    model = _parse_model(path)
+    model.sources, model._digests = (path,), digests
+    return model
+
+
+def _companion_model(path: Path, sections: dict[str, np.ndarray]) -> EmbeddingModel:
+    """The model a companion's sections hold, under the params of the text's
+    header line. Raises ValueError unless the ids add up and are sorted and
+    distinct, and the popularities and coordinates number one and ``dim``
+    per id; the model's own checks raise ValidationError."""
+    with open(path, "r", encoding="utf-8") as stream:
+        params = _parse_header(stream.readline().rstrip("\n"), path)
+    ids = _table(sections["ids.lengths"], sections["ids"], "ids")
+    n = len(ids)
+    if len(sections["kappa"]) != n or len(sections["coords"]) != n * params.dim:
+        raise ValueError(
+            f"{len(sections['kappa'])} popularities and {len(sections['coords'])} "
+            f"coordinates for {n} items of dimension {params.dim}"
+        )
+    return EmbeddingModel(
+        params, ids, sections["coords"].reshape(n, params.dim), sections["kappa"]
+    )
+
+
+def _parse_model(path: Path) -> EmbeddingModel:
+    """The model the text at ``path`` holds, parsed line by line."""
     with open(path, "r", encoding="utf-8") as stream:
         header = stream.readline().rstrip("\n")
         params = _parse_header(header, path)

@@ -54,7 +54,7 @@ from functools import cached_property
 from itertools import chain, count, islice
 from operator import attrgetter
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, NoReturn, Sequence
+from typing import IO, Callable, Iterable, Iterator, Mapping, NoReturn, Sequence, TypeVar
 
 import numpy as np
 
@@ -545,7 +545,10 @@ def parse_session_log(
             # one hash: the companion is checked against it, and a parse
             # after a stale companion keeps it for the caller
             digests = ((sources[0], _sha256(sources[0])),)
-            loaded = _load_columns(sources[0], role, digests[0][1])
+            loaded = _load_companion(
+                sources[0], digests[0][1], _COLUMN_SECTIONS,
+                lambda sections: _columns_corpus(sections, role, *digests[0]),
+            )
             if loaded is not None:
                 return loaded
     with _open_text(source) as stream:
@@ -711,19 +714,19 @@ def write_corpus(corpus: SessionCorpus, path: str | Path) -> None:
 # The columnar companion
 # ---------------------------------------------------------------------------
 
-#: appended to a corpus file's path to name its columnar companion
+#: appended to a corpus or model file's path to name its columnar companion
 _COLUMNS_SUFFIX = ".columns"
-#: the companion's first line: its format and version
+#: a companion's first line: its format and version
 _COLUMNS_TAG = b"simpop-columns 1\n"
-#: the int64 columns a companion holds, in file order
+#: the int64 columns a corpus companion holds, in file order
 _COLUMN_ARRAYS = (
     "offsets", "step", "timestamp", "kind", "user", "item",
     "impression_offsets", "impressions",
 )
-#: the tables a companion holds after the columns, each as its entries'
+#: the tables a corpus companion holds after the columns, each as its entries'
 #: lengths (int64, in code points) and then their UTF-8 text
 _COLUMN_TABLES = ("session_ids", "kinds", "users", "item_vocabulary")
-#: every section of a companion, in file order, with its dtype
+#: every section of a corpus companion, in file order, with its dtype
 _COLUMN_SECTIONS = [(name, "<i8") for name in _COLUMN_ARRAYS] + [
     section
     for name in _COLUMN_TABLES
@@ -731,6 +734,8 @@ _COLUMN_SECTIONS = [(name, "<i8") for name in _COLUMN_ARRAYS] + [
 ]
 #: every section starts at a multiple of this many bytes
 _ALIGN = 8
+#: what a companion's sections are built into: a corpus or a model
+_Loaded = TypeVar("_Loaded")
 
 
 def _sha256(path: str | Path) -> str:
@@ -751,81 +756,26 @@ def write_columns(corpus: SessionCorpus, path: str | Path) -> Path:
     """Write the columnar companion of the corpus file at ``path``, which
     holds ``write_corpus(corpus, path)``'s bytes, and return its path.
 
-    The companion is the format tag line, a JSON header line (the file's
-    SHA-256 and each section's name, dtype and length) padded to a multiple
-    of 8 bytes, and then the sections, each padded the same way: the int64
-    columns, and each table as its entries' lengths and their UTF-8 text,
-    so an id may hold any character. Its bytes are a deterministic function
-    of the corpus and the file.
+    The companion holds the int64 columns, and each table as its entries'
+    lengths and their UTF-8 text, so an id may hold any character, in the
+    container ``_write_companion`` writes. Its bytes are a deterministic
+    function of the corpus and the file.
     """
     sections = [getattr(corpus, name) for name in _COLUMN_ARRAYS]
     for name in _COLUMN_TABLES:
-        table = getattr(corpus, name)
-        sections.append(np.fromiter(map(len, table), dtype=np.int64, count=len(table)))
-        sections.append(np.frombuffer("".join(table).encode(), dtype=np.uint8))
-    header = json.dumps(
-        {
-            "sha256": _sha256(path),
-            "sections": [
-                [name, dtype, len(section)]
-                for (name, dtype), section in zip(_COLUMN_SECTIONS, sections)
-            ],
-        }
-    ).encode()
-    header += b" " * _padding(len(_COLUMNS_TAG) + len(header) + 1) + b"\n"
-    companion = Path(f"{path}{_COLUMNS_SUFFIX}")
-    with open(companion, "wb") as out:
-        out.write(_COLUMNS_TAG + header)
-        for (_, dtype), section in zip(_COLUMN_SECTIONS, sections):
-            data = section.astype(dtype, copy=False)
-            out.write(data)
-            out.write(bytes(_padding(data.nbytes)))
-    return companion
-
-
-def _load_columns(path: Path, role: Role, digest: str) -> SessionCorpus | None:
-    """The corpus the companion of the file at ``path``, whose SHA-256 is
-    ``digest``, holds, or None when the companion is not the file's (its
-    digest differs) or fails a check, which is logged."""
-    companion = Path(f"{path}{_COLUMNS_SUFFIX}")
-    try:
-        # one read; the columns are views of it
-        return _columns_corpus(companion.read_bytes(), role, (path, companion), digest)
-    # whatever the bytes hold, a header of another shape or too deeply nested
-    # included: the file stays readable by its parse, which reports its faults
-    except (
-        OSError, LookupError, TypeError, ValueError, RecursionError, ValidationError
-    ) as exc:
-        log.info("parsing %s: its companion is not usable (%s)", path, exc)
-        return None
+        sections.extend(_table_sections(getattr(corpus, name)))
+    return _write_companion(path, _sha256(path), _COLUMN_SECTIONS, sections)
 
 
 def _columns_corpus(
-    buffer: bytes, role: Role, sources: tuple[Path, Path], digest: str
+    sections: dict[str, np.ndarray], role: Role, path: Path, digest: str
 ) -> SessionCorpus:
-    """The validated corpus a companion's bytes hold, its columns read-only
-    views of them. Raises ValueError when the bytes are not the companion of
-    the file ``sources[0]``, whose SHA-256 is ``digest``, as ``write_columns``
-    writes it, or the columns and tables are not a corpus's: offsets that do
-    not bound their runs, a code out of its table's range, or a table that
-    is not sorted; and ValidationError for columns that ``_validate``
-    rejects."""
-    if not buffer.startswith(_COLUMNS_TAG):
-        raise ValueError("no format tag")
-    start = buffer.index(b"\n", len(_COLUMNS_TAG)) + 1
-    header = json.loads(buffer[len(_COLUMNS_TAG) : start])
-    if [(name, dtype) for name, dtype, _ in header["sections"]] != _COLUMN_SECTIONS:
-        raise ValueError("unexpected sections")
-    if header["sha256"] != digest:
-        raise ValueError("its digest is not the file's")
-    sections = {}
-    for name, dtype, size in header["sections"]:
-        if type(size) is not int or size < 0:
-            raise ValueError(f"{name}: length {size!r}")
-        sections[name] = np.frombuffer(buffer, dtype=dtype, count=size, offset=start)
-        start += sections[name].nbytes + _padding(sections[name].nbytes)
-    if start != len(buffer):
-        raise ValueError(f"{len(buffer)} bytes, expected {start}")
+    """The validated corpus a companion's sections hold, its columns the
+    sections themselves, read from the file at ``path``, whose SHA-256 is
+    ``digest``. Raises ValueError when the columns and tables are not a
+    corpus's: offsets that do not bound their runs, a code out of its
+    table's range, or a table that is not sorted; and ValidationError for
+    columns that ``_validate`` rejects."""
     tables = {
         name: _table(sections.pop(f"{name}.lengths"), sections.pop(name), name)
         for name in _COLUMN_TABLES
@@ -846,10 +796,97 @@ def _columns_corpus(
         if len(codes) and not low <= codes.min() <= codes.max() < len(tables[table]):
             raise ValueError(f"{name}: a code out of range")
     corpus = SessionCorpus(
-        role=role, **tables, **sections, sources=sources, _digests=((sources[0], digest),)
+        role=role, **tables, **sections,
+        sources=(path, Path(f"{path}{_COLUMNS_SUFFIX}")), _digests=((path, digest),),
     )
     _validate(corpus)
     return corpus
+
+
+# ---------------------------------------------------------------------------
+# The companion container, shared by corpus and model files
+# ---------------------------------------------------------------------------
+
+
+def _write_companion(
+    path: str | Path, digest: str, layout: Sequence[tuple[str, str]],
+    sections: Sequence[np.ndarray],
+) -> Path:
+    """Write ``<path>.columns``, the companion of the file at ``path``, whose
+    SHA-256 is ``digest``, and return its path.
+
+    A companion is the format tag line, a JSON header line (the file's
+    SHA-256 and each section's name, dtype and length, as ``layout`` names
+    them) padded to a multiple of 8 bytes, and then the sections, each
+    written in its dtype and padded the same way.
+    """
+    header = json.dumps(
+        {
+            "sha256": digest,
+            "sections": [
+                [name, dtype, len(section)]
+                for (name, dtype), section in zip(layout, sections)
+            ],
+        }
+    ).encode()
+    header += b" " * _padding(len(_COLUMNS_TAG) + len(header) + 1) + b"\n"
+    companion = Path(f"{path}{_COLUMNS_SUFFIX}")
+    with open(companion, "wb") as out:
+        out.write(_COLUMNS_TAG + header)
+        for (_, dtype), section in zip(layout, sections):
+            data = section.astype(dtype, copy=False)
+            out.write(data)
+            out.write(bytes(_padding(data.nbytes)))
+    return companion
+
+
+def _load_companion(
+    path: Path, digest: str, layout: Sequence[tuple[str, str]],
+    build: Callable[[dict[str, np.ndarray]], _Loaded],
+) -> _Loaded | None:
+    """What ``build`` makes of the sections of the companion of the file at
+    ``path``, whose SHA-256 is ``digest``, or None when the companion is not
+    the file's or fails a check, which is logged.
+
+    The companion is read once, and each section is a read-only view of
+    those bytes. It is the file's when it holds ``_write_companion``'s
+    container with ``layout``'s sections and ``digest``; ``build`` raises
+    ValueError or ValidationError for sections that fail its own checks.
+    """
+    companion = Path(f"{path}{_COLUMNS_SUFFIX}")
+    try:
+        buffer = companion.read_bytes()
+        if not buffer.startswith(_COLUMNS_TAG):
+            raise ValueError("no format tag")
+        start = buffer.index(b"\n", len(_COLUMNS_TAG)) + 1
+        header = json.loads(buffer[len(_COLUMNS_TAG) : start])
+        if [(name, dtype) for name, dtype, _ in header["sections"]] != list(layout):
+            raise ValueError("unexpected sections")
+        if header["sha256"] != digest:
+            raise ValueError("its digest is not the file's")
+        sections = {}
+        for name, dtype, size in header["sections"]:
+            if type(size) is not int or size < 0:
+                raise ValueError(f"{name}: length {size!r}")
+            sections[name] = np.frombuffer(buffer, dtype=dtype, count=size, offset=start)
+            start += sections[name].nbytes + _padding(sections[name].nbytes)
+        if start != len(buffer):
+            raise ValueError(f"{len(buffer)} bytes, expected {start}")
+        return build(sections)
+    # whatever the bytes hold, a header of another shape or too deeply nested
+    # included: the file stays readable by its parse, which reports its faults
+    except (
+        OSError, LookupError, TypeError, ValueError, RecursionError, ValidationError
+    ) as exc:
+        log.info("parsing %s: its companion is not usable (%s)", path, exc)
+        return None
+
+
+def _table_sections(table: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """A table as a companion holds it: its entries' lengths (in code
+    points) and their UTF-8 text, which ``_table`` reads back."""
+    lengths = np.fromiter(map(len, table), dtype=np.int64, count=len(table))
+    return lengths, np.frombuffer("".join(table).encode(), dtype=np.uint8)
 
 
 def _table(lengths: np.ndarray, text: np.ndarray, name: str) -> tuple[str, ...]:

@@ -265,6 +265,12 @@ class TestTrain:
         assert list(timings) == [
             "affinity_s", "fit_s", "model_write_s", "pairs_write_s", "parse_s"
         ]
+        # the model's columnar companion is the last output
+        assert manifest["outputs"] == [
+            str(model_path), *(f"{model_path}{suffix}" for suffix in
+                               (".pairs.tsv", ".popularity.tsv", ".trace.csv", ".columns"))
+        ]
+        assert model.sources == (model_path, workdir / "model.txt.columns")
         assert all(t >= 0.0 for t in timings.values())
         # each stage rounds to the millisecond
         assert sum(timings.values()) <= manifest["wall_time_s"] + 0.005
@@ -603,7 +609,8 @@ class TestRecommendAndEvaluate:
         manifest = json.loads((workdir / "ranked.csv.manifest.json").read_text())
         assert manifest["command"] == "recommend"
         assert set(manifest["inputs"]) == {
-            str(model_path), str(workdir / "active.csv"), str(popularity)
+            str(model_path), f"{model_path}.columns", str(workdir / "active.csv"),
+            str(popularity),
         }
         assert manifest["outputs"] == [str(out)]
         # printing to stdout writes no manifest
@@ -619,7 +626,7 @@ class TestRecommendAndEvaluate:
         assert main(argv) == 0
         manifest = json.loads((workdir / "ranked.csv.manifest.json").read_text())
         assert set(manifest["inputs"]) == {
-            str(model_path), str(corpus), f"{corpus}.columns"
+            str(model_path), f"{model_path}.columns", str(corpus), f"{corpus}.columns"
         }
 
     def test_evaluate_counts_popularity_fallback(self, workdir, trained, capsys):
@@ -667,11 +674,12 @@ class TestRecommendAndEvaluate:
         metadata = workdir / "metadata.tsv"
         metadata.write_text("A\tx|y\nB\tx\nC\ty\nD\tz\n")
         model = str(model_path)
-        # each ingested corpus came from its CSV and its columnar companion
+        # each ingested corpus and the trained model came from its file and
+        # its columnar companion
         train = {str(corpus), f"{corpus}.columns"}
         tested = {str(test_corpus), f"{test_corpus}.columns"}
         read = {
-            "proposed": {model, *train},
+            "proposed": {model, f"{model}.columns", *train},
             "random": set(),
             "ipop": train,
             "icpop": train,
@@ -703,7 +711,7 @@ class TestRecommendAndEvaluate:
     @pytest.fixture
     def hashed(self, monkeypatch):
         """Counts each path's ``_sha256`` calls, in the load and the manifest."""
-        from simpop import cli, sessions
+        from simpop import cli, model, sessions
 
         sha256, hashed = sessions._sha256, Counter()
 
@@ -713,6 +721,7 @@ class TestRecommendAndEvaluate:
 
         monkeypatch.setattr(sessions, "_sha256", counted)
         monkeypatch.setattr(cli, "_sha256", counted)
+        monkeypatch.setattr(model, "_sha256", counted)
         return hashed
 
     def test_train_and_evaluate_hash_each_file_once(self, workdir, hashed):
@@ -734,6 +743,7 @@ class TestRecommendAndEvaluate:
             assert main(argv) == 0
             inputs = json.loads(Path(f"{out}.manifest.json").read_text())["inputs"]
             assert {str(corpus), f"{corpus}.columns"} <= set(inputs)
+            assert (f"{model}.columns" in inputs) == (argv[0] == "evaluate")
             assert hashed == Counter(dict.fromkeys(inputs, 1)), argv[0]
             assert inputs == {
                 path: hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in inputs
@@ -751,6 +761,45 @@ class TestRecommendAndEvaluate:
         assert list(inputs) == [str(corpus)]
         assert hashed == Counter({str(corpus): 1})
         assert inputs[str(corpus)] == hashlib.sha256(corpus.read_bytes()).hexdigest()
+
+    def _model_readers(self, workdir, trained):
+        """``evaluate --ranker proposed``, ``recommend --out`` and ``synth
+        edges`` on the trained model, each with its primary output."""
+        corpus, model = trained
+        test_corpus, truth = workdir / "test_corpus.csv", workdir / "truth.csv"
+        assert main(["ingest", "--input", str(workdir / "raw_test.csv"), "--out",
+                     str(test_corpus), "--role", "test", "--truth-out", str(truth)]) == 0
+        report, ranked, edges = (workdir / f for f in ("report.csv", "ranked.csv", "e.tsv"))
+        return [
+            (["evaluate", "--ranker", "proposed", "--model", str(model),
+              "--test-corpus", str(test_corpus), "--truth", str(truth),
+              "--out", str(report)], report),
+            (["recommend", "--model", str(model), "--session", str(corpus),
+              "--session-id", "s1", "--out", str(ranked)], ranked),
+            (["synth", "edges", "--model", str(model), "--out", str(edges)], edges),
+        ]
+
+    @pytest.mark.parametrize("state", ["intact", "faulty", "missing"])
+    def test_model_readers_name_the_model_companion_exactly_when_read(
+        self, workdir, trained, hashed, state
+    ):
+        # and hash the model text once: in the read when a companion is
+        # checked against it, else in the manifest
+        _, model = trained
+        companion = Path(f"{model}.columns")
+        runs = self._model_readers(workdir, trained)
+        if state == "faulty":
+            companion.write_bytes(companion.read_bytes()[:-8])
+        elif state == "missing":
+            companion.unlink()
+        for argv, out in runs:
+            hashed.clear()
+            assert main(argv) == 0, argv
+            inputs = json.loads(Path(f"{out}.manifest.json").read_text())["inputs"]
+            assert (str(companion) in inputs) == (state == "intact"), argv[0]
+            assert hashed[str(model)] == 1, argv[0]
+            assert hashed[str(companion)] == (state == "intact"), argv[0]
+            assert inputs[str(model)] == hashlib.sha256(model.read_bytes()).hexdigest()
 
     def test_evaluate_baseline_and_proposed(self, workdir, trained, capsys):
         corpus, model_path = trained
@@ -911,6 +960,10 @@ class TestSynthCommands:
             "train_actions": train.n_actions,
             "train_sessions": 50,
         }
+        assert manifest["outputs"] == [
+            str(out_dir / name) for name in ("train.csv", "test.csv", "metadata.tsv",
+                                             "planted_model.txt", "planted_model.txt.columns")
+        ]
         timings = manifest["timings"]
         assert list(timings) == ["generate_s", "write_s"]
         assert all(t >= 0.0 for t in timings.values())

@@ -1,7 +1,10 @@
 """Connection law, its inversion, the generative sampler, and the model file."""
 
+import hashlib
 import math
+import pickle
 import re
+import shutil
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -23,6 +26,17 @@ from simpop.model import (
     write_model,
 )
 from simpop.synth import SynthConfig
+
+from conftest import edit_int64, edit_table, rewrite_companion, set_dtype
+
+
+def edit_float64(name, change):
+    """An edit that applies ``change`` to a copy of the float64 section."""
+    def edit(sections):
+        section = next(s for s in sections if s[0] == name)
+        values = np.frombuffer(section[2], dtype="<f8").copy()
+        section[2] = change(values).astype("<f8").tobytes()
+    return edit
 
 
 def pair_probability(model, i, j):
@@ -367,13 +381,18 @@ class TestModelFileFormat:
     @settings(max_examples=60, deadline=None, database=None)
     @given(finite_models())
     def test_round_trip_is_bitwise(self, model):
+        # through the companion, and through the parse once it is gone
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "model.txt"
-            write_model(model, path)
-            again = read_model(path)
-        assert again.ids == model.ids
-        assert again.coords.tobytes() == model.coords.tobytes()
-        assert again.kappa.tobytes() == model.kappa.tobytes()
+            companion = write_model(model, path)
+            loaded = read_model(path)
+            companion.unlink()
+            parsed = read_model(path)
+        assert loaded.sources == (path, companion) and parsed.sources == (path,)
+        for again in (loaded, parsed):
+            assert again.ids == model.ids
+            assert again.coords.tobytes() == model.coords.tobytes()
+            assert again.kappa.tobytes() == model.kappa.tobytes()
 
     def test_header_only_file_is_an_empty_model(self, tmp_path):
         path = tmp_path / "empty.txt"
@@ -388,7 +407,8 @@ class TestModelFileFormat:
         with pytest.raises(ParseError, match="line 2: .*'abc'"):
             read_model(path)
 
-    def test_read_peak_memory_is_bounded(self, tmp_path):
+    @pytest.mark.parametrize("companion", [True, False], ids=["companion", "parse"])
+    def test_read_peak_memory_is_bounded(self, tmp_path, companion):
         # 4x leaves room for the read buffer, the model's sorted copy and the
         # ids; holding a Python float per value peaks near 7.8x
         n, dim = 10_000, 20
@@ -400,7 +420,9 @@ class TestModelFileFormat:
             rng.uniform(1.0, 1000.0, size=n),
         )
         path = tmp_path / "model.txt"
-        write_model(model, path)
+        written = write_model(model, path)
+        if not companion:
+            written.unlink()
         tracemalloc.start()
         try:
             again = read_model(path)
@@ -408,7 +430,191 @@ class TestModelFileFormat:
         finally:
             tracemalloc.stop()
         assert again.coords.tobytes() == model.coords.tobytes()
+        assert len(again.sources) == (2 if companion else 1)
         assert peak < 4 * model.coords.nbytes
+
+
+def odd_model():
+    """A model whose ids hold spaces, commas, quotes and non-ASCII text, in
+    no order, with -0.0, a subnormal and float extremes among its values."""
+    rng = np.random.default_rng(4)
+    ids = ["z", "ü ✓", "a,b", 'q"', "item 2", "é"]
+    coords = rng.normal(size=(len(ids), 3))
+    coords[0] = [-0.0, 5e-324, 1e308]
+    return EmbeddingModel(
+        ModelParams(alpha=2.25, dim=3, lam=0.01), ids, coords,
+        np.array([1.0, 1e300, 2.5, 7.0, 1.0, 3.25]),
+    )
+
+
+def assert_same_model(model, other):
+    """The same params, ids, and coordinates and popularities to the bit."""
+    assert model.params == other.params
+    assert model.ids == other.ids
+    assert model.coords.tobytes() == other.coords.tobytes()
+    assert model.kappa.tobytes() == other.kappa.tobytes()
+
+
+@pytest.fixture
+def model_files(tmp_path):
+    """A written model, its companion, and the model parsed from a copy of
+    the text that has no companion."""
+    path = tmp_path / "model.txt"
+    companion = write_model(odd_model(), path)
+    assert companion == tmp_path / "model.txt.columns"
+    copy = tmp_path / "copy" / "model.txt"
+    copy.parent.mkdir()
+    shutil.copyfile(path, copy)
+    parsed = read_model(copy)
+    assert parsed.sources == (copy,) and parsed._digests == ()
+    return path, companion, parsed
+
+
+class TestModelCompanion:
+    def test_a_companion_loads_as_its_text_parses(self, model_files, no_pickle):
+        path, companion, parsed = model_files
+        loaded = read_model(path)
+        assert loaded.sources == (path, companion)
+        assert loaded._digests == ((path, hashlib.sha256(path.read_bytes()).hexdigest()),)
+        assert_same_model(loaded, parsed)
+        assert_same_model(loaded, odd_model())
+        # the model holds its own arrays, not views of the companion's bytes
+        assert loaded.coords.flags.writeable and loaded.kappa.flags.writeable
+
+    def test_a_path_string_reads_the_same(self, model_files):
+        path, companion, parsed = model_files
+        loaded = read_model(str(path))
+        assert loaded.sources == (path, companion)
+        assert_same_model(loaded, parsed)
+
+    def test_two_writes_give_the_same_bytes(self, model_files):
+        path, companion, parsed = model_files
+        text, first = path.read_bytes(), companion.read_bytes()
+        assert write_model(odd_model(), path).read_bytes() == first
+        assert write_model(read_model(path), path).read_bytes() == first
+        assert write_model(parsed, path).read_bytes() == first
+        assert path.read_bytes() == text
+
+    def test_an_edited_text_ignores_its_stale_companion(self, model_files):
+        path, companion, parsed = model_files
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        item, kappa, row = lines[1].rstrip("\n").split("\t")
+        lines[1] = f"{item}\t{kappa}\t0.5 {row.split(' ', 1)[1]}\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        back = read_model(path)
+        assert back.sources == (path,)
+        assert back._digests == ((path, hashlib.sha256(path.read_bytes()).hexdigest()),)
+        assert back.coords[back.index_of(item), 0] == 0.5
+        assert np.array_equal(np.delete(back.coords, back.index_of(item), 0),
+                              np.delete(parsed.coords, parsed.index_of(item), 0))
+
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (lambda lines: lines[:3] + [lines[3].rsplit(" ", 1)[0] + "\n"] + lines[4:],
+             "line 4: malformed model line in {path}: 2 coordinates, expected 3"),
+            (lambda lines: lines + [lines[2]], "line 8: repeated item"),
+            (lambda lines: ["simpop-model v1 dim=3 alpha=two lambda=0.01\n", *lines[1:]],
+             "line 1: bad model header"),
+        ],
+        ids=["short-row", "repeated-item", "bad-header"],
+    )
+    def test_a_malformed_edit_raises_as_the_parse_does(self, model_files, edit, error):
+        path, companion, _ = model_files
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(edit(lines)), encoding="utf-8")
+        with pytest.raises(ParseError) as stale:
+            read_model(path)
+        companion.unlink()
+        with pytest.raises(ParseError) as alone:
+            read_model(path)
+        assert str(stale.value) == str(alone.value)
+        assert str(stale.value).startswith(error.format(path=path))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(edit_table("ids", lambda t: t[::-1]), id="unsorted-ids"),
+            pytest.param(edit_table("ids", lambda t: [t[0], *t[:-1]]), id="repeated-id"),
+            pytest.param(edit_table("ids", lambda t: ["a\tb", *t[1:]]), id="id-with-tab"),
+            pytest.param(edit_table("ids", lambda t: t[:-1]), id="one-id-short"),
+            pytest.param(edit_int64("ids.lengths", lambda v: v + 1),
+                         id="lengths-beyond-text"),
+            pytest.param(edit_float64("coords", lambda v: v[:-1]), id="coords-not-n-dim"),
+            pytest.param(edit_float64("coords", lambda v: np.append(v, v[:3])),
+                         id="coords-one-row-over"),
+            pytest.param(edit_float64("kappa", lambda v: v[:-1]), id="kappa-not-n"),
+            pytest.param(edit_float64("coords", lambda v: np.append(v[:-1], np.inf)), id="coords-not-finite"),
+            pytest.param(edit_float64("kappa", lambda v: v - 1.0), id="kappa-below-one"),
+            pytest.param(set_dtype("coords", "<f4"), id="wrong-dtype"),
+            pytest.param(set_dtype("ids", "|O", pickle.dumps(np.array(["a"], dtype=object))),
+                         id="object-array"),
+        ],
+    )
+    def test_a_faulty_companion_falls_back_to_the_parse(
+        self, model_files, edit, no_pickle
+    ):
+        path, companion, parsed = model_files
+        rewrite_companion(companion, edit)
+        back = read_model(path)
+        assert back.sources == (path,)
+        assert_same_model(back, parsed)
+
+    @pytest.mark.parametrize(
+        "cut",
+        [lambda b: b[:-8], lambda b: b[: len(b) // 2], lambda b: b[:17], lambda b: b"",
+         lambda b: b + bytes(8),
+         lambda b: b.replace(b"simpop-columns 1", b"simpop-columns 2"),
+         lambda b: b.replace(b'["kappa", "<f8", 6]', b'["kappa", "<f8", 5]'),
+         lambda b: b.replace(b'["kappa", "<f8", 6]', b'["kappa", "<f8", 7]'),
+         lambda b: b.replace(b'"sha256": "', b'"sha256": "0'),
+         lambda b: b"simpop-columns 1\n" + b"[" * 100_000 + b"\n"],
+        ids=["truncated-by-8", "truncated-by-half", "tag-only", "empty", "overlong",
+             "other-tag", "section-length-short", "section-length-long",
+             "other-digest", "deeply-nested-header"],
+    )
+    def test_a_damaged_companion_falls_back_to_the_parse(
+        self, model_files, cut, no_pickle
+    ):
+        path, companion, parsed = model_files
+        damaged = cut(companion.read_bytes())
+        assert damaged != companion.read_bytes()
+        companion.write_bytes(damaged)
+        back = read_model(path)
+        assert back.sources == (path,)
+        assert_same_model(back, parsed)
+
+    def test_a_corpus_companion_is_not_a_model_companion(self, model_files, tmp_path):
+        # the same container, but its sections are a corpus's
+        from simpop.sessions import Role, SessionCorpus, write_columns
+
+        path, companion, parsed = model_files
+        write_columns(SessionCorpus.from_actions([], Role.TRAIN), path)
+        back = read_model(path)
+        assert back.sources == (path,)
+        assert_same_model(back, parsed)
+
+    def test_a_hand_written_model_reads_without_a_companion(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text(
+            "simpop-model v1 dim=2 alpha=2.0 lambda=0.0\nb\t2.0\t0.5 -1.0\na\t1.0\t0 1\n"
+        )
+        model = read_model(path)
+        assert model.sources == (path,) and model._digests == ()
+        assert model.ids == ("a", "b")
+        assert model.coords.tolist() == [[0.0, 1.0], [0.5, -1.0]]
+
+    def test_an_empty_model(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        empty = EmbeddingModel(ModelParams(alpha=2.0, dim=3), [], np.zeros((0, 3)), [])
+        companion = write_model(empty, path)
+        loaded = read_model(path)
+        assert loaded.sources == (path, companion)
+        assert len(loaded) == 0 and loaded.coords.shape == (0, 3)
+
+    def test_a_model_built_in_memory_has_no_sources(self):
+        model = odd_model()
+        assert model.sources == () and model._digests == ()
 
 
 class TestModelValidation:

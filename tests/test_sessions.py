@@ -3,7 +3,6 @@
 import csv
 import gzip
 import io
-import json
 import math
 import pickle
 import re
@@ -40,7 +39,16 @@ from simpop.sessions import (
     write_truth,
 )
 
-from conftest import CORPUS_ARRAYS, assert_same_columns, clickout, make_action
+from conftest import (
+    CORPUS_ARRAYS,
+    assert_same_columns,
+    clickout,
+    edit_int64,
+    edit_table,
+    make_action,
+    rewrite_companion,
+    set_dtype,
+)
 
 HEADER = "user_id,session_id,timestamp,step,action_type,reference,impressions"
 
@@ -1118,71 +1126,6 @@ def companion_of(path):
     return path.with_name(path.name + ".columns")
 
 
-def read_companion(companion):
-    """A companion's header and its sections as ``[name, dtype, bytes]``."""
-    tag, header, rest = companion.read_bytes().split(b"\n", 2)
-    assert tag == b"simpop-columns 1"
-    header = json.loads(header)
-    sections, at = [], 0
-    for name, dtype, count in header["sections"]:
-        size = count * np.dtype(dtype).itemsize
-        sections.append([name, dtype, rest[at : at + size]])
-        at += size + -size % 8
-    assert at == len(rest)
-    return header["sha256"], sections
-
-
-def rewrite_companion(companion, edit):
-    """Rewrite a companion in its own layout after ``edit(sections)`` has
-    changed its ``[name, dtype, bytes]`` sections in place; each section's
-    length follows its bytes and dtype, and the digest stays."""
-    digest, sections = read_companion(companion)
-    edit(sections)
-    header = json.dumps({
-        "sha256": digest,
-        "sections": [
-            [name, dtype, len(data) // np.dtype(dtype).itemsize]
-            for name, dtype, data in sections
-        ],
-    }).encode()
-    head = b"simpop-columns 1\n" + header
-    out = head + b" " * (-(len(head) + 1) % 8) + b"\n"
-    for _, _, data in sections:
-        out += data + bytes(-len(data) % 8)
-    companion.write_bytes(out)
-
-
-def edit_int64(name, change):
-    """An edit that applies ``change`` to a copy of the int64 section."""
-    def edit(sections):
-        section = next(s for s in sections if s[0] == name)
-        values = np.frombuffer(section[2], dtype="<i8").copy()
-        section[2] = change(values).astype("<i8").tobytes()
-    return edit
-
-
-def edit_table(name, change):
-    """An edit that replaces a table by ``change`` of its entries."""
-    def edit(sections):
-        lengths = next(s for s in sections if s[0] == f"{name}.lengths")
-        text = next(s for s in sections if s[0] == name)
-        ends = np.concatenate([[0], np.cumsum(np.frombuffer(lengths[2], "<i8"))])
-        decoded = text[2].decode()
-        table = change([decoded[a:b] for a, b in zip(ends[:-1], ends[1:])])
-        lengths[2] = np.array([len(t) for t in table], dtype="<i8").tobytes()
-        text[2] = "".join(table).encode()
-    return edit
-
-
-def set_dtype(name, dtype, data=None):
-    def edit(sections):
-        section = next(s for s in sections if s[0] == name)
-        section[1] = dtype
-        if data is not None:
-            section[2] = data
-    return edit
-
-
 def swap_first_two(values):
     values[[0, 1]] = values[[1, 0]]
     return values
@@ -1212,16 +1155,6 @@ def corpus_from_bytes(data, role=Role.TRAIN):
     corpus = parse_session_log(io.BytesIO(data), role=role)
     assert corpus.sources == ()
     return corpus
-
-
-@pytest.fixture
-def no_pickle(monkeypatch):
-    """Fail any test that unpickles or ``np.load``s anything."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("a companion is read without pickle")
-    for owner, name in [(pickle, "load"), (pickle, "loads"), (pickle, "Unpickler"),
-                        (np, "load")]:
-        monkeypatch.setattr(owner, name, refuse)
 
 
 class TestColumnarCompanion:
