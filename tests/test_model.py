@@ -7,6 +7,8 @@ import re
 import shutil
 import tempfile
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -15,13 +17,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from simpop import model as model_module
 from simpop.errors import MissingItemError, ParseError, ValidationError
 from simpop.model import (
+    MODEL_FORMAT_HEADER,
     EmbeddingModel,
     ModelParams,
     connection_probabilities,
     derive_squared_distance,
     generate_synthetic_network,
+    _shortest_digits,
     read_model,
     write_model,
 )
@@ -695,3 +700,187 @@ class TestModelValidation:
                 np.array([[0.0]]),
                 np.array([1.0]),
             )
+
+    def test_duplicate_ids_rejected(self):
+        for ids in (["a", "a", "b"], ["b", "a", "b"]):
+            with pytest.raises(ValidationError, match="duplicate item ids"):
+                EmbeddingModel(
+                    ModelParams(alpha=2.0, dim=1), ids, np.zeros((3, 1)), np.ones(3)
+                )
+
+
+class TestModelConstruction:
+    """Sorted ids are kept in their order; any other order is sorted."""
+
+    def test_sorted_and_shuffled_ids_give_the_same_model(self):
+        rng = np.random.default_rng(5)
+        ids = sorted(f"i{k}" for k in range(300))
+        coords, kappa = rng.normal(size=(300, 4)), rng.uniform(1, 9, size=300)
+        params = ModelParams(alpha=2.0, dim=4)
+        kept = EmbeddingModel(params, ids, coords, kappa)
+        order = rng.permutation(300)
+        shuffled = EmbeddingModel(
+            params, [ids[k] for k in order], coords[order], kappa[order]
+        )
+        assert_same_model(kept, shuffled)
+        assert kept.ids == tuple(ids) and kept._index == shuffled._index
+
+    @pytest.mark.parametrize("order", ["sorted", "shuffled"])
+    def test_the_model_owns_its_arrays(self, order):
+        rng = np.random.default_rng(6)
+        ids = [f"i{k}" for k in range(8)]
+        if order == "shuffled":
+            ids.reverse()
+        coords, kappa = rng.normal(size=(8, 2)), rng.uniform(1, 9, size=8)
+        model = EmbeddingModel(ModelParams(alpha=2.0, dim=2), ids, coords, kappa)
+        before = (model.ids, model.coords.copy(), model.kappa.copy())
+        coords[:], kappa[:], ids[0] = 0.0, 5.0, "changed"
+        assert model.ids == before[0]
+        assert model.coords.tobytes() == before[1].tobytes()
+        assert model.kappa.tobytes() == before[2].tobytes()
+
+
+def repr_text(model):
+    """The model file's text with each float as ``repr`` writes it: the
+    reference the writer's bytes are checked against."""
+    p = model.params
+    lines = [f"{MODEL_FORMAT_HEADER} dim={p.dim} alpha={p.alpha!r} lambda={p.lam!r}\n"]
+    lines.extend(
+        f"{item}\t{kappa!r}\t{' '.join(map(repr, row))}\n"
+        for item, kappa, row in zip(
+            model.ids, model.kappa.tolist(), model.coords.tolist()
+        )
+    )
+    return "".join(lines).encode()
+
+
+def written_text(model, directory):
+    path = Path(directory) / "model.txt"
+    write_model(model, path)
+    return path.read_bytes()
+
+
+def model_of(values):
+    """A model whose coordinates are ``values`` and their negatives, seven
+    to a row, each row's popularity max(|its first coordinate|, 1)."""
+    values = np.concatenate([values, -values])
+    coords = np.append(values, np.zeros(-len(values) % 7)).reshape(-1, 7)
+    return EmbeddingModel(
+        ModelParams(alpha=2.0, dim=7),
+        [f"v{k:07d}" for k in range(len(coords))],
+        coords,
+        np.maximum(np.abs(coords[:, 0]), 1.0),
+    )
+
+
+def float_inputs():
+    """Named sets of floats that probe the writer's edges: every power of
+    two; each power of ten from 1e-5 to 1e17 and both its neighbours (the
+    fast path's ends 1e-4 and 1e15, and repr's switch to the exponent form
+    at 1e16, among them); decimals of 1 to 17 significant digits; and
+    dyadic values, some halfway between two 17-digit decimals."""
+    rng = np.random.default_rng(29)
+    tens = np.array([float(f"1e{k}") for k in range(-5, 18)])
+    decimals = [
+        float(f"{digits}e{shift}")
+        for k in range(1, 18)
+        for digits, shift in zip(
+            rng.integers(10 ** (k - 1), 10**k, 500).tolist(),
+            rng.integers(-8, 20, 500).tolist(),
+        )
+    ]
+    dyadic = [
+        (2 * j + 1) / 2.0**k
+        for k in range(1, 61)
+        for j in rng.integers(0, 2**40, 100).tolist()
+    ]
+    return {
+        "powers of two": np.array([2.0**k for k in range(-1074, 1024)]),
+        "powers of ten": np.concatenate(
+            [np.nextafter(tens, 0), tens, np.nextafter(tens, np.inf)]
+        ),
+        "decimals": np.array(decimals),
+        "dyadic": np.array(dyadic),
+    }
+
+
+def serve_like_model(n):
+    """An n x 20 model drawn like the serve benchmark's: normal(0, 4)
+    coordinates, popularities floor(exp(U(0, ln 1000)))."""
+    rng = np.random.default_rng(11)
+    return EmbeddingModel(
+        ModelParams(alpha=2.0, dim=20),
+        [f"m{k:06d}" for k in range(n)],
+        rng.normal(0.0, 4.0, size=(n, 20)),
+        np.floor(np.exp(rng.uniform(0.0, math.log(1000.0), size=n))),
+    )
+
+
+def is_tie(x):
+    """Whether |x| lies exactly halfway between two 17-, 16- or 15-digit
+    decimals, by exact arithmetic."""
+    exact, e = Fraction(abs(x)), Decimal(abs(x)).adjusted()
+    return any(
+        (exact * Fraction(10) ** (16 - e - j)) % 1 == Fraction(1, 2) for j in range(3)
+    )
+
+
+class TestFloatText:
+    """``write_model`` writes each float as ``repr`` does, byte for byte."""
+
+    @pytest.mark.parametrize("name", list(float_inputs()))
+    def test_edges_write_repr_bytes(self, name, tmp_path):
+        model = model_of(float_inputs()[name])
+        assert written_text(model, tmp_path) == repr_text(model)
+
+    def test_a_serve_like_model_writes_repr_bytes(self, tmp_path):
+        model = serve_like_model(20_000)
+        assert written_text(model, tmp_path) == repr_text(model)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(finite_models())
+    def test_any_finite_model_writes_repr_bytes(self, model):
+        with tempfile.TemporaryDirectory() as tmp:
+            assert written_text(model, tmp) == repr_text(model)
+
+    def test_ids_of_any_text_write_their_bytes(self, tmp_path):
+        # empty, NUL-ended and non-ASCII ids, and blocks of different widths
+        ids = ["", "\x00", "a\x00\x00", "ü ✓", "z" * 300]
+        ids += [f"i{k}" for k in range(600)]
+        rng = np.random.default_rng(7)
+        model = EmbeddingModel(
+            ModelParams(alpha=2.0, dim=3), ids,
+            rng.normal(size=(len(ids), 3)), rng.uniform(1, 9, size=len(ids)),
+        )
+        assert written_text(model, tmp_path) == repr_text(model)
+
+    @pytest.mark.parametrize("off", [1, -1])
+    def test_a_wrong_exponent_guess_changes_no_byte(self, off, monkeypatch, tmp_path):
+        guess = model_module._exponent_guess
+        monkeypatch.setattr(
+            model_module, "_exponent_guess", lambda sizes: guess(sizes) + off
+        )
+        serve = serve_like_model(500).coords.ravel()
+        model = model_of(np.concatenate([*float_inputs().values(), serve]))
+        assert written_text(model, tmp_path) == repr_text(model)
+
+    def test_each_fallback_is_taken(self):
+        values = np.concatenate(list(float_inputs().values()))
+        taken = values[_shortest_digits(values)[2]]
+        size = np.abs(taken)
+        assert (size < 1e-4).any() and (size >= 1e15).any()
+        inside = taken[(size >= 1e-4) & (size < 1e15)]
+        power = np.abs(np.frexp(inside)[0]) == 0.5
+        assert power.any()
+        assert any(map(is_tie, inside[~power].tolist()))
+
+    def test_write_peak_memory_is_bounded(self, tmp_path):
+        # the writer's buffers hold one block of rows, whatever the model's size
+        model = serve_like_model(40_000)
+        tracemalloc.start()
+        try:
+            write_model(model, tmp_path / "model.txt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < model.coords.nbytes / 2
