@@ -22,6 +22,15 @@ runs, without its per-call conversion of ``p``, and refuses what choice
 refuses with ValueError, so a seed draws the same stream and writes the same
 corpus bytes as choice did. ``tests/test_synth.py`` pins the draws against
 choice and the written corpora by SHA-256.
+
+Squared distances are computed one dimension at a time from a (dim, n) copy
+of the coordinates, one vector operation per dimension, and the
+per-dimension terms are added in the order numpy's pairwise sum adds them,
+so they equal ``((a - b) ** 2).sum(axis=-1)`` to the bit for every dim: below
+8 terms in sequence; from 8 to 128 terms in 8 accumulators, combined as
+``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, then the rest in
+sequence; above 128 terms as the sum of two halves, the first cut down to a
+multiple of 8.
 """
 
 from __future__ import annotations
@@ -63,6 +72,8 @@ _WALK_TELEPORT = 0.05
 _WALK_TELEPORT_END = 0.35
 #: rows of the walk law computed at a time, so no (n, n, dim) array is held
 _ROW_BLOCK = 64
+#: terms numpy's pairwise sum adds with 8 accumulators before it halves
+_PAIRWISE_BLOCK = 128
 # booked item: w(j) ~ beta_j * (1 + d2(centroid, j)/scale^2)^-alpha
 _TARGET_ALPHA = 2.0
 _TARGET_SCALE = 0.7
@@ -117,6 +128,8 @@ class SynthWorld:
     config: SynthConfig
     model: EmbeddingModel
     coords: np.ndarray
+    #: ``coords`` transposed to (dim, n), one contiguous row per dimension
+    coords_by_dim: np.ndarray
     kappa: np.ndarray
     attractiveness: np.ndarray
     clusters: np.ndarray
@@ -147,11 +160,14 @@ def build_world(config: SynthConfig) -> SynthWorld:
     )
     ids = tuple(f"i{k:05d}" for k in range(n))
 
+    coords_by_dim = np.ascontiguousarray(coords.T)
     transition_cdf = np.empty((n, n))
     for start in range(0, n, _ROW_BLOCK):
         block = slice(start, start + _ROW_BLOCK)
-        d2 = ((coords[block, None, :] - coords[None, :, :]) ** 2).sum(axis=2)
-        transition_cdf[block] = (1.0 + d2 / _WALK_SCALE**2) ** (-_WALK_ALPHA)
+        d2 = _squared_distances(coords[block], coords_by_dim)
+        d2 /= _WALK_SCALE**2
+        d2 += 1.0
+        np.power(d2, -_WALK_ALPHA, out=transition_cdf[block])
     np.fill_diagonal(transition_cdf, 0.0)
     np.cumsum(transition_cdf, axis=1, out=transition_cdf)
 
@@ -176,6 +192,7 @@ def build_world(config: SynthConfig) -> SynthWorld:
         config=config,
         model=model,
         coords=coords,
+        coords_by_dim=coords_by_dim,
         kappa=kappa,
         attractiveness=attractiveness,
         clusters=clusters,
@@ -185,6 +202,42 @@ def build_world(config: SynthConfig) -> SynthWorld:
         start_cdf=_cdf(_probabilities(kappa**_START_POP_WEIGHT)),
         impression_mix=impression_mix,
     )
+
+
+def _squared_distances(points: np.ndarray, coords_by_dim: np.ndarray) -> np.ndarray:
+    """Squared distances from each row of ``points`` (m, dim), or from one
+    point (dim,), to each item of ``coords_by_dim`` (dim, n): (m, n), or (n,).
+
+    One vector operation per dimension, the terms added in numpy's pairwise
+    order (module docstring), so the result equals
+    ``((points[..., None, :] - coords_by_dim.T) ** 2).sum(axis=-1)`` to the
+    bit for every dim."""
+
+    def term(k):
+        diff = points[..., k, None] - coords_by_dim[k]
+        return np.multiply(diff, diff, out=diff)
+
+    def pairwise(lo, hi):
+        n = hi - lo
+        if n > _PAIRWISE_BLOCK:
+            half = n // 2 - n // 2 % 8
+            total = pairwise(lo, lo + half)
+            total += pairwise(lo + half, hi)
+            return total
+        if n < 8:
+            total, rest = term(lo), lo + 1
+        else:
+            r = [term(k) for k in range(lo, lo + 8)]
+            rest = hi - n % 8
+            for k in range(lo + 8, rest, 8):
+                for j, acc in enumerate(r):
+                    acc += term(k + j)
+            total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for k in range(rest, hi):
+            total += term(k)
+        return total
+
+    return pairwise(0, coords_by_dim.shape[0])
 
 
 def _build_metadata(ids, coords, clusters, rng) -> dict[str, frozenset[str]]:
@@ -201,11 +254,11 @@ def _build_metadata(ids, coords, clusters, rng) -> dict[str, frozenset[str]]:
     return metadata
 
 
-def _probabilities(weights: np.ndarray, draws: int = 1) -> np.ndarray:
+def _probabilities(weights: np.ndarray, draws: int = 1, out=None) -> np.ndarray:
     """``weights`` over their sum: the ``p`` that ``Generator.choice`` would be
-    given. Raises ValueError where choice would refuse it for ``draws``
-    distinct items: a negative or NaN weight, a sum that is not finite and
-    positive, or fewer non-zero weights than draws."""
+    given, written to ``out`` when given. Raises ValueError where choice would
+    refuse it for ``draws`` distinct items: a negative or NaN weight, a sum
+    that is not finite and positive, or fewer non-zero weights than draws."""
     total = weights.sum()
     if not weights.min() >= 0.0:
         raise ValueError("weights must be non-negative and not NaN")
@@ -213,12 +266,13 @@ def _probabilities(weights: np.ndarray, draws: int = 1) -> np.ndarray:
         raise ValueError(f"weights must have a finite positive sum, got {total}")
     if draws > 1 and np.count_nonzero(weights) < draws:
         raise ValueError(f"fewer non-zero weights than {draws} distinct draws")
-    return weights / total
+    return np.divide(weights, total, out=out)
 
 
-def _cdf(p: np.ndarray) -> np.ndarray:
-    """The cumulative sums ``Generator.choice`` searches, scaled to end at 1."""
-    cdf = p.cumsum()
+def _cdf(p: np.ndarray, out=None) -> np.ndarray:
+    """The cumulative sums ``Generator.choice`` searches, scaled to end at 1,
+    written to ``out`` when given."""
+    cdf = p.cumsum(out=out)
     cdf /= cdf[-1]
     return cdf
 
@@ -268,18 +322,24 @@ def _draw_target(world: SynthWorld, rng, visited: list[int]) -> int:
     visits = np.array(visited)
     session_clusters = world.clusters[visits]
     majority = np.bincount(session_clusters).argmax()
-    centroid = world.coords[visits[session_clusters == majority]].mean(axis=0)
-    d2 = ((world.coords - centroid) ** 2).sum(axis=1)
-    weights = world.attractiveness * (1.0 + d2 / _TARGET_SCALE**2) ** (-_TARGET_ALPHA)
+    centre = world.coords[visits[session_clusters == majority]]
+    centroid = centre.sum(axis=0) / len(centre)  # what np.mean computes
+    # attractiveness * (1 + d2 / scale^2)^-alpha, then its cdf, in one array
+    weights = _squared_distances(centroid, world.coords_by_dim)
+    weights /= _TARGET_SCALE**2
+    weights += 1.0
+    weights **= -_TARGET_ALPHA
+    weights *= world.attractiveness
     weights[visits] = 0.0
-    return _draw(_cdf(_probabilities(weights)), rng)
+    return _draw(_cdf(_probabilities(weights, out=weights), out=weights), rng)
 
 
 def _draw_impressions(world: SynthWorld, rng, target: int) -> list[int]:
     weights = world.impression_mix[int(world.clusters[target])].copy()
     weights[target] = 0.0
-    distractors = _draw_distinct(weights, _N_IMPRESSIONS - 1, rng)
-    return rng.permutation([target] + distractors).tolist()
+    shown = np.array([target] + _draw_distinct(weights, _N_IMPRESSIONS - 1, rng))
+    rng.shuffle(shown)  # what rng.permutation of the list does, without its copy
+    return shown.tolist()
 
 
 def generate_corpus(

@@ -9,15 +9,21 @@ import pytest
 from simpop.baselines import write_metadata
 from simpop.sessions import write_corpus
 from simpop.synth import (
+    _N_IMPRESSIONS,
     _ROW_BLOCK,
     _START_POP_WEIGHT,
+    _TARGET_ALPHA,
+    _TARGET_SCALE,
     _WALK_ALPHA,
     _WALK_SCALE,
     SynthConfig,
     _cdf,
     _draw,
     _draw_distinct,
+    _draw_impressions,
+    _draw_target,
     _probabilities,
+    _squared_distances,
     build_world,
     generate,
 )
@@ -69,6 +75,16 @@ GOLDEN = [
         "2fe7b0ff99c8eec714900ecf0e831866cd7a9b71c5bdabd24db4ee72236e8389",
         "dad17a12a93e838e06661a33da24837bc03fbc8ea66ea49cbd726d49653c7024",
     ),
+    (
+        # dim >= 8: squared distances sum in numpy's 8-accumulator order
+        SynthConfig(
+            n_items=60, n_clusters=3, dim=9, n_train_sessions=150, n_test_sessions=40,
+            seed=11,
+        ),
+        "c182f9783c8885542b28fd83a3d1051774c1b9b5a3d8c51666092c440afd2bb5",
+        "9eca5529fdd1ea53be788e4bc8ae0753a2d354ec222a0bbfee7c8a7364b7aa5b",
+        "084bf8812ce303aaa2338c0544e4c7d9c8ada826aec176840a42bc5faade4be9",
+    ),
 ]
 
 
@@ -79,7 +95,7 @@ def sha256(path):
 @pytest.mark.parametrize(
     "config, train, test, metadata",
     GOLDEN,
-    ids=["dim1-25items", "dim2", "dim3-short", "dim5-one-cluster", "desk"],
+    ids=["dim1-25items", "dim2", "dim3-short", "dim5-one-cluster", "desk", "dim9"],
 )
 def test_written_corpora_keep_their_bytes(config, train, test, metadata, tmp_path):
     data = generate(config)
@@ -89,6 +105,37 @@ def test_written_corpora_keep_their_bytes(config, train, test, metadata, tmp_pat
     assert sha256(tmp_path / "train.csv") == train
     assert sha256(tmp_path / "test.csv") == test
     assert sha256(tmp_path / "metadata.tsv") == metadata
+
+
+def spread_values(rng, shape):
+    """Normal values scaled over eight decades, so rounding shows in any sum
+    whose order differs from numpy's."""
+    return rng.normal(size=shape) * 10.0 ** rng.integers(-4, 4, size=shape)
+
+
+class TestSquaredDistances:
+    """The per-dimension sum equals numpy's ``sum(axis=-1)`` to the bit: in
+    sequence below 8 terms, in 8 accumulators to 128, in halves above."""
+
+    DIMS = [*range(1, 41), 127, 128, 129, 200]
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_block_of_points(self, dim):
+        rng = np.random.default_rng(dim)
+        points, coords = spread_values(rng, (5, dim)), spread_values(rng, (30, dim))
+        expected = ((points[:, None, :] - coords[None]) ** 2).sum(axis=-1)
+        got = _squared_distances(points, np.ascontiguousarray(coords.T))
+        assert got.shape == (5, 30)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_one_point(self, dim):
+        rng = np.random.default_rng(1000 + dim)
+        point, coords = spread_values(rng, dim), spread_values(rng, (30, dim))
+        expected = ((point[None, :] - coords) ** 2).sum(axis=-1)
+        got = _squared_distances(point, np.ascontiguousarray(coords.T))
+        assert got.shape == (30,)
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestWalkLawInBlocks:
@@ -198,6 +245,42 @@ class TestDrawsReproduceChoice:
             assert _draw(world.start_cdf, ours) == numpy.choice(
                 60, p=weights / weights.sum()
             )
+        assert ours.random() == numpy.random()
+
+    @pytest.mark.parametrize("dim", [2, 9])
+    def test_target_draw(self, dim):
+        # the booking law written out with np.mean and the dense distance
+        # sum, drawn by choice
+        world = build_world(SynthConfig(n_items=60, n_clusters=3, dim=dim, seed=6))
+        ours, numpy = np.random.default_rng(2), np.random.default_rng(2)
+        for visited in ([4, 9, 4, 30, 4], [7], [11, 12, 13, 14, 15, 16, 17, 18]):
+            visits = np.array(visited)
+            majority = np.bincount(world.clusters[visits]).argmax()
+            centroid = world.coords[visits[world.clusters[visits] == majority]].mean(axis=0)
+            d2 = ((world.coords - centroid) ** 2).sum(axis=1)
+            weights = world.attractiveness * (1.0 + d2 / _TARGET_SCALE**2) ** (
+                -_TARGET_ALPHA
+            )
+            weights[visits] = 0.0
+            for _ in range(20):
+                assert _draw_target(world, ours, visited) == numpy.choice(
+                    60, p=weights / weights.sum()
+                )
+        assert ours.random() == numpy.random()
+
+    def test_impressions(self):
+        # the distinct distractors by choice, shuffled in with the target by
+        # permutation of the list
+        world = build_world(SynthConfig(n_items=60, n_clusters=3, seed=6))
+        ours, numpy = np.random.default_rng(8), np.random.default_rng(8)
+        for target in (0, 17, 59):
+            weights = world.impression_mix[int(world.clusters[target])].copy()
+            weights[target] = 0.0
+            distractors = numpy.choice(
+                60, size=_N_IMPRESSIONS - 1, replace=False, p=weights / weights.sum()
+            )
+            expected = numpy.permutation([target] + distractors.tolist()).tolist()
+            assert _draw_impressions(world, ours, target) == expected
         assert ours.random() == numpy.random()
 
     def test_action_kinds_in_one_call(self):
