@@ -154,12 +154,33 @@ class AffinityGraph:
         run = slice(starts[k], starts[k + 1])
         return tuple(zip([self.ids[o] for o in other[run].tolist()], p[run].tolist()))
 
+    def strongest_estimates(
+        self, item: np.ndarray, other: np.ndarray, k: int
+    ) -> np.ndarray:
+        """For each pair of codes ``(item[r], other[r])``: its estimate when
+        ``other[r]`` is among the first ``k`` of ``neighbors`` of
+        ``item[r]``, else 0, and 0 where either code is -1. Only the
+        neighbours of a listed item with more than k are sorted."""
+        n = len(self.ids)
+        listed = np.zeros(n + 1, dtype=bool)
+        listed[item] = True  # code -1 lands on the extra slot
+        end, far, p = _both_ends(self.ii, self.jj, self.p)
+        top = _first_k(end, far, p, np.flatnonzero(listed[end]), k, n)
+        keys = end[top] * n + far[top]
+        by_key = np.argsort(keys)
+        # a last key above every pair's, so each query lands on a key
+        keys, p = np.append(keys[by_key], n * n), np.append(p[top][by_key], 0.0)
+        query = item * n + other
+        at = np.searchsorted(keys, query)
+        return np.where((item >= 0) & (other >= 0) & (keys[at] == query), p[at], 0.0)
+
     @cached_property
     def _neighbor_lists(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every item's neighbour codes and estimates, strongest first, with
         CSR starts: built on the first ``neighbors`` call."""
-        order, starts = _strongest_first(self.ii, self.jj, self.p, len(self.ids))
-        return np.r_[self.jj, self.ii][order], np.r_[self.p, self.p][order], starts
+        end, far, p = _both_ends(self.ii, self.jj, self.p)
+        order, starts = _strongest_first(end, far, p, len(self.ids))
+        return far[order], p[order], starts
 
 
 def build_affinity_graph(
@@ -242,26 +263,45 @@ def _session_pairs(
     return item[first], item[first + 1 + offset]
 
 
+def _both_ends(
+    ii: np.ndarray, jj: np.ndarray, p: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair once from each end: (end, other end, estimate), the pairs
+    from ``ii`` first and then from ``jj``."""
+    return np.r_[ii, jj], np.r_[jj, ii], np.r_[p, p]
+
+
 def _strongest_first(
-    ii: np.ndarray, jj: np.ndarray, p: np.ndarray, n: int
+    end: np.ndarray, far: np.ndarray, p: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Both ends of every pair, each of the ``n`` items' pairs strongest
-    first with ties to the smaller other item: the order into
-    ``np.r_[pairs, pairs]`` and each item's start in it (n + 1 of them)."""
-    item = np.r_[ii, jj]
-    order = np.lexsort((np.r_[jj, ii], -np.r_[p, p], item))
-    starts = np.r_[0, np.cumsum(np.bincount(item, minlength=n))]
+    """The order that puts the (end, far, p) rows by end, each of the ``n``
+    items' rows strongest first with ties to the smaller far item, and each
+    item's start in it (n + 1 of them)."""
+    order = np.lexsort((far, -p, end))
+    starts = np.r_[0, np.cumsum(np.bincount(end, minlength=n))]
     return order, starts
+
+
+def _first_k(
+    end: np.ndarray, far: np.ndarray, p: np.ndarray, rows: np.ndarray, k: int, n: int
+) -> np.ndarray:
+    """The rows, among ``rows`` (each listed item's every row), that are
+    among their end item's ``k`` strongest, in no set order. Only the rows of
+    an item with more than k are sorted: an item with k or fewer keeps all."""
+    crowded = np.bincount(end, minlength=n)[end[rows]] > k
+    few, crowded = rows[~crowded], rows[crowded]
+    order, starts = _strongest_first(end[crowded], far[crowded], p[crowded], n)
+    ranks = np.arange(len(order)) - np.repeat(starts[:-1], np.diff(starts))
+    return np.r_[few, crowded[order[ranks < k]]]
 
 
 def _top_pairs(
     ii: np.ndarray, jj: np.ndarray, p: np.ndarray, k: int, n: int
 ) -> np.ndarray:
     """Mask of the pairs among some item's ``k`` strongest."""
-    order, starts = _strongest_first(ii, jj, p, n)
-    rank = np.arange(len(order)) - np.repeat(starts[:-1], np.diff(starts))
+    end, far, both = _both_ends(ii, jj, p)
     kept = np.zeros(len(p), dtype=bool)
-    kept[order[rank < k] % len(p)] = True
+    kept[_first_k(end, far, both, np.arange(len(end)), k, n) % len(p)] = True
     return kept
 
 

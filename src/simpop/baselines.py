@@ -2,9 +2,10 @@
 
 Five reference strategies: seeded random permutation, interaction
 popularity, clickout popularity, co-occurrence K nearest neighbors, and
-metadata K nearest neighbors. Each exposes ``name`` and
-``rank(session, candidates, t)`` returning a RankedList, the same duck type
-as NextItemRecommender.
+metadata K nearest neighbors. Each exposes ``name``,
+``rank(session, candidates, t)`` returning a RankedList and
+``score_sessions(batch)`` returning BatchScores, the same duck type as
+NextItemRecommender.
 """
 
 from __future__ import annotations
@@ -18,8 +19,15 @@ import numpy as np
 
 from .affinity import AffinityGraph, PopularityTable, interaction_counts
 from .errors import ParseError, ValidationError
-from .recommender import RankedList, _by_popularity, _dedupe, order_candidates
-from .sessions import _ID_BREAKS, Action, SessionCorpus
+from .recommender import (
+    BatchScores,
+    RankedList,
+    SessionBatch,
+    _by_popularity,
+    _dedupe,
+    order_candidates,
+)
+from .sessions import _ID_BREAKS, Action, SessionCorpus, _offsets, _ranges
 
 #: how many of the previous item's nearest neighbors a KNN ranker scores
 _NEIGHBORS = 100
@@ -30,6 +38,11 @@ _TOKEN_BREAKS = re.compile("[|\t\n\r]")
 
 
 class Ranker(Protocol):
+    """What ``evaluate`` ranks with: a ``name`` and ``rank``, one request at
+    a time. A ranker that also offers ``score_sessions(batch) ->
+    BatchScores``, as every built-in one does, is scored by it instead,
+    every session at once, and ``evaluate`` never calls its ``rank``."""
+
     name: str
 
     def rank(
@@ -67,6 +80,18 @@ class RandomRanker:
         scores[rng.permutation(n)] = (n - np.arange(n)) / n
         return order_candidates(unique, scores, t, None, None, fallback_used=False)
 
+    def score_sessions(self, batch: SessionBatch) -> BatchScores:
+        """Each session's permutation, drawn as ``rank`` draws it."""
+        names = [batch.vocabulary[k] for k in batch.candidates.tolist()]
+        bounds = batch.candidate_offsets.tolist()
+        score = np.empty(len(names))
+        for sid, a, b in zip(batch.session_ids, bounds, bounds[1:]):
+            rng = np.random.default_rng(self._call_seed(sid, names[a:b]))
+            n = b - a
+            score[a + rng.permutation(n)] = (n - np.arange(n)) / n
+        no = np.zeros(batch.n_sessions, dtype=bool)
+        return BatchScores(score, np.zeros(len(batch.candidates)), no, 0)
+
     def _call_seed(self, session_id: str, candidates: Sequence[str]) -> int:
         h = hashlib.blake2b(digest_size=8)
         h.update(str(self.seed).encode())
@@ -85,6 +110,12 @@ class _CountRanker:
 
     def rank(self, session, candidates, t) -> RankedList:
         return _by_popularity(_dedupe(candidates), self.counts, t, fallback_used=False)
+
+    def score_sessions(self, batch: SessionBatch) -> BatchScores:
+        counts = batch.lookup(self.counts, 0.0)[batch.candidates]
+        no = np.zeros(batch.n_sessions, dtype=bool)
+        unknown = int(np.count_nonzero(counts == 0))  # zero counts are left out
+        return BatchScores(counts, np.zeros(len(batch.candidates)), no, unknown)
 
 
 class InteractionPopularityRanker(_CountRanker):
@@ -129,6 +160,20 @@ class CooccurrenceKnnRanker:
         scores = [near.get(c, 0.0) for c in unique]
         return order_candidates(unique, scores, t, pop, prev, fallback_used=False)
 
+    def score_sessions(self, batch: SessionBatch) -> BatchScores:
+        graph = self.graph
+        index = {item: k for k, item in enumerate(graph.ids)}
+        code = np.append(batch.lookup(index, -1), -1)  # -1 maps to -1
+        prev, candidate = code[batch.last_items()], code[batch.candidates]
+        popularity = batch.lookup(graph.popularity, 0.0)[batch.candidates]
+        near = graph.strongest_estimates(
+            prev[batch.candidate_session], candidate, _NEIGHBORS
+        )
+        fallback = prev < 0  # an item of the graph is in at least one pair
+        score = np.where(fallback[batch.candidate_session], popularity, near)
+        unknown = int(np.count_nonzero(candidate < 0))
+        return BatchScores(score, popularity, fallback, unknown)
+
 
 class MetadataKnnRanker:
     """Score candidates by metadata cosine against the previous item.
@@ -158,6 +203,42 @@ class MetadataKnnRanker:
         near = dict(nearest.items)  # the 100 highest cosines, ties to the smaller id
         scores = [near.get(c, 0.0) for c in unique]
         return order_candidates(unique, scores, t, self.popularity, prev, False)
+
+    def score_sessions(self, batch: SessionBatch) -> BatchScores:
+        """Every cosine at once: the tokens each candidate shares with its
+        session's previous item are counted in numpy and divided by
+        ``_cosine``'s root, which Python takes once per distinct product of
+        set sizes. An impression list holds at most MAX_IMPRESSIONS
+        candidates, fewer than _NEIGHBORS, so each keeps its cosine."""
+        props = [self.metadata.get(item, frozenset()) for item in batch.vocabulary]
+        size = np.array([len(p) for p in props], dtype=np.int64)
+        code = {tok: k for k, tok in enumerate(set().union(*props))}
+        token = np.fromiter(
+            (code[tok] for p in props for tok in p), np.int64, count=int(size.sum())
+        )
+        held = np.repeat(np.arange(len(props)), size) * len(code) + token
+        start = _offsets(size)
+
+        known = batch.holds(self.metadata)
+        prev = batch.last_items()
+        fallback = (prev < 0) | ~known[prev]
+        c = batch.candidates
+        p = prev[batch.candidate_session]
+        shared = np.where(fallback[batch.candidate_session], 0, size[p])
+        row = np.repeat(np.arange(len(c)), shared)
+        probe = c[row] * len(code) + token[_ranges(start[p], shared)]
+        common = np.bincount(row[np.isin(probe, held)], minlength=len(c))
+        product = shared * size[c]
+        distinct, which = np.unique(product, return_inverse=True)
+        root = np.array([q**0.5 for q in distinct.tolist()])[which]
+        cosine = np.zeros(len(c))
+        scored = product > 0
+        cosine[scored] = common[scored] / root[scored]
+
+        popularity = batch.lookup(self.popularity, 0.0)[c]
+        score = np.where(fallback[batch.candidate_session], popularity, cosine)
+        unknown = int(np.count_nonzero(~known[c]))
+        return BatchScores(score, popularity, fallback, unknown)
 
     def _cosine(self, props: frozenset[str], candidate: str) -> float:
         other = self.metadata.get(candidate)

@@ -4,8 +4,9 @@ Every command that writes files also writes a JSON manifest next to its
 primary output (``<output>.manifest.json``) holding the resolved flags,
 seeds, SHA-256 digests of the inputs, and wall time, so any artifact can be
 traced back to its exact inputs. ``ingest`` adds the sessions it dropped,
-``train`` the items and pairs its affinity graph left out, and ``ingest``,
-``train`` and ``evaluate`` the wall time of each of their stages.
+``train`` the items and pairs its affinity graph left out, ``evaluate`` its
+fallback sessions and the candidates outside the ranker's item set, and
+``ingest``, ``train`` and ``evaluate`` the wall time of each of their stages.
 
 ``ingest`` also writes the corpus's columnar companion (``<out>.columns``),
 and ``train`` and ``synth sessions`` the model's, which the commands that
@@ -343,7 +344,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     _write_manifest(
         "evaluate", args, args.out, {**_read_from(test), Path(args.truth): None, **read},
         [args.out], [args.seed], started,
-        counts={"fallback": report.n_fallback},
+        counts={"fallback": report.n_fallback, "unknown_candidates": report.n_unknown},
         timings=timings,
     )
     return EXIT_OK

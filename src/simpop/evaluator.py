@@ -19,13 +19,21 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .affinity import AffinityGraph, build_affinity_graph
 from .baselines import Ranker
 from .embedder import FitConfig, fit_embedding
 from .errors import DivergenceError, ValidationError
 from .model import ModelParams
-from .recommender import NextItemRecommender
-from .sessions import SessionCorpus, _last_clickouts, prepare_holdout
+from .recommender import BatchScores, NextItemRecommender, SessionBatch
+from .sessions import (
+    SessionCorpus,
+    _last_clickouts,
+    _offsets,
+    _ranges,
+    prepare_holdout,
+)
 
 log = logging.getLogger(__name__)
 
@@ -35,7 +43,12 @@ _MAP_CUTOFFS = (1, 3, 5, 10)
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Per-session ranks plus aggregate metrics for one ranker run."""
+    """Per-session ranks plus aggregate metrics for one ranker run.
+
+    ``n_unknown`` counts the candidates, each once per session, outside the
+    ranker's item set (the model, the graph, the metadata or the train
+    counts); 0 for a ranker without one, or one that offers only ``rank``.
+    """
 
     ranker_name: str
     per_session: tuple[tuple[str, int | None], ...]
@@ -44,6 +57,7 @@ class EvalReport:
     n_sessions: int
     n_skipped: int
     n_fallback: int
+    n_unknown: int = 0
 
 
 def evaluate(
@@ -60,17 +74,23 @@ def evaluate(
     truth item missing from its own impression list is a retained miss (rank
     None).
     Sessions the ranker ordered by its popularity fallback are counted too.
+
+    A ranker with ``score_sessions`` (every built-in one) scores all the
+    sessions at once, coded from the corpus's columns, and every truth's
+    rank is read from those scores in one pass; the ``Action`` view is
+    never built. Any other ranker is asked ``rank`` once per session, the
+    protocol's reference loop.
     """
-    targets = (_last_clickouts(test) - test.offsets[:-1]).tolist()
-    per_session: list[tuple[str, int | None]] = []
-    fallback = 0
-    for (sid, actions), target in zip(test.sessions.items(), targets):
-        if target < 0 or sid not in truth:
-            continue
-        candidates = list(actions[target].impressions)
-        ranked = ranker.rank(actions, candidates, len(candidates))
-        fallback += ranked.fallback_used
-        per_session.append((sid, ranked.rank_of(truth[sid])))
+    if hasattr(ranker, "score_sessions"):
+        batch, truth_codes = _code_sessions(test, truth)
+        scores = ranker.score_sessions(batch)
+        ranks = _ranks_of(batch, scores, truth_codes)
+        per_session = list(zip(batch.session_ids, ranks))
+        fallback = int(np.count_nonzero(scores.fallback))
+        unknown = scores.unknown
+    else:
+        per_session, fallback = _rank_each(ranker, test, truth)
+        unknown = 0
     ranks = [rank for _, rank in per_session if rank is not None]
     n_eval = len(per_session)
     skipped = test.n_sessions - n_eval
@@ -87,7 +107,80 @@ def evaluate(
         n_sessions=n_eval,
         n_skipped=skipped,
         n_fallback=fallback,
+        n_unknown=unknown,
     )
+
+
+def _rank_each(
+    ranker: Ranker, test: SessionCorpus, truth: Mapping[str, str]
+) -> tuple[list[tuple[str, int | None]], int]:
+    """Each evaluated session's rank from one ``rank`` call, and how many
+    fell back."""
+    targets = (_last_clickouts(test) - test.offsets[:-1]).tolist()
+    per_session: list[tuple[str, int | None]] = []
+    fallback = 0
+    for (sid, actions), target in zip(test.sessions.items(), targets):
+        if target < 0 or sid not in truth:
+            continue
+        candidates = list(actions[target].impressions)
+        ranked = ranker.rank(actions, candidates, len(candidates))
+        fallback += ranked.fallback_used
+        per_session.append((sid, ranked.rank_of(truth[sid])))
+    return per_session, fallback
+
+
+def _code_sessions(
+    test: SessionCorpus, truth: Mapping[str, str]
+) -> tuple[SessionBatch, np.ndarray]:
+    """The sessions ``evaluate`` ranks, those with a clickout and a truth,
+    as a batch over the corpus's vocabulary, and each one's truth code (-1
+    for an item the corpus does not name)."""
+    target = _last_clickouts(test)
+    held = np.fromiter((sid in truth for sid in test.session_ids), bool, test.n_sessions)
+    kept = np.flatnonzero((target >= 0) & held)
+    place = np.full(test.n_sessions, -1)
+    place[kept] = np.arange(len(kept))
+    session, item, _ = test.item_actions
+    named = place[session] >= 0
+    rows = target[kept]
+    starts = test.impression_offsets[rows]
+    shown = test.impression_offsets[rows + 1] - starts
+    listed = test.impressions[_ranges(starts, shown)]
+    owner = np.repeat(np.arange(len(kept)), shown)
+    # each candidate once, where it was first shown
+    keys = owner * len(test.item_vocabulary) + listed
+    first = np.sort(np.unique(keys, return_index=True)[1])
+    sids = tuple(test.session_ids[s] for s in kept.tolist())
+    batch = SessionBatch(
+        session_ids=sids,
+        vocabulary=test.item_vocabulary,
+        history=item[named],
+        history_offsets=_offsets(np.bincount(place[session[named]], minlength=len(kept))),
+        candidates=listed[first],
+        candidate_offsets=_offsets(np.bincount(owner[first], minlength=len(kept))),
+    )
+    code = {name: k for k, name in enumerate(test.item_vocabulary)}
+    return batch, np.array([code.get(truth[sid], -1) for sid in sids], dtype=np.int64)
+
+
+def _ranks_of(
+    batch: SessionBatch, scores: BatchScores, truth: np.ndarray
+) -> list[int | None]:
+    """Each session's 1-based rank of its truth code, None when the truth is
+    not among its ranked candidates: one plus the candidates of its session
+    that order ahead of it, by score desc, popularity desc, then id (code
+    order), so no session is sorted."""
+    session = batch.candidate_session
+    candidate, score, popularity = batch.candidates, scores.score, scores.popularity
+    found = np.flatnonzero((candidate == truth[session]) & (score > -np.inf))
+    at = np.full(batch.n_sessions, -1)
+    at[session[found]] = found
+    mine = at[session]
+    s, p, c = score[mine], popularity[mine], candidate[mine]
+    before = (popularity > p) | ((popularity == p) & (candidate < c))
+    ahead = (score > s) | ((score == s) & before)
+    rank = np.bincount(session[ahead], minlength=batch.n_sessions) + 1
+    return [r if k >= 0 else None for k, r in zip(at.tolist(), rank.tolist())]
 
 
 def write_report(report: EvalReport, path: str | Path) -> None:

@@ -160,8 +160,12 @@ class EmbeddingModel:
         return PopularityTable(zip(self.ids, self.kappa.tolist()))
 
 
-def _law(model: EmbeddingModel, a: int, idx: np.ndarray | slice) -> np.ndarray:
-    """The connection law from item index ``a`` to the items at ``idx``."""
+def _law(
+    model: EmbeddingModel, a: int | np.ndarray, idx: np.ndarray | slice
+) -> np.ndarray:
+    """The connection law from item index ``a`` to the items at ``idx``, or
+    from each index of an array ``a`` to the item at the same place of
+    ``idx``: each row's value is the same bits either way."""
     diff = model.coords[idx] - model.coords[a]
     d2 = np.einsum("ij,ij->i", diff, diff)
     kk = model.kappa[idx] * model.kappa[a]
@@ -301,14 +305,15 @@ def _item_lines(model: EmbeddingModel) -> Iterator[np.ndarray]:
 # remainder give the nearest 17-, 16- and 15-digit decimals and each one's
 # distance delta from x, in units of 2**-r * 10**-s, and a decimal reads
 # back to x when 2 * delta < 5**s, the half-width of x's rounding interval.
-# The shortest that does is repr's (one 15-digit decimal at most can). A
-# value this cannot certify gets ``repr`` itself: |x| < 1e-4 or >= 1e15
-# (the exponent form, and the decade below it), powers of two (whose
-# interval is lopsided), ties (x exactly halfway between the two nearest
-# decimals of the shortest length that reads back), and values whose guess
-# of E fails 10**16 <= D < 10**17. The guess comes from ``np.log10``, which may round
-# differently on another CPU; the check makes such a value fall back, so
-# the bytes never depend on it.
+# The shortest that does is repr's (one 15-digit decimal at most can); when
+# x lies exactly halfway between the two nearest decimals of that length,
+# repr takes the one whose last digit is even, and so does this. A value
+# this cannot certify gets ``repr`` itself: |x| < 1e-4 or >= 1e15 (the
+# exponent form, and the decade below it), powers of two (whose interval is
+# lopsided), and values whose guess of E fails 10**16 <= D < 10**17. The
+# guess comes from ``np.log10``, which may round differently on another
+# CPU; the check makes such a value fall back, so the bytes never depend on
+# it.
 # ---------------------------------------------------------------------------
 
 _SIGNIFICAND = np.uint64((1 << 52) - 1)
@@ -389,16 +394,15 @@ def _shortest_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     fast &= (hi >> r == 0) & (d >= 10**16) & (d < 10**17)
     unit = np.uint64(1) << r
     rest = lo & (unit - 1)  # x * 10**s - d, in units of 2**-r
-    digits, tie = d, np.zeros(d.shape, dtype=bool)
+    digits = d
     for scale in (1, 10, 100):  # the nearest 17-, 16-, then 15-digit decimal
         head, below = _split(d, scale)
         below = below * unit + rest  # x's distance above head
         above = scale * unit - below
         fits = 2 * np.minimum(below, above) < five  # never equal: 5**s is odd
-        # a tie decides the digits only where no shorter decimal reads back
-        tie = (fits & (below == above)) | (tie & ~fits)
-        digits = np.where(fits, (head + (above < below)) * scale, digits)
-    fallback = ~fast | tie
+        up = (above < below) | ((above == below) & (head % 2 == 1))  # ties to even
+        digits = np.where(fits, (head + up) * scale, digits)
+    fallback = ~fast
     digits[fallback] = 10**16
     top = digits == 10**17  # rounded up into the next decade
     digits[top] = 10**16

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simpop.affinity import (
     AffinityGraph,
@@ -418,6 +420,33 @@ class TestGraphInvariants:
             AffinityGraph.from_pairs(
                 {("A", "B"): 0.4, ("B", "A"): 0.5}, PopularityTable({})
             )
+
+
+class TestStrongestEstimates:
+    """``strongest_estimates`` against ``neighbors``' first k entries."""
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(0, 7), st.integers(0, 7)).filter(lambda ij: ij[0] < ij[1]),
+            st.sampled_from([0.25, 0.5, 1.0]),  # few values, so strengths tie
+            min_size=1,
+        ),
+        st.integers(1, 4),
+        st.data(),
+    )
+    def test_first_k_neighbors_keep_their_estimates(self, pairs, k, data):
+        graph = AffinityGraph.from_pairs(
+            {(f"n{i}", f"n{j}"): p for (i, j), p in pairs.items()}, PopularityTable({})
+        )
+        codes = st.integers(-1, len(graph.ids) - 1)
+        asked = data.draw(st.lists(st.tuples(codes, codes), min_size=1))
+        item, other = (np.array(side, dtype=np.intp) for side in zip(*asked))
+        got = graph.strongest_estimates(item, other, k)
+        for r, (i, j) in enumerate(asked):
+            near = {} if i < 0 else dict(graph.neighbors(graph.ids[i])[:k])
+            want = near.get(graph.ids[j], 0.0) if j >= 0 else 0.0
+            assert got[r] == want, (i, j)
 
 
 class TestGraphExport:

@@ -298,3 +298,11 @@ class TestOutputContract:
             scores = [s for _, s in ranked.items]
             assert scores == sorted(scores, reverse=True)
             assert len(set(ids_of(ranked))) == len(ids_of(ranked))
+
+
+def test_an_impression_list_fits_under_the_neighbor_cap():
+    # MetadataKnnRanker.score_sessions keeps every candidate's cosine
+    from simpop import baselines
+    from simpop.sessions import MAX_IMPRESSIONS
+
+    assert MAX_IMPRESSIONS < baselines._NEIGHBORS

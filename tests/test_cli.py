@@ -657,7 +657,8 @@ class TestRecommendAndEvaluate:
             capsys.readouterr().out
         )
         manifest = json.loads((workdir / "report.csv.manifest.json").read_text())
-        assert manifest["counts"] == {"fallback": 1}
+        # Z, shown in t2, is not in the model
+        assert manifest["counts"] == {"fallback": 1, "unknown_candidates": 1}
 
     def test_evaluate_manifest_names_read_files_and_times_stages(
         self, workdir, trained

@@ -5,9 +5,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from simpop.affinity import build_affinity_graph
-from simpop.baselines import RandomRanker
+from simpop import evaluator as evaluator_module
+from simpop.affinity import build_affinity_graph, compute_popularity
+from simpop.baselines import (
+    ClickoutPopularityRanker,
+    CooccurrenceKnnRanker,
+    InteractionPopularityRanker,
+    MetadataKnnRanker,
+    RandomRanker,
+)
 from simpop.embedder import FitConfig, fit_embedding
 from simpop.errors import ValidationError
 from simpop.evaluator import (
@@ -374,3 +383,209 @@ class TestGridSearch:
         lines = path.read_text().splitlines()
         assert len(lines) == 3
         assert lines[0].startswith("dim,lambda,alpha,seed,mrr")
+
+
+# ---------------------------------------------------------------------------
+# Coded evaluation: every built-in ranker scores all sessions at once
+# ---------------------------------------------------------------------------
+
+#: the items of a random world, and items only its test sessions name
+WORLD_ITEMS = [f"i{k}" for k in range(7)]
+STRANGERS = ["u0", "u1"]
+TOKENS = ["a", "b", "c", "d"]
+
+
+def reference_loop(ranker, test, truth):
+    """The protocol as a per-session ``rank`` loop: each session's rank of
+    its truth, and the sessions that fell back."""
+    per_session, fallback = [], 0
+    for sid, actions in test.sessions.items():
+        clicks = [k for k, a in enumerate(actions) if a.is_clickout]
+        if not clicks or sid not in truth:
+            continue
+        candidates = list(actions[clicks[-1]].impressions)
+        ranked = ranker.rank(actions, candidates, len(candidates))
+        fallback += ranked.fallback_used
+        per_session.append((sid, ranked.rank_of(truth[sid])))
+    return tuple(per_session), fallback
+
+
+def unknown_count(test, truth, known):
+    """Distinct candidates per evaluated session outside ``known``."""
+    count = 0
+    for sid, actions in test.sessions.items():
+        clicks = [a for a in actions if a.is_clickout]
+        if clicks and sid in truth:
+            count += sum(c not in known for c in dict.fromkeys(clicks[-1].impressions))
+    return count
+
+
+def six_rankers(train, model, metadata, popularity, max_pairs):
+    graph = build_affinity_graph(train, min_sessions=1, max_pairs_per_item=max_pairs)
+    counts = compute_popularity(train)
+    return {
+        "proposed": NextItemRecommender(model, popularity=popularity),
+        "icknn": CooccurrenceKnnRanker(graph),
+        "imknn": MetadataKnnRanker(metadata, popularity=counts),
+        "icpop": ClickoutPopularityRanker(train),
+        "ipop": InteractionPopularityRanker(train),
+        "random": RandomRanker(seed=3),
+    }
+
+
+def item_set(name, ranker):
+    """The items a ranker knows, as ``EvalReport.n_unknown`` counts them."""
+    return {
+        "proposed": lambda: ranker.model,
+        "icknn": lambda: set(ranker.graph.ids),
+        "imknn": lambda: ranker.metadata,
+        "icpop": lambda: ranker.counts,
+        "ipop": lambda: ranker.counts,
+        "random": lambda: None,
+    }[name]()
+
+
+@st.composite
+def random_worlds(draw):
+    """A train corpus, a model on integer coordinates with popularities 1
+    or 2 (so scores and popularities tie), metadata with empty token sets,
+    and a hidden-target test corpus whose sessions repeat impressions, hold
+    their anchor among the candidates, name items no ranker knows, hold no
+    item at all, lack a clickout, a truth, or a truth inside their list."""
+    items = st.sampled_from(WORLD_ITEMS)
+    anywhere = st.sampled_from(WORLD_ITEMS + STRANGERS)
+    actions = []
+    for s in range(draw(st.integers(2, 6))):
+        sid, step = f"r{s}", 0
+        for item in draw(st.lists(items, min_size=1, max_size=5)):
+            step += 1
+            actions.append(make_action(sid, step, item=item))
+        shown = draw(st.lists(items, min_size=1, max_size=4))
+        actions.append(clickout(sid, step + 1, draw(st.sampled_from(shown)), shown))
+    train = SessionCorpus.from_actions(actions, Role.TRAIN)
+
+    in_model = draw(st.lists(items, min_size=1, unique=True))
+    model = EmbeddingModel(
+        ModelParams(alpha=draw(st.sampled_from([1.0, 2.0])), dim=2),
+        in_model,
+        np.array(draw(st.lists(
+            st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+            min_size=len(in_model), max_size=len(in_model),
+        )), dtype=float),
+        np.array(draw(st.lists(st.sampled_from([1.0, 2.0]),
+                               min_size=len(in_model), max_size=len(in_model)))),
+    )
+    metadata = draw(st.dictionaries(
+        anywhere, st.frozensets(st.sampled_from(TOKENS), max_size=3), max_size=9
+    ))
+
+    actions, truth = [], {}
+    for s in range(draw(st.integers(1, 8))):
+        sid, step = f"t{s}", 0
+        for item in draw(st.lists(st.one_of(st.none(), anywhere), max_size=4)):
+            step += 1
+            actions.append(make_action(sid, step, item=item))
+        if draw(st.booleans()) or step == 0:
+            shown = draw(st.lists(anywhere, min_size=1, max_size=8))
+            step += 1
+            actions.append(clickout(sid, step, None, shown))
+            truth[sid] = draw(st.sampled_from(shown + ["zz"]))
+            if draw(st.booleans()):
+                actions.append(make_action(sid, step + 1, item=draw(anywhere)))
+        else:
+            truth[sid] = "zz"
+        if draw(st.integers(0, 5)) == 0:
+            del truth[sid]
+    test = SessionCorpus.from_actions(actions, Role.TEST)
+    popularity = None if draw(st.booleans()) else compute_popularity(train)
+    return train, model, metadata, popularity, draw(st.sampled_from([0, 2])), test, truth
+
+
+class TestCodedEvaluation:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(random_worlds())
+    def test_every_ranker_matches_its_rank_loop(self, world):
+        train, model, metadata, popularity, max_pairs, test, truth = world
+        rankers = six_rankers(train, model, metadata, popularity, max_pairs)
+        for name, ranker in rankers.items():
+            report = evaluate(ranker, test, truth)
+            per_session, fallback = reference_loop(ranker, test, truth)
+            assert report.per_session == per_session, name
+            assert report.n_fallback == fallback, name
+            assert report.n_sessions + report.n_skipped == test.n_sessions
+            known = item_set(name, ranker)
+            want = 0 if known is None else unknown_count(test, truth, known)
+            assert report.n_unknown == want, name
+
+    @pytest.mark.parametrize("name", ["proposed", "icknn", "imknn", "icpop", "ipop", "random"])
+    def test_scores_are_the_rank_scores_bit_for_bit(self, name):
+        data = generate(SynthConfig(n_items=150, n_train_sessions=300,
+                                    n_test_sessions=60, seed=4))
+        test, truth = hide_test_targets(data.test)
+        vocab = data.train.item_vocabulary
+        rng = np.random.default_rng(4)
+        model = EmbeddingModel(
+            ModelParams(alpha=2.0, dim=5), vocab,
+            rng.normal(0.0, 4.0, size=(len(vocab), 5)),
+            np.floor(np.exp(rng.uniform(0.0, 5.0, size=len(vocab)))),
+        )
+        ranker = six_rankers(
+            data.train, model, data.world.metadata, compute_popularity(data.train), 500
+        )[name]
+        batch, _ = evaluator_module._code_sessions(test, truth)
+        scores = ranker.score_sessions(batch)
+        bounds = batch.candidate_offsets.tolist()
+        compared = 0
+        for s, sid in enumerate(batch.session_ids):
+            actions = test.session(sid)
+            shown = [a for a in actions if a.is_clickout][-1].impressions
+            ranked = dict(ranker.rank(actions, list(shown), len(shown)).items)
+            for k in range(bounds[s], bounds[s + 1]):
+                item = batch.vocabulary[batch.candidates[k]]
+                want = ranked.get(item, -np.inf)  # the anchor is left out
+                assert np.float64(want).tobytes() == scores.score[k].tobytes(), item
+                compared += want > 0
+        assert compared > 300
+
+    @pytest.mark.parametrize("name", ["proposed", "icknn", "imknn", "icpop", "ipop", "random"])
+    def test_builds_no_action_view(self, name, toy_train, toy_test):
+        blinded, truth = hide_test_targets(toy_test)
+        model = EmbeddingModel(
+            ModelParams(alpha=2.0, dim=1), ["A", "B", "C"], np.arange(3.0)[:, None], np.ones(3)
+        )
+        ranker = six_rankers(toy_train, model, {"A": frozenset("x")}, None, 0)[name]
+        report = evaluate(ranker, blinded, truth)
+        assert report.n_sessions == 2
+        assert "sessions" not in vars(blinded)
+
+    def test_counts_candidates_outside_the_model(self):
+        model = EmbeddingModel(
+            ModelParams(alpha=2.0, dim=1), ["c1", "c2"], np.arange(2.0)[:, None], np.ones(2)
+        )
+        corpus = SessionCorpus.from_actions(
+            [
+                make_action("u1", 1, item="c1"),
+                clickout("u1", 2, "c2", ["c2", "x", "x", "y"]),
+                clickout("u2", 1, "x", ["x", "c1"]),
+            ],
+            Role.TEST,
+        )
+        blinded, truth = hide_test_targets(corpus)
+        report = evaluate(NextItemRecommender(model), blinded, truth)
+        # u1 shows x twice, counted once; u2 falls back and still counts x
+        assert report.n_unknown == 3
+        assert report.n_fallback == 1
+        assert report.per_session == (("u1", 1), ("u2", 2))
+
+    def test_grid_table_keeps_its_bytes(self, small_world, tmp_path, monkeypatch):
+        train, validation = small_world
+        grid = SearchGrid(dims=(2, 3), lambdas=(0.01,), alphas=(2.0,))
+        _, table = grid_search(train, validation, grid=grid, max_iterations=30)
+        write_grid_table(table, tmp_path / "coded.csv")
+        # the same search through the per-session reference loop
+        monkeypatch.delattr(NextItemRecommender, "score_sessions")
+        _, table = grid_search(train, validation, grid=grid, max_iterations=30)
+        write_grid_table(table, tmp_path / "loop.csv")
+        coded = (tmp_path / "coded.csv").read_bytes()
+        assert coded == (tmp_path / "loop.csv").read_bytes()
+        assert all(c.mrr > 0 for c in table)

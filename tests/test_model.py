@@ -872,7 +872,20 @@ class TestFloatText:
         inside = taken[(size >= 1e-4) & (size < 1e15)]
         power = np.abs(np.frexp(inside)[0]) == 0.5
         assert power.any()
-        assert any(map(is_tie, inside[~power].tolist()))
+        # a tie is settled in the fast path (the next test)
+        assert not any(map(is_tie, inside.tolist()))
+
+    def test_ties_go_to_the_even_decimal_without_repr(self, tmp_path):
+        # above 1e12 a float has few fractional bits, so many lie exactly
+        # halfway between their two nearest 17-, 16- or 15-digit decimals
+        rng = np.random.default_rng(31)
+        values = np.exp(rng.uniform(math.log(1e12), math.log(1e15), 3000))
+        values = np.concatenate([values, np.round(values * 16) / 16, np.round(values * 2) / 2])
+        ties = np.array(list(map(is_tie, values.tolist())))
+        assert ties.sum() > 500
+        assert not _shortest_digits(values)[2].any()
+        model = model_of(values)
+        assert written_text(model, tmp_path) == repr_text(model)
 
     def test_write_peak_memory_is_bounded(self, tmp_path):
         # the writer's buffers hold one block of rows, whatever the model's size
