@@ -4,8 +4,8 @@ Five reference strategies: seeded random permutation, interaction
 popularity, clickout popularity, co-occurrence K nearest neighbors, and
 metadata K nearest neighbors. Each exposes ``name``,
 ``rank(session, candidates, t)`` returning a RankedList and
-``score_sessions(batch)`` returning BatchScores, the same duck type as
-NextItemRecommender.
+``score_sessions(corpus)`` returning BatchScores for every session of a
+SessionCorpus, the same duck type as NextItemRecommender.
 """
 
 from __future__ import annotations
@@ -22,12 +22,13 @@ from .errors import ParseError, ValidationError
 from .recommender import (
     BatchScores,
     RankedList,
-    SessionBatch,
     _by_popularity,
     _dedupe,
+    _holds,
+    _lookup,
     order_candidates,
 )
-from .sessions import _ID_BREAKS, Action, SessionCorpus, _offsets, _ranges
+from .sessions import _ID_BREAKS, Action, SessionCorpus, _offsets, _owners, _ranges
 
 #: how many of the previous item's nearest neighbors a KNN ranker scores
 _NEIGHBORS = 100
@@ -39,9 +40,10 @@ _TOKEN_BREAKS = re.compile("[|\t\n\r]")
 
 class Ranker(Protocol):
     """What ``evaluate`` ranks with: a ``name`` and ``rank``, one request at
-    a time. A ranker that also offers ``score_sessions(batch) ->
+    a time. A ranker that also offers ``score_sessions(corpus) ->
     BatchScores``, as every built-in one does, is scored by it instead,
-    every session at once, and ``evaluate`` never calls its ``rank``."""
+    every session of the test corpus at once, and ``evaluate`` never calls
+    its ``rank``."""
 
     name: str
 
@@ -56,6 +58,15 @@ def _previous_item(session: Sequence[Action]) -> str | None:
         if action.item_ref is not None:
             return action.item_ref
     return None
+
+
+def _previous_items(corpus: SessionCorpus) -> np.ndarray:
+    """Each session's ``_previous_item`` as a code, -1 for none."""
+    session, item, _ = corpus.item_actions
+    last = np.flatnonzero(np.diff(session, append=-1) != 0)  # each session's last
+    previous = np.full(corpus.n_sessions, -1)
+    previous[session[last]] = item[last]
+    return previous
 
 
 class RandomRanker:
@@ -80,17 +91,18 @@ class RandomRanker:
         scores[rng.permutation(n)] = (n - np.arange(n)) / n
         return order_candidates(unique, scores, t, None, None, fallback_used=False)
 
-    def score_sessions(self, batch: SessionBatch) -> BatchScores:
+    def score_sessions(self, corpus: SessionCorpus) -> BatchScores:
         """Each session's permutation, drawn as ``rank`` draws it."""
-        names = [batch.vocabulary[k] for k in batch.candidates.tolist()]
-        bounds = batch.candidate_offsets.tolist()
+        candidate, offsets = corpus.candidates
+        names = [corpus.item_vocabulary[k] for k in candidate.tolist()]
+        bounds = offsets.tolist()
         score = np.empty(len(names))
-        for sid, a, b in zip(batch.session_ids, bounds, bounds[1:]):
+        for sid, a, b in zip(corpus.session_ids, bounds, bounds[1:]):
             rng = np.random.default_rng(self._call_seed(sid, names[a:b]))
             n = b - a
             score[a + rng.permutation(n)] = (n - np.arange(n)) / n
-        no = np.zeros(batch.n_sessions, dtype=bool)
-        return BatchScores(score, np.zeros(len(batch.candidates)), no, 0)
+        no = np.zeros(corpus.n_sessions, dtype=bool)
+        return BatchScores(score, np.zeros(len(names)), no, np.zeros(len(names), bool))
 
     def _call_seed(self, session_id: str, candidates: Sequence[str]) -> int:
         h = hashlib.blake2b(digest_size=8)
@@ -111,11 +123,12 @@ class _CountRanker:
     def rank(self, session, candidates, t) -> RankedList:
         return _by_popularity(_dedupe(candidates), self.counts, t, fallback_used=False)
 
-    def score_sessions(self, batch: SessionBatch) -> BatchScores:
-        counts = batch.lookup(self.counts, 0.0)[batch.candidates]
-        no = np.zeros(batch.n_sessions, dtype=bool)
-        unknown = int(np.count_nonzero(counts == 0))  # zero counts are left out
-        return BatchScores(counts, np.zeros(len(batch.candidates)), no, unknown)
+    def score_sessions(self, corpus: SessionCorpus) -> BatchScores:
+        candidate, _ = corpus.candidates
+        counts = _lookup(corpus.item_vocabulary, self.counts, 0.0)[candidate]
+        no = np.zeros(corpus.n_sessions, dtype=bool)
+        # zero counts are left out of the table
+        return BatchScores(counts, np.zeros(len(candidate)), no, counts == 0)
 
 
 class InteractionPopularityRanker(_CountRanker):
@@ -160,19 +173,18 @@ class CooccurrenceKnnRanker:
         scores = [near.get(c, 0.0) for c in unique]
         return order_candidates(unique, scores, t, pop, prev, fallback_used=False)
 
-    def score_sessions(self, batch: SessionBatch) -> BatchScores:
-        graph = self.graph
+    def score_sessions(self, corpus: SessionCorpus) -> BatchScores:
+        graph, vocabulary = self.graph, corpus.item_vocabulary
+        shown, offsets = corpus.candidates
+        session = _owners(offsets)
         index = {item: k for k, item in enumerate(graph.ids)}
-        code = np.append(batch.lookup(index, -1), -1)  # -1 maps to -1
-        prev, candidate = code[batch.last_items()], code[batch.candidates]
-        popularity = batch.lookup(graph.popularity, 0.0)[batch.candidates]
-        near = graph.strongest_estimates(
-            prev[batch.candidate_session], candidate, _NEIGHBORS
-        )
+        code = np.append(_lookup(vocabulary, index, -1), -1)  # -1 maps to -1
+        prev, candidate = code[_previous_items(corpus)], code[shown]
+        popularity = _lookup(vocabulary, graph.popularity, 0.0)[shown]
+        near = graph.strongest_estimates(prev[session], candidate, _NEIGHBORS)
         fallback = prev < 0  # an item of the graph is in at least one pair
-        score = np.where(fallback[batch.candidate_session], popularity, near)
-        unknown = int(np.count_nonzero(candidate < 0))
-        return BatchScores(score, popularity, fallback, unknown)
+        score = np.where(fallback[session], popularity, near)
+        return BatchScores(score, popularity, fallback, candidate < 0)
 
 
 class MetadataKnnRanker:
@@ -204,13 +216,14 @@ class MetadataKnnRanker:
         scores = [near.get(c, 0.0) for c in unique]
         return order_candidates(unique, scores, t, self.popularity, prev, False)
 
-    def score_sessions(self, batch: SessionBatch) -> BatchScores:
+    def score_sessions(self, corpus: SessionCorpus) -> BatchScores:
         """Every cosine at once: the tokens each candidate shares with its
         session's previous item are counted in numpy and divided by
         ``_cosine``'s root, which Python takes once per distinct product of
         set sizes. An impression list holds at most MAX_IMPRESSIONS
         candidates, fewer than _NEIGHBORS, so each keeps its cosine."""
-        props = [self.metadata.get(item, frozenset()) for item in batch.vocabulary]
+        vocabulary = corpus.item_vocabulary
+        props = [self.metadata.get(item, frozenset()) for item in vocabulary]
         size = np.array([len(p) for p in props], dtype=np.int64)
         code = {tok: k for k, tok in enumerate(set().union(*props))}
         token = np.fromiter(
@@ -219,12 +232,13 @@ class MetadataKnnRanker:
         held = np.repeat(np.arange(len(props)), size) * len(code) + token
         start = _offsets(size)
 
-        known = batch.holds(self.metadata)
-        prev = batch.last_items()
-        fallback = (prev < 0) | ~known[prev]
-        c = batch.candidates
-        p = prev[batch.candidate_session]
-        shared = np.where(fallback[batch.candidate_session], 0, size[p])
+        known = np.append(_holds(vocabulary, self.metadata), False)  # -1: False
+        prev = _previous_items(corpus)
+        fallback = ~known[prev]
+        c, offsets = corpus.candidates
+        session = _owners(offsets)
+        p = prev[session]
+        shared = np.where(fallback[session], 0, size[p])
         row = np.repeat(np.arange(len(c)), shared)
         probe = c[row] * len(code) + token[_ranges(start[p], shared)]
         common = np.bincount(row[np.isin(probe, held)], minlength=len(c))
@@ -235,10 +249,9 @@ class MetadataKnnRanker:
         scored = product > 0
         cosine[scored] = common[scored] / root[scored]
 
-        popularity = batch.lookup(self.popularity, 0.0)[c]
-        score = np.where(fallback[batch.candidate_session], popularity, cosine)
-        unknown = int(np.count_nonzero(~known[c]))
-        return BatchScores(score, popularity, fallback, unknown)
+        popularity = _lookup(vocabulary, self.popularity, 0.0)[c]
+        score = np.where(fallback[session], popularity, cosine)
+        return BatchScores(score, popularity, fallback, ~known[c])
 
     def _cosine(self, props: frozenset[str], candidate: str) -> float:
         other = self.metadata.get(candidate)

@@ -16,6 +16,7 @@ import csv
 import logging
 import math
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -26,14 +27,8 @@ from .baselines import Ranker
 from .embedder import FitConfig, fit_embedding
 from .errors import DivergenceError, ValidationError
 from .model import ModelParams
-from .recommender import BatchScores, NextItemRecommender, SessionBatch
-from .sessions import (
-    SessionCorpus,
-    _last_clickouts,
-    _offsets,
-    _ranges,
-    prepare_holdout,
-)
+from .recommender import BatchScores, NextItemRecommender
+from .sessions import SessionCorpus, _last_clickouts, _owners, prepare_holdout
 
 log = logging.getLogger(__name__)
 
@@ -75,19 +70,21 @@ def evaluate(
     None).
     Sessions the ranker ordered by its popularity fallback are counted too.
 
-    A ranker with ``score_sessions`` (every built-in one) scores all the
-    sessions at once, coded from the corpus's columns, and every truth's
-    rank is read from those scores in one pass; the ``Action`` view is
-    never built. Any other ranker is asked ``rank`` once per session, the
-    protocol's reference loop.
+    A ranker with ``score_sessions`` (every built-in one) scores every
+    session's ``candidates`` at once from the corpus's columns, and every
+    truth's rank is read from those scores in one pass; the ``Action`` view
+    is never built. Any other ranker is asked ``rank`` once per session,
+    the protocol's reference loop.
     """
     if hasattr(ranker, "score_sessions"):
-        batch, truth_codes = _code_sessions(test, truth)
-        scores = ranker.score_sessions(batch)
-        ranks = _ranks_of(batch, scores, truth_codes)
-        per_session = list(zip(batch.session_ids, ranks))
-        fallback = int(np.count_nonzero(scores.fallback))
-        unknown = scores.unknown
+        scores = ranker.score_sessions(test)
+        held = np.fromiter((sid in truth for sid in test.session_ids), bool)
+        kept = held & (_last_clickouts(test) >= 0)
+        ranks = zip(test.session_ids, _ranks_of(test, scores, truth))
+        per_session = list(compress(ranks, kept))
+        fallback = int(np.count_nonzero(scores.fallback & kept))
+        shown = np.diff(test.candidates[1])
+        unknown = int(np.count_nonzero(scores.unknown & np.repeat(kept, shown)))
     else:
         per_session, fallback = _rank_each(ranker, test, truth)
         unknown = 0
@@ -129,57 +126,26 @@ def _rank_each(
     return per_session, fallback
 
 
-def _code_sessions(
-    test: SessionCorpus, truth: Mapping[str, str]
-) -> tuple[SessionBatch, np.ndarray]:
-    """The sessions ``evaluate`` ranks, those with a clickout and a truth,
-    as a batch over the corpus's vocabulary, and each one's truth code (-1
-    for an item the corpus does not name)."""
-    target = _last_clickouts(test)
-    held = np.fromiter((sid in truth for sid in test.session_ids), bool, test.n_sessions)
-    kept = np.flatnonzero((target >= 0) & held)
-    place = np.full(test.n_sessions, -1)
-    place[kept] = np.arange(len(kept))
-    session, item, _ = test.item_actions
-    named = place[session] >= 0
-    rows = target[kept]
-    starts = test.impression_offsets[rows]
-    shown = test.impression_offsets[rows + 1] - starts
-    listed = test.impressions[_ranges(starts, shown)]
-    owner = np.repeat(np.arange(len(kept)), shown)
-    # each candidate once, where it was first shown
-    keys = owner * len(test.item_vocabulary) + listed
-    first = np.sort(np.unique(keys, return_index=True)[1])
-    sids = tuple(test.session_ids[s] for s in kept.tolist())
-    batch = SessionBatch(
-        session_ids=sids,
-        vocabulary=test.item_vocabulary,
-        history=item[named],
-        history_offsets=_offsets(np.bincount(place[session[named]], minlength=len(kept))),
-        candidates=listed[first],
-        candidate_offsets=_offsets(np.bincount(owner[first], minlength=len(kept))),
-    )
-    code = {name: k for k, name in enumerate(test.item_vocabulary)}
-    return batch, np.array([code.get(truth[sid], -1) for sid in sids], dtype=np.int64)
-
-
 def _ranks_of(
-    batch: SessionBatch, scores: BatchScores, truth: np.ndarray
+    test: SessionCorpus, scores: BatchScores, truth: Mapping[str, str]
 ) -> list[int | None]:
-    """Each session's 1-based rank of its truth code, None when the truth is
-    not among its ranked candidates: one plus the candidates of its session
-    that order ahead of it, by score desc, popularity desc, then id (code
-    order), so no session is sorted."""
-    session = batch.candidate_session
-    candidate, score, popularity = batch.candidates, scores.score, scores.popularity
-    found = np.flatnonzero((candidate == truth[session]) & (score > -np.inf))
-    at = np.full(batch.n_sessions, -1)
+    """Each session's 1-based rank of its truth, None when the truth is not
+    among its ranked candidates: one plus the candidates of its session that
+    order ahead of it, by score desc, popularity desc, then id (code order),
+    so no session is sorted."""
+    code = {name: k for k, name in enumerate(test.item_vocabulary)}
+    want = np.array([code.get(truth.get(sid), -1) for sid in test.session_ids], np.int64)
+    candidate, offsets = test.candidates
+    session = _owners(offsets)
+    score, popularity = scores.score, scores.popularity
+    found = np.flatnonzero((candidate == want[session]) & (score > -np.inf))
+    at = np.full(test.n_sessions, -1)
     at[session[found]] = found
     mine = at[session]
     s, p, c = score[mine], popularity[mine], candidate[mine]
     before = (popularity > p) | ((popularity == p) & (candidate < c))
     ahead = (score > s) | ((score == s) & before)
-    rank = np.bincount(session[ahead], minlength=batch.n_sessions) + 1
+    rank = np.bincount(session[ahead], minlength=test.n_sessions) + 1
     return [r if k >= 0 else None for k, r in zip(at.tolist(), rank.tolist())]
 
 

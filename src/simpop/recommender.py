@@ -6,15 +6,15 @@ the model cannot score sink to the tail, ordered by global popularity, and a
 session with no scorable item at all falls back to a pure popularity ranking.
 
 ``rank`` answers one request, a session of ``Action`` tuples. Offline
-evaluation asks many at once: a ``SessionBatch`` holds every session's items
-and candidates as codes, and a ranker's ``score_sessions`` scores all of its
-candidates in one pass (``BatchScores``), by the same rules as ``rank``.
+evaluation asks many at once: a ranker's ``score_sessions`` takes the test
+``SessionCorpus`` itself and scores every session's ``candidates`` in one
+pass (``BatchScores``), by the same rules as ``rank``, reading each
+session's items from the corpus's ``item_actions``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Container, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -22,7 +22,7 @@ import numpy as np
 from .affinity import PopularityTable
 from .errors import ValidationError
 from .model import EmbeddingModel, _law, connection_probabilities
-from .sessions import Action
+from .sessions import Action, SessionCorpus, _owners
 
 #: candidate rows the batched law scores at a time, so its temporaries stay
 #: a few MB whatever the number of sessions
@@ -90,74 +90,35 @@ def order_candidates(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class SessionBatch:
-    """Many sessions' rerank requests at once, as codes into ``vocabulary``,
-    which is sorted, so code order is id order.
+def _lookup(
+    vocabulary: Sequence[str], table: Mapping[str, float], default: float
+) -> np.ndarray:
+    """``table``'s value for each vocabulary item, ``default`` for an item it
+    lacks, as an array indexed by code."""
+    values = [table.get(item, default) for item in vocabulary]
+    return np.array(values, dtype=np.result_type(default))
 
-    Session ``s`` is ``session_ids[s]``. Its actions' item codes, in step
-    order, are ``history[history_offsets[s]:history_offsets[s + 1]]``; its
-    candidates, each once in first-seen order, are
-    ``candidates[candidate_offsets[s]:candidate_offsets[s + 1]]``.
-    """
 
-    session_ids: tuple[str, ...]
-    vocabulary: tuple[str, ...]
-    history: np.ndarray
-    history_offsets: np.ndarray
-    candidates: np.ndarray
-    candidate_offsets: np.ndarray
-
-    @property
-    def n_sessions(self) -> int:
-        return len(self.session_ids)
-
-    @cached_property
-    def candidate_session(self) -> np.ndarray:
-        """Each candidate row's session."""
-        counts = np.diff(self.candidate_offsets)
-        return np.repeat(np.arange(self.n_sessions), counts)
-
-    @cached_property
-    def history_session(self) -> np.ndarray:
-        """Each history row's session."""
-        return np.repeat(np.arange(self.n_sessions), np.diff(self.history_offsets))
-
-    def last_items(self) -> np.ndarray:
-        """Each session's most recent item code, -1 for a session without
-        one: the previous item of the KNN rankers."""
-        ends = self.history_offsets[1:]
-        held = ends > self.history_offsets[:-1]
-        last = np.full(self.n_sessions, -1)
-        last[held] = self.history[ends[held] - 1]
-        return last
-
-    def lookup(self, table: Mapping[str, float], default: float) -> np.ndarray:
-        """``table``'s value for each vocabulary item, ``default`` for an
-        item it lacks, as an array indexed by code."""
-        values = [table.get(item, default) for item in self.vocabulary]
-        return np.array(values, dtype=np.result_type(default))
-
-    def holds(self, items: Container[str]) -> np.ndarray:
-        """Whether each vocabulary item is in ``items``, indexed by code."""
-        return np.array([item in items for item in self.vocabulary], dtype=bool)
+def _holds(vocabulary: Sequence[str], items: Container[str]) -> np.ndarray:
+    """Whether each vocabulary item is in ``items``, indexed by code."""
+    return np.array([item in items for item in vocabulary], dtype=bool)
 
 
 class BatchScores(NamedTuple):
-    """A ranker's scores for every candidate row of a ``SessionBatch``.
+    """A ranker's scores for every row of a corpus's ``candidates``.
 
     Within a session, candidates order by ``score`` desc, then
     ``popularity`` desc, then id, as ``order_candidates`` orders them; a
     score of -inf leaves its candidate out of the ranking (the proposed
     ranker's anchor). ``fallback`` flags each session ordered by the
-    popularity fallback, and ``unknown`` counts the candidate rows outside
-    the ranker's item set.
+    popularity fallback, and ``unknown`` each candidate outside the
+    ranker's item set.
     """
 
     score: np.ndarray
     popularity: np.ndarray
     fallback: np.ndarray
-    unknown: int
+    unknown: np.ndarray
 
 
 def _dedupe(candidates: Iterable[str]) -> list[str]:
@@ -271,22 +232,26 @@ class NextItemRecommender:
             return _by_popularity(pool, self.popularity, t, fallback_used=True)
         return rank_candidates(self.model, anchor, candidates, t, self.popularity)
 
-    def score_sessions(self, batch: SessionBatch) -> BatchScores:
-        """``rank``'s rules over every session of ``batch`` at once. The
-        anchor is the session's item, in the model and the popularity
-        table, of the highest popularity; its most recent action breaks a
-        tie (two items never share one, so the id rule never decides)."""
-        popularity = batch.lookup(self.popularity, 0.0)
-        row = batch.lookup(self.model._index, -1)
-        eligible = batch.holds(self.popularity) & (row >= 0)
-        history = np.flatnonzero(eligible[batch.history])
-        owner = batch.history_session[history]
-        order = np.lexsort((history, popularity[batch.history[history]], owner))
+    def score_sessions(self, corpus: SessionCorpus) -> BatchScores:
+        """``rank``'s rules over every session of ``corpus`` at once, each
+        reranking its ``candidates``. The anchor is the session's item, in
+        the model and the popularity table, of the highest popularity; its
+        most recent action breaks a tie (two items never share one, so the
+        id rule never decides)."""
+        vocabulary = corpus.item_vocabulary
+        popularity = _lookup(vocabulary, self.popularity, 0.0)
+        row = _lookup(vocabulary, self.model._index, -1)
+        eligible = _holds(vocabulary, self.popularity) & (row >= 0)
+        acted, item, _ = corpus.item_actions
+        history = np.flatnonzero(eligible[item])
+        owner = acted[history]
+        order = np.lexsort((history, popularity[item[history]], owner))
         last = order[np.diff(owner[order], append=-1) != 0]  # each session's top
-        anchor = np.full(batch.n_sessions, -1)
-        anchor[owner[last]] = batch.history[history[last]]
+        anchor = np.full(corpus.n_sessions, -1)
+        anchor[owner[last]] = item[history[last]]
 
-        candidate, session = batch.candidates, batch.candidate_session
+        candidate, offsets = corpus.candidates
+        session = _owners(offsets)
         fallback = anchor < 0
         score = np.where(fallback[session], popularity[candidate], 0.0)
         scored = np.flatnonzero(~fallback[session] & (row[candidate] >= 0))
@@ -295,5 +260,4 @@ class NextItemRecommender:
             block = slice(k, k + _LAW_BLOCK)
             score[scored[block]] = _law(self.model, a[block], b[block])
         score[candidate == anchor[session]] = -np.inf
-        unknown = int(np.count_nonzero(row[candidate] < 0))
-        return BatchScores(score, popularity[candidate], fallback, unknown)
+        return BatchScores(score, popularity[candidate], fallback, row[candidate] < 0)

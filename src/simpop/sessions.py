@@ -179,7 +179,7 @@ class SessionCorpus:
     @property
     def row_session(self) -> np.ndarray:
         """Each row's session position."""
-        return np.repeat(np.arange(self.n_sessions), np.diff(self.offsets))
+        return _owners(self.offsets)
 
     @cached_property
     def item_actions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -190,6 +190,25 @@ class SessionCorpus:
         arrays = (self.row_session[named], self.item[named], self.clickout[named])
         for array in arrays:
             array.flags.writeable = False  # every reader shares them
+        return arrays
+
+    @cached_property
+    def candidates(self) -> tuple[np.ndarray, np.ndarray]:
+        """What each session reranks: its last clickout's impressions, each
+        once in first-seen order, as item codes (int64), and their offsets
+        by session. Session ``s`` reranks ``codes[offsets[s]:offsets[s + 1]]``,
+        an empty run when it has no clickout."""
+        target = _last_clickouts(self)
+        bounds = self.impression_offsets
+        shown = np.where(target >= 0, bounds[target + 1] - bounds[target], 0)
+        listed = self.impressions[_ranges(bounds[target], shown)]
+        owner = np.repeat(np.arange(self.n_sessions), shown)
+        keys = owner * len(self.item_vocabulary) + listed
+        first = np.sort(np.unique(keys, return_index=True)[1])
+        counts = np.bincount(owner[first], minlength=self.n_sessions)
+        arrays = (listed[first], _offsets(counts))
+        for array in arrays:
+            array.flags.writeable = False  # every ranker shares them
         return arrays
 
     @cached_property
@@ -386,6 +405,11 @@ def _offsets(lengths: np.ndarray) -> np.ndarray:
     offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
     return offsets
+
+
+def _owners(offsets: np.ndarray) -> np.ndarray:
+    """Each element's run, for consecutive runs with these CSR offsets."""
+    return np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

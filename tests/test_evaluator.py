@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simpop import evaluator as evaluator_module
 from simpop.affinity import build_affinity_graph, compute_popularity
 from simpop.baselines import (
     ClickoutPopularityRanker,
@@ -532,16 +531,16 @@ class TestCodedEvaluation:
         ranker = six_rankers(
             data.train, model, data.world.metadata, compute_popularity(data.train), 500
         )[name]
-        batch, _ = evaluator_module._code_sessions(test, truth)
-        scores = ranker.score_sessions(batch)
-        bounds = batch.candidate_offsets.tolist()
+        scores = ranker.score_sessions(test)
+        candidates, offsets = test.candidates
+        bounds = offsets.tolist()
         compared = 0
-        for s, sid in enumerate(batch.session_ids):
+        for s, sid in enumerate(test.session_ids):
             actions = test.session(sid)
             shown = [a for a in actions if a.is_clickout][-1].impressions
             ranked = dict(ranker.rank(actions, list(shown), len(shown)).items)
             for k in range(bounds[s], bounds[s + 1]):
-                item = batch.vocabulary[batch.candidates[k]]
+                item = test.item_vocabulary[candidates[k]]
                 want = ranked.get(item, -np.inf)  # the anchor is left out
                 assert np.float64(want).tobytes() == scores.score[k].tobytes(), item
                 compared += want > 0
@@ -557,6 +556,24 @@ class TestCodedEvaluation:
         report = evaluate(ranker, blinded, truth)
         assert report.n_sessions == 2
         assert "sessions" not in vars(blinded)
+
+    def test_a_corpus_naming_no_item_evaluates_to_no_session(self, toy_train):
+        # no item and no clickout: an empty vocabulary and empty candidates
+        test = SessionCorpus.from_actions(
+            [make_action("e1", 1), make_action("e1", 2, kind="filter selection"),
+             make_action("e2", 1)],
+            Role.TEST,
+        )
+        assert test.item_vocabulary == ()
+        model = EmbeddingModel(
+            ModelParams(alpha=2.0, dim=1), ["A", "B"], np.arange(2.0)[:, None], np.ones(2)
+        )
+        rankers = six_rankers(toy_train, model, {"A": frozenset("x")}, None, 0)
+        for name, ranker in rankers.items():
+            report = evaluate(ranker, test, {"e1": "A"})
+            assert (report.n_sessions, report.n_skipped) == (0, 2), name
+            assert (report.n_fallback, report.n_unknown, report.mrr) == (0, 0, 0.0), name
+            assert report.per_session == (), name
 
     def test_counts_candidates_outside_the_model(self):
         model = EmbeddingModel(

@@ -60,5 +60,10 @@ def test_one_ranking_path():
     ]:
         assert not hasattr(owner, name), name
     assert baselines._dedupe is recommender._dedupe
+    # evaluate hands every built-in ranker the test corpus itself
+    from simpop import evaluator
+
+    assert not hasattr(recommender, "SessionBatch")
+    assert not hasattr(evaluator, "_code_sessions")
     # and order_candidates the one select-and-order step of every ranker
     assert baselines.order_candidates is recommender.order_candidates

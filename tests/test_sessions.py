@@ -472,6 +472,52 @@ class TestItemViews:
             corpus.item[0] = 1
         assert corpus.sessions is corpus.sessions
 
+    @pytest.mark.parametrize("corpus", list(item_corpora()))
+    def test_candidates_match_a_walk_over_actions(self, corpus):
+        want = []
+        for acts in corpus.sessions.values():
+            clicks = [a for a in acts if a.is_clickout]
+            shown = (clicks[-1].impressions or ()) if clicks else ()
+            want.append(list(dict.fromkeys(shown)))
+        codes, offsets = corpus.candidates
+        assert (codes.dtype, offsets.dtype) == (np.int64, np.int64)
+        ids, bounds = corpus.item_vocabulary, offsets.tolist()
+        got = [[ids[k] for k in codes[a:b]] for a, b in zip(bounds, bounds[1:])]
+        assert got == want
+
+    def test_candidates_are_the_last_clickouts_distinct_impressions(self):
+        clicked = [
+            # repeated impressions keep their first-seen order
+            make_action("a", 1, item="B"),
+            clickout("a", 2, "C", ["C", "A", "C", "B", "A"]),
+            # of two clickouts, the last one's list
+            clickout("b", 1, "A", ["A", "B"]),
+            make_action("b", 2, item="D"),
+            clickout("b", 3, "D", ["D", "E", "D"]),
+            make_action("b", 4, item="A"),
+            clickout("d", 1, "B", ["B"]),
+        ]
+        # no clickout: an empty run
+        idle = [make_action("c", 1, item="E"), make_action("c", 2)]
+        corpus = SessionCorpus.from_actions(clicked + idle, Role.TEST)
+        codes, offsets = corpus.candidates
+        ids = corpus.item_vocabulary
+        assert ids == ("A", "B", "C", "D", "E")
+        assert [ids[k] for k in codes.tolist()] == ["C", "A", "B", "D", "E", "B"]
+        assert offsets.tolist() == [0, 3, 5, 5, 6]
+        assert corpus.candidates is corpus.candidates
+        for array in (codes, offsets):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+        # hiding the targets blanks items, never an impression list
+        test = SessionCorpus.from_actions(clicked, Role.TEST)
+        blinded, _ = hide_test_targets(test)
+        assert "candidates" not in vars(blinded)
+        for got, want in zip(blinded.candidates, test.candidates):
+            assert got.tolist() == want.tolist()
+        assert test.candidates[1].tolist() == [0, 3, 5, 6]
+
 
 # ---------------------------------------------------------------------------
 # The row walk: one Action per row, as the parser worked before its corpus
