@@ -47,25 +47,15 @@ class PopularityTable(dict):
 
 
 def compute_popularity(corpus: SessionCorpus) -> PopularityTable:
-    """Count each vocabulary item's interactions, flooring at 1.
+    """Each vocabulary item's action count (``item_counts``), floored at 1.
 
     Items that only ever show up inside impression lists get the floor value,
     which keeps them usable at ranking time.
     """
     if corpus.role is not Role.TRAIN:
         raise ValidationError("compute_popularity expects a TRAIN corpus")
-    vocab = corpus.item_vocabulary
-    counts = np.bincount(corpus.item_actions[1], minlength=len(vocab))
-    return PopularityTable(zip(vocab, np.maximum(counts, 1.0).tolist()))
-
-
-def interaction_counts(
-    corpus: SessionCorpus, clickout_only: bool = False
-) -> dict[str, int]:
-    """Per-item action counts, zeros left out; optionally clickouts only."""
-    _, item, clickout = corpus.item_actions
-    counts = np.bincount(item[clickout] if clickout_only else item)
-    return {i: c for i, c in zip(corpus.item_vocabulary, counts.tolist()) if c}
+    counts = np.maximum(corpus.item_counts[0], 1.0)
+    return PopularityTable(zip(corpus.item_vocabulary, counts.tolist()))
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,7 +17,7 @@ from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .affinity import AffinityGraph, PopularityTable, interaction_counts
+from .affinity import AffinityGraph, PopularityTable
 from .errors import ParseError, ValidationError
 from .recommender import (
     BatchScores,
@@ -115,10 +115,13 @@ class RandomRanker:
 
 
 class _CountRanker:
-    """Rank by a fixed per-item count; unseen items count 0."""
+    """Rank by a fixed per-item count, given as an array aligned with a
+    train corpus's ``vocabulary``. ``counts`` keeps only the items counted
+    at least once: they are the ranker's item set, and any other candidate
+    counts 0 and is unknown."""
 
-    def __init__(self, counts: Mapping[str, int]):
-        self.counts = dict(counts)
+    def __init__(self, vocabulary: Sequence[str], counts: np.ndarray):
+        self.counts = {i: c for i, c in zip(vocabulary, counts.tolist()) if c}
 
     def rank(self, session, candidates, t) -> RankedList:
         return _by_popularity(_dedupe(candidates), self.counts, t, fallback_used=False)
@@ -127,7 +130,6 @@ class _CountRanker:
         candidate, _ = corpus.candidates
         counts = _lookup(corpus.item_vocabulary, self.counts, 0.0)[candidate]
         no = np.zeros(corpus.n_sessions, dtype=bool)
-        # zero counts are left out of the table
         return BatchScores(counts, np.zeros(len(candidate)), no, counts == 0)
 
 
@@ -137,7 +139,7 @@ class InteractionPopularityRanker(_CountRanker):
     name = "ipop"
 
     def __init__(self, corpus: SessionCorpus):
-        super().__init__(interaction_counts(corpus, clickout_only=False))
+        super().__init__(corpus.item_vocabulary, corpus.item_counts[0])
 
 
 class ClickoutPopularityRanker(_CountRanker):
@@ -146,7 +148,7 @@ class ClickoutPopularityRanker(_CountRanker):
     name = "icpop"
 
     def __init__(self, corpus: SessionCorpus):
-        super().__init__(interaction_counts(corpus, clickout_only=True))
+        super().__init__(corpus.item_vocabulary, corpus.item_counts[1])
 
 
 class CooccurrenceKnnRanker:

@@ -172,15 +172,6 @@ def _law(
     return (1.0 + d2 / kk) ** (-model.params.alpha)
 
 
-def connection_probabilities(
-    model: EmbeddingModel, anchor: str, items: Sequence[str]
-) -> np.ndarray:
-    """Vectorized connection probabilities from ``anchor`` to ``items``."""
-    a = model.index_of(anchor)
-    idx = np.fromiter((model.index_of(i) for i in items), dtype=np.intp, count=len(items))
-    return _law(model, a, idx)
-
-
 def derive_squared_distance(
     p: float, kappa_i: float, kappa_j: float, alpha: float
 ) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .affinity import PopularityTable
 from .errors import ValidationError
-from .model import EmbeddingModel, _law, connection_probabilities
+from .model import EmbeddingModel, _law
 from .sessions import Action, SessionCorpus, _owners
 
 #: candidate rows the batched law scores at a time, so its temporaries stay
@@ -175,9 +175,9 @@ def rank_candidates(
     """Score candidates by connection probability to ``anchor``, keep the top t.
 
     ``candidates=None`` ranks the whole catalog, scored by index. Listed
-    candidates count once; those missing from the model score 0 and land at
-    the tail ordered by popularity. The anchor itself is never recommended.
-    ``popularity`` defaults to the model's own table and supplies tie/tail
+    candidates count once, each looked up in the model's index once; those
+    missing from it score 0 and land at the tail ordered by popularity. The
+    anchor itself is never recommended. ``popularity`` defaults to the model's own table and supplies tie/tail
     ordering.
     """
     a = model.index_of(anchor)  # raises MissingItemError for unknown anchors
@@ -190,11 +190,10 @@ def rank_candidates(
         t = min(t, len(model) - 1)
     else:
         items = _dedupe(c for c in candidates if c != anchor)
-        known = [k for k, c in enumerate(items) if c in model]
+        row = np.array([model._index.get(c, -1) for c in items], dtype=np.intp)
+        known = row >= 0
         scores = np.zeros(len(items))
-        scores[known] = connection_probabilities(
-            model, anchor, [items[k] for k in known]
-        )
+        scores[known] = _law(model, a, row[known])
     return order_candidates(items, scores, t, pop, anchor=anchor, fallback_used=False)
 
 

@@ -193,6 +193,17 @@ class SessionCorpus:
         return arrays
 
     @cached_property
+    def item_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each vocabulary item's action count and clickout count (int64),
+        indexed by code, from ``item_actions``."""
+        _, item, clickout = self.item_actions
+        n = len(self.item_vocabulary)
+        arrays = (np.bincount(item, minlength=n), np.bincount(item[clickout], minlength=n))
+        for array in arrays:
+            array.flags.writeable = False  # every reader shares them
+        return arrays
+
+    @cached_property
     def candidates(self) -> tuple[np.ndarray, np.ndarray]:
         """What each session reranks: its last clickout's impressions, each
         once in first-seen order, as item codes (int64), and their offsets

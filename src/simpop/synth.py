@@ -123,17 +123,19 @@ class SynthConfig:
 
 @dataclass(frozen=True)
 class SynthWorld:
-    """Planted ground truth: the model plus what only the logs reveal."""
+    """Planted ground truth: the model plus what only the logs reveal.
+
+    The model holds the items' ids, coordinates and popularities; its ids
+    sort in generation order, so its row k is item k of every other array.
+    """
 
     config: SynthConfig
     model: EmbeddingModel
-    coords: np.ndarray
-    #: ``coords`` transposed to (dim, n), one contiguous row per dimension
+    #: the model's coordinates transposed to (dim, n), one contiguous row
+    #: per dimension
     coords_by_dim: np.ndarray
-    kappa: np.ndarray
     attractiveness: np.ndarray
     clusters: np.ndarray
-    ids: tuple[str, ...]
     metadata: dict[str, frozenset[str]]
     transition_cdf: np.ndarray
     #: what a session draws from, computed once: the cdf of its start item,
@@ -158,7 +160,9 @@ def build_world(config: SynthConfig) -> SynthWorld:
     attractiveness = kappa**_BETA_KAPPA_EXP * np.exp(
         rng.normal(0.0, _BETA_NOISE_SIGMA, size=n)
     )
-    ids = tuple(f"i{k:05d}" for k in range(n))
+    # one width for every id, so the ids sort in generation order and the
+    # model keeps its rows in it
+    ids = tuple(f"i{k:0{max(5, len(str(n - 1)))}d}" for k in range(n))
 
     coords_by_dim = np.ascontiguousarray(coords.T)
     transition_cdf = np.empty((n, n))
@@ -184,19 +188,14 @@ def build_world(config: SynthConfig) -> SynthWorld:
                 + _IMPRESSION_MIX[1] * cluster
                 + _IMPRESSION_MIX[2] / n
             )
-    model = EmbeddingModel(
-        ModelParams(alpha=config.alpha, dim=dim), list(ids), coords, kappa
-    )
+    model = EmbeddingModel(ModelParams(alpha=config.alpha, dim=dim), ids, coords, kappa)
     metadata = _build_metadata(ids, coords, clusters, rng)
     return SynthWorld(
         config=config,
         model=model,
-        coords=coords,
         coords_by_dim=coords_by_dim,
-        kappa=kappa,
         attractiveness=attractiveness,
         clusters=clusters,
-        ids=ids,
         metadata=metadata,
         transition_cdf=transition_cdf,
         start_cdf=_cdf(_probabilities(kappa**_START_POP_WEIGHT)),
@@ -322,7 +321,7 @@ def _draw_target(world: SynthWorld, rng, visited: list[int]) -> int:
     visits = np.array(visited)
     session_clusters = world.clusters[visits]
     majority = np.bincount(session_clusters).argmax()
-    centre = world.coords[visits[session_clusters == majority]]
+    centre = world.model.coords[visits[session_clusters == majority]]
     centroid = centre.sum(axis=0) / len(centre)  # what np.mean computes
     # attractiveness * (1 + d2 / scale^2)^-alpha, then its cdf, in one array
     weights = _squared_distances(centroid, world.coords_by_dim)
@@ -358,7 +357,7 @@ def generate_corpus(
     coded into the corpus's columns as they are drawn, a batch at a time,
     with no ``Action`` built."""
     rng = np.random.default_rng(seed)
-    ids = world.ids
+    ids = world.model.ids
     columns = _Columns()
     batch: list[list] = [[] for _ in range(7)]
     for k in range(n_sessions):

@@ -14,7 +14,6 @@ from simpop.affinity import (
     PopularityTable,
     build_affinity_graph,
     compute_popularity,
-    interaction_counts,
     read_affinity_graph,
     read_popularity,
     write_affinity_graph,
@@ -77,10 +76,8 @@ class TestPopularity:
             table["Z"]
 
     def test_clickout_only_counts_are_a_subset(self, toy_train):
-        all_counts = interaction_counts(toy_train)
-        click_counts = interaction_counts(toy_train, clickout_only=True)
-        for item, count in click_counts.items():
-            assert count <= all_counts[item]
+        all_counts, click_counts = toy_train.item_counts
+        assert np.all(click_counts <= all_counts)
 
 
 def item_session_incidence(corpus):

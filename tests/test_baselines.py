@@ -16,7 +16,8 @@ from simpop.baselines import (
     write_metadata,
 )
 from simpop.errors import ParseError, ValidationError
-from simpop.sessions import Role, SessionCorpus
+from simpop.evaluator import evaluate
+from simpop.sessions import Role, SessionCorpus, hide_test_targets
 
 from conftest import clickout, ids_of, make_action
 from test_affinity import corpus_of_sessions
@@ -107,6 +108,25 @@ class TestPopularityRankers:
             ids_of(InteractionPopularityRanker(corpus).rank([], cands, 2))
             == ids_of(ClickoutPopularityRanker(corpus).rank([], cands, 2))
         )
+
+    def test_counts_hold_only_items_counted_at_least_once(self):
+        # A is acted on but never clicked, C only ever shown: each count's
+        # item set leaves out its zeros, and evaluate counts what it leaves
+        # out as unknown
+        train = SessionCorpus.from_actions(
+            [make_action("s1", 1, item="A"), clickout("s1", 2, "B", ["A", "B", "C"])],
+            Role.TRAIN,
+        )
+        test, truth = hide_test_targets(SessionCorpus.from_actions(
+            [make_action("t1", 1, item="B"), clickout("t1", 2, "B", ["A", "B", "C", "Z"])],
+            Role.TEST,
+        ))
+        icpop, ipop = ClickoutPopularityRanker(train), InteractionPopularityRanker(train)
+        assert icpop.counts == {"B": 1} and ipop.counts == {"A": 1, "B": 1}
+        assert evaluate(icpop, test, truth).n_unknown == 3  # A, C and Z
+        assert evaluate(ipop, test, truth).n_unknown == 2  # C and Z
+        for ranker in (icpop, ipop):
+            assert 0 not in ranker.counts.values()
 
     def test_clickout_counts_never_exceed_interaction_counts(self, toy_train):
         ipop = InteractionPopularityRanker(toy_train)

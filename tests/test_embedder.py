@@ -22,7 +22,7 @@ from simpop.embedder import (
     write_trace,
 )
 from simpop.errors import DivergenceError, MissingItemError, ValidationError
-from simpop.model import ModelParams, connection_probabilities, derive_squared_distance
+from simpop.model import ModelParams, _law, derive_squared_distance
 from simpop.sessions import filter_bookable_sessions
 from simpop.synth import SynthConfig, generate
 
@@ -613,7 +613,7 @@ class TestFit:
             gradient_tolerance=1e-12,
         )
         model, _ = fit_embedding(graph, config)
-        assert connection_probabilities(model, "a", ["b"])[0] == pytest.approx(
+        assert _law(model, model.index_of("a"), [model.index_of("b")])[0] == pytest.approx(
             pair_dict(graph)[("a", "b")], rel=1e-5
         )
 

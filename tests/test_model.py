@@ -23,9 +23,9 @@ from simpop.model import (
     MODEL_FORMAT_HEADER,
     EmbeddingModel,
     ModelParams,
-    connection_probabilities,
     derive_squared_distance,
     generate_synthetic_network,
+    _law,
     _shortest_digits,
     read_model,
     write_model,
@@ -46,7 +46,7 @@ def edit_float64(name, change):
 
 def pair_probability(model, i, j):
     """One pair's connection probability, through the vectorised law."""
-    return float(connection_probabilities(model, i, [j])[0])
+    return float(_law(model, model.index_of(i), [model.index_of(j)])[0])
 
 
 def two_item_model(d=2.0, kappa=(1.0, 1.0), alpha=2.0, dim=1):
@@ -163,8 +163,7 @@ class TestConnectionLaw:
         model = EmbeddingModel(
             ModelParams(alpha=2.0, dim=3), [f"i{k}" for k in range(n)], coords, kappa
         )
-        others = [f"i{k}" for k in range(1, n)]
-        vec = connection_probabilities(model, "i0", others)
+        vec = _law(model, 0, np.arange(1, n))
         # the law as the README writes it: (1 + |x_i - x_j|^2 / (k_i k_j))^-alpha
         for k, p in enumerate(vec, start=1):
             d2 = float(np.sum((coords[0] - coords[k]) ** 2))

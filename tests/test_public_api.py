@@ -1,6 +1,7 @@
 """The package's export list matches what its ``__init__`` imports."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import simpop
@@ -65,5 +66,13 @@ def test_one_ranking_path():
 
     assert not hasattr(recommender, "SessionBatch")
     assert not hasattr(evaluator, "_code_sessions")
+    # each per-item count and model row is found in one place: the corpus's
+    # item_counts, the model's index, the planted world's model
+    from simpop import affinity, model, synth
+
+    assert not hasattr(affinity, "interaction_counts")
+    assert not hasattr(model, "connection_probabilities")
+    fields = {f.name for f in dataclasses.fields(synth.SynthWorld)}
+    assert not fields & {"coords", "kappa", "ids"}
     # and order_candidates the one select-and-order step of every ranker
     assert baselines.order_candidates is recommender.order_candidates

@@ -9,7 +9,7 @@ from simpop.affinity import PopularityTable
 from simpop.baselines import RandomRanker
 from simpop.errors import MissingItemError, ValidationError
 from simpop import recommender
-from simpop.model import EmbeddingModel, ModelParams, connection_probabilities
+from simpop.model import EmbeddingModel, ModelParams, _law
 from simpop.recommender import (
     NextItemRecommender,
     RankedList,
@@ -269,7 +269,8 @@ def full_sort(model, anchor, t, popularity, candidates=None):
     rest = [i for i in pool if i != anchor]
     known = [i for i in rest if i in model]
     scores = dict.fromkeys(rest, 0.0)
-    scores.update(zip(known, map(float, connection_probabilities(model, anchor, known))))
+    law = _law(model, model.index_of(anchor), [model.index_of(i) for i in known])
+    scores.update(zip(known, law.tolist()))
     ordered = sorted(
         scores.items(),
         key=lambda cs: (-cs[1], -popularity.get(cs[0], 0.0), cs[0]),
@@ -411,8 +412,7 @@ class TestCatalogTopK:
             rng.uniform(1, 10, size=n),
         )
         anchor = model.ids[5]
-        rest = [i for i in model.ids if i != anchor]
-        assert len(set(connection_probabilities(model, anchor, rest))) == n - 1
+        assert len(set(_law(model, 5, np.arange(n) != 5))) == n - 1  # all but the anchor
         table = self.kappa_table(model)
         assert len(set(table.values())) == n
         random_ranker = RandomRanker(seed=3)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simpop.affinity import build_affinity_graph, compute_popularity, interaction_counts
+from simpop.affinity import build_affinity_graph, compute_popularity
 from simpop.errors import ParseError, ValidationError
 from simpop.sessions import (
     _CANONICAL_COLUMNS,
@@ -425,8 +425,11 @@ class TestItemViews:
 
         every = Counter(i for _, i, _ in rows)
         clicked = Counter(i for _, i, c in rows if c)
-        assert interaction_counts(corpus) == dict(every)
-        assert interaction_counts(corpus, clickout_only=True) == dict(clicked)
+        for counts, walked in zip(corpus.item_counts, (every, clicked)):
+            # one count per vocabulary code, shared read-only
+            assert counts.dtype == np.int64 and not counts.flags.writeable
+            assert counts.tolist() == [walked[i] for i in ids]
+        assert corpus.item_counts is corpus.item_counts
         train = replace(corpus, role=Role.TRAIN)
         expected = {i: float(max(every[i], 1)) for i in sorted(vocab)}
         kappa = compute_popularity(train)
@@ -906,8 +909,7 @@ class TestColumnarParseAgainstTheRowWalk:
         assert corpus.n_sessions == 40 and corpus.n_actions > 40
         build_affinity_graph(corpus, min_sessions=1)
         compute_popularity(corpus)
-        interaction_counts(corpus)
-        interaction_counts(corpus, clickout_only=True)
+        corpus.item_counts
         write_corpus(corpus, tmp_path / "c.csv")
         write_corpus(corpus, tmp_path / "c.csv.gz")
         derived = [

@@ -147,7 +147,7 @@ class TestWalkLawInBlocks:
         n = 2 * _ROW_BLOCK + 22  # a last block shorter than the rest
         assert n % _ROW_BLOCK
         world = build_world(SynthConfig(n_items=n, n_clusters=3, dim=dim, seed=4))
-        c = world.coords
+        c = world.model.coords
         d2 = ((c[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
         transition = (1.0 + d2 / _WALK_SCALE**2) ** (-_WALK_ALPHA)
         np.fill_diagonal(transition, 0.0)
@@ -239,7 +239,7 @@ class TestDrawsReproduceChoice:
 
     def test_world_start_item(self):
         world = build_world(SynthConfig(n_items=60, n_clusters=3, seed=9))
-        weights = world.kappa**_START_POP_WEIGHT
+        weights = world.model.kappa**_START_POP_WEIGHT
         ours, numpy = np.random.default_rng(1), np.random.default_rng(1)
         for _ in range(50):
             assert _draw(world.start_cdf, ours) == numpy.choice(
@@ -256,8 +256,9 @@ class TestDrawsReproduceChoice:
         for visited in ([4, 9, 4, 30, 4], [7], [11, 12, 13, 14, 15, 16, 17, 18]):
             visits = np.array(visited)
             majority = np.bincount(world.clusters[visits]).argmax()
-            centroid = world.coords[visits[world.clusters[visits] == majority]].mean(axis=0)
-            d2 = ((world.coords - centroid) ** 2).sum(axis=1)
+            coords = world.model.coords
+            centroid = coords[visits[world.clusters[visits] == majority]].mean(axis=0)
+            d2 = ((coords - centroid) ** 2).sum(axis=1)
             weights = world.attractiveness * (1.0 + d2 / _TARGET_SCALE**2) ** (
                 -_TARGET_ALPHA
             )
