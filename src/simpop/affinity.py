@@ -19,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import MissingItemError, ParseError, ValidationError
-from .sessions import Role, SessionCorpus
+from .sessions import _ID_BREAKS, Role, SessionCorpus
 
 log = logging.getLogger(__name__)
 
@@ -303,6 +303,11 @@ def _top_pairs(
 def write_affinity_graph(
     graph: AffinityGraph, pairs_path: str | Path, popularity_path: str | Path
 ) -> None:
+    """Write the pairs and the popularities as text. Raises ValidationError,
+    before either file is opened, for an id holding a tab or line break,
+    which ``read_affinity_graph`` would not read back."""
+    for bad in filter(_ID_BREAKS.search, (*graph.ids, *graph.popularity)):
+        raise ValidationError(f"item id {bad!r} holds a tab or line break")
     with open(pairs_path, "w", encoding="utf-8") as out:
         ids = graph.ids
         for i, j, p in zip(graph.ii.tolist(), graph.jj.tolist(), graph.p.tolist()):

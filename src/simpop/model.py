@@ -22,19 +22,16 @@ import operator
 import warnings
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .affinity import PopularityTable
 from .errors import MissingItemError, ParseError, ValidationError
 from .sessions import (
     _COLUMNS_SUFFIX,
     _ID_BREAKS,
     _load_companion,
-    _sha256,
     _table,
     _table_sections,
     _write_companion,
@@ -152,12 +149,6 @@ class EmbeddingModel:
 
     def coords_of(self, item: str) -> np.ndarray:
         return self.coords[self.index_of(item)]
-
-    @cached_property
-    def popularity(self) -> PopularityTable:
-        """The model's own popularities as a table, built on first use and
-        kept: ranking's default tie and tail order."""
-        return PopularityTable(zip(self.ids, self.kappa.tolist()))
 
 
 def _law(
@@ -437,21 +428,13 @@ def read_model(path: str | Path) -> EmbeddingModel:
     caller that records the files it read.
     """
     path = Path(path)
-    digests: tuple[tuple[Path, str], ...] = ()
-    companion = Path(f"{path}{_COLUMNS_SUFFIX}")
-    if companion.is_file():
-        # one hash: the companion is checked against it, and a parse after
-        # a stale companion keeps it for the caller
-        digests = ((path, _sha256(path)),)
-        model = _load_companion(
-            path, digests[0][1], _MODEL_SECTIONS,
-            lambda sections: _companion_model(path, sections),
-        )
-        if model is not None:
-            model.sources, model._digests = (path, companion), digests
-            return model
-    model = _parse_model(path)
-    model.sources, model._digests = (path,), digests
+    model, digests = _load_companion(
+        path, _MODEL_SECTIONS, lambda sections, _: _companion_model(path, sections)
+    )
+    sources = (path, Path(f"{path}{_COLUMNS_SUFFIX}"))
+    if model is None:  # never by truth: a model of no items is falsy
+        model, sources = _parse_model(path), (path,)
+    model.sources, model._digests = sources, digests
     return model
 
 

@@ -170,18 +170,16 @@ def rank_candidates(
     anchor: str,
     candidates: Sequence[str] | None,
     t: int,
-    popularity: PopularityTable | None = None,
+    popularity: PopularityTable,
 ) -> RankedList:
     """Score candidates by connection probability to ``anchor``, keep the top t.
 
     ``candidates=None`` ranks the whole catalog, scored by index. Listed
     candidates count once, each looked up in the model's index once; those
-    missing from it score 0 and land at the tail ordered by popularity. The
-    anchor itself is never recommended. ``popularity`` defaults to the model's own table and supplies tie/tail
-    ordering.
+    missing from it score 0 and land at the tail ordered by ``popularity``,
+    which also breaks ties. The anchor itself is never recommended.
     """
     a = model.index_of(anchor)  # raises MissingItemError for unknown anchors
-    pop = popularity if popularity is not None else model.popularity
     if candidates is None:
         items: Sequence[str] = model.ids
         scores = _law(model, a, slice(None))
@@ -194,7 +192,7 @@ def rank_candidates(
         known = row >= 0
         scores = np.zeros(len(items))
         scores[known] = _law(model, a, row[known])
-    return order_candidates(items, scores, t, pop, anchor=anchor, fallback_used=False)
+    return order_candidates(items, scores, t, popularity, anchor, fallback_used=False)
 
 
 class NextItemRecommender:
@@ -207,8 +205,9 @@ class NextItemRecommender:
         model: EmbeddingModel,
         popularity: PopularityTable | None = None,
     ):
-        self.model = model
-        self.popularity = popularity if popularity is not None else model.popularity
+        if popularity is None:  # the model's own, built once per ranker
+            popularity = PopularityTable(zip(model.ids, model.kappa.tolist()))
+        self.model, self.popularity = model, popularity
 
     def rank(
         self,

@@ -575,17 +575,14 @@ def parse_session_log(
     sources: tuple[Path, ...] = ()
     digests: tuple[tuple[Path, str], ...] = ()
     if isinstance(source, (str, Path)):
-        sources = (Path(source),)
-        if Path(f"{source}{_COLUMNS_SUFFIX}").is_file():
-            # one hash: the companion is checked against it, and a parse
-            # after a stale companion keeps it for the caller
-            digests = ((sources[0], _sha256(sources[0])),)
-            loaded = _load_companion(
-                sources[0], digests[0][1], _COLUMN_SECTIONS,
-                lambda sections: _columns_corpus(sections, role, *digests[0]),
-            )
-            if loaded is not None:
-                return loaded
+        path = Path(source)
+        sources = (path,)
+        loaded, digests = _load_companion(
+            path, _COLUMN_SECTIONS,
+            lambda sections, digest: _columns_corpus(sections, role, path, digest),
+        )
+        if loaded is not None:
+            return loaded
     with _open_text(source) as stream:
         reader = csv.reader(stream)
         try:
@@ -876,19 +873,23 @@ def _write_companion(
 
 
 def _load_companion(
-    path: Path, digest: str, layout: Sequence[tuple[str, str]],
-    build: Callable[[dict[str, np.ndarray]], _Loaded],
-) -> _Loaded | None:
+    path: Path, layout: Sequence[tuple[str, str]],
+    build: Callable[[dict[str, np.ndarray], str], _Loaded],
+) -> tuple[_Loaded | None, tuple[tuple[Path, str], ...]]:
     """What ``build`` makes of the sections of the companion of the file at
-    ``path``, whose SHA-256 is ``digest``, or None when the companion is not
-    the file's or fails a check, which is logged.
+    ``path`` and the file's SHA-256, or None when the companion is not the
+    file's or fails a check, which is logged; with ``((path, digest),)``, or
+    ``()`` when there is no companion, and then the file is not hashed.
 
     The companion is read once, and each section is a read-only view of
     those bytes. It is the file's when it holds ``_write_companion``'s
-    container with ``layout``'s sections and ``digest``; ``build`` raises
+    container with ``layout``'s sections and the digest; ``build`` raises
     ValueError or ValidationError for sections that fail its own checks.
     """
     companion = Path(f"{path}{_COLUMNS_SUFFIX}")
+    if not companion.is_file():
+        return None, ()
+    digest = _sha256(path)
     try:
         buffer = companion.read_bytes()
         if not buffer.startswith(_COLUMNS_TAG):
@@ -907,14 +908,14 @@ def _load_companion(
             start += sections[name].nbytes + _padding(sections[name].nbytes)
         if start != len(buffer):
             raise ValueError(f"{len(buffer)} bytes, expected {start}")
-        return build(sections)
+        return build(sections, digest), ((path, digest),)
     # whatever the bytes hold, a header of another shape or too deeply nested
     # included: the file stays readable by its parse, which reports its faults
     except (
         OSError, LookupError, TypeError, ValueError, RecursionError, ValidationError
     ) as exc:
         log.info("parsing %s: its companion is not usable (%s)", path, exc)
-        return None
+        return None, ((path, digest),)
 
 
 def _table_sections(table: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:

@@ -3,6 +3,7 @@ brute-force all-pairs oracle on small corpora."""
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -475,6 +476,21 @@ class TestGraphExport:
         (tmp_path / "pop.tsv").write_text("a\t1.0\nb\t1.0\n")
         with pytest.raises(ParseError, match=r"^line 2: .*\('a', 'b'\) repeated"):
             read_affinity_graph(tmp_path / "pairs.tsv", tmp_path / "pop.tsv")
+
+    @pytest.mark.parametrize("brk", ["\t", "\n", "\r"], ids=["tab", "lf", "cr"])
+    @pytest.mark.parametrize("where", ["pair", "popularity-only"])
+    def test_an_id_it_cannot_read_back_is_refused_before_writing(
+        self, tmp_path, brk, where
+    ):
+        # the text formats hold one id per tab-separated field of a line
+        bad = f"a{brk}b"
+        kappa = {"a": 1.0, "c": 2.0, bad: 1.0}
+        pair = (bad, "c") if where == "pair" else ("a", "c")
+        graph = AffinityGraph.from_pairs({pair: 0.5}, PopularityTable(kappa))
+        pairs, pop = tmp_path / "pairs.tsv", tmp_path / "pop.tsv"
+        with pytest.raises(ValidationError, match=re.escape(repr(bad))):
+            write_affinity_graph(graph, pairs, pop)
+        assert list(tmp_path.iterdir()) == []
 
     def test_repeated_popularity_item_names_its_line(self, tmp_path):
         (tmp_path / "pop.tsv").write_text("a\t1.0\nb\t2.0\na\t5.0\n")

@@ -712,7 +712,7 @@ class TestRecommendAndEvaluate:
     @pytest.fixture
     def hashed(self, monkeypatch):
         """Counts each path's ``_sha256`` calls, in the load and the manifest."""
-        from simpop import cli, model, sessions
+        from simpop import cli, sessions
 
         sha256, hashed = sessions._sha256, Counter()
 
@@ -722,7 +722,6 @@ class TestRecommendAndEvaluate:
 
         monkeypatch.setattr(sessions, "_sha256", counted)
         monkeypatch.setattr(cli, "_sha256", counted)
-        monkeypatch.setattr(model, "_sha256", counted)
         return hashed
 
     def test_train_and_evaluate_hash_each_file_once(self, workdir, hashed):

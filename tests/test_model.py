@@ -608,10 +608,16 @@ class TestModelCompanion:
         assert model.ids == ("a", "b")
         assert model.coords.tolist() == [[0.0, 1.0], [0.5, -1.0]]
 
-    def test_an_empty_model(self, tmp_path):
+    def test_an_empty_model(self, tmp_path, monkeypatch):
+        # a model of no items is falsy, and still loads from its companion
         path = tmp_path / "empty.txt"
         empty = EmbeddingModel(ModelParams(alpha=2.0, dim=3), [], np.zeros((0, 3)), [])
         companion = write_model(empty, path)
+
+        def no_parse(path):
+            raise AssertionError(f"{path} was parsed")
+
+        monkeypatch.setattr(model_module, "_parse_model", no_parse)
         loaded = read_model(path)
         assert loaded.sources == (path, companion)
         assert len(loaded) == 0 and loaded.coords.shape == (0, 3)

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import inspect
 from pathlib import Path
 
 import simpop
@@ -76,3 +77,7 @@ def test_one_ranking_path():
     assert not fields & {"coords", "kappa", "ids"}
     # and order_candidates the one select-and-order step of every ranker
     assert baselines.order_candidates is recommender.order_candidates
+    # a ranker owns its popularity table, and the one scorer is handed it
+    assert not hasattr(model.EmbeddingModel, "popularity")
+    parameter = inspect.signature(recommender.rank_candidates).parameters["popularity"]
+    assert parameter.default is inspect.Parameter.empty

@@ -29,6 +29,12 @@ def grid_model(n=5, alpha=2.0, dim=2, kappa=None, spacing=1.0):
     return EmbeddingModel(ModelParams(alpha=alpha, dim=dim), ids, coords, kap)
 
 
+def kappa_table(model):
+    """The model's own popularities as a table, which a ranker given none
+    builds."""
+    return PopularityTable(zip(model.ids, model.kappa.tolist()))
+
+
 def session_of(*items):
     return [make_action("s", k + 1, item=item) for k, item in enumerate(items)]
 
@@ -96,13 +102,15 @@ class TestAnchor:
 class TestRankCandidates:
     def test_closer_item_ranks_first(self):
         model = grid_model(3)
-        ranked = rank_candidates(model, "item0", ["item2", "item1"], 10)
+        table = kappa_table(model)
+        ranked = rank_candidates(model, "item0", ["item2", "item1"], 10, table)
         assert ids_of(ranked) == ("item1", "item2")
         assert ranked.items[0][1] > ranked.items[1][1]
 
     def test_anchor_excluded_from_output(self):
         model = grid_model(3)
-        ranked = rank_candidates(model, "item0", ["item0", "item1"], 10)
+        table = kappa_table(model)
+        ranked = rank_candidates(model, "item0", ["item0", "item1"], 10, table)
         assert "item0" not in ids_of(ranked)
 
     def test_unknown_candidates_tail_by_popularity(self):
@@ -116,26 +124,27 @@ class TestRankCandidates:
 
     def test_empty_candidates(self):
         model = grid_model(3)
-        ranked = rank_candidates(model, "item0", [], 10)
+        ranked = rank_candidates(model, "item0", [], 10, kappa_table(model))
         assert len(ranked) == 0
 
     def test_unknown_anchor_raises(self):
         model = grid_model(3)
         with pytest.raises(MissingItemError):
-            rank_candidates(model, "nope", ["item1"], 5)
+            rank_candidates(model, "nope", ["item1"], 5, kappa_table(model))
 
     def test_truncates_to_t(self):
         model = grid_model(6)
-        ranked = rank_candidates(model, "item0", [f"item{k}" for k in range(1, 6)], 2)
+        cands = [f"item{k}" for k in range(1, 6)]
+        ranked = rank_candidates(model, "item0", cands, 2, kappa_table(model))
         assert len(ranked) == 2
 
     def test_kappa_boost_never_lowers_rank(self):
         base = grid_model(4, kappa=[1.0, 1.0, 1.0, 1.0])
         boosted = grid_model(4, kappa=[1.0, 1.0, 1.0, 6.0])
         cands = ["item1", "item2", "item3"]
-        rank_before = rank_candidates(base, "item0", cands, 3).rank_of("item3")
-        rank_after = rank_candidates(boosted, "item0", cands, 3).rank_of("item3")
-        assert rank_after <= rank_before
+        before = rank_candidates(base, "item0", cands, 3, kappa_table(base))
+        after = rank_candidates(boosted, "item0", cands, 3, kappa_table(boosted))
+        assert after.rank_of("item3") <= before.rank_of("item3")
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(4)
@@ -150,7 +159,8 @@ class TestRankCandidates:
             )
             anchor = ids[0]
             cands = list(rng.permutation(ids[1:]))
-            ranked = rank_candidates(model, anchor, cands, len(cands))
+            table = kappa_table(model)
+            ranked = rank_candidates(model, anchor, cands, len(cands), table)
             # independent oracle: score everything by the written-out law,
             # then sort by the tie policy
             a = model.coords_of(anchor)
@@ -178,8 +188,9 @@ class TestRankCandidates:
     def test_order_independent_of_input_permutation(self):
         model = grid_model(6)
         cands = [f"item{k}" for k in range(1, 6)]
-        a = rank_candidates(model, "item0", cands, 5)
-        b = rank_candidates(model, "item0", list(reversed(cands)), 5)
+        table = kappa_table(model)
+        a = rank_candidates(model, "item0", cands, 5, table)
+        b = rank_candidates(model, "item0", list(reversed(cands)), 5, table)
         assert ids_of(a) == ids_of(b)
 
 
@@ -228,8 +239,8 @@ class TestRecommend:
         assert not ranked.fallback_used
 
     def test_model_popularity_table_built_once(self, monkeypatch):
-        # without a popularity table every call ranks by the model's kappa;
-        # the table over the whole catalog is built on the first call only
+        # without a popularity table a ranker ranks by the model's kappa: it
+        # builds that table over the whole catalog once, never per request
         built = [0]
         init = PopularityTable.__init__
 
@@ -239,18 +250,15 @@ class TestRecommend:
 
         monkeypatch.setattr(PopularityTable, "__init__", counting)
         model = grid_model(5, kappa=[9.0, 1.0, 2.0, 1.0, 1.0])
-        first = recommend(model, session_of("item0"), candidates=["item1", "item3"])
+        ranker = NextItemRecommender(model)
         assert built[0] == 1
+        first = ranker.rank(session_of("item0"), ["item1", "item3"], 10)
         for _ in range(3):
-            assert recommend(
-                model, session_of("item0"), candidates=["item1", "item3"]
-            ) == first
-            recommend(model, session_of("item0"), t=2)
-            recommend(model, session_of("Z"), t=2)
-            rank_candidates(model, "item0", ["item2", "item4"], t=2)
-            NextItemRecommender(model).rank(session_of("item0"), ["item1"], 1)
+            assert ranker.rank(session_of("item0"), ["item1", "item3"], 10) == first
+            ranker.rank(session_of("item0"), None, 2)
+            ranker.rank(session_of("Z"), None, 2)
         assert built[0] == 1
-        assert model.popularity["item2"] == 2.0
+        assert ranker.popularity == dict(zip(model.ids, model.kappa.tolist()))
 
 
 def tie_model(n=300, seed=0):
@@ -299,13 +307,10 @@ def popularity_sort(items, t, popularity):
 
 
 class TestCatalogTopK:
-    def kappa_table(self, model):
-        return PopularityTable(dict(zip(model.ids, map(float, model.kappa))))
-
     def test_equals_full_sort_with_ties(self):
         model = tie_model()
         n = len(model)
-        table = self.kappa_table(model)
+        table = kappa_table(model)
         for anchor in model.ids[::37]:
             ref = full_sort(model, anchor, n, table)
             scores = [s for _, s in ref.items]
@@ -313,7 +318,7 @@ class TestCatalogTopK:
             for t in (1, 10, n - 1, n, n + 5):
                 got = recommend(model, session_of(anchor), t=t)
                 assert got.items == full_sort(model, anchor, t, table).items
-                assert rank_candidates(model, anchor, None, t) == got
+                assert rank_candidates(model, anchor, None, t, table) == got
                 assert got.anchor == anchor and not got.fallback_used
                 assert anchor not in ids_of(got)
                 assert len(got) == min(t, n - 1)
@@ -334,13 +339,13 @@ class TestCatalogTopK:
                 assert rank_candidates(model, anchor, None, t, table) == got
                 assert anchor not in ids_of(got)
                 differs |= got.items != full_sort(
-                    model, anchor, t, self.kappa_table(model)
+                    model, anchor, t, kappa_table(model)
                 ).items
         assert differs
 
     def test_candidate_list_cut_at_a_tie_equals_full_sort(self):
         model = tie_model()
-        table = self.kappa_table(model)
+        table = kappa_table(model)
         rng = np.random.default_rng(3)
         boundary_ties = 0
         for anchor in model.ids[::37]:
@@ -350,7 +355,7 @@ class TestCatalogTopK:
             ref = full_sort(model, anchor, len(cands), table, cands)
             scores = [s for _, s in ref.items]
             for t in range(1, len(scores) + 2):
-                got = rank_candidates(model, anchor, cands, t)
+                got = rank_candidates(model, anchor, cands, t, table)
                 assert got.items == ref.items[:t]
                 boundary_ties += t < len(scores) and scores[t - 1] == scores[t]
         assert boundary_ties > 100
@@ -394,13 +399,14 @@ class TestCatalogTopK:
 
         monkeypatch.setattr(recommender, "_by_popularity", spy)
         monkeypatch.setattr(recommender, "_dedupe", no_dedupe)
-        ranked = recommend(model, session_of("zzz"), None, 10)
+        ranker = NextItemRecommender(model)
+        ranked = ranker.rank(session_of("zzz"), None, 10)
         assert pools == [model.ids] and pools[0] is model.ids
-        assert ranked.items == popularity_sort(model.ids, 10, model.popularity)
+        assert ranked.items == popularity_sort(model.ids, 10, ranker.popularity)
         monkeypatch.setattr(recommender, "_dedupe", lambda c: list(dict.fromkeys(c)))
-        ranked = recommend(model, session_of("zzz"), ["t001", "t000", "t001"], 10)
+        ranked = ranker.rank(session_of("zzz"), ["t001", "t000", "t001"], 10)
         assert pools[1] == ["t001", "t000"]
-        assert ranked.items == popularity_sort(pools[1], 10, model.popularity)
+        assert ranked.items == popularity_sort(pools[1], 10, ranker.popularity)
 
     def test_orders_only_top_t(self, sort_sizes):
         rng = np.random.default_rng(2)
@@ -413,7 +419,7 @@ class TestCatalogTopK:
         )
         anchor = model.ids[5]
         assert len(set(_law(model, 5, np.arange(n) != 5))) == n - 1  # all but the anchor
-        table = self.kappa_table(model)
+        table = kappa_table(model)
         assert len(set(table.values())) == n
         random_ranker = RandomRanker(seed=3)
         random_full = random_ranker.rank(session_of(anchor), model.ids, n).items
