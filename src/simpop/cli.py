@@ -234,6 +234,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         counts={
             "iterations": trace.iterations,
             "stop_reason": trace.stop_reason,
+            "fit_processes": trace.processes,
             "excluded_items": graph.excluded_items,
             "pruned_pairs": graph.pruned_pairs,
         },

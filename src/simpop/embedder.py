@@ -46,11 +46,31 @@ An iteration whose line search takes its first step gathers the pairs once
 for value and gradient together. The fit trace records, per accepted
 iterate, the objective, the gradient norm and the number of objective
 evaluations the line search spent on it.
+
+A fit on two or more CPUs shares its kernel with one forked helper process
+once it has run ``_HELPER_AFTER`` iterations on a graph of at least
+``_HELPER_MIN_ELEMENTS`` pairs x dim elements; if its cap leaves room for
+that, its arrays live in the maps the helper will share from its first
+evaluation on, so no freed pairs-by-dim array stays resident beside them.
+From the fork on each trial's pairs are split at their midpoint: this
+process gathers, takes the row norms and scales the first half, the helper
+the second, into arrays in shared memory, and of the accepted trial's
+gradient this process sums the ``ii`` side while the helper sums the ``jj``
+side. Both run the same range functions on the same operands, and every
+reduction to a scalar (the objective, inner products and norms) stays in
+this process over whole arrays, so a fit writes the same bytes with or
+without its helper, whatever the CPU count; ``FitTrace.processes`` records
+which it was. The helper leaves only by ``os._exit``, and the fit reaps it
+however it ends.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import signal
+import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -77,6 +97,15 @@ _BLOCK = 2048
 _MIN_ROWS = 32
 #: stop rules that count as convergence
 _CONVERGED = ("gradient_tolerance", "objective_decrease", "stationary_start")
+#: iterations a fit runs alone before it may fork a helper: the fork and its
+#: shared maps cost a few ms, which a fit that stops sooner never repays
+_HELPER_AFTER = 10
+#: fewest pairs x dim elements for which a helper is forked: on smaller
+#: graphs its pipe round trips cost more than half an evaluation saves
+_HELPER_MIN_ELEMENTS = 200_000
+#: the helper's two commands; it answers each with the same byte once done
+_RESIDUALS = b"r"
+_JJ_SUM = b"j"
 
 
 @dataclass(frozen=True)
@@ -109,6 +138,9 @@ class FitTrace:
     #: the rule that ended the fit: one of ``_CONVERGED``, "max_iterations"
     #: or "line_search_failed"
     stop_reason: str = ""
+    #: processes that evaluated the fit: 2 once a forked helper took half of
+    #: each evaluation, else 1; the fit's bytes are the same either way
+    processes: int = field(default=1, compare=False)
 
     @property
     def converged(self) -> bool:
@@ -191,13 +223,25 @@ class _PairObjective:
     ``value(x)`` keeps the pair differences and residuals of the point it
     evaluated, and ``grad()`` differentiates at that point, so a line search
     gathers each accepted iterate once. The differences are the kernel's one
-    pairs-by-dim array: ``value`` gathers the ``ii`` side whole and subtracts
-    the ``jj`` side in blocks of ``_BLOCK`` pairs, and ``grad`` scales it in
-    place and sums it into items with one ``_ScatterPlan`` per pair side,
-    built here once, so every other temporary is an items-by-dim array or a
-    vector. Each ``value`` drops the previous point's arrays before it
+    pairs-by-dim array. The kernel's steps work on a range of pairs:
+    ``_residuals`` gathers the ``ii`` side and subtracts the ``jj`` side in
+    blocks of ``_BLOCK`` pairs, then takes each row's squared norm, and
+    ``_pull`` scales the rows by 4 r into their gradient terms, which one
+    ``_ScatterPlan`` per pair side, built here once, sums into items. So
+    every other temporary is an items-by-dim array or a vector.
+
+    The kernel has two placements. In this process alone, ``value`` runs
+    ``_residuals`` over every pair and ``grad`` runs ``_pull`` and both
+    plans; each ``value`` drops the previous point's arrays before it
     gathers, and ``grad`` consumes them, so no pairs-by-dim array outlives
-    one evaluation.
+    one evaluation. After ``share``, the arrays are a ``_Helper``'s shared
+    maps, which live until ``stop_helper``; once ``start_helper`` has forked
+    the helper process, the range steps of each ``value`` run on the first
+    half of the pairs here and on the second half there, and ``grad`` sums
+    the ``ii`` side here while the helper sums the ``jj`` side. Every
+    element comes from the same numpy call on the same operands in either
+    placement, and every reduction to a scalar runs here over whole arrays,
+    so the placement changes no byte.
     """
 
     def __init__(self, n: int, dim: int, ii, jj, d2, lam: float):
@@ -206,15 +250,17 @@ class _PairObjective:
         self.lam = lam
         self._plans = _ScatterPlan(ii, n), _ScatterPlan(jj, n)
         self._point = None
+        self._helper = None
 
     def value(self, x: np.ndarray) -> float:
         self._point = None
-        coords = x.reshape(self.n, self.dim)
-        diff = coords.take(self.ii, axis=0)
-        for start in range(0, len(self.jj), _BLOCK):
-            block = slice(start, start + _BLOCK)
-            diff[block] -= coords.take(self.jj[block], axis=0)
-        r = np.einsum("ij,ij->i", diff, diff) - self.d2
+        if self._helper is None:
+            coords = x.reshape(self.n, self.dim)
+            diff = np.empty((len(self.ii), self.dim))
+            r = np.empty(len(self.ii))
+            self._residuals(coords, diff, r, 0, len(r))
+        else:
+            coords, diff, r = self._helper.residuals(self, x)
         f = _dot(r, r) + self.lam * float(np.einsum("ij,ij->", coords, coords))
         self._point = coords, diff, r
         return f
@@ -226,14 +272,205 @@ class _PairObjective:
             raise RuntimeError("grad() needs a point evaluated by value() first")
         coords, pull, r = self._point
         self._point = None
-        r *= 4.0
-        pull *= r[:, None]
-        del r  # spent before the plans allocate
-        ii_plan, jj_plan = self._plans
-        g = ii_plan.sum_terms(pull)
-        g -= jj_plan.sum_terms(pull)
+        if self._helper is None:
+            self._pull(pull, r, 0, len(r))
+            del r  # spent before the plans allocate
+            ii_plan, jj_plan = self._plans
+            g = ii_plan.sum_terms(pull)
+            g -= jj_plan.sum_terms(pull)
+        else:
+            g = self._helper.gradient(self)
         g += (2.0 * self.lam) * coords
         return g.ravel()
+
+    def _residuals(self, coords, diff, r, lo: int, hi: int) -> None:
+        """Pairs ``lo:hi``'s differences x^i - x^j into ``diff`` and their
+        residuals |x^i - x^j|^2 - t into ``r``."""
+        # mode "clip" writes straight into ``out``; "raise" would buffer a copy
+        coords.take(self.ii[lo:hi], axis=0, out=diff[lo:hi], mode="clip")
+        for start in range(lo, hi, _BLOCK):
+            block = slice(start, min(start + _BLOCK, hi))
+            diff[block] -= coords.take(self.jj[block], axis=0)
+        np.einsum("ij,ij->i", diff[lo:hi], diff[lo:hi], out=r[lo:hi])
+        r[lo:hi] -= self.d2[lo:hi]
+
+    @staticmethod
+    def _pull(diff, r, lo: int, hi: int) -> None:
+        """Scale pairs ``lo:hi``'s differences by 4 r in place, into their
+        gradient terms; ``r`` keeps its values."""
+        diff[lo:hi] *= 4.0 * r[lo:hi, None]
+
+    def share(self) -> None:
+        """Move the kernel's arrays into the maps a helper would share, if
+        the graph is large enough to repay a helper and a second CPU can
+        run it. Until ``start_helper`` forks one, this process still
+        evaluates every pair, and no pairs-by-dim array is freed beside the
+        maps, so none stays resident in the allocator's free memory."""
+        elements = len(self.ii) * self.dim
+        if elements >= _HELPER_MIN_ELEMENTS and _usable_cpus() >= 2:
+            self._helper = _Helper(self)
+
+    def start_helper(self) -> int:
+        """Fork the helper, if ``share`` made its maps, to take half of
+        every evaluation from here on; return how many processes now
+        evaluate the fit. A failed fork leaves them all to this one."""
+        return 1 if self._helper is None else self._helper.fork(self)
+
+    def stop_helper(self) -> None:
+        """Reap the helper, if one runs, close its pipes and drop the
+        shared maps, with the point held in them."""
+        if self._helper is not None:
+            helper, self._helper, self._point = self._helper, None, None
+            helper.close()
+
+
+class _Helper:
+    """The kernel's arrays in anonymous shared maps, and the forked process
+    that runs its range steps on the second half of each trial's pairs once
+    ``fork`` has started it.
+
+    The maps hold the coordinates, the pairs-by-dim array, the residuals
+    and one items-by-dim sum. ``residuals`` copies a trial point in; then
+    both processes run ``_residuals`` and ``_pull`` on their half, so the
+    trial's gradient terms are ready before the line search knows whether
+    it needs them, and ``r`` keeps the residuals ``value`` sums.
+    ``gradient`` sums the ``ii`` side here while the helper sums the ``jj``
+    side. Each command is one byte down a pipe, answered with the same byte
+    when done: one round trip per trial and one more for its gradient, each
+    wait a blocking read. A helper that died answers with EOF, and the fit
+    raises ChildProcessError naming it. Before the fork, or after a failed
+    one, this process runs both halves and both sides itself.
+
+    A fork copies only the thread that calls it, so the helper has none of
+    the fit's other threads (say, OpenBLAS's pool). It calls no BLAS
+    routine and takes no lock that one of them could hold, so the fork is
+    safe, and Python 3.12+'s DeprecationWarning about forking a
+    multi-threaded process is silenced for this one call only.
+    """
+
+    def __init__(self, problem: _PairObjective):
+        n_pairs = len(problem.ii)
+        #: pairs ``mid:`` are the helper's once it runs
+        self.mid = n_pairs
+        self.pid = None
+        self.coords = _shared((problem.n, problem.dim))
+        self.diff = _shared((n_pairs, problem.dim))
+        self.r = _shared((n_pairs,))
+        self.jj_sum = _shared((problem.n, problem.dim))
+
+    def fork(self, problem: _PairObjective) -> int:
+        """Start the helper process; return the processes that now evaluate
+        the fit: 2, or 1 if the OS could not fork."""
+        mid = len(problem.ii) // 2
+        commands, self._commands = os.pipe()
+        self._replies, replies = os.pipe()
+        # blocked across the fork, SIGINT stays blocked in the helper for
+        # life: Ctrl-C is the fit's to handle, and it closes the pipes
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings(
+                    "ignore", ".* is multi-threaded, use of fork", DeprecationWarning
+                )
+                pid = os.fork()
+        except OSError:  # no process or memory to spare
+            pid = None
+        if pid == 0:
+            _serve(problem, self, mid, commands, replies)  # never returns
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        if pid is None:
+            for fd in (commands, self._commands, self._replies, replies):
+                os.close(fd)
+            return 1
+        self.pid, self.mid = pid, mid
+        os.close(commands)
+        os.close(replies)
+        return 2
+
+    def residuals(self, problem: _PairObjective, x: np.ndarray):
+        """Residuals and gradient terms of every pair at ``x``; returns the
+        shared coordinates, terms and residuals."""
+        self.coords[...] = x.reshape(self.coords.shape)
+        self._ask(_RESIDUALS)
+        problem._residuals(self.coords, self.diff, self.r, 0, self.mid)
+        problem._pull(self.diff, self.r, 0, self.mid)
+        self._wait(_RESIDUALS)
+        return self.coords, self.diff, self.r
+
+    def gradient(self, problem: _PairObjective) -> np.ndarray:
+        """The ``ii`` side's sums minus the ``jj`` side's, of the terms the
+        last ``residuals`` left."""
+        ii_plan, jj_plan = problem._plans
+        if self.pid is None:
+            self.jj_sum[...] = jj_plan.sum_terms(self.diff)
+        self._ask(_JJ_SUM)
+        g = ii_plan.sum_terms(self.diff)
+        self._wait(_JJ_SUM)
+        g -= self.jj_sum
+        return g
+
+    def _ask(self, command: bytes) -> None:
+        if self.pid is None:
+            return
+        try:
+            os.write(self._commands, command)
+        except BrokenPipeError:
+            raise self._lost() from None
+
+    def _wait(self, command: bytes) -> None:
+        if self.pid is not None and os.read(self._replies, 1) != command:
+            raise self._lost()
+
+    def _lost(self) -> ChildProcessError:
+        return ChildProcessError(f"fit helper process {self.pid} exited mid-evaluation")
+
+    def close(self) -> None:
+        """Close the command pipe, on whose EOF the helper exits, reap it,
+        and drop the maps: the OS unmaps each once no view of it is left."""
+        if self.pid is not None:
+            os.close(self._commands)
+            os.close(self._replies)
+            try:
+                os.waitpid(self.pid, 0)
+            except ChildProcessError:  # reaped already, as under SIGCHLD = SIG_IGN
+                pass
+        del self.coords, self.diff, self.r, self.jj_sum
+
+
+def _serve(problem: _PairObjective, helper: _Helper, lo: int, commands: int,
+           replies: int):
+    """The helper's loop: run each command on pairs ``lo:`` until the
+    command pipe reaches EOF, which it does once the fit closes it or dies.
+    It leaves only by ``os._exit``, so it flushes no stdio buffer and runs
+    no exit hook it inherited from the fit's process."""
+    try:
+        os.close(helper._commands)  # or the helper never reads EOF
+        os.close(helper._replies)
+        hi = len(problem.ii)
+        jj_plan = problem._plans[1]
+        while command := os.read(commands, 1):
+            if command == _RESIDUALS:
+                problem._residuals(helper.coords, helper.diff, helper.r, lo, hi)
+                problem._pull(helper.diff, helper.r, lo, hi)
+            else:
+                helper.jj_sum[...] = jj_plan.sum_terms(helper.diff)
+            os.write(replies, command)
+    except BaseException:
+        os._exit(1)
+    os._exit(0)
+
+
+def _shared(shape: tuple[int, ...]) -> np.ndarray:
+    """A float64 array in an anonymous map that a forked process shares."""
+    size = math.prod(shape)
+    return np.frombuffer(mmap.mmap(-1, 8 * size), np.float64, size).reshape(shape)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the OS cannot say."""
+    if not hasattr(os, "sched_getaffinity"):  # macOS and Windows
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
 class _ScatterPlan:
@@ -343,6 +580,17 @@ def fit_embedding(
 
 
 def _minimize(problem: _PairObjective, x: np.ndarray, config: FitConfig):
+    # a fit whose cap leaves room for the helper keeps its arrays in the
+    # helper's maps from its first evaluation; a shorter cap never makes them
+    if config.max_iterations > _HELPER_AFTER:
+        problem.share()
+    try:
+        return _descend(problem, x, config)
+    finally:
+        problem.stop_helper()
+
+
+def _descend(problem: _PairObjective, x: np.ndarray, config: FitConfig):
     trace = FitTrace()
 
     f = problem.value(x)
@@ -361,6 +609,8 @@ def _minimize(problem: _PairObjective, x: np.ndarray, config: FitConfig):
     else:
         trace.stop_reason = "max_iterations"
         for iteration in range(1, config.max_iterations + 1):
+            if iteration == _HELPER_AFTER + 1:
+                trace.processes = problem.start_helper()
             direction = _two_loop_direction(g, history)
             slope = _dot(g, direction)
             if slope >= 0.0:

@@ -76,6 +76,10 @@ HOLDOUT_FRACTION = 0.1
 _ID_BREAKS = re.compile("[\t\n\r]")
 #: the line breaks a text stream read with ``newline=""`` splits lines on
 _LINE_BREAKS = re.compile("\r\n|\r|\n")
+#: what makes the ``excel`` CSV dialect quote a field
+_CSV_SPECIAL = re.compile('[,"\r\n]')
+#: rows ``write_corpus`` formats into one string before it writes them
+_WRITE_BATCH = 4096
 
 #: the range of a step or timestamp column (int64)
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
@@ -226,7 +230,7 @@ class SessionCorpus:
     def sessions(self) -> dict[str, tuple[Action, ...]]:
         """Session id -> its step-ordered ``Action`` tuple, in id order."""
         user, sid, timestamp, step, kind, item, shown = _decode(
-            self, None, lambda ids: tuple(ids) or None
+            self, lambda ids: tuple(ids) or None
         )
         actions = list(map(Action, sid, user, step, kind, item, shown, timestamp))
         ends = self.offsets.tolist()
@@ -388,15 +392,15 @@ def _kept(table: tuple[str, ...], *codes: np.ndarray) -> tuple[tuple[str, ...], 
     return tuple(table[k] for k in kept.tolist()), recode
 
 
-def _names(table: tuple[str, ...], codes: np.ndarray, missing: str | None = None) -> list:
-    """The table's entries at these codes; code -1 gives ``missing``."""
-    return np.array(table + (missing,), dtype=object)[codes].tolist()
+def _names(table: tuple[str, ...], codes: np.ndarray) -> list:
+    """The table's entries at these codes; code -1 gives None."""
+    return np.array(table + (None,), dtype=object)[codes].tolist()
 
 
-def _decode(corpus: SessionCorpus, missing: str | None, listing) -> tuple[list, ...]:
+def _decode(corpus: SessionCorpus, listing) -> tuple[list, ...]:
     """The corpus's rows, in its order, as one list per canonical column:
-    user id, session id, timestamp, step, action type, reference
-    (``missing`` for no item), and ``listing`` of each row's impression ids."""
+    user id, session id, timestamp, step, action type, reference (None for
+    no item), and ``listing`` of each row's impression ids."""
     vocab = corpus.item_vocabulary
     shown = _names(vocab, corpus.impressions)
     bounds = corpus.impression_offsets.tolist()
@@ -406,7 +410,7 @@ def _decode(corpus: SessionCorpus, missing: str | None, listing) -> tuple[list, 
         corpus.timestamp.tolist(),
         corpus.step.tolist(),
         _names(corpus.kinds, corpus.kind),
-        _names(vocab, corpus.item, missing),
+        _names(vocab, corpus.item),
         [listing(shown[a:b]) for a, b in zip(bounds, bounds[1:])],
     )
 
@@ -491,7 +495,7 @@ def _check_carried(corpus: SessionCorpus) -> None:
     with contextlib.suppress(ValueError):
         if _read_ids(vocab, vocab) == (vocab, [(item,) for item in vocab]):
             return  # every id comes back as it is, alone or in a list
-    _, sids, _, steps, _, refs, lists = _decode(corpus, None, tuple)
+    _, sids, _, steps, _, refs, lists = _decode(corpus, tuple)
     for sid, step, ref, ids in zip(sids, steps, refs, lists):
         listed = "|".join(ids)
         if _ID_BREAKS.search(f"{ref or ''}{listed}"):
@@ -737,9 +741,56 @@ def write_corpus(corpus: SessionCorpus, path: str | Path) -> None:
             # fixed mtime and empty name keep gzip output byte-stable across runs
             binary = gzip.GzipFile(filename="", fileobj=raw, mode="wb", mtime=0)
         with io.TextIOWrapper(binary, encoding="utf-8", newline="") as stream:
-            writer = csv.writer(stream)
-            writer.writerow(_CANONICAL_COLUMNS)
-            writer.writerows(zip(*_decode(corpus, "", "|".join)))
+            stream.write(",".join(_CANONICAL_COLUMNS) + "\r\n")
+            stream.writelines(_csv_batches(corpus))
+
+
+def _csv_batches(corpus: SessionCorpus) -> Iterator[str]:
+    """The corpus's rows as ``csv.writer`` writes them (the ``excel``
+    dialect), ``_WRITE_BATCH`` rows to a string. Each table's entries are
+    quoted once and looked up by code, so only an impression list whose
+    items need quotes is quoted row by row."""
+    users, sids, kinds = (
+        np.array([_csv_field(entry) for entry in table], dtype=object)
+        for table in (corpus.users, corpus.session_ids, corpus.kinds)
+    )
+    vocab = corpus.item_vocabulary
+    # the last entry is code -1's: no item
+    refs = np.array([_csv_field(item) for item in vocab] + [""], dtype=object)
+    names = np.array(vocab, dtype=object)
+    quote_lists = any(_CSV_SPECIAL.search(item) for item in vocab)
+    row_session, bounds = corpus.row_session, corpus.impression_offsets
+    for start in range(0, corpus.n_actions, _WRITE_BATCH):
+        rows = slice(start, start + _WRITE_BATCH)
+        edges = bounds[start : start + _WRITE_BATCH + 1]
+        shown = names[corpus.impressions[edges[0] : edges[-1]]].tolist()
+        cuts = (edges - edges[0]).tolist()
+        lists = ["|".join(shown[a:b]) for a, b in zip(cuts, cuts[1:])]
+        if quote_lists:
+            lists = [_csv_field(listed) for listed in lists]
+        yield "".join(
+            [
+                f"{user},{sid},{timestamp},{step},{kind},{ref},{listed}\r\n"
+                for user, sid, timestamp, step, kind, ref, listed in zip(
+                    users[corpus.user[rows]].tolist(),
+                    sids[row_session[rows]].tolist(),
+                    corpus.timestamp[rows].tolist(),
+                    corpus.step[rows].tolist(),
+                    kinds[corpus.kind[rows]].tolist(),
+                    refs[corpus.item[rows]].tolist(),
+                    lists,
+                )
+            ]
+        )
+
+
+def _csv_field(text: str) -> str:
+    """A field as the ``excel`` dialect's minimal quoting writes it: in
+    quotes, each quote doubled, when it holds a comma, a quote or a line
+    break; as it is otherwise."""
+    if _CSV_SPECIAL.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Shared fixtures: tiny hand-built corpora used across the suite, and the
-columnar companion's layout as the tests read and rewrite it."""
+"""Shared fixtures: tiny hand-built corpora used across the suite, the
+columnar companion's layout as the tests read and rewrite it, and a switch
+that lets the fit fork its helper on any graph and host."""
 
 import json
 import pickle
@@ -7,6 +8,7 @@ import pickle
 import numpy as np
 import pytest
 
+from simpop import embedder
 from simpop.sessions import CLICKOUT, Action, Role, SessionCorpus
 
 
@@ -39,6 +41,14 @@ def clickout(sid, step, item, impressions, ts=None):
 def ids_of(ranked):
     """A ranked list's item ids, in rank order."""
     return tuple(item for item, _ in ranked.items)
+
+
+def let_fit_helper_run(monkeypatch, after=0):
+    """Fork the fit's helper after ``after`` iterations, on any graph and
+    host: a 1-CPU host still runs both processes, one after the other."""
+    monkeypatch.setattr(embedder, "_HELPER_AFTER", after)
+    monkeypatch.setattr(embedder, "_HELPER_MIN_ELEMENTS", 1)
+    monkeypatch.setattr(embedder, "_usable_cpus", lambda: 2)
 
 
 def pair_dict(graph):

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import simpop
+from simpop import embedder
 from simpop.affinity import build_affinity_graph
 from simpop.cli import build_parser, main
 from simpop.model import EmbeddingModel, ModelParams, read_model, write_model
@@ -30,7 +31,7 @@ from simpop.sessions import (
 )
 from simpop.synth import SynthConfig, generate
 
-from conftest import assert_same_columns
+from conftest import assert_same_columns, let_fit_helper_run
 
 HEADER = "user_id,session_id,timestamp,step,action_type,reference,impressions"
 
@@ -86,9 +87,26 @@ def synth_train_corpus(tmp_path):
     return corpus
 
 
-def run_under_blas_threads(threads, commands):
+def desk_like_corpus(tmp_path):
+    """The ingested train log of an 800-item synthetic world whose graph
+    holds 29,328 pairs: at dim 20, large enough for BLAS to split its dot
+    products over threads and for the fit to fork its helper."""
+    world = tmp_path / "world"
+    assert main(
+        [
+            "synth", "sessions", "--out-dir", str(world), "--items", "800",
+            "--train-sessions", "1500", "--test-sessions", "10", "--seed", "2",
+        ]
+    ) == 0
+    corpus = tmp_path / "corpus.csv"
+    assert main(["ingest", "--input", str(world / "train.csv"), "--out", str(corpus)]) == 0
+    return corpus
+
+
+def run_under_blas_threads(threads, commands, preexec_fn=None):
     """Run CLI commands, in order, in one fresh interpreter with
-    ``OPENBLAS_NUM_THREADS`` set; fails unless every command exits 0."""
+    ``OPENBLAS_NUM_THREADS`` set, calling ``preexec_fn`` in the child before
+    it starts; fails unless every command exits 0."""
     src = str(Path(simpop.__file__).resolve().parent.parent)
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -103,6 +121,7 @@ def run_under_blas_threads(threads, commands):
         check=True,
         capture_output=True,
         timeout=300,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -332,15 +351,7 @@ class TestTrain:
         # a desk-like fit (29,328 pairs at dim 20) is large enough that BLAS
         # would split its dot products over threads; the fit's reductions
         # avoid BLAS, so one and two threads write the same model
-        world = tmp_path / "world"
-        assert main(
-            [
-                "synth", "sessions", "--out-dir", str(world), "--items", "800",
-                "--train-sessions", "1500", "--test-sessions", "10", "--seed", "2",
-            ]
-        ) == 0
-        corpus = tmp_path / "corpus.csv"
-        assert main(["ingest", "--input", str(world / "train.csv"), "--out", str(corpus)]) == 0
+        corpus = desk_like_corpus(tmp_path)
         models = []
         for threads in ("1", "2"):
             model = tmp_path / f"model{threads}.txt"
@@ -350,6 +361,72 @@ class TestTrain:
             ]])
             models.append(model.read_bytes())
         assert models[0] == models[1]
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs sched_setaffinity and 2 usable CPUs",
+    )
+    def test_model_bytes_independent_of_cpu_count(self, tmp_path):
+        # the desk-like fit forks its helper once a second CPU can run it;
+        # pinned to one CPU it runs alone, and both write the same files
+        corpus = desk_like_corpus(tmp_path)
+        one_cpu = {min(os.sched_getaffinity(0))}
+        written, processes = [], []
+        for name, pin in (("one", lambda: os.sched_setaffinity(0, one_cpu)), ("all", None)):
+            model = tmp_path / f"model_{name}.txt"
+            run_under_blas_threads("1", [[
+                "train", "--corpus", corpus, "--out", model,
+                "--dim", "20", "--max-iterations", "100", "--gradient-tolerance", "1e-5",
+            ]], preexec_fn=pin)
+            written.append([
+                Path(f"{model}{suffix}").read_bytes()
+                for suffix in ("", ".trace.csv", ".pairs.tsv", ".popularity.tsv")
+            ])
+            manifest = json.loads(Path(f"{model}.manifest.json").read_text())
+            processes.append(manifest["counts"]["fit_processes"])
+        assert written[0] == written[1]
+        assert processes == [1, 2]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+    def test_manifest_counts_the_fit_processes(self, tmp_path, monkeypatch):
+        corpus = synth_train_corpus(tmp_path)
+        model_path = tmp_path / "model.txt"
+        argv = ["train", "--corpus", str(corpus), "--out", str(model_path),
+                "--dim", "2", "--max-iterations", "20"]
+        written = []
+        for helped in (False, True):
+            if helped:
+                let_fit_helper_run(monkeypatch)
+            assert main(argv) == 0
+            manifest = json.loads((tmp_path / "model.txt.manifest.json").read_text())
+            assert manifest["counts"]["fit_processes"] == 1 + helped
+            written.append(model_path.read_bytes())
+        assert written[0] == written[1]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+    def test_divergence_beside_the_helper_writes_the_partial_trace(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        corpus = synth_train_corpus(tmp_path)
+        let_fit_helper_run(monkeypatch, after=3)
+        grad = embedder._PairObjective.grad
+
+        def diverging(self):
+            g = grad(self)
+            if self._helper is not None and self._helper.pid is not None:
+                g[0] = np.nan
+            return g
+
+        monkeypatch.setattr(embedder._PairObjective, "grad", diverging)
+        model_path = tmp_path / "m.txt"
+        argv = ["train", "--corpus", str(corpus), "--out", str(model_path), "--dim", "2"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.endswith("(iteration 4)\n")
+        # the start and the three iterations before the helper
+        assert len((tmp_path / "m.txt.trace.csv").read_text().splitlines()) == 1 + 4
+        assert not model_path.exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize(
         "flags", [["--lambda", "nan"], ["--max-pairs-per-item", "-3"]]

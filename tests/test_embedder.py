@@ -1,6 +1,10 @@
 """Objective/gradient correctness (finite-difference oracle) and fit behavior."""
 
+import os
+import signal
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from simpop.embedder import (
     FitTrace,
     _PairObjective,
     _backtrack,
+    _minimize,
     build_targets,
     fit_embedding,
     gradient,
@@ -26,7 +31,7 @@ from simpop.model import ModelParams, _law, derive_squared_distance
 from simpop.sessions import filter_bookable_sessions
 from simpop.synth import SynthConfig, generate
 
-from conftest import pair_dict
+from conftest import let_fit_helper_run, pair_dict
 
 
 def numerical_gradient(coords, targets, lam, h=1e-6):
@@ -826,3 +831,303 @@ class TestStopRules:
         _, trace = fit_embedding(graph, config)
         assert trace.stop_reason == "max_iterations"
         assert not trace.converged
+
+
+def _helper_runs(problem) -> bool:
+    """Whether the problem's helper process has been forked."""
+    return problem._helper is not None and problem._helper.pid is not None
+
+
+def _assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _recorded_minimize(problem, x0, config):
+    """``_minimize`` from a copy of ``x0``; returns the point, the trace and
+    the bytes of every objective and gradient the kernel gave."""
+    seen = []
+    value, grad = problem.value, problem.grad
+
+    def recording_value(x):
+        f = value(x)
+        seen.append(np.float64(f).tobytes())
+        return f
+
+    def recording_grad():
+        g = grad()
+        seen.append(g.tobytes())
+        return g
+
+    problem.value, problem.grad = recording_value, recording_grad
+    x, trace = _minimize(problem, x0.copy(), config)
+    return x, trace, seen
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+
+
+@needs_fork
+class TestHelper:
+    """The kernel's two placements: in one process, and with a forked helper
+    taking the second half of every evaluation's pairs. Same bytes."""
+
+    def _assert_placements_agree(self, n, dim, ii, jj, lam, monkeypatch, seed=0):
+        rng = np.random.default_rng(seed)
+        ii, jj = np.asarray(ii, np.intp), np.asarray(jj, np.intp)
+        d2 = rng.uniform(0.1, 4.0, size=len(ii))
+        x0 = rng.normal(scale=2.0, size=n * dim)
+        config = FitConfig(
+            ModelParams(alpha=2.0, dim=dim, lam=lam),
+            max_iterations=20, gradient_tolerance=1e-300,
+        )
+        alone = _recorded_minimize(_PairObjective(n, dim, ii, jj, d2, lam), x0, config)
+        with monkeypatch.context() as patch:
+            let_fit_helper_run(patch)
+            helped = _recorded_minimize(
+                _PairObjective(n, dim, ii, jj, d2, lam), x0, config
+            )
+        assert (alone[1].processes, helped[1].processes) == (1, 2)
+        assert helped[0].tobytes() == alone[0].tobytes()
+        assert helped[1] == alone[1]
+        assert helped[2] == alone[2]
+        _assert_no_child_process()
+
+    @pytest.mark.parametrize("n_pairs", [5, 9, 31, 100])
+    @pytest.mark.parametrize("dim", [1, 20])
+    @pytest.mark.parametrize("lam", [0.0, 0.01])
+    def test_pair_counts_dims_and_lambdas(self, n_pairs, dim, lam, monkeypatch):
+        # blocks of 8 pairs: below one block and odd, odd past one, several
+        # with an odd count, and a midpoint inside a block
+        monkeypatch.setattr(embedder, "_BLOCK", 8)
+        rng = np.random.default_rng(n_pairs)
+        ii = rng.integers(0, 5, size=n_pairs)
+        jj = ii + rng.integers(1, 6 - ii)
+        self._assert_placements_agree(6, dim, ii, jj, lam, monkeypatch, seed=n_pairs)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_hub_terms_past_the_plan_steps(self, seed, monkeypatch):
+        ii, jj = _skewed_pairs(np.random.default_rng(seed), n=40, n_pairs=600)
+        for plan in _PairObjective(40, 3, ii, jj, np.ones(len(ii)), 0.01)._plans:
+            assert plan.sizes and plan.rest
+        self._assert_placements_agree(40, 3, ii, jj, 0.01, monkeypatch, seed=seed)
+
+    def test_single_pair(self, monkeypatch):
+        # the first half is empty: the helper gathers the only pair
+        self._assert_placements_agree(2, 3, [0], [1], 0.01, monkeypatch)
+
+    def test_a_fit_that_backtracks(self, monkeypatch):
+        graph = _random_graph(np.random.default_rng(27), n=8)
+        config = FitConfig(
+            params=ModelParams(alpha=2.0, dim=3, lam=0.01), seed=27, max_iterations=20
+        )
+        model, trace = fit_embedding(graph, config)
+        let_fit_helper_run(monkeypatch)
+        helped_model, helped = fit_embedding(graph, config)
+        # the helper starts at iteration 1, so it evaluates every backtrack
+        assert max(helped.evaluations[1:]) > 1
+        assert helped.processes == 2
+        assert helped_model.coords.tobytes() == model.coords.tobytes()
+        assert helped == trace
+        _assert_no_child_process()
+
+    def test_a_fit_the_helper_joins_midway(self, monkeypatch):
+        data = generate(
+            SynthConfig(n_items=100, n_clusters=4, n_train_sessions=300,
+                        n_test_sessions=10, seed=6)
+        )
+        graph = build_affinity_graph(filter_bookable_sessions(data.train))
+        config = FitConfig(ModelParams(alpha=2.0, dim=20, lam=0.01), max_iterations=40)
+        model, trace = fit_embedding(graph, config)
+        let_fit_helper_run(monkeypatch, after=5)
+        helped_model, helped = fit_embedding(graph, config)
+        assert (trace.processes, helped.processes) == (1, 2)
+        assert helped_model.coords.tobytes() == model.coords.tobytes()
+        assert helped == trace
+        _assert_no_child_process()
+
+    @pytest.mark.parametrize("max_iterations, processes", [(3, 1), (4, 2)])
+    def test_a_fit_that_stops_before_the_helper_starts(
+        self, max_iterations, processes, monkeypatch
+    ):
+        graph = _random_graph(np.random.default_rng(20), n=8)
+        config = FitConfig(ModelParams(alpha=2.0, dim=3, lam=0.01), seed=20,
+                           max_iterations=max_iterations)
+        let_fit_helper_run(monkeypatch, after=3)
+        # a cap that leaves no room for the helper makes no shared maps
+        shared = []
+        share = _PairObjective.share
+        monkeypatch.setattr(_PairObjective, "share", lambda self: shared.append(share(self)))
+        _, trace = fit_embedding(graph, config)
+        assert trace.iterations == max_iterations
+        assert trace.processes == processes
+        assert len(shared) == processes - 1
+        _assert_no_child_process()
+
+    def test_a_fit_that_converges_before_the_helper_starts(self, monkeypatch):
+        # its arrays are in the helper's maps from the start, as the cap
+        # leaves room for the helper, but the objective rule stops it first
+        graph = _random_graph(np.random.default_rng(41), n=12)
+        config = FitConfig(ModelParams(alpha=2.0, dim=1, lam=0.01), seed=4,
+                           max_iterations=5000, gradient_tolerance=1e-300)
+        model, trace = fit_embedding(graph, config)
+        let_fit_helper_run(monkeypatch, after=4999)
+        shared = []
+        share = _PairObjective.share
+
+        def recording_share(self):
+            share(self)
+            shared.append(self._helper is not None)
+
+        monkeypatch.setattr(_PairObjective, "share", recording_share)
+        shared_model, shared_trace = fit_embedding(graph, config)
+        assert shared == [True]
+        assert trace.stop_reason == "objective_decrease"
+        assert trace.iterations < 4999
+        assert shared_trace.processes == 1
+        assert shared_model.coords.tobytes() == model.coords.tobytes()
+        assert shared_trace == trace
+        _assert_no_child_process()
+
+    def test_no_helper_on_a_small_graph_or_one_cpu(self, monkeypatch):
+        graph = _random_graph(np.random.default_rng(20), n=8)
+        config = FitConfig(ModelParams(alpha=2.0, dim=3), seed=20, max_iterations=5)
+        elements = graph.n_pairs * 3
+        let_fit_helper_run(monkeypatch)
+        monkeypatch.setattr(embedder, "_HELPER_MIN_ELEMENTS", elements + 1)
+        assert fit_embedding(graph, config)[1].processes == 1
+        monkeypatch.setattr(embedder, "_HELPER_MIN_ELEMENTS", elements)
+        assert fit_embedding(graph, config)[1].processes == 2
+        monkeypatch.setattr(embedder, "_usable_cpus", lambda: 1)
+        assert fit_embedding(graph, config)[1].processes == 1
+        _assert_no_child_process()
+
+    def test_a_failed_fork_leaves_the_fit_in_one_process(self, monkeypatch):
+        graph = _random_graph(np.random.default_rng(20), n=8)
+        config = FitConfig(ModelParams(alpha=2.0, dim=3), seed=20, max_iterations=5)
+        model, trace = fit_embedding(graph, config)
+        let_fit_helper_run(monkeypatch)
+
+        def no_fork():
+            raise BlockingIOError("Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        open_fds = set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+        failed_model, failed = fit_embedding(graph, config)
+        assert failed.processes == 1
+        assert failed_model.coords.tobytes() == model.coords.tobytes()
+        if open_fds is not None:  # the four pipe ends are closed again
+            assert set(os.listdir("/proc/self/fd")) == open_fds
+
+    def test_only_the_fork_silences_its_threads_warning(self, monkeypatch):
+        # Python 3.12+ warns on forking a process that holds threads, as
+        # OpenBLAS's pool is; the helper calls no BLAS, so the fit silences
+        # that warning around its own fork and nowhere else
+        message = ("This process (pid=1) is multi-threaded, use of fork() may "
+                   "lead to deadlocks in the child.")
+
+        def warning_fork():
+            warnings.warn(message, DeprecationWarning, stacklevel=2)
+            raise BlockingIOError("no fork in this test")
+
+        graph = _random_graph(np.random.default_rng(20), n=8)
+        config = FitConfig(ModelParams(alpha=2.0, dim=3), seed=20, max_iterations=5)
+        let_fit_helper_run(monkeypatch)
+        monkeypatch.setattr(os, "fork", warning_fork)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert fit_embedding(graph, config)[1].processes == 1
+            assert caught == []
+            warnings.warn(message, DeprecationWarning)
+        assert [str(w.message) for w in caught] == [message]
+
+
+@needs_fork
+class TestHelperExit:
+    """However the fit ends, its helper is reaped before the fit returns or
+    raises."""
+
+    def _graph_and_config(self, monkeypatch):
+        let_fit_helper_run(monkeypatch)
+        graph = _random_graph(np.random.default_rng(20), n=8)
+        return graph, FitConfig(ModelParams(alpha=2.0, dim=3), seed=20, max_iterations=20)
+
+    def _hook_value(self, monkeypatch, at_call, action):
+        """Run ``action(problem)`` before the kernel's ``at_call``-th value."""
+        value = _PairObjective.value
+        calls = []
+
+        def hooked(self, x):
+            calls.append(_helper_runs(self))
+            if len(calls) == at_call:
+                action(self)
+            return value(self, x)
+
+        monkeypatch.setattr(_PairObjective, "value", hooked)
+        return calls
+
+    def test_after_a_fit_that_ends(self, monkeypatch):
+        graph, config = self._graph_and_config(monkeypatch)
+        _, trace = fit_embedding(graph, config)
+        assert (trace.iterations, trace.processes) == (20, 2)
+        _assert_no_child_process()
+
+    def test_after_a_divergence(self, monkeypatch):
+        graph, config = self._graph_and_config(monkeypatch)
+        grad = _PairObjective.grad
+
+        def diverging(self):
+            g = grad(self)
+            if _helper_runs(self):
+                g[0] = np.inf
+            return g
+
+        monkeypatch.setattr(_PairObjective, "grad", diverging)
+        with pytest.raises(DivergenceError) as caught:
+            fit_embedding(graph, config)
+        assert caught.value.iteration == 1
+        assert caught.value.trace.processes == 2
+        _assert_no_child_process()
+
+    def test_after_a_keyboard_interrupt(self, monkeypatch):
+        graph, config = self._graph_and_config(monkeypatch)
+
+        def interrupt(problem):
+            raise KeyboardInterrupt
+
+        calls = self._hook_value(monkeypatch, 5, interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            fit_embedding(graph, config)
+        assert calls[-1]  # the helper was running
+        _assert_no_child_process()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="no /proc")
+    def test_the_helper_leaves_ctrl_c_to_the_fit(self, monkeypatch):
+        # SIGINT stays blocked in the helper, so Ctrl-C, sent to the whole
+        # process group, interrupts only the fit, which then reaps it
+        graph, config = self._graph_and_config(monkeypatch)
+        blocked = []
+
+        def read_mask(problem):
+            with open(f"/proc/{problem._helper.pid}/status") as status:
+                mask = next(line for line in status if line.startswith("SigBlk:"))
+            blocked.append(int(mask.split()[1], 16) >> (signal.SIGINT - 1) & 1)
+
+        self._hook_value(monkeypatch, 5, read_mask)
+        fit_embedding(graph, config)
+        assert blocked == [1]
+        assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
+
+    def test_a_killed_helper_fails_the_fit_within_seconds(self, monkeypatch):
+        graph, config = self._graph_and_config(monkeypatch)
+
+        def kill(problem):
+            os.kill(problem._helper.pid, signal.SIGKILL)
+
+        calls = self._hook_value(monkeypatch, 5, kill)
+        started = time.monotonic()
+        with pytest.raises(ChildProcessError, match=r"fit helper process \d+ exited"):
+            fit_embedding(graph, config)
+        assert time.monotonic() - started < 10.0
+        assert calls[-1]
+        _assert_no_child_process()

@@ -1005,6 +1005,70 @@ class TestWrittenCorpusParsesBackEqual:
             assert_parses_back_equal(corpus, tmp_path / f"c{k}.csv")
 
 
+def csv_writer_bytes(corpus):
+    """The corpus's rows, from its ``Action`` view, as ``csv.writer`` writes
+    them: the bytes ``write_corpus`` must give."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(_CANONICAL_COLUMNS)
+    for sid, actions in corpus.sessions.items():
+        writer.writerows(
+            [a.user_id, sid, a.timestamp, a.step, a.action_type, a.item_ref or "",
+             "|".join(a.impressions or ())]
+            for a in actions
+        )
+    return out.getvalue().encode("utf-8")
+
+
+def odd_id_actions():
+    """Ids the CSV must quote (commas, quotes, line breaks), padded with
+    spaces or not ASCII, in every id column and in impression lists; an
+    item id keeps no padding, as the parse strips it."""
+    return [
+        make_action('s"1', 1, item="a,b", user="u,1"),
+        clickout('s"1', 2, 'q"x', ["a,b", 'q"x', "é"]),
+        make_action("line\nbreak", 1, item="é", kind='say "hi", \r\n', user=" u2 "),
+        clickout("line\nbreak", 2, "plain", ["é", "plain"]),
+        make_action("cr\rsid", 1, user="ü", ts=-5),
+        make_action(" padded ", 1, item="x", kind=" k "),
+    ]
+
+
+class TestWriteCorpusFormatsAsCsvWriter:
+    """``write_corpus`` quotes each table once and formats its rows itself;
+    ``csv.writer``'s ``excel`` dialect is the reference for every byte."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 4096])
+    def test_ids_the_csv_must_quote(self, rows, tmp_path, monkeypatch):
+        monkeypatch.setattr("simpop.sessions._WRITE_BATCH", rows)
+        corpus = SessionCorpus.from_actions(odd_id_actions(), Role.TRAIN)
+        assert {"u,1", " u2 ", "ü"} <= set(corpus.users)
+        assert {"a,b", 'q"x', "é"} <= set(corpus.item_vocabulary)
+        write_corpus(corpus, tmp_path / "c.csv")
+        assert (tmp_path / "c.csv").read_bytes() == csv_writer_bytes(corpus)
+        assert_parses_back_equal(corpus, tmp_path / "c.csv")
+
+    def test_lists_of_plain_ids_stay_unquoted(self, tmp_path):
+        corpus = SessionCorpus.from_actions([clickout("s", 1, "plain", ["é", "plain"])],
+                                            Role.TRAIN)
+        write_corpus(corpus, tmp_path / "c.csv")
+        assert (tmp_path / "c.csv").read_bytes() == csv_writer_bytes(corpus)
+        assert b",\xc3\xa9|plain\r\n" in (tmp_path / "c.csv").read_bytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_logs_in_batches(self, seed, tmp_path, monkeypatch):
+        monkeypatch.setattr("simpop.sessions._WRITE_BATCH", 7)
+        corpus = corpus_from_text(log_text(random_log_rows(seed), extra=True))
+        write_corpus(corpus, tmp_path / "c.csv.gz")
+        with gzip.open(tmp_path / "c.csv.gz", "rb") as stream:
+            assert stream.read() == csv_writer_bytes(corpus)
+
+    def test_empty_corpus_is_its_header(self, tmp_path):
+        corpus = SessionCorpus.from_actions([], Role.TRAIN)
+        write_corpus(corpus, tmp_path / "c.csv")
+        assert (tmp_path / "c.csv").read_bytes() == csv_writer_bytes(corpus)
+
+
 #: what the ids of ``carried_actions`` are made of: every character the
 #: parse's reading of the reference and impressions fields treats apart
 ID_PIECES = ("a", "b", " ", "|", "\t", "\n", "")
